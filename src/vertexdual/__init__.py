@@ -29,6 +29,7 @@ from .errors import (
     CollisionDetected,
     ConfigError,
     DegenerateSpectrum,
+    DrawFailed,
     GeneralPositionViolated,
     InvalidBetheRoots,
     MatchFailed,

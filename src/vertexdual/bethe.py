@@ -16,7 +16,16 @@ from itertools import combinations
 import numpy as np
 
 from .errors import SingularConfiguration, SingularSpectralPoint
-from .linalg import coth, ipi_distance, reduce_mod_ipi
+from .linalg import (
+    complex_sort_key,
+    coth,
+    ipi_distance,
+    reduce_mod_ipi,
+    UNSHIFTED,
+    require_sinh_gap,
+    sinh_pair_product,
+    smallest_sinh_gap,
+)
 from .spin_chain import ChainParams
 
 _GUARD = 1e-12
@@ -43,17 +52,9 @@ def canonicalize_roots(roots) -> np.ndarray:
 
 
 def _check_configuration(u: np.ndarray, params: ChainParams):
-    for a, ua in enumerate(u):
-        for xk in params.inhom:
-            if abs(np.sinh(ua - xk)) <= _GUARD:
-                raise SingularConfiguration(f"root {a} collides with an inhomogeneity")
-        for b, ub in enumerate(u):
-            if b == a:
-                continue
-            if abs(np.sinh(ua - ub)) <= _GUARD:
-                raise SingularConfiguration(f"roots {a} and {b} coincide")
-            if abs(np.sinh(ua - ub - params.eta)) <= _GUARD:
-                raise SingularConfiguration(f"roots {a} and {b} differ by eta")
+    require_sinh_gap(u, params.inhom, UNSHIFTED, _GUARD, SingularConfiguration, ("u", "x"))
+    shifts = {"": 0.0, " - eta": -params.eta}
+    require_sinh_gap(u, None, shifts, _GUARD, SingularConfiguration, ("u", "u"))
 
 
 def _defect(u: np.ndarray, params: ChainParams) -> np.ndarray:
@@ -189,11 +190,9 @@ def solve_bae(
         u = _newton(np.asarray(u0, dtype=complex), params)
         if u is None:
             continue
-        if M2 > 1:
-            gaps = [abs(np.sinh(u[a] - u[b])) for a in range(M2) for b in range(a + 1, M2)]
-            if min(gaps) <= _DISTINCT_TOL:
-                continue
-        if any(abs(np.sinh(u[a] - xk)) <= _GUARD for a in range(M2) for xk in xs):
+        if smallest_sinh_gap(u, None, UNSHIFTED)[0] <= _DISTINCT_TOL:
+            continue
+        if smallest_sinh_gap(u, xs, UNSHIFTED)[0] <= _GUARD:
             continue
         u = canonicalize_roots(u)
         residual = float(np.max(np.abs(_defect(u, params))))
@@ -204,7 +203,7 @@ def solve_bae(
         solutions.append(
             BetheRootSet(M2=M2, roots=u, residual=residual, params_hash=params.params_hash)
         )
-    solutions.sort(key=lambda s: tuple(val for z in s.roots for val in (z.real, z.imag)))
+    solutions.sort(key=lambda s: complex_sort_key(s.roots))
     return solutions
 
 
@@ -232,15 +231,11 @@ def eigenvalue_h(roots: BetheRootSet, params: ChainParams, j: int) -> complex:
     L, eta, h = params.L, params.eta, params.h
     xs = np.asarray(params.inhom)
     u = np.atleast_1d(np.asarray(roots.roots, dtype=complex))
-    pref = 1.0 + 0.0j
-    for k in range(L):
-        if k != j:
-            pref *= np.sinh(xs[j] - xs[k] + eta) / np.sinh(xs[j] - xs[k])
-    if u.size:
-        gaps = np.sinh(xs[j] - u)
-        if np.any(np.abs(gaps) <= _GUARD):
-            raise SingularConfiguration("a root collides with site j")
-        pref *= np.prod(np.sinh(xs[j] - u - eta) / gaps)
+    gaps = np.sinh(xs[j] - u)
+    if np.any(np.abs(gaps) <= _GUARD):
+        raise SingularConfiguration(f"a root collides with site {j + 1}")
+    pref = sinh_pair_product(xs[j : j + 1], np.delete(xs, j), eta, 0.0)[0]
+    pref *= np.prod(np.sinh(xs[j] - u - eta) / gaps)
     return complex(np.exp(L * h) * pref)
 
 

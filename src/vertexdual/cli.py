@@ -8,8 +8,10 @@ solve-bethe       sector-by-sector equation solving with ED cross-checks
 rs-evolve         classical flow with invariant-drift monitoring
 check-identities  randomized determinant-identity trials
 
-Exit codes: 0 pass, 1 verification failure, 2 config error,
-3 numerical failure (degeneracy, collision, no convergence).
+Exit codes: 0 pass, 1 verification failure, 2 config error (each key's
+type and range are checked before a command runs), 3 numerical failure
+(degeneracy, collision, no convergence, a draw with no general-position
+sample).
 
 Reports are UTF-8 JSON with the fixed top level
 {schema_version, command, config, results, summary, timestamp};
@@ -23,8 +25,10 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,18 +72,29 @@ from .spin_chain import ChainParams, joint_diagonalize
 SCHEMA_VERSION = "1"
 
 _MAX_L = 10
+_MAX_COUNT = 10_000
+_MAX_SEED = 2 ** 64 - 1
+# Bound on each part of a complex parameter: it keeps e^{L h}, sinh(eta)
+# and the flow's exponentials finite in double precision.
+_MAX_PARAM = 50.0
+# Bound on |t_final|: the default flow integrates to 1e3 in a fraction of
+# a second but does not return from t_final = 1e18.
+_MAX_TIME = 1e3
 
 
-def _as_complex(value, key):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{key}: expected a number or [re, im], got {value!r}")
+def _real(value):
+    """``value`` as a float if it is a finite JSON number (never a bool), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _as_complex(value) -> complex:
+    return complex(*value) if isinstance(value, list) else complex(value)
 
 
 def _complex_out(z) -> list[float]:
@@ -91,57 +106,128 @@ def _vector_out(values) -> list[list[float]]:
     return [_complex_out(z) for z in np.asarray(values).ravel()]
 
 
-# Per-command schema: key -> default.  None means "must be resolved at
-# run time" (optional values); unknown keys are rejected.
-_SCHEMAS: dict[str, dict] = {
+class _Field(NamedTuple):
+    """One config key: its default, the check of a value, and what the
+    check expects (for the error message)."""
+
+    default: object
+    accepts: Callable[[object], bool]
+    expected: str
+
+
+def _int_field(default, lo, hi) -> _Field:
+    return _Field(
+        default,
+        lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi,
+        f"an integer in [{lo}, {hi}]",
+    )
+
+
+def _real_field(default, accepts, expected) -> _Field:
+    return _Field(default, lambda v: _real(v) is not None and accepts(_real(v)), expected)
+
+
+def _tol_field(default) -> _Field:
+    return _real_field(default, lambda t: t > 0, "a positive real number")
+
+
+def _bool_field(default) -> _Field:
+    return _Field(default, lambda v: isinstance(v, bool), "true or false")
+
+
+def _is_complex(value) -> bool:
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    return all(_real(p) is not None and abs(_real(p)) <= _MAX_PARAM for p in parts)
+
+
+_COMPLEX = f"a number or [re, im] with parts in [-{_MAX_PARAM:g}, {_MAX_PARAM:g}]"
+
+
+def _complex_field(default) -> _Field:
+    return _Field(default, _is_complex, _COMPLEX)
+
+
+def _complex_list_field(default) -> _Field:
+    return _Field(
+        default,
+        lambda v: isinstance(v, list) and len(v) > 0 and all(_is_complex(z) for z in v),
+        f"a non-empty list of {_COMPLEX}",
+    )
+
+
+def _or_null(field: _Field) -> _Field:
+    """The field, or null for a value resolved at run time (a random draw)."""
+    return field._replace(
+        accepts=lambda v: v is None or field.accepts(v), expected=f"null or {field.expected}"
+    )
+
+
+_VERSION = _Field(SCHEMA_VERSION, lambda v: str(v) == SCHEMA_VERSION, repr(SCHEMA_VERSION))
+_SECTOR = _int_field(0, 0, _MAX_L)
+_SINH_ETA_TOL = ChainParams.tol_general_position
+
+# Per-command schema: key -> field.  Unknown keys are rejected.
+_SCHEMAS: dict[str, dict[str, _Field]] = {
     "verify-duality": {
-        "schema_version": SCHEMA_VERSION,
-        "L": 1,
-        "eta": 0.5,
-        "h": 0.3,
-        "v": 0.0,
-        "inhom": [0.0],
-        "trials": 1,
-        "seed": 0,
-        "tol": 1e-8,
+        "schema_version": _VERSION,
+        "L": _int_field(1, 1, _MAX_L),
+        "eta": _or_null(_complex_field(0.5)),
+        "h": _or_null(_complex_field(0.3)),
+        "v": _complex_field(0.0),
+        "inhom": _or_null(_complex_list_field([0.0])),
+        "trials": _int_field(1, 1, _MAX_COUNT),
+        "seed": _int_field(0, 0, _MAX_SEED),
+        "tol": _tol_field(1e-8),
     },
     "solve-bethe": {
-        "schema_version": SCHEMA_VERSION,
-        "L": 3,
-        "eta": 0.5,
-        "h": 0.3,
-        "inhom": None,
-        "sectors": None,
-        "n_starts": 64,
-        "seed": 0,
-        "tol": 1e-10,
-        "cross_validate": True,
+        "schema_version": _VERSION,
+        "L": _int_field(3, 1, _MAX_L),
+        "eta": _or_null(_complex_field(0.5)),
+        "h": _or_null(_complex_field(0.3)),
+        "inhom": _or_null(_complex_list_field(None)),
+        "sectors": _or_null(
+            _Field(
+                None,
+                lambda v: isinstance(v, list) and all(_SECTOR.accepts(m) for m in v),
+                f"a list of integers in [0, {_MAX_L}]",
+            )
+        ),
+        "n_starts": _int_field(64, 0, _MAX_COUNT),
+        "seed": _int_field(0, 0, _MAX_SEED),
+        "tol": _tol_field(1e-10),
+        "cross_validate": _bool_field(True),
     },
     "rs-evolve": {
-        "schema_version": SCHEMA_VERSION,
-        "eta": 0.35,
-        "x0": [0.1, 1.0, 1.9],
-        "p0": [0.1, -0.2, 0.15],
-        "t_final": 2.0,
-        "tol_ode": 1e-10,
-        "n_samples": 33,
-        "seed": 0,
-        "tol": 1e-6,
+        "schema_version": _VERSION,
+        "eta": _Field(
+            0.35,
+            lambda v: _is_complex(v) and abs(np.sinh(_as_complex(v))) > _SINH_ETA_TOL,
+            f"{_COMPLEX}, and |sinh(eta)| > {_SINH_ETA_TOL:g}",
+        ),
+        "x0": _complex_list_field([0.1, 1.0, 1.9]),
+        "p0": _complex_list_field([0.1, -0.2, 0.15]),
+        "t_final": _real_field(
+            2.0, lambda t: abs(t) <= _MAX_TIME, f"a real number in [-{_MAX_TIME:g}, {_MAX_TIME:g}]"
+        ),
+        "tol_ode": _real_field(1e-10, lambda t: 0 < t <= 1, "a real number in (0, 1]"),
+        "n_samples": _int_field(33, 2, _MAX_COUNT),
+        "seed": _int_field(0, 0, _MAX_SEED),
+        "tol": _tol_field(1e-6),
     },
     "check-identities": {
-        "schema_version": SCHEMA_VERSION,
-        "trials": 100,
-        "n_max": 6,
-        "seed": 7,
-        "tol": 1e-8,
-        "corrupt_g": False,
+        "schema_version": _VERSION,
+        "trials": _int_field(100, 1, _MAX_COUNT),
+        "n_max": _int_field(6, 1, 8),
+        "seed": _int_field(7, 0, _MAX_SEED),
+        "tol": _tol_field(1e-8),
+        "corrupt_g": _bool_field(False),
     },
 }
 
 
 def _resolve_config(command: str, args) -> dict:
     schema = _SCHEMAS[command]
-    config = dict(schema)
+    config = {key: field.default for key, field in schema.items()}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -161,40 +247,21 @@ def _resolve_config(command: str, args) -> dict:
         if "trials" not in schema:
             raise ConfigError(f"--trials is not applicable to {command}")
         config["trials"] = args.trials
-    if str(config["schema_version"]) != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {config['schema_version']!r}")
-    _validate_common(config)
+    for key, field in schema.items():
+        if not field.accepts(config[key]):
+            raise ConfigError(f"{key}: expected {field.expected}, got {config[key]!r}")
+    if config.get("sectors") is not None and any(m > config["L"] for m in config["sectors"]):
+        raise ConfigError(f"sectors must lie in [0, L = {config['L']}], got {config['sectors']!r}")
     return config
-
-
-def _validate_common(config: dict):
-    if "tol" in config and not (isinstance(config["tol"], (int, float)) and config["tol"] > 0):
-        raise ConfigError(f"tol must be a positive number, got {config['tol']!r}")
-    if "tol_ode" in config and not (
-        isinstance(config["tol_ode"], (int, float)) and config["tol_ode"] > 0
-    ):
-        raise ConfigError(f"tol_ode must be positive, got {config['tol_ode']!r}")
-    if "seed" in config:
-        seed = config["seed"]
-        if not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    if "trials" in config:
-        trials = config["trials"]
-        if not isinstance(trials, int) or trials < 1:
-            raise ConfigError(f"trials must be a positive integer, got {trials!r}")
-    if "L" in config:
-        L = config["L"]
-        if not isinstance(L, int) or not 1 <= L <= _MAX_L:
-            raise ConfigError(f"L must be an integer in [1, {_MAX_L}], got {L!r}")
 
 
 def _chain_from_config(config: dict, rng) -> ChainParams:
     L = config["L"]
-    eta = _as_complex(config["eta"], "eta") if config["eta"] is not None else None
-    h = _as_complex(config["h"], "h") if config["h"] is not None else None
-    v = _as_complex(config.get("v", 0.0), "v")
-    if config.get("inhom") is not None:
-        inhom = [_as_complex(z, "inhom") for z in config["inhom"]]
+    eta = _as_complex(config["eta"]) if config["eta"] is not None else None
+    h = _as_complex(config["h"]) if config["h"] is not None else None
+    v = _as_complex(config.get("v", 0.0))
+    if config["inhom"] is not None:
+        inhom = [_as_complex(z) for z in config["inhom"]]
         if len(inhom) != L:
             raise ConfigError(f"inhom must list {L} values")
         if eta is None or h is None:
@@ -224,9 +291,7 @@ def _cmd_verify_duality(config: dict):
     for trial in range(config["trials"]):
         chain = _chain_from_config(config, rng)
         report = verify_duality(chain, seed=config["seed"] + trial)
-        momentum_resid = verify_momentum_identification(
-            chain, joint_diagonalize(chain, seed=config["seed"] + trial)
-        )
+        momentum_resid = verify_momentum_identification(chain, report.spectrum)
         worst = max(worst, report.worst_error, momentum_resid)
         trials.append(
             {
@@ -259,9 +324,7 @@ def _cmd_solve_bethe(config: dict):
     sectors = config["sectors"]
     if sectors is None:
         sectors = list(range(chain.L + 1))
-    if not all(isinstance(m, int) and 0 <= m <= chain.L for m in sectors):
-        raise ConfigError(f"sectors must be integers in [0, {chain.L}]")
-    cross = bool(config["cross_validate"]) and chain.L <= 4
+    cross = config["cross_validate"] and chain.L <= 4
     spectrum = joint_diagonalize(chain, seed=config["seed"]) if cross else None
     results = []
     passed = True
@@ -308,20 +371,15 @@ def _cmd_solve_bethe(config: dict):
 
 
 def _cmd_rs_evolve(config: dict):
-    eta = _as_complex(config["eta"], "eta")
-    x0 = np.array([_as_complex(z, "x0") for z in config["x0"]])
-    p0 = np.array([_as_complex(z, "p0") for z in config["p0"]])
-    if x0.size != p0.size:
-        raise ConfigError("x0 and p0 must have the same length")
-    n_samples = config["n_samples"]
-    if not isinstance(n_samples, int) or n_samples < 2:
-        raise ConfigError("n_samples must be an integer >= 2")
+    eta = _as_complex(config["eta"])
+    x0 = np.array([_as_complex(z) for z in config["x0"]])
+    p0 = np.array([_as_complex(z) for z in config["p0"]])
     try:
         state0 = RSState(eta=eta, x=x0, p=p0)
     except (GeneralPositionViolated, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     trajectory = evolve(
-        state0, config["t_final"], tol_ode=config["tol_ode"], n_samples=n_samples
+        state0, config["t_final"], tol_ode=config["tol_ode"], n_samples=config["n_samples"]
     )
     eig0 = np.linalg.eigvals(lax_from_momenta(state0).entries)
     en0 = char_poly_via_en(state0.x, velocities(state0), eta)
@@ -357,9 +415,7 @@ def _cmd_rs_evolve(config: dict):
 def _cmd_check_identities(config: dict):
     rng = rng_from_seed(config["seed"])
     n_max = config["n_max"]
-    if not isinstance(n_max, int) or not 1 <= n_max <= 8:
-        raise ConfigError(f"n_max must be an integer in [1, 8], got {n_max!r}")
-    corrupt = bool(config["corrupt_g"])
+    corrupt = config["corrupt_g"]
     rows = []
     worst = 0.0
     for trial in range(config["trials"]):
@@ -421,6 +477,7 @@ _NUMERICAL_FAILURES = (
     SingularSpectralPoint,
     SingularVandermonde,
     ZeroGValue,
+    np.linalg.LinAlgError,
 )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MatchFailed, ZeroGValue
-from .linalg import match_multisets
+from .linalg import complex_sort_key, match_multisets, sinh_pair_product
 from .ruijsenaars import LaxMatrix, lax_from_velocities, symmetric_invariants
 from .spin_chain import ChainParams, JointSpectrum, joint_diagonalize
 
@@ -41,14 +41,13 @@ class DualityRecord:
 
 @dataclass(frozen=True)
 class DualityReport:
+    """Per-state records and the joint spectrum they were verified on."""
+
     records: list[DualityRecord]
     worst_error: float
     n_states: int
     params_hash: str
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_error <= 1e-8
+    spectrum: JointSpectrum
 
 
 def predicted_strings(L: int, M2: int, h, eta) -> StringSpectrum:
@@ -119,6 +118,7 @@ def verify_duality(chain: ChainParams, seed: int = 0) -> DualityReport:
         worst_error=worst,
         n_states=len(records),
         params_hash=spectrum.params_hash,
+        spectrum=spectrum,
     )
 
 
@@ -129,12 +129,8 @@ def verify_momentum_identification(chain: ChainParams, spectrum: JointSpectrum) 
     the residual is the worst relative defect of
     -H_i = eta e^{eta p_i} prod_{k != i} sinh(x_i - x_k + eta)/sinh(x_i - x_k).
     """
-    xs = np.asarray(chain.inhom)
     eta = chain.eta
-    weights = np.empty(chain.L, dtype=complex)
-    for i in range(chain.L):
-        mask = np.arange(chain.L) != i
-        weights[i] = np.prod(np.sinh(xs[i] - xs[mask] + eta) / np.sinh(xs[i] - xs[mask]))
+    weights = sinh_pair_product(chain.inhom, None, eta, 0.0)
     worst = 0.0
     for state in spectrum.states:
         if np.any(np.abs(state.G) < 1e-100):
@@ -269,5 +265,5 @@ def inverse_spectral_solve(
         solutions.append(
             InverseSolution(H=H, residual=residual, matched_state=matched, match_error=match_err)
         )
-    solutions.sort(key=lambda s: tuple(val for z in s.H for val in (z.real, z.imag)))
+    solutions.sort(key=lambda s: complex_sort_key(s.H))
     return solutions

@@ -49,5 +49,9 @@ class MatchFailed(VertexDualError):
     """Multiset matching error exceeded the hard failure threshold."""
 
 
+class DrawFailed(VertexDualError, RuntimeError):
+    """A seeded draw found no general-position sample within its attempt cap."""
+
+
 class ConfigError(VertexDualError):
     """A run configuration is malformed or violates its schema."""

@@ -11,14 +11,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import BetheRootSet, all_eigenvalues_h, bae_defect
-from .errors import GeneralPositionViolated, InvalidBetheRoots, SingularVandermonde
+from .errors import GeneralPositionViolated, InvalidBetheRoots
 from .linalg import (
     charpoly_minors,
+    eta_shifts,
     lagrange_vandermonde_inverse,
     poly_rel_residual,
     rel_diff,
+    require_sinh_gap,
+    sinh_pair_product,
+    sinh_pairs,
 )
-from .ruijsenaars import eta_shift_diagonal, lax_from_velocities, s_matrix, vandermonde_sym
+from .ruijsenaars import (
+    _require_distinct_nodes,
+    _sandwiched_ladder,
+    eta_shift_diagonal,
+    lax_from_velocities,
+    s_matrix,
+    vandermonde_sym,
+)
 from .spin_chain import ChainParams
 
 _GP_TOL = 1e-6
@@ -46,107 +57,41 @@ class IdentityParams:
             raise ValueError("x, y lengths must match N, M")
         if self.g == 0:
             raise ValueError("g must be nonzero")
-        _require_separated(self.x, self.eta, "x")
-        _require_separated(self.y, self.eta, "y")
-        for i, xi in enumerate(self.x):
-            for a, ya in enumerate(self.y):
-                if abs(np.sinh(xi - ya)) <= _GP_TOL or abs(np.sinh(xi - ya - self.eta)) <= _GP_TOL:
-                    raise GeneralPositionViolated(f"x_{i + 1} too close to y_{a + 1} (mod eta)")
+        shifts = eta_shifts(self.eta)
+        for pts, name in ((self.x, "x"), (self.y, "y")):
+            require_sinh_gap(pts, None, shifts, _GP_TOL, GeneralPositionViolated, (name, name))
+        cross = {"": 0.0, " - eta": -self.eta}
+        require_sinh_gap(self.x, self.y, cross, _GP_TOL, GeneralPositionViolated, ("x", "y"))
         _require_distinct_nodes(self.x, "e^(2x)")
         _require_distinct_nodes(self.y, "e^(2y)")
-
-
-def _require_separated(pts, eta, name):
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = pts[i] - pts[j]
-            for shift in (0.0, eta, -eta):
-                if abs(np.sinh(d + shift)) <= _GP_TOL:
-                    raise GeneralPositionViolated(
-                        f"{name}_{i + 1} and {name}_{j + 1} too close (mod eta)"
-                    )
-
-
-def _require_distinct_nodes(pts, label):
-    t = np.exp(2 * np.asarray(pts, dtype=complex))
-    tmax = max(np.max(np.abs(t), initial=0.0), 1.0)
-    for i in range(t.size):
-        for j in range(i + 1, t.size):
-            if abs(t[i] - t[j]) <= 1e-12 * tmax:
-                raise SingularVandermonde(f"{label} nodes {i + 1} and {j + 1} coincide")
 
 
 def _q_entrywise(x, y, g, eta) -> np.ndarray:
     """Row i carries the full interaction weight of point x_i; the column
     dependence sits only in the 1/sinh(x_j - x_i + eta) prefactor."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    n = x.size
-    q = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        weight = 1.0 + 0.0j
-        for k in range(n):
-            if k != i:
-                weight *= np.sinh(x[i] - x[k] + eta) / np.sinh(x[i] - x[k])
-        for ya in y:
-            weight *= np.sinh(x[i] - ya) / np.sinh(x[i] - ya + eta)
-        q[i, :] = g * np.sinh(eta) / np.sinh(x - x[i] + eta) * weight
-    return q
+    weight = sinh_pair_product(x, None, eta, 0.0) * sinh_pair_product(x, y, 0.0, eta)
+    return g * np.sinh(eta) / sinh_pairs(x, x, eta).T * weight[:, None]
 
 
 def _q_tilde_entrywise(y, x, g, eta) -> np.ndarray:
-    y = np.asarray(y, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    m = y.size
-    q = np.empty((m, m), dtype=complex)
-    for a in range(m):
-        weight = 1.0 + 0.0j
-        for c in range(m):
-            if c != a:
-                weight *= np.sinh(y[a] - y[c] - eta) / np.sinh(y[a] - y[c])
-        for xk in x:
-            weight *= np.sinh(y[a] - xk) / np.sinh(y[a] - xk - eta)
-        q[a, :] = g * np.sinh(eta) / np.sinh(y - y[a] + eta) * weight
-    return q
+    weight = sinh_pair_product(y, None, -eta, 0.0) * sinh_pair_product(y, x, 0.0, -eta)
+    return g * np.sinh(eta) / sinh_pairs(y, y, eta).T * weight[:, None]
 
 
 def w_matrix(params: IdentityParams) -> np.ndarray:
     """Diagonal coupling of each x_i to the whole y family."""
-    diag = np.ones(params.N, dtype=complex)
-    for i, xi in enumerate(params.x):
-        for ya in params.y:
-            diag[i] *= np.sinh(ya - xi) / np.sinh(ya - xi - params.eta)
-    return np.diag(diag)
+    return np.diag(sinh_pair_product(params.x, params.y, 0.0, params.eta))
 
 
 def w_tilde_matrix(params: IdentityParams) -> np.ndarray:
     """Diagonal coupling of each y_a to the whole x family."""
-    diag = np.ones(params.M, dtype=complex)
-    for a, ya in enumerate(params.y):
-        for xk in params.x:
-            diag[a] *= np.sinh(ya - xk) / np.sinh(ya - xk - params.eta)
-    return np.diag(diag)
-
-
-def _ladder_core(q_pts, eta, inverse_ladder):
-    """(V^t)^{-1} S^{+-1} V^t on the given nodes (explicit inverse route)."""
-    q_pts = np.asarray(q_pts, dtype=complex)
-    k = q_pts.size
-    t = np.exp(2 * q_pts)
-    b = lagrange_vandermonde_inverse(t)
-    vt_plain = np.vander(t, k, increasing=True).T
-    powers = np.arange(1, k + 1)
-    s_diag = np.exp(-(2 * powers - k - 1) * complex(eta))
-    ladder = 1.0 / s_diag if inverse_ladder else s_diag
-    core = (b * ladder[None, :]) @ vt_plain
-    tfac = np.exp((1 - k) * q_pts)
-    return core * (tfac[None, :] / tfac[:, None])
+    return np.diag(sinh_pair_product(params.y, params.x, 0.0, -params.eta))
 
 
 def q_factorized(params: IdentityParams) -> np.ndarray:
     """Ladder factorization g W D_eta (V^t)^{-1} S_N^{-1} V^t D_eta^{-1}."""
     x = np.asarray(params.x, dtype=complex)
-    core = _ladder_core(x, params.eta, inverse_ladder=True)
+    core = _sandwiched_ladder(x, params.eta)
     d = eta_shift_diagonal(x, params.eta)
     w = np.diag(w_matrix(params))
     return params.g * w[:, None] * d[:, None] * core / d[None, :]

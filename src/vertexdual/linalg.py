@@ -109,20 +109,61 @@ def ipi_distance(u, v) -> float:
     return float(np.max(np.abs(diff[rows, cols])))
 
 
-def min_pairwise_sinh(x, eta=None) -> float:
-    """min over i < j of |sinh(x_i - x_j)| (and the eta-shifted gaps if given)."""
-    x = np.asarray(x, dtype=complex)
-    n = x.size
-    if n < 2:
-        return np.inf
-    best = np.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = x[i] - x[j]
-            best = min(best, abs(np.sinh(d)))
-            if eta is not None:
-                best = min(best, abs(np.sinh(d + eta)), abs(np.sinh(d - eta)))
-    return best
+def sinh_pairs(a, b, shift) -> np.ndarray:
+    """The pair matrix sinh(a_i - b_j + shift).
+
+    With ``b`` None, ``a`` is paired with itself and the diagonal i = j
+    is set to 1, so row products run over j != i.
+    """
+    a = np.asarray(a, dtype=complex)
+    other = a if b is None else np.asarray(b, dtype=complex)
+    out = np.sinh(a[:, None] - other[None, :] + shift)
+    if b is None:
+        np.fill_diagonal(out, 1.0)
+    return out
+
+
+def sinh_pair_product(a, b, top, bottom) -> np.ndarray:
+    """prod_j sinh(a_i - b_j + top)/sinh(a_i - b_j + bottom) for each i
+    (j != i when ``b`` is None)."""
+    return np.prod(sinh_pairs(a, b, top) / sinh_pairs(a, b, bottom), axis=1)
+
+
+# Shifts for the plain gaps sinh(a_i - b_j).
+UNSHIFTED = {"": 0.0}
+
+
+def eta_shifts(eta) -> dict[str, complex]:
+    """The general-position shifts 0 and +-eta, keyed by their label."""
+    return {"": 0.0, " + eta": eta, " - eta": -eta}
+
+
+def smallest_sinh_gap(a, b, shifts: dict) -> tuple[float, int, int, str]:
+    """(gap, i, j, label): the smallest |sinh(a_i - b_j + s)| over the
+    labelled shifts s and all pairs, i != j when ``b`` is None.  The gap
+    is inf when there is no pair."""
+    gaps = np.abs([sinh_pairs(a, b, s) for s in shifts.values()])
+    if b is None:
+        gaps[:, np.eye(gaps.shape[1], dtype=bool)] = np.inf
+    if gaps.size == 0:
+        return np.inf, -1, -1, ""
+    k, i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+    return float(gaps[k, i, j]), int(i), int(j), list(shifts)[k]
+
+
+def require_sinh_gap(a, b, shifts: dict, tol: float, error: type, names: tuple[str, str]):
+    """Raise ``error`` naming the pair and the shift when some
+    |sinh(a_i - b_j + s)| <= tol (see smallest_sinh_gap); ``names`` are
+    the symbols of the two families in the message."""
+    gap, i, j, label = smallest_sinh_gap(a, b, shifts)
+    if gap <= tol:
+        pair = f"{names[0]}_{i + 1} - {names[1]}_{j + 1}{label}"
+        raise error(f"|sinh({pair})| = {gap:.3e} <= {tol:g}")
+
+
+def complex_sort_key(values) -> tuple[float, ...]:
+    """Lexicographic key over the (re, im) parts of a complex sequence."""
+    return tuple(part for z in values for part in (z.real, z.imag))
 
 
 def lagrange_vandermonde_inverse(t: np.ndarray) -> np.ndarray:

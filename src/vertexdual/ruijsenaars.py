@@ -21,32 +21,21 @@ from .errors import (
     SingularVandermonde,
     StepSizeUnderflow,
 )
-from .linalg import coth, lagrange_vandermonde_inverse
+from .linalg import (
+    UNSHIFTED,
+    coth,
+    eta_shifts,
+    lagrange_vandermonde_inverse,
+    require_sinh_gap,
+    sinh_pair_product,
+    sinh_pairs,
+    smallest_sinh_gap,
+)
 
+# The flow is singular only at x_i = x_j mod i*pi; Lax-type builds are
+# also singular on the +-eta shifts.
 _GP_TOL = 1e-9
 _EXIST_TOL = 1e-12
-
-
-def _check_coordinates_distinct(x, tol=_GP_TOL):
-    """Guard for the flow itself, singular only at x_i = x_j mod i*pi."""
-    x = np.asarray(x, dtype=complex)
-    for i in range(x.size):
-        for j in range(i + 1, x.size):
-            if abs(np.sinh(x[i] - x[j])) <= tol:
-                raise GeneralPositionViolated(f"|sinh(x_{i + 1} - x_{j + 1})| <= {tol:g}")
-
-
-def _check_general_position(x, eta, tol=_GP_TOL):
-    """Full guard for Lax-type builds, which are also singular on +-eta shifts."""
-    x = np.asarray(x, dtype=complex)
-    for i in range(x.size):
-        for j in range(i + 1, x.size):
-            d = x[i] - x[j]
-            for shift, label in ((0.0, ""), (eta, " + eta"), (-eta, " - eta")):
-                if abs(np.sinh(d + shift)) <= tol:
-                    raise GeneralPositionViolated(
-                        f"|sinh(x_{i + 1} - x_{j + 1}{label})| <= {tol:g}"
-                    )
 
 
 @dataclass(frozen=True)
@@ -63,7 +52,7 @@ class RSState:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=complex))
         if self.x.shape != self.p.shape:
             raise ValueError("x and p must have the same length")
-        _check_coordinates_distinct(self.x, tol=_EXIST_TOL)
+        require_sinh_gap(self.x, None, UNSHIFTED, _EXIST_TOL, GeneralPositionViolated, ("x", "x"))
 
     @property
     def L(self) -> int:
@@ -79,35 +68,18 @@ class LaxMatrix:
         return self.entries.shape[0]
 
 
-def _interaction(x, eta, i):
-    """prod_{k != i} sinh(x_i - x_k + eta)/sinh(x_i - x_k)."""
-    if x.size == 1:
-        return 1.0 + 0.0j
-    mask = np.arange(x.size) != i
-    return np.prod(np.sinh(x[i] - x[mask] + eta) / np.sinh(x[i] - x[mask]))
-
-
 def rs_hamiltonian(state: RSState) -> complex:
     """sum_i e^{eta p_i} prod_{k != i} sinh(x_i - x_k + eta)/sinh(x_i - x_k)."""
     x, p, eta = state.x, state.p, state.eta
-    _check_coordinates_distinct(x)
-    return complex(sum(np.exp(eta * p[i]) * _interaction(x, eta, i) for i in range(x.size)))
+    require_sinh_gap(x, None, UNSHIFTED, _GP_TOL, GeneralPositionViolated, ("x", "x"))
+    return complex(np.sum(np.exp(eta * p) * sinh_pair_product(x, None, eta, 0.0)))
 
 
 def velocities(state: RSState) -> np.ndarray:
     """dx_i/dt = eta e^{eta p_i} prod_{k != i} sinh(x_i - x_k + eta)/sinh(x_i - x_k)."""
     x, p, eta = state.x, state.p, state.eta
-    _check_coordinates_distinct(x)
-    return np.array([eta * np.exp(eta * p[i]) * _interaction(x, eta, i) for i in range(x.size)])
-
-
-def _interaction_omitting(x, eta, i, skip):
-    """prod over l not in {i, skip} of sinh(x_i - x_l + eta)/sinh(x_i - x_l)."""
-    out = 1.0 + 0.0j
-    for l in range(x.size):
-        if l != i and l != skip:
-            out *= np.sinh(x[i] - x[l] + eta) / np.sinh(x[i] - x[l])
-    return out
+    require_sinh_gap(x, None, UNSHIFTED, _GP_TOL, GeneralPositionViolated, ("x", "x"))
+    return eta * np.exp(eta * p) * sinh_pair_product(x, None, eta, 0.0)
 
 
 def hamilton_rhs(state: RSState) -> tuple[np.ndarray, np.ndarray]:
@@ -116,32 +88,24 @@ def hamilton_rhs(state: RSState) -> tuple[np.ndarray, np.ndarray]:
     Written so the only denominators are sinh(x_i - x_k): the flow (but
     not the Lax matrix) is regular where a gap crosses +-eta, and the
     naive W_i * coth(x_i - x_k + eta) grouping loses all precision
-    there, stalling the adaptive integrator.
+    there, stalling the adaptive integrator.  For the same reason the
+    products omitting one factor are formed by masking that factor,
+    never by dividing the full product by it.
     """
     x, p, eta = state.x, state.p, state.eta
-    n = x.size
-    xd = velocities(state)
-    pd = np.zeros(n, dtype=complex)
-    full = [_interaction(x, eta, i) for i in range(n)]
+    require_sinh_gap(x, None, UNSHIFTED, _GP_TOL, GeneralPositionViolated, ("x", "x"))
     boost = np.exp(eta * p)
-    for i in range(n):
-        s = 0.0 + 0.0j
-        for k in range(n):
-            if k == i:
-                continue
-            s += boost[i] * (
-                _interaction_omitting(x, eta, i, k) * np.cosh(x[i] - x[k] + eta)
-                - full[i] * np.cosh(x[i] - x[k])
-            ) / np.sinh(x[i] - x[k])
-        for m in range(n):
-            if m == i:
-                continue
-            s += boost[m] * (
-                full[m] * np.cosh(x[m] - x[i])
-                - _interaction_omitting(x, eta, m, i) * np.cosh(x[m] - x[i] + eta)
-            ) / np.sinh(x[m] - x[i])
-        pd[i] = -s
-    return xd, pd
+    s0 = sinh_pairs(x, None, 0.0)
+    ratio = sinh_pairs(x, None, eta) / s0
+    full = np.prod(ratio, axis=1)
+    diag = np.eye(x.size, dtype=bool)
+    # omit[i, k] = prod over l not in {i, k} of ratio[i, l].
+    omit = np.prod(np.where(diag[None, :, :], 1.0, ratio[:, None, :]), axis=2)
+    d = x[:, None] - x[None, :]
+    # flux[i, k] enters dp_i/dt with a minus sign and dp_k/dt with a plus sign.
+    flux = boost[:, None] * (omit * np.cosh(d + eta) - full[:, None] * np.cosh(d)) / s0
+    flux[diag] = 0.0
+    return eta * boost * full, flux.sum(axis=0) - flux.sum(axis=1)
 
 
 def acceleration(x, xdot, eta) -> np.ndarray:
@@ -172,12 +136,8 @@ def lax_from_velocities(x, xdot, eta) -> LaxMatrix:
     x = np.asarray(x, dtype=complex)
     xdot = np.asarray(xdot, dtype=complex)
     eta = complex(eta)
-    _check_general_position(x, eta)
-    n = x.size
-    entries = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        entries[i, :] = np.sinh(eta) * xdot[i] / np.sinh(x[i] - x - eta)
-    return LaxMatrix(entries)
+    require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
+    return LaxMatrix(np.sinh(eta) * xdot[:, None] / sinh_pairs(x, x, -eta))
 
 
 def lax_from_momenta(state: RSState) -> LaxMatrix:
@@ -195,7 +155,7 @@ def a_matrix(x, xdot, eta) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     xdot = np.asarray(xdot, dtype=complex)
     eta = complex(eta)
-    _check_general_position(x, eta)
+    require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
     n = x.size
     a = np.empty((n, n), dtype=complex)
     for j in range(n):
@@ -227,16 +187,11 @@ def cauchy_det(x, eta, subset=None) -> complex:
     if subset is not None:
         x = x[np.asarray(subset, dtype=int)]
     eta = complex(eta)
-    _check_general_position(x, eta)
+    require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
     n = x.size
-    matrix = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        matrix[i, :] = np.sinh(eta) / np.sinh(x[i] - x - eta)
-    direct = complex(np.linalg.det(matrix))
-    closed = complex((-1.0) ** n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            closed *= cauchy_factor(x[i] - x[j], eta)
+    direct = complex(np.linalg.det(np.sinh(eta) / sinh_pairs(x, x, -eta)))
+    i, j = np.triu_indices(n, 1)
+    closed = complex((-1.0) ** n * np.prod(cauchy_factor(x[i] - x[j], eta)))
     if abs(direct - closed) > 1e-10 * max(abs(direct), abs(closed), 1e-300):
         raise ArithmeticError(
             f"closed-form determinant disagrees with LU: {closed} vs {direct}"
@@ -309,18 +264,21 @@ def vandermonde_sym(q) -> np.ndarray:
 
 def eta_shift_diagonal(q, xi) -> np.ndarray:
     """Diagonal of prod_{k != i} sinh(q_i - q_k + xi)."""
-    q = np.asarray(q, dtype=complex)
-    k = q.size
-    diag = np.ones(k, dtype=complex)
-    for i in range(k):
-        for m in range(k):
-            if m != i:
-                diag[i] *= np.sinh(q[i] - q[m] + xi)
-    return diag
+    return np.prod(sinh_pairs(q, None, xi), axis=1)
 
 
-def _sandwiched_ladder(q, eta, inverse_ladder=True) -> np.ndarray:
-    """(V^t)^{-1} S^{+-1} V^t on nodes q, via the explicit Lagrange inverse.
+def _require_distinct_nodes(q, label):
+    """Raise SingularVandermonde when two nodes e^{2 q_i} coincide."""
+    t = np.exp(2 * np.asarray(q, dtype=complex))
+    dist = np.abs(t[:, None] - t[None, :])
+    np.fill_diagonal(dist, np.inf)
+    if t.size > 1 and dist.min() <= 1e-12 * max(np.max(np.abs(t)), 1.0):
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        raise SingularVandermonde(f"{label} nodes {i + 1} and {j + 1} coincide")
+
+
+def _sandwiched_ladder(q, eta) -> np.ndarray:
+    """(V^t)^{-1} S^{-1} V^t on nodes q, via the explicit Lagrange inverse.
 
     V factors as diag(e^{(1-K)q_i}) times the plain Vandermonde in
     t_i = e^{2 q_i}, so the explicit inverse of the latter gives a
@@ -328,17 +286,12 @@ def _sandwiched_ladder(q, eta, inverse_ladder=True) -> np.ndarray:
     """
     q = np.asarray(q, dtype=complex)
     k = q.size
+    _require_distinct_nodes(q, "e^(2x)")
     t = np.exp(2 * q)
-    tmax = np.max(np.abs(t))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(t[i] - t[j]) <= 1e-12 * tmax:
-                raise SingularVandermonde(f"nodes e^(2x) {i} and {j} coincide")
     b = lagrange_vandermonde_inverse(t)
     vt_plain = np.vander(t, k, increasing=True).T
     powers = np.arange(1, k + 1)
-    s_diag = np.exp(-(2 * powers - k - 1) * complex(eta))
-    ladder = 1.0 / s_diag if inverse_ladder else s_diag
+    ladder = 1.0 / np.exp(-(2 * powers - k - 1) * complex(eta))
     core = (b * ladder[None, :]) @ vt_plain
     tfac = np.exp((1 - k) * q)
     return core * (tfac[None, :] / tfac[:, None])
@@ -348,8 +301,8 @@ def factorized_lax(state: RSState) -> LaxMatrix:
     """Lax matrix through the ladder factorization
     -eta e^{eta P} D_eta (V^t)^{-1} S^{-1} V^t D_eta^{-1}."""
     x, p, eta = state.x, state.p, state.eta
-    _check_general_position(x, eta)
-    core = _sandwiched_ladder(x, eta, inverse_ladder=True)
+    require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
+    core = _sandwiched_ladder(x, eta)
     d = eta_shift_diagonal(x, eta)
     entries = -eta * np.exp(eta * p)[:, None] * d[:, None] * core / d[None, :]
     return LaxMatrix(entries)
@@ -404,8 +357,7 @@ def evolve(
 
     def collision(_t, y):
         x, _ = _unpack(y, n)
-        gaps = [abs(np.sinh(x[i] - x[j])) for i in range(n) for j in range(i + 1, n)]
-        return (min(gaps) if gaps else 1.0) - collision_tol
+        return smallest_sinh_gap(x, None, UNSHIFTED)[0] - collision_tol
 
     collision.terminal = True
     collision.direction = -1.0

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DrawFailed
 from .identities import IdentityParams
-from .linalg import min_pairwise_sinh
+from .linalg import eta_shifts, smallest_sinh_gap
 from .ruijsenaars import RSState
 from .spin_chain import ChainParams
 
@@ -41,14 +42,12 @@ def draw_chain_params(
         eta_val = complex(eta) if eta is not None else complex(rng.uniform(0.2, 1.0))
         h_val = complex(h) if h is not None else complex(rng.uniform(-0.5, 0.5))
         x = np.sort(rng.uniform(x_range[0], x_range[1], L))
-        if min_pairwise_sinh(x) < min_gap:
-            continue
         # Keep the eta-shifted gaps clear as well: when x_i - x_j drifts
         # onto +-eta the sector solves degrade and roots get pinched.
-        if min_pairwise_sinh(x, eta_val) < min_gap:
+        if smallest_sinh_gap(x, None, eta_shifts(eta_val))[0] < min_gap:
             continue
         return ChainParams(L=L, eta=eta_val, h=h_val, v=v, inhom=tuple(x))
-    raise RuntimeError(f"no general-position draw found in {max_attempts} attempts")
+    raise DrawFailed(f"no general-position draw of L = {L} found in {max_attempts} attempts")
 
 
 def draw_identity_params(rng: np.random.Generator, N: int, M: int, max_attempts: int = 500) -> IdentityParams:
@@ -59,17 +58,15 @@ def draw_identity_params(rng: np.random.Generator, N: int, M: int, max_attempts:
         x = rng.uniform(0.0, 2.0, N) + 1j * rng.uniform(-0.4, 0.4, N)
         y = rng.uniform(0.0, 2.0, M) + 1j * rng.uniform(-0.4, 0.4, M)
         g = np.exp(complex(rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5)))
-        if min_pairwise_sinh(x, eta) < 1e-2 or min_pairwise_sinh(y, eta) < 1e-2:
+        shifts = eta_shifts(eta)
+        if min(smallest_sinh_gap(pts, None, shifts)[0] for pts in (x, y)) < 1e-2:
             continue
-        cross = min(
-            min(abs(np.sinh(xi - ya)), abs(np.sinh(xi - ya - eta)))
-            for xi in x
-            for ya in y
-        ) if M else np.inf
-        if cross < 1e-2:
+        if smallest_sinh_gap(x, y, {"": 0.0, " - eta": -eta})[0] < 1e-2:
             continue
         return IdentityParams(N=N, M=M, x=tuple(x), y=tuple(y), g=g, eta=eta)
-    raise RuntimeError(f"no general-position draw found in {max_attempts} attempts")
+    raise DrawFailed(
+        f"no general-position draw of N = {N}, M = {M} found in {max_attempts} attempts"
+    )
 
 
 def draw_rs_state(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSpectrum, GeneralPositionViolated, SingularSpectralPoint
-from .linalg import frobenius
+from .linalg import complex_sort_key, eta_shifts, frobenius, require_sinh_gap, sinh_pair_product
 
 _SINGULAR_TOL = 1e-12
 
@@ -57,15 +57,9 @@ class ChainParams:
         tol = self.tol_general_position
         if abs(np.sinh(self.eta)) <= tol:
             raise GeneralPositionViolated(f"|sinh(eta)| = {abs(np.sinh(self.eta)):.3e} <= {tol:g}")
-        for i in range(self.L):
-            for j in range(i + 1, self.L):
-                d = self.inhom[i] - self.inhom[j]
-                for shift, label in ((0.0, ""), (self.eta, "+eta"), (-self.eta, "-eta")):
-                    gap = abs(np.sinh(d + shift))
-                    if gap <= tol:
-                        raise GeneralPositionViolated(
-                            f"|sinh(x_{i + 1} - x_{j + 1}{label})| = {gap:.3e} <= {tol:g}"
-                        )
+        require_sinh_gap(
+            self.inhom, None, eta_shifts(self.eta), tol, GeneralPositionViolated, ("x", "x")
+        )
 
     @property
     def dim(self) -> int:
@@ -110,66 +104,9 @@ def sector_bases(L: int) -> list[SectorBasis]:
     return [sector_basis(L, m2) for m2 in range(L + 1)]
 
 
-def r_matrix(x, eta) -> np.ndarray:
-    """4x4 weight matrix in the basis (uu, ud, du, dd).
-
-    Diagonal sinh(x+eta)/sinh(x), 1, 1, sinh(x+eta)/sinh(x); the two
-    spin-exchange entries are sinh(eta)/sinh(x).
-    """
-    x = complex(x)
-    eta = complex(eta)
-    sx = np.sinh(x)
-    if abs(sx) <= _SINGULAR_TOL:
-        raise SingularSpectralPoint(f"|sinh({x})| = {abs(sx):.3e}")
-    a = np.sinh(x + eta) / sx
-    c = np.sinh(eta) / sx
-    return np.array(
-        [
-            [a, 0.0, 0.0, 0.0],
-            [0.0, 1.0, c, 0.0],
-            [0.0, c, 1.0, 0.0],
-            [0.0, 0.0, 0.0, a],
-        ],
-        dtype=complex,
-    )
-
-
-def r_matrix_asymmetric(x, eta, h, v) -> np.ndarray:
-    """Field-dressed weight matrix: r_matrix sandwiched between
-    exp(h/2 sigma^z) on the first space and exp(v/2 sigma^z) on the second."""
-    x, eta, h, v = complex(x), complex(eta), complex(h), complex(v)
-    sx = np.sinh(x)
-    if abs(sx) <= _SINGULAR_TOL:
-        raise SingularSpectralPoint(f"|sinh({x})| = {abs(sx):.3e}")
-    a = np.sinh(x + eta) / sx
-    c = np.sinh(eta) / sx
-    return np.array(
-        [
-            [np.exp(h + v) * a, 0.0, 0.0, 0.0],
-            [0.0, np.exp(h - v), c, 0.0],
-            [0.0, c, np.exp(-h + v), 0.0],
-            [0.0, 0.0, 0.0, np.exp(-h - v) * a],
-        ],
-        dtype=complex,
-    )
-
-
-def _r_site_blocks(x, eta):
-    """Auxiliary-space 2x2 block decomposition of r_matrix(x, eta)."""
-    sx = np.sinh(x)
-    if abs(sx) <= _SINGULAR_TOL:
-        raise SingularSpectralPoint(f"|sinh({x})| = {abs(sx):.3e}")
-    a = np.sinh(x + eta) / sx
-    c = np.sinh(eta) / sx
-    return (
-        np.array([[a, 0.0], [0.0, 1.0]], dtype=complex),
-        c * _SIGMA_MINUS,
-        c * _SIGMA_PLUS,
-        np.array([[1.0, 0.0], [0.0, a]], dtype=complex),
-    )
-
-
 def _asym_site_blocks(x, eta, h, v):
+    """Auxiliary-space 2x2 blocks (b00, b01, b10, b11) of
+    r_matrix_asymmetric(x, eta, h, v), each acting on the site space."""
     sx = np.sinh(x)
     if abs(sx) <= _SINGULAR_TOL:
         raise SingularSpectralPoint(f"|sinh({x})| = {abs(sx):.3e}")
@@ -181,6 +118,23 @@ def _asym_site_blocks(x, eta, h, v):
         c * _SIGMA_PLUS,
         np.array([[np.exp(-h + v), 0.0], [0.0, np.exp(-h - v) * a]], dtype=complex),
     )
+
+
+def r_matrix_asymmetric(x, eta, h, v) -> np.ndarray:
+    """Field-dressed weight matrix in the basis (uu, ud, du, dd): r_matrix
+    sandwiched between exp(h/2 sigma^z) on the first space and
+    exp(v/2 sigma^z) on the second."""
+    b00, b01, b10, b11 = _asym_site_blocks(complex(x), complex(eta), complex(h), complex(v))
+    return np.block([[b00, b01], [b10, b11]])
+
+
+def r_matrix(x, eta) -> np.ndarray:
+    """4x4 weight matrix in the basis (uu, ud, du, dd).
+
+    Diagonal sinh(x+eta)/sinh(x), 1, 1, sinh(x+eta)/sinh(x); the two
+    spin-exchange entries are sinh(eta)/sinh(x).
+    """
+    return r_matrix_asymmetric(x, eta, 0.0, 0.0)
 
 
 def _perm_site_blocks():
@@ -224,7 +178,7 @@ def transfer_matrix_asym(params: ChainParams, x) -> QuantumOperator:
 def transfer_matrix_twisted(params: ChainParams, x) -> QuantumOperator:
     """Transfer matrix of the symmetric model with twist diag(e^{Lh}, e^{-Lh})."""
     x = complex(x)
-    blocks = [_r_site_blocks(x - xi, params.eta) for xi in params.inhom]
+    blocks = [_asym_site_blocks(x - xi, params.eta, 0.0, 0.0) for xi in params.inhom]
     twist = (np.exp(params.L * params.h), np.exp(-params.L * params.h))
     return QuantumOperator(_traced_monodromy(blocks, twist=twist))
 
@@ -270,7 +224,7 @@ def hamiltonians_h(params: ChainParams) -> list[QuantumOperator]:
             if i == k:
                 blocks.append(_perm_site_blocks())
             else:
-                blocks.append(_r_site_blocks(params.inhom[k] - xi, params.eta))
+                blocks.append(_asym_site_blocks(params.inhom[k] - xi, params.eta, 0.0, 0.0))
         out.append(QuantumOperator(_traced_monodromy(blocks, twist=twist)))
     return out
 
@@ -282,18 +236,7 @@ def hamiltonians_g(params: ChainParams) -> list[QuantumOperator]:
 
 def gh_product_scalar(params: ChainParams, i: int) -> complex:
     """prod_{k != i} sinh(x_i - x_k + eta)/sinh(x_i - x_k)."""
-    xs = params.inhom
-    return complex(
-        np.prod(
-            [
-                np.sinh(xs[i] - xs[k] + params.eta) / np.sinh(xs[i] - xs[k])
-                for k in range(params.L)
-                if k != i
-            ]
-        )
-        if params.L > 1
-        else 1.0
-    )
+    return complex(sinh_pair_product(params.inhom, None, params.eta, 0.0)[i])
 
 
 def sector_constant(params: ChainParams, M2: int) -> complex:
@@ -395,6 +338,6 @@ def joint_diagonalize(
                 f"sector M2={basis.M2}: Rayleigh residuals above {residual_tol:g} "
                 f"after {max_retries} redraws"
             )
-        sector_states.sort(key=lambda s: tuple(val for z in s.H for val in (z.real, z.imag)))
+        sector_states.sort(key=lambda s: complex_sort_key(s.H))
         states.extend(sector_states)
     return JointSpectrum(params_hash=params.params_hash, states=states)

@@ -4,6 +4,7 @@ and byte-level determinism of the payload."""
 import json
 
 import numpy as np
+import pytest
 
 from vertexdual.cli import main
 
@@ -181,3 +182,31 @@ class TestCheckIdentities:
         rep_a.pop("timestamp")
         rep_b.pop("timestamp")
         assert json.dumps(rep_a, sort_keys=True) == json.dumps(rep_b, sort_keys=True)
+
+
+# Configs that ended in a traceback or were misread before the schema
+# checked types and ranges, with the exit code each must give now.
+HOSTILE_CONFIGS = [
+    ("rs-evolve", {"t_final": "x"}, 2),
+    ("rs-evolve", {"x0": [], "p0": []}, 2),
+    ("rs-evolve", {"x0": 3}, 2),
+    ("rs-evolve", {"eta": 0}, 2),
+    ("verify-duality", {"L": True}, 2),
+    ("solve-bethe", {"sectors": 1}, 2),
+    ("verify-duality", {"L": 10, "inhom": None, "seed": 1}, 3),
+    ("verify-duality", {"trials": True}, 2),
+    ("solve-bethe", {"n_starts": -1}, 2),
+    ("solve-bethe", {"cross_validate": "no"}, 2),
+    ("check-identities", {"n_max": True}, 2),
+    ("check-identities", {"corrupt_g": "no"}, 2),
+]
+
+
+@pytest.mark.parametrize("command, config, expected", HOSTILE_CONFIGS)
+def test_hostile_config_exit_code(tmp_path, capsys, command, config, expected):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, report = _run(tmp_path, [command, "--config", str(cfg)])
+    assert code == expected
+    assert report is None
+    assert len(capsys.readouterr().err.splitlines()) == 1

@@ -1,0 +1,226 @@
+"""The sinh pair kernel: gap minima and interaction products against
+scalar loop references, the flow's right-hand side at a zero of the
+interaction factor, the error raised at each general-position check,
+and seeded draws pinned to recorded digests."""
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+
+from vertexdual import (
+    BetheRootSet,
+    ChainParams,
+    DrawFailed,
+    GeneralPositionViolated,
+    IdentityParams,
+    RSState,
+    SingularConfiguration,
+    SingularVandermonde,
+    bae_defect,
+    factorized_lax,
+    lax_from_velocities,
+    rs_hamiltonian,
+    velocities,
+)
+from vertexdual.linalg import eta_shifts, sinh_pair_product, smallest_sinh_gap
+from vertexdual.ruijsenaars import hamilton_rhs
+from vertexdual.sampling import draw_chain_params, draw_identity_params, rng_from_seed
+
+
+GPV = GeneralPositionViolated
+SCF = SingularConfiguration
+
+
+def _loop_product(a, b, top, bottom):
+    same = b is None
+    b = a if same else b
+    out = np.ones(len(a), dtype=complex)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            if not (same and i == j):
+                out[i] *= np.sinh(a[i] - b[j] + top) / np.sinh(a[i] - b[j] + bottom)
+    return out
+
+
+def _loop_gap(x, eta):
+    gaps = [
+        abs(np.sinh(x[i] - x[j] + s))
+        for i in range(len(x))
+        for j in range(i + 1, len(x))
+        for s in (0.0, eta, -eta)
+    ]
+    return min(gaps, default=np.inf)
+
+
+def _loop_hamilton_rhs(state):
+    """Scalar form of the canonical flow, one pair at a time."""
+    x, p, eta = state.x, state.p, state.eta
+    n = x.size
+
+    def weight(i, skip):
+        out = 1.0 + 0.0j
+        for l in range(n):
+            if l not in (i, skip):
+                out *= np.sinh(x[i] - x[l] + eta) / np.sinh(x[i] - x[l])
+        return out
+
+    xd = np.array([eta * np.exp(eta * p[i]) * weight(i, i) for i in range(n)])
+    pd = np.zeros(n, dtype=complex)
+    for i in range(n):
+        for k in range(n):
+            if k == i:
+                continue
+            pd[i] -= np.exp(eta * p[i]) * (
+                weight(i, k) * np.cosh(x[i] - x[k] + eta) - weight(i, i) * np.cosh(x[i] - x[k])
+            ) / np.sinh(x[i] - x[k])
+            pd[i] -= np.exp(eta * p[k]) * (
+                weight(k, k) * np.cosh(x[k] - x[i]) - weight(k, i) * np.cosh(x[k] - x[i] + eta)
+            ) / np.sinh(x[k] - x[i])
+    return xd, pd
+
+
+class TestKernel:
+    def test_products_match_loops(self):
+        rng = np.random.default_rng(3)
+        for n, m in ((1, 0), (1, 3), (4, 0), (5, 2), (6, 6)):
+            a = rng.uniform(0, 2, n) + 1j * rng.uniform(-0.4, 0.4, n)
+            b = rng.uniform(0, 2, m) + 1j * rng.uniform(-0.4, 0.4, m)
+            eta = complex(rng.uniform(0.2, 1.0), rng.uniform(-0.3, 0.3))
+            same = _loop_product(a, None, eta, 0.0)
+            assert np.array_equal(sinh_pair_product(a, None, eta, 0.0), same)
+            cross = _loop_product(a, b, 0.0, eta)
+            err = np.max(np.abs(sinh_pair_product(a, b, 0.0, eta) - cross))
+            assert err <= 1e-14 * np.max(np.abs(cross))
+
+    def test_gap_matches_loop(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 5, 9):
+            x = rng.uniform(0, 2, n) + 1j * rng.uniform(-0.4, 0.4, n)
+            eta = complex(rng.uniform(0.2, 1.0), rng.uniform(-0.3, 0.3))
+            assert smallest_sinh_gap(x, None, eta_shifts(eta))[0] == _loop_gap(x, eta)
+
+    def test_gap_names_pair_and_shift(self):
+        gap, i, j, label = smallest_sinh_gap([0.0, 0.3, 1.0], [0.05, 1.4], {"": 0.0, " + eta": 0.4})
+        assert (i, j, label) == (2, 1, " + eta") and gap < 1e-15
+        assert smallest_sinh_gap([0.5], None, {"": 0.0})[0] == np.inf
+
+
+class TestHamiltonRhs:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 5, 10):
+            x = np.cumsum(rng.uniform(0.6, 1.0, n)) + 1j * rng.uniform(-0.2, 0.2, n)
+            state = RSState(eta=0.35 + 0.1j, x=x, p=rng.uniform(-0.3, 0.3, n))
+            for fast, slow in zip(hamilton_rhs(state), _loop_hamilton_rhs(state)):
+                assert np.max(np.abs(fast - slow)) <= 1e-13 * max(np.max(np.abs(slow)), 1.0)
+
+    def test_finite_at_zero_of_interaction_factor(self):
+        # x_1 - x_2 + eta = 0 exactly: the full interaction product of
+        # particle 1 vanishes, so dividing it by one factor gives 0/0.
+        x = np.array([0.0, 0.5, 1.7])
+        p = np.array([0.1, -0.2, 0.3])
+        state = RSState(eta=0.5, x=x, p=p)
+        xd, pd = hamilton_rhs(state)
+        assert np.all(np.isfinite(xd)) and np.all(np.isfinite(pd))
+        step = 1e-6
+
+        def energy(xx, pp):
+            return rs_hamiltonian(RSState(eta=0.5, x=xx, p=pp))
+
+        for i in range(3):
+            e = np.eye(3)[i] * step
+            dh_dx = (energy(x + e, p) - energy(x - e, p)) / (2 * step)
+            dh_dp = (energy(x, p + e) - energy(x, p - e)) / (2 * step)
+            assert abs(pd[i] + dh_dx) < 1e-8
+            assert abs(xd[i] - dh_dp) < 1e-8
+
+
+class TestCheckSites:
+    """Each guard keeps its own error type and names the offending pair."""
+
+    @pytest.mark.parametrize(
+        "build, error, needle",
+        [
+            (lambda: ChainParams(L=2, eta=0.5, h=0.1, inhom=(0.3, 0.3)), GPV, "x_1 - x_2)"),
+            (lambda: ChainParams(L=3, eta=0.5, h=0.1, inhom=(1, 0, 0.5)), GPV, "x_2 - x_3 + eta"),
+            (lambda: RSState(eta=0.4, x=[0.1, 0.9, 0.9], p=[0, 0, 0]), GPV, "x_2 - x_3)"),
+            (lambda: velocities(RSState(eta=0.4, x=[0, 5e-10], p=[0, 0])), GPV, "x_1 - x_2)"),
+            (lambda: lax_from_velocities([0.2, 0.65], [1, 1], 0.45), GPV, "x_1 - x_2 + eta"),
+            (lambda: factorized_lax(RSState(0.45, [0.2, 0.65], [0, 0])), GPV, "x_1 - x_2 + eta"),
+            (lambda: IdentityParams(2, 0, (0.4, 0.4), (), 1.0, 0.3), GPV, "x_1 - x_2)"),
+            (lambda: IdentityParams(2, 2, (0.1, 0.9), (0.2, 0.5), 1, 0.3), GPV, "y_1 - y_2 + eta"),
+            (lambda: IdentityParams(2, 1, (0.4, 1.2), (0.9,), 1.0, 0.3), GPV, "x_2 - y_1 - eta"),
+            (lambda: bae_defect(_roots([0.1, 0.5]), _CHAIN), SCF, "u_2 - x_2)"),
+            (lambda: bae_defect(_roots([0.3, -0.4]), _CHAIN), SCF, "u_1 - u_2 - eta"),
+        ],
+    )
+    def test_error_type_and_pair(self, build, error, needle):
+        with pytest.raises(error) as info:
+            build()
+        assert needle in str(info.value)
+
+    def test_coincident_vandermonde_nodes(self):
+        from vertexdual.ruijsenaars import _sandwiched_ladder
+
+        with pytest.raises(SingularVandermonde, match="nodes 1 and 3"):
+            _sandwiched_ladder([0.1, 0.7, 0.1 + 1j * np.pi], 0.3)
+
+    def test_failed_draw_is_domain_error(self):
+        with pytest.raises(DrawFailed, match="L = 3") as info:
+            draw_chain_params(rng_from_seed(0), 3, min_gap=10.0, max_attempts=5)
+        assert isinstance(info.value, RuntimeError)
+        with pytest.raises(DrawFailed, match="N = 4, M = 4"):
+            draw_identity_params(rng_from_seed(0), 4, 4, max_attempts=0)
+
+
+_CHAIN = ChainParams(L=3, eta=0.7, h=0.1, inhom=(0.0, 0.5, 1.4))
+
+
+def _roots(u):
+    return BetheRootSet(M2=len(u), roots=np.asarray(u, dtype=complex), residual=0.0, params_hash="")
+
+
+def _digest(parts):
+    return hashlib.sha256("".join(parts).encode()).hexdigest()[:16]
+
+
+def _identity_hash(p):
+    buf = struct.pack("<qq", p.N, p.M)
+    for z in (p.g, p.eta, *p.x, *p.y):
+        buf += struct.pack("<dd", z.real, z.imag)
+    return hashlib.sha256(buf).hexdigest()[:16]
+
+
+class TestSeededDraws:
+    """Digests recorded before the draws' gap checks moved onto the pair
+    kernel: the accept/reject decisions, and so every draw, are unchanged."""
+
+    def test_chain_draws(self):
+        recorded = {
+            2: "8521f899a83f6a4c",
+            3: "99a4006980211538",
+            4: "6f974b033fd2c911",
+            5: "5851caf6d13e04ce",
+            6: "38968b62fb2d4d14",
+        }
+        for L, digest in recorded.items():
+            draws = (draw_chain_params(rng_from_seed(s), L).params_hash for s in range(10))
+            assert _digest(draws) == digest
+
+    def test_identity_draws(self):
+        recorded = {
+            1: "1e1c20b0347d213f",
+            2: "146822c7f09225d4",
+            3: "f48ce2cb64b7c2ea",
+            4: "804599a31fd89517",
+            5: "58730712a0711b96",
+        }
+        for N, digest in recorded.items():
+            draws = (
+                _identity_hash(draw_identity_params(rng_from_seed(s), N, M))
+                for s in range(10)
+                for M in range(N + 1)
+            )
+            assert _digest(draws) == digest
