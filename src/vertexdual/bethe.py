@@ -1,16 +1,25 @@
-"""Bethe equations for the twisted chain: defect, multi-start Newton
-solver, and the closed-form eigenvalues built from the roots.
+"""Bethe equations for the twisted chain: defect, a deterministic solver
+by continuation in the twist, and the closed-form eigenvalues built from
+the roots.
 
 The equations are handled in logarithmic form: the defect of root alpha
 is the principal log of (left side)/(right side) of the alpha-th
 equation, which vanishes exactly at a solution and conditions far
-better than the raw product form.  The Jacobian is analytic (sums of
-coth terms), so Newton converges quadratically near a root.
+better than the raw product form.  The Jacobian is analytic, so Newton
+converges quadratically near a root.
+
+The solutions of sector M2 are labelled by the M2-subsets S of the
+sites (Hao, Nepomechie and Sommese, PRE 88 (2013) 052113): as
+Re h -> -inf the equations pin root a to the inhomogeneity x_{S_a}, and
+as Re h -> +inf to x_{S_a} - eta.  The solver starts each subset's roots
+at one limit and follows them to the target twist.  The log defect moves
+with h at the constant rate dF/dh = 2L, so the path obeys
+du/dh = -2L J^{-1} (1, ..., 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -18,12 +27,12 @@ import numpy as np
 from .errors import SingularConfiguration, SingularSpectralPoint
 from .linalg import (
     complex_sort_key,
-    coth,
     ipi_distance,
     reduce_mod_ipi,
     UNSHIFTED,
     require_sinh_gap,
     sinh_pair_product,
+    sinh_pairs,
     smallest_sinh_gap,
 )
 from .spin_chain import ChainParams
@@ -31,17 +40,31 @@ from .spin_chain import ChainParams
 _GUARD = 1e-12
 _DISTINCT_TOL = 1e-8
 _DEDUP_TOL = 1e-7
+_RESIDUAL_TOL = 1e-10
+
+# Largest |root - limit point| over the start roots: the leading-order
+# start is off by O(offset^2), well inside its solution's Newton basin.
+_START_OFFSET = 1e-3
+# Paths tried per subset, in order, as (limit, beta): the start end
+# h -> limit * inf and the height of the detour i beta sin(pi s), which
+# keeps the path off the twists where two solutions meet.
+_SCHEDULE = ((-1, 0.2), (1, 0.2), (-1, -0.2), (1, -0.2), (-1, 0.35), (1, 0.35))
+# Step control in the path parameter s in [0, 1].
+_FIRST_STEP, _MAX_STEP, _MIN_STEP, _GROWTH = 0.05, 0.25, 1e-5, 1.5
+_CORRECTOR_ITERS, _POLISH_ITERS, _STEP_TOL = 4, 8, 1e-8
 
 
 @dataclass(frozen=True)
 class BetheRootSet:
-    """A solved sector: M2 roots, the worst equation defect, and the
-    hash of the chain parameters they were solved for."""
+    """A solved sector: M2 roots, the worst equation defect, the hash of
+    the chain parameters they were solved for, and how many times the
+    solver re-tracked their subset's path before accepting them."""
 
     M2: int
     roots: np.ndarray
     residual: float
     params_hash: str
+    retracks: int = 0
 
 
 def canonicalize_roots(roots) -> np.ndarray:
@@ -59,34 +82,18 @@ def _check_configuration(u: np.ndarray, params: ChainParams):
 
 def _defect(u: np.ndarray, params: ChainParams) -> np.ndarray:
     """Principal-log defect vector; no singularity guards (solver internal)."""
-    L, eta, h = params.L, params.eta, params.h
-    xs = np.asarray(params.inhom)
-    m2 = u.size
-    out = np.empty(m2, dtype=complex)
-    for a in range(m2):
-        lhs = np.exp(2 * L * h) * np.prod(np.sinh(u[a] - xs + eta) / np.sinh(u[a] - xs))
-        rhs = 1.0 + 0.0j
-        for b in range(m2):
-            if b != a:
-                rhs *= np.sinh(u[a] - u[b] + eta) / np.sinh(u[a] - u[b] - eta)
-        out[a] = np.log(lhs / rhs)
-    return out
+    eta = params.eta
+    sites = np.exp(2 * params.L * params.h) * sinh_pair_product(u, params.inhom, eta, 0.0)
+    return np.log(sites / sinh_pair_product(u, None, eta, -eta))
 
 
 def _jacobian(u: np.ndarray, params: ChainParams) -> np.ndarray:
+    """d(defect)/du; coth(z + a) - coth(z + b) = sinh(b - a)/(sinh(z + a) sinh(z + b))."""
     eta = params.eta
-    xs = np.asarray(params.inhom)
-    m2 = u.size
-    jac = np.zeros((m2, m2), dtype=complex)
-    for a in range(m2):
-        jac[a, a] = np.sum(coth(u[a] - xs + eta) - coth(u[a] - xs))
-        for b in range(m2):
-            if b == a:
-                continue
-            term = coth(u[a] - u[b] + eta) - coth(u[a] - u[b] - eta)
-            jac[a, a] -= term
-            jac[a, b] = term
-    return jac
+    sites = np.sinh(-eta) / (sinh_pairs(u, params.inhom, eta) * sinh_pairs(u, params.inhom, 0.0))
+    pairs = np.sinh(-2 * eta) / (sinh_pairs(u, None, eta) * sinh_pairs(u, None, -eta))
+    np.fill_diagonal(pairs, 0.0)
+    return np.diag(sites.sum(axis=1) - pairs.sum(axis=1)) + pairs
 
 
 def bae_defect(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
@@ -98,131 +105,134 @@ def bae_defect(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
     return _defect(u, params)
 
 
-def _newton(u0: np.ndarray, params: ChainParams, max_iter: int = 80):
-    """Damped Newton from one start; returns the root vector or None."""
-    u = u0.astype(complex).copy()
+def _newton(u: np.ndarray, params: ChainParams, iters: int) -> tuple[np.ndarray, float]:
+    """Up to ``iters`` Newton steps, stopping at one below _STEP_TOL;
+    returns the roots and the size of the last step, their error estimate
+    (inf or nan when a step is singular or leaves the finite domain).
+    The step, not the defect, decides: near a site the defect's slope
+    1/(u - x_k) magnifies the rounding of u."""
+    step = np.inf
     with np.errstate(all="ignore"):
-        f = _defect(u, params)
-    if not np.all(np.isfinite(f)):
-        return None
-    for _ in range(max_iter):
-        fmax = np.max(np.abs(f))
-        if fmax < 1e-13:
-            return u
-        try:
-            step = np.linalg.solve(_jacobian(u, params), f)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        scale = 1.0
-        for _ in range(12):
-            u_new = u - scale * step
-            with np.errstate(all="ignore"):
-                f_new = _defect(u_new, params)
-            if np.all(np.isfinite(f_new)) and np.max(np.abs(f_new)) < fmax:
-                u, f = u_new, f_new
+        for _ in range(iters):
+            try:
+                du = np.linalg.solve(_jacobian(u, params), _defect(u, params))
+            except np.linalg.LinAlgError:
+                return u, np.inf
+            u, step = u - du, float(np.max(np.abs(du)))
+            if step <= _STEP_TOL:
                 break
-            scale *= 0.5
+    return u, step
+
+
+def _starts(params: ChainParams, subsets: list[tuple[int, ...]], limit: int):
+    """Start twist h0 and the start roots of every subset S at the
+    h -> limit * inf end, from the leading-order balance of each equation:
+    root a sits at x_k + delta_a (limit -1) or x_k - eta + delta_a
+    (limit +1), k = S_a, with delta_a proportional to e^{-2 limit L h0}.
+    One h0 serves every subset, so that all paths follow one curve in h
+    and end on distinct solutions.  It puts the largest |delta| at
+    _START_OFFSET and is found from logs, so extreme twists stay finite."""
+    xs = np.asarray(params.inhom)
+    eta, L = params.eta, params.L
+    k = np.array(subsets)
+    scatter = np.array([sinh_pair_product(xs[row], None, eta, -eta) for row in k])
+    if limit < 0:
+        coeff = np.sinh(eta) * sinh_pair_product(xs, None, eta, 0.0)[k] / scatter
+        centre = xs[k]
+    else:
+        coeff = -np.sinh(eta) * scatter / sinh_pair_product(xs, None, 0.0, -eta)[k]
+        centre = xs[k] - eta
+    depth = np.max(np.log(np.abs(coeff))) - 2 * L * limit * params.h.real - np.log(_START_OFFSET)
+    h0 = params.h + limit * depth / (2 * L)
+    return h0, centre + coeff * np.exp(-2 * limit * L * h0)
+
+
+def _track(params: ChainParams, h0: complex, u: np.ndarray, beta: float):
+    """Follow roots ``u`` from twist h0 to the target along
+    h(s) = h0 + s (h - h0) + i beta sin(pi s): an Euler predictor on
+    du/ds = -2L h'(s) J^{-1} (1, ..., 1) and a Newton corrector, with the
+    step halved when the corrector fails.  Returns the roots polished at
+    the target, or None when the path fails."""
+    u, err = _newton(u, replace(params, h=h0), _POLISH_ITERS)
+    if not err <= _STEP_TOL:
+        return None
+    s, ds = 0.0, _FIRST_STEP
+    while s < 1.0:
+        t = min(s + ds, 1.0)
+        slope = 2 * params.L * (params.h - h0 + 1j * np.pi * beta * np.cos(np.pi * s))
+        with np.errstate(all="ignore"):
+            try:
+                du = np.linalg.solve(_jacobian(u, params), np.full(u.size, -slope))
+            except np.linalg.LinAlgError:
+                return None
+        ht = h0 + t * (params.h - h0) + 1j * beta * np.sin(np.pi * t)
+        u_new, err = _newton(u + (t - s) * du, replace(params, h=ht), _CORRECTOR_ITERS)
+        if err <= _STEP_TOL:
+            s, u, ds = t, u_new, min(_GROWTH * ds, _MAX_STEP)
+        elif ds > _MIN_STEP:
+            ds /= 2
         else:
             return None
-    return u if np.max(np.abs(_defect(u, params))) < 1e-11 else None
+    u, err = _newton(u, params, _POLISH_ITERS)
+    return u if err <= _STEP_TOL else None
 
 
-def solve_bae(
-    params: ChainParams,
-    M2: int,
-    seed: int = 0,
-    n_starts: int = 64,
-    residual_tol: float = 1e-10,
-) -> list[BetheRootSet]:
-    """Multi-start Newton solve of the sector-M2 equations.
+def _root_set(u, params: ChainParams, found: list[BetheRootSet], retracks: int):
+    """The root set at a tracked end point if it is a new solution: roots
+    distinct and off the sites, defect within _RESIDUAL_TOL, and no root
+    permutation or i*pi shift of one in ``found``; else None."""
+    if u is None or smallest_sinh_gap(u, None, UNSHIFTED)[0] <= _DISTINCT_TOL:
+        return None
+    if smallest_sinh_gap(u, params.inhom, UNSHIFTED)[0] <= _GUARD:
+        return None
+    u = canonicalize_roots(u)
+    residual = float(np.max(np.abs(_defect(u, params))))
+    if not residual <= _RESIDUAL_TOL or any(ipi_distance(u, s.roots) < _DEDUP_TOL for s in found):
+        return None
+    return BetheRootSet(u.size, u, residual, params.params_hash, retracks)
 
-    Starts are combinations of points near the inhomogeneities and near
-    x_k - eta/2, plus ``n_starts`` seeded random complex starts.
-    Solutions are deduplicated up to root permutations and i*pi shifts
-    and returned sorted by their canonical root tuples.
 
-    Non-convergent starts are skipped silently: only accepted solutions
-    (defect <= ``residual_tol``, pairwise-distinct roots) are returned.
+def solve_bae(params: ChainParams, M2: int) -> list[BetheRootSet]:
+    """Solve the sector-M2 equations by twist continuation, one path per
+    M2-subset of the sites.
+
+    Every subset is first tracked from the h -> -inf end.  A subset whose
+    path fails or ends on an accepted solution is re-tracked through the
+    rest of the schedule (the other end, the mirrored detour, a wider
+    detour) until a path gives a new solution; a subset that no path
+    solves adds none.  Deterministic: at most C(L, M2) solutions with
+    defect <= 1e-10 and distinct roots, sorted by canonical root tuple.
     """
     if not 0 <= M2 <= params.L:
         raise ValueError(f"M2 must lie in [0, {params.L}], got {M2}")
     if M2 == 0:
-        return [
-            BetheRootSet(
-                M2=0,
-                roots=np.zeros(0, dtype=complex),
-                residual=0.0,
-                params_hash=params.params_hash,
-            )
-        ]
-    rng = np.random.default_rng(seed)
-    xs = np.asarray(params.inhom)
-    # Roots hug the inhomogeneities for h < 0 and their -eta shifts for
-    # h > 0 (where the site product must be small); anchor starts on
-    # small circles around both families plus the eta/2 midpoints.
-    offsets = (0.03 + 0.02j, -0.03 + 0.02j, 0.03 - 0.06j, -0.03 + 0.06j)
-    centers = list(xs) + list(xs - params.eta)
-    anchors = [c + d for c in centers for d in offsets] + list(xs - params.eta / 2)
-    # When a site sits close to another site's -eta shift, a root can be
-    # pinched between the pole and the nearby zero; seed that corridor.
-    for xi in xs:
-        for xj in xs:
-            gap = xi - (xj - params.eta)
-            if 0 < abs(gap) < 0.4:
-                anchors.extend([xj - params.eta + f * gap for f in (0.1, 0.5, 0.9)])
-    starts = []
-    combos = list(combinations(anchors, M2))
-    if len(combos) > 400:
-        pick = rng.choice(len(combos), size=400, replace=False)
-        combos = [combos[i] for i in pick]
-    starts.extend(np.array(c, dtype=complex) for c in combos)
-    lo, hi = xs.real.min() - 1.5, xs.real.max() + 1.5
-    for trial in range(n_starts):
-        if trial % 2 == 0:
-            starts.append(rng.uniform(lo, hi, M2) + 1j * rng.uniform(-1.5, 1.5, M2))
-        else:
-            sites = rng.choice(centers, size=M2)
-            starts.append(sites + 0.15 * (rng.standard_normal(M2) + 1j * rng.standard_normal(M2)))
+        return [BetheRootSet(0, np.zeros(0, dtype=complex), 0.0, params.params_hash)]
     solutions: list[BetheRootSet] = []
-    for u0 in starts:
-        u = _newton(np.asarray(u0, dtype=complex), params)
-        if u is None:
-            continue
-        if smallest_sinh_gap(u, None, UNSHIFTED)[0] <= _DISTINCT_TOL:
-            continue
-        if smallest_sinh_gap(u, xs, UNSHIFTED)[0] <= _GUARD:
-            continue
-        u = canonicalize_roots(u)
-        residual = float(np.max(np.abs(_defect(u, params))))
-        if residual > residual_tol:
-            continue
-        if any(ipi_distance(u, s.roots) < _DEDUP_TOL for s in solutions):
-            continue
-        solutions.append(
-            BetheRootSet(M2=M2, roots=u, residual=residual, params_hash=params.params_hash)
-        )
+    subsets = list(combinations(range(params.L), M2))
+    unsolved = list(range(len(subsets)))
+    for retracks, (limit, beta) in enumerate(_SCHEDULE):
+        h0, starts = _starts(params, subsets, limit)
+        for i in list(unsolved):
+            found = _root_set(_track(params, h0, starts[i], beta), params, solutions, retracks)
+            if found is not None:
+                solutions.append(found)
+                unsolved.remove(i)
     solutions.sort(key=lambda s: complex_sort_key(s.roots))
     return solutions
 
 
 def eigenvalue_t(roots: BetheRootSet, params: ChainParams, x) -> complex:
     """Transfer-matrix eigenvalue at spectral parameter x for this root set."""
-    x = complex(x)
+    x = np.array([complex(x)])
     L, eta, h = params.L, params.eta, params.h
-    xs = np.asarray(params.inhom)
     u = np.atleast_1d(np.asarray(roots.roots, dtype=complex))
-    if np.any(np.abs(np.sinh(x - xs)) <= _GUARD):
+    if np.any(np.abs(sinh_pairs(x, params.inhom, 0.0)) <= _GUARD):
         raise SingularSpectralPoint("x collides with an inhomogeneity")
-    if u.size and np.any(np.abs(np.sinh(x - u)) <= _GUARD):
+    if np.any(np.abs(sinh_pairs(x, u, 0.0)) <= _GUARD):
         raise SingularSpectralPoint("x collides with a root")
-    site = np.prod(np.sinh(x - xs + eta) / np.sinh(x - xs))
-    if u.size:
-        down = np.prod(np.sinh(x - u - eta) / np.sinh(x - u))
-        up = np.prod(np.sinh(x - u + eta) / np.sinh(x - u))
-    else:
-        down = up = 1.0 + 0.0j
+    site = sinh_pair_product(x, params.inhom, eta, 0.0)[0]
+    down = sinh_pair_product(x, u, -eta, 0.0)[0]
+    up = sinh_pair_product(x, u, eta, 0.0)[0]
     return complex(np.exp(L * h) * site * down + np.exp(-L * h) * up)
 
 
@@ -231,11 +241,10 @@ def eigenvalue_h(roots: BetheRootSet, params: ChainParams, j: int) -> complex:
     L, eta, h = params.L, params.eta, params.h
     xs = np.asarray(params.inhom)
     u = np.atleast_1d(np.asarray(roots.roots, dtype=complex))
-    gaps = np.sinh(xs[j] - u)
-    if np.any(np.abs(gaps) <= _GUARD):
+    if np.any(np.abs(sinh_pairs(xs[j : j + 1], u, 0.0)) <= _GUARD):
         raise SingularConfiguration(f"a root collides with site {j + 1}")
     pref = sinh_pair_product(xs[j : j + 1], np.delete(xs, j), eta, 0.0)[0]
-    pref *= np.prod(np.sinh(xs[j] - u - eta) / gaps)
+    pref *= sinh_pair_product(xs[j : j + 1], u, -eta, 0.0)[0]
     return complex(np.exp(L * h) * pref)
 
 
@@ -244,13 +253,9 @@ def eigenvalue_g(roots: BetheRootSet, params: ChainParams, j: int) -> complex:
     L, eta, h = params.L, params.eta, params.h
     xs = np.asarray(params.inhom)
     u = np.atleast_1d(np.asarray(roots.roots, dtype=complex))
-    fac = 1.0 + 0.0j
-    if u.size:
-        shifted = np.sinh(xs[j] - u - eta)
-        if np.any(np.abs(shifted) <= _GUARD):
-            raise SingularConfiguration("a root sits at x_j - eta")
-        fac = np.prod(np.sinh(xs[j] - u) / shifted)
-    return complex(np.exp(-L * h) * fac)
+    if np.any(np.abs(sinh_pairs(xs[j : j + 1], u, -eta)) <= _GUARD):
+        raise SingularConfiguration("a root sits at x_j - eta")
+    return complex(np.exp(-L * h) * sinh_pair_product(xs[j : j + 1], u, 0.0, -eta)[0])
 
 
 def all_eigenvalues_h(roots: BetheRootSet, params: ChainParams) -> np.ndarray:

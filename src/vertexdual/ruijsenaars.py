@@ -344,7 +344,8 @@ def evolve(
 
     Returns (t, state) samples on a uniform grid including both ends.
     Raises CollisionDetected when any |sinh(x_i - x_j)| crosses
-    ``collision_tol`` and StepSizeUnderflow when the integrator stalls.
+    ``collision_tol`` and StepSizeUnderflow when the integrator stalls or
+    the vector field is not finite at the start.
     """
     n = state.L
     eta = state.eta
@@ -366,6 +367,10 @@ def evolve(
     # start inside the collision shell.
     if collision(0.0, _pack(state.x, state.p)) <= 0.0:
         raise CollisionDetected("initial coordinates already within the collision threshold")
+    # From a non-finite field solve_ivp steps on NaN and never returns.
+    with np.errstate(all="ignore"):
+        if not all(np.all(np.isfinite(d)) for d in hamilton_rhs(state)):
+            raise StepSizeUnderflow("the vector field is not finite at t = 0")
 
     sol = solve_ivp(
         rhs,

@@ -167,7 +167,7 @@ def test_criterion_05_bethe_cross_validation():
     worst_eig = 0.0
     counts_ok = True
     for m2 in range(4):
-        sols = solve_bae(chain, m2, seed=0)
+        sols = solve_bae(chain, m2)
         counts_ok = counts_ok and len(sols) == comb(3, m2)
         for sol in sols:
             if sol.roots.size:

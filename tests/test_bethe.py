@@ -1,5 +1,8 @@
-"""Sector equations: defect, analytic Jacobian, multi-start solve, and
-the closed-form eigenvalues cross-validated against exact diagonalization."""
+"""Sector equations: defect, analytic Jacobian, the twist-continuation
+solve, and the closed-form eigenvalues cross-validated against exact
+diagonalization."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,11 +22,17 @@ from vertexdual import (
     solve_bae,
     transfer_matrix_twisted,
 )
-from vertexdual.bethe import _defect, _jacobian
+from vertexdual.bethe import _SCHEDULE, _defect, _jacobian, _starts, _track
 from vertexdual.linalg import ipi_distance
+from vertexdual.sampling import draw_chain_params, rng_from_seed
 from vertexdual.spin_chain import gh_product_scalar
 
 CHAIN = ChainParams(L=3, eta=0.41, h=0.23, inhom=(0.1, 0.9, 1.75))
+DRAWN = {
+    f"drawn-L{L}-seed{s}": draw_chain_params(rng_from_seed(s), L)
+    for L in (2, 3, 4)
+    for s in (0, 1, 2)
+}
 
 
 def _rootset_raw(chain, roots):
@@ -45,7 +54,7 @@ class TestDefect:
         z = -np.exp(0.6) * np.sinh(0.5) / (np.exp(0.6) * np.cosh(0.5) - 1.0)
         u = 0.2 + np.arctanh(complex(z))
         assert abs(_defect(np.array([u]), chain))[0] < 1e-12
-        sols = solve_bae(chain, 1, seed=0)
+        sols = solve_bae(chain, 1)
         assert len(sols) == 1
         assert ipi_distance(sols[0].roots, [u]) < 1e-9
 
@@ -60,7 +69,7 @@ class TestDefect:
             assert np.max(np.abs(col - jac[:, b])) < 1e-6 * max(1.0, np.max(np.abs(jac)))
 
     def test_near_solution_linear_response(self):
-        sol = solve_bae(CHAIN, 2, seed=0)[0]
+        sol = solve_bae(CHAIN, 2)[0]
         rng = np.random.default_rng(9)
         direction = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         direction /= np.max(np.abs(direction))
@@ -79,7 +88,7 @@ class TestSolve:
         from math import comb
 
         for m2 in range(4):
-            sols = solve_bae(CHAIN, m2, seed=1)
+            sols = solve_bae(CHAIN, m2)
             assert len(sols) == comb(3, m2)
             for s in sols:
                 assert s.residual <= 1e-10
@@ -89,12 +98,12 @@ class TestSolve:
 
     def test_roots_canonical_strip(self):
         for m2 in range(4):
-            for s in solve_bae(CHAIN, m2, seed=2):
+            for s in solve_bae(CHAIN, m2):
                 assert np.all(s.roots.imag > -np.pi / 2 - 1e-12)
                 assert np.all(s.roots.imag <= np.pi / 2 + 1e-12)
 
     def test_dedup_handles_ipi_shifts(self):
-        sol = solve_bae(CHAIN, 1, seed=3)[0]
+        sol = solve_bae(CHAIN, 1)[0]
         shifted = canonicalize_roots(sol.roots + 1j * np.pi)
         assert ipi_distance(shifted, sol.roots) < 1e-12
 
@@ -103,13 +112,14 @@ class TestSolve:
         [
             ChainParams(L=2, eta=0.45, h=-0.3, inhom=(0.25, 1.35)),
             ChainParams(L=4, eta=0.38, h=0.21, inhom=(0.05, 0.7, 1.3, 1.95)),
+            *DRAWN.values(),
         ],
-        ids=["L2", "L4"],
+        ids=["L2", "L4", *DRAWN],
     )
     def test_cross_validation_bijection(self, chain):
         spec = joint_diagonalize(chain, seed=0)
         for m2 in range(chain.L + 1):
-            sols = solve_bae(chain, m2, seed=0)
+            sols = solve_bae(chain, m2)
             states = [s for s in spec.states if s.sector_M2 == m2]
             assert len(sols) == len(states)
             used = set()
@@ -123,6 +133,30 @@ class TestSolve:
                 assert errs[best] <= 1e-8
                 assert best not in used
                 used.add(best)
+
+    def test_deterministic(self):
+        chain = DRAWN["drawn-L4-seed1"]
+        for m2 in range(5):
+            first, second = solve_bae(chain, m2), solve_bae(chain, m2)
+            assert [s.roots.tobytes() for s in first] == [s.roots.tobytes() for s in second]
+            assert [s.retracks for s in first] == [s.retracks for s in second]
+
+    @pytest.mark.parametrize("limit, beta", _SCHEDULE)
+    def test_every_schedule_entry_solves_the_largest_sectors(self, limit, beta):
+        # Each re-track path must be a complete solver on its own in the
+        # sectors M2 >= L - 1, where the roots interact most.
+        for chain in (DRAWN["drawn-L4-seed0"], DRAWN["drawn-L4-seed2"]):
+            for m2 in (chain.L - 1, chain.L):
+                subsets = list(combinations(range(chain.L), m2))
+                h0, starts = _starts(chain, subsets, limit)
+                ends = [_track(chain, h0, u, beta) for u in starts]
+                assert all(u is not None for u in ends)
+                sols = solve_bae(chain, m2)
+                assert len(sols) == len(subsets)
+                for u in ends:
+                    assert min(ipi_distance(u, s.roots) for s in sols) < 1e-8
+                for a, b in combinations(ends, 2):
+                    assert ipi_distance(a, b) > 1e-6
 
 
 class TestEigenvalues:
@@ -140,7 +174,7 @@ class TestEigenvalues:
         x = 0.62 - 0.4j
         t_op = transfer_matrix_twisted(CHAIN, x).entries
         for m2 in range(4):
-            sols = solve_bae(CHAIN, m2, seed=0)
+            sols = solve_bae(CHAIN, m2)
             states = [s for s in spec.states if s.sector_M2 == m2]
             for st in states:
                 errs = [
@@ -155,7 +189,7 @@ class TestEigenvalues:
 
     def test_transfer_eigenvalue_large_x(self):
         for m2 in range(4):
-            sol = solve_bae(CHAIN, m2, seed=0)[0]
+            sol = solve_bae(CHAIN, m2)[0]
             value = eigenvalue_t(sol, CHAIN, 25.0)
             m1 = 3 - m2
             expected = np.exp(3 * CHAIN.h) * np.exp(CHAIN.eta * m1) + np.exp(
@@ -164,7 +198,7 @@ class TestEigenvalues:
             assert abs(value - expected) < 1e-9 * max(1.0, abs(expected))
 
     def test_pole_cancellation_at_roots(self):
-        sol = solve_bae(CHAIN, 2, seed=0)[0]
+        sol = solve_bae(CHAIN, 2)[0]
         for u in sol.roots:
             for sign in (1.0, -1.0):
                 near = eigenvalue_t(sol, CHAIN, u + sign * 1e-5)
@@ -182,7 +216,7 @@ class TestEigenvalues:
 
     def test_charge_sum_rule_per_sector(self):
         for m2 in range(4):
-            for sol in solve_bae(CHAIN, m2, seed=0):
+            for sol in solve_bae(CHAIN, m2):
                 total = np.sum(all_eigenvalues_h(sol, CHAIN))
                 m1 = 3 - m2
                 expected = np.exp(3 * CHAIN.h) * np.sinh(CHAIN.eta * m1) / np.sinh(
@@ -192,7 +226,7 @@ class TestEigenvalues:
 
     def test_charge_product_identity(self):
         for m2 in range(4):
-            for sol in solve_bae(CHAIN, m2, seed=0):
+            for sol in solve_bae(CHAIN, m2):
                 h_vals = all_eigenvalues_h(sol, CHAIN)
                 g_vals = all_eigenvalues_g(sol, CHAIN)
                 for j in range(3):
@@ -202,7 +236,7 @@ class TestEigenvalues:
     def test_charge_values_match_ed(self):
         spec = joint_diagonalize(CHAIN, seed=0)
         for m2 in range(4):
-            sols = solve_bae(CHAIN, m2, seed=0)
+            sols = solve_bae(CHAIN, m2)
             for st in (s for s in spec.states if s.sector_M2 == m2):
                 errs_h = []
                 errs_g = []
@@ -216,7 +250,7 @@ class TestEigenvalues:
                 assert errs_g[best] <= 1e-8
 
     def test_permutation_invariance(self):
-        sol = solve_bae(CHAIN, 3, seed=0)[0]
+        sol = solve_bae(CHAIN, 3)[0]
         shuffled = BetheRootSet(
             M2=3,
             roots=sol.roots[[2, 0, 1]],

@@ -90,6 +90,8 @@ class TestSolveBethe:
         for sector in report["results"]["sectors"]:
             assert sector["ed_match_rate"] == 1.0
             assert all(r <= 1e-10 for r in sector["residuals"])
+            assert sector["paths_failed"] == 0
+            assert sector["paths_retracked"] == 0
 
     def test_vacuum_sector_only(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -100,6 +102,15 @@ class TestSolveBethe:
         assert len(sectors) == 1
         assert sectors[0]["n_solutions"] == 1
         assert sectors[0]["roots"] == [[]]
+
+    def test_determinism(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L": 4, "seed": 3}))
+        _, rep_a = _run(tmp_path, ["solve-bethe", "--config", str(cfg)], name="a.json")
+        _, rep_b = _run(tmp_path, ["solve-bethe", "--config", str(cfg)], name="b.json")
+        rep_a.pop("timestamp")
+        rep_b.pop("timestamp")
+        assert json.dumps(rep_a, sort_keys=True) == json.dumps(rep_b, sort_keys=True)
 
 
 class TestRsEvolve:
@@ -199,6 +210,8 @@ HOSTILE_CONFIGS = [
     ("solve-bethe", {"cross_validate": "no"}, 2),
     ("check-identities", {"n_max": True}, 2),
     ("check-identities", {"corrupt_g": "no"}, 2),
+    # In range, but e^{eta p} overflows: the field is not finite at t = 0.
+    ("rs-evolve", {"eta": 50, "p0": [50, 50, 50]}, 3),
 ]
 
 

@@ -17,7 +17,7 @@ from vertexdual.cli import _SCHEMAS, main
 # still runs quickly.
 _SMALL = {
     "verify-duality": {},
-    "solve-bethe": {"L": 2, "n_starts": 8},
+    "solve-bethe": {"L": 2},
     "rs-evolve": {"t_final": 1.0},
     "check-identities": {"trials": 3, "n_max": 4},
 }

@@ -1,7 +1,8 @@
 """The sinh pair kernel: gap minima and interaction products against
-scalar loop references, the flow's right-hand side at a zero of the
-interaction factor, the error raised at each general-position check,
-and seeded draws pinned to recorded digests."""
+scalar loop references, as are the flow's right-hand side and the Bethe
+formulas; the flow at a zero of the interaction factor, the error raised
+at each general-position check, and seeded draws pinned to recorded
+digests."""
 
 import hashlib
 import struct
@@ -19,12 +20,16 @@ from vertexdual import (
     SingularConfiguration,
     SingularVandermonde,
     bae_defect,
+    eigenvalue_g,
+    eigenvalue_h,
+    eigenvalue_t,
     factorized_lax,
     lax_from_velocities,
     rs_hamiltonian,
     velocities,
 )
-from vertexdual.linalg import eta_shifts, sinh_pair_product, smallest_sinh_gap
+from vertexdual.bethe import _defect, _jacobian
+from vertexdual.linalg import coth, eta_shifts, sinh_pair_product, smallest_sinh_gap
 from vertexdual.ruijsenaars import hamilton_rhs
 from vertexdual.sampling import draw_chain_params, draw_identity_params, rng_from_seed
 
@@ -79,6 +84,72 @@ def _loop_hamilton_rhs(state):
                 weight(k, k) * np.cosh(x[k] - x[i]) - weight(k, i) * np.cosh(x[k] - x[i] + eta)
             ) / np.sinh(x[k] - x[i])
     return xd, pd
+
+
+def _loop_defect(u, chain):
+    xs, eta = np.asarray(chain.inhom), chain.eta
+    out = np.empty(u.size, dtype=complex)
+    for a in range(u.size):
+        lhs = np.exp(2 * chain.L * chain.h) * np.prod(np.sinh(u[a] - xs + eta) / np.sinh(u[a] - xs))
+        rhs = 1.0 + 0.0j
+        for b in range(u.size):
+            if b != a:
+                rhs *= np.sinh(u[a] - u[b] + eta) / np.sinh(u[a] - u[b] - eta)
+        out[a] = np.log(lhs / rhs)
+    return out
+
+
+def _loop_jacobian(u, chain):
+    xs, eta = np.asarray(chain.inhom), chain.eta
+    jac = np.zeros((u.size, u.size), dtype=complex)
+    for a in range(u.size):
+        jac[a, a] = np.sum(coth(u[a] - xs + eta) - coth(u[a] - xs))
+        for b in range(u.size):
+            if b != a:
+                term = coth(u[a] - u[b] + eta) - coth(u[a] - u[b] - eta)
+                jac[a, a] -= term
+                jac[a, b] = term
+    return jac
+
+
+def _loop_eigenvalues(u, chain, x):
+    """(T(x), H_j, G_j) as root products written out one factor at a time."""
+    L, eta, h, xs = chain.L, chain.eta, chain.h, np.asarray(chain.inhom)
+
+    def prod(a, bs, top, bottom):
+        out = 1.0 + 0.0j
+        for b in bs:
+            out *= np.sinh(a - b + top) / np.sinh(a - b + bottom)
+        return out
+
+    up, down = np.exp(L * h), np.exp(-L * h)
+    t = up * prod(x, xs, eta, 0) * prod(x, u, -eta, 0) + down * prod(x, u, eta, 0)
+    hs = [up * prod(xs[j], np.delete(xs, j), eta, 0) * prod(xs[j], u, -eta, 0) for j in range(L)]
+    gs = [down * prod(xs[j], u, 0, -eta) for j in range(L)]
+    return t, np.array(hs), np.array(gs)
+
+
+class TestBetheFormulas:
+    """The defect, Jacobian and eigenvalues read the sinh pair kernel;
+    pinned to their scalar loop forms at points off every singularity."""
+
+    CHAIN = ChainParams(L=4, eta=0.55 + 0.1j, h=0.2 - 0.05j, inhom=(0.1, 0.6, 1.3, 1.9))
+
+    @pytest.mark.parametrize("m2", [1, 2, 3, 4])
+    def test_match_loops(self, m2):
+        rng = np.random.default_rng(20 + m2)
+        for _ in range(3):
+            u = rng.uniform(-0.5, 2.5, m2) + 1j * rng.uniform(-0.6, 0.6, m2)
+            for fast, slow in ((_defect(u, self.CHAIN), _loop_defect(u, self.CHAIN)),
+                               (_jacobian(u, self.CHAIN), _loop_jacobian(u, self.CHAIN))):
+                assert np.max(np.abs(fast - slow)) <= 1e-14 * np.max(np.abs(slow))
+            x = complex(rng.uniform(0, 2), rng.uniform(-0.5, 0.5))
+            t, hs, gs = _loop_eigenvalues(u, self.CHAIN, x)
+            roots = _roots(u)
+            assert abs(eigenvalue_t(roots, self.CHAIN, x) - t) <= 1e-14 * abs(t)
+            for j in range(self.CHAIN.L):
+                assert abs(eigenvalue_h(roots, self.CHAIN, j) - hs[j]) <= 1e-14 * abs(hs[j])
+                assert abs(eigenvalue_g(roots, self.CHAIN, j) - gs[j]) <= 1e-14 * abs(gs[j])
 
 
 class TestKernel:

@@ -180,15 +180,15 @@ class TestSolvedChainIdentity:
 
     def test_solved_sectors(self):
         chain = ChainParams(L=3, eta=0.41, h=0.23, inhom=(0.1, 0.9, 1.75))
-        for sol in solve_bae(chain, 1, seed=0):
+        for sol in solve_bae(chain, 1):
             assert verify_solved_chain_splitting(chain, sol) < 1e-8
         chain4 = ChainParams(L=4, eta=0.38, h=0.21, inhom=(0.05, 0.7, 1.3, 1.95))
-        for sol in solve_bae(chain4, 2, seed=0):
+        for sol in solve_bae(chain4, 2):
             assert verify_solved_chain_splitting(chain4, sol) < 1e-8
 
     def test_rejects_non_solutions(self):
         chain = ChainParams(L=3, eta=0.41, h=0.23, inhom=(0.1, 0.9, 1.75))
-        sol = solve_bae(chain, 1, seed=0)[0]
+        sol = solve_bae(chain, 1)[0]
         bad = BetheRootSet(
             M2=1,
             roots=sol.roots + 0.01,
