@@ -58,7 +58,8 @@ _CORRECTOR_ITERS, _POLISH_ITERS, _STEP_TOL = 4, 8, 1e-8
 class BetheRootSet:
     """A solved sector: M2 roots, the worst equation defect, the hash of
     the chain parameters they were solved for, and how many times the
-    solver re-tracked their subset's path before accepting them."""
+    solver re-tracked their subset's path before accepting them
+    (len(_SCHEDULE) when the closing pass over every subset found them)."""
 
     M2: int
     roots: np.ndarray
@@ -199,9 +200,11 @@ def solve_bae(params: ChainParams, M2: int) -> list[BetheRootSet]:
     Every subset is first tracked from the h -> -inf end.  A subset whose
     path fails or ends on an accepted solution is re-tracked through the
     rest of the schedule (the other end, the mirrored detour, a wider
-    detour) until a path gives a new solution; a subset that no path
-    solves adds none.  Deterministic: at most C(L, M2) solutions with
-    defect <= 1e-10 and distinct roots, sorted by canonical root tuple.
+    detour) until a path gives a new solution.  If the sector is still
+    short after that, the h -> +inf pass is re-run over every subset,
+    solved ones included, and keeps each new solution it reaches.
+    Deterministic: at most C(L, M2) solutions with defect <= 1e-10 and
+    distinct roots, sorted by canonical root tuple.
     """
     if not 0 <= M2 <= params.L:
         raise ValueError(f"M2 must lie in [0, {params.L}], got {M2}")
@@ -217,6 +220,18 @@ def solve_bae(params: ChainParams, M2: int) -> list[BetheRootSet]:
             if found is not None:
                 solutions.append(found)
                 unsolved.remove(i)
+    if unsolved:
+        # Every path of a subset can end on solutions other subsets claimed
+        # (or on coincident roots) while the missing solution lies at the
+        # end of a solved subset's path from the other limit.
+        (limit, beta), retracks = _SCHEDULE[1], len(_SCHEDULE)
+        h0, starts = _starts(params, subsets, limit)
+        for u in starts:
+            if len(solutions) == len(subsets):
+                break
+            found = _root_set(_track(params, h0, u, beta), params, solutions, retracks)
+            if found is not None:
+                solutions.append(found)
     solutions.sort(key=lambda s: complex_sort_key(s.roots))
     return solutions
 

@@ -91,16 +91,17 @@ def verify_duality(chain: ChainParams, seed: int = 0) -> DualityReport:
     spectrum = joint_diagonalize(chain, seed=seed)
     records = []
     worst = 0.0
-    for state in spectrum.states:
+    for n, state in enumerate(spectrum.states):
         lax = lax_from_chain_state(chain, state.H)
         eigs = np.linalg.eigvals(lax.entries)
         target = predicted_strings(chain.L, state.sector_M2, chain.h, chain.eta)
         _, errors = match_multisets(eigs, target.values)
         err = float(errors.max())
         if err > _HARD_MATCH_LIMIT:
+            first = next(i for i, s in enumerate(spectrum.states) if s.sector_M2 == state.sector_M2)
             raise MatchFailed(
-                f"sector M2={state.sector_M2}: assignment error {err:.3e} "
-                f"exceeds {_HARD_MATCH_LIMIT:g}"
+                f"L={chain.L} sector M2={state.sector_M2} state {n - first}: assignment error "
+                f"{err:.3e} exceeds {_HARD_MATCH_LIMIT:g}"
             )
         order = np.lexsort((eigs.imag, eigs.real))
         records.append(

@@ -6,10 +6,12 @@ Conventions
 * Per-site basis: index 0 = up, index 1 = down.
 * Site 1 occupies the leftmost tensor factor, i.e. the most significant
   bit of the computational basis index on the 2**L space.
-* Everything is dense complex128.  The intended scale is L <= 10
-  (dimension 1024); transfer matrices are assembled by growing the
-  auxiliary-space 2x2 block monodromy one site at a time, so no
-  2**(L+1)-dimensional intermediate is ever formed.
+* All arithmetic is complex128.  The intended scale is L <= 10
+  (dimension 1024).  Transfer matrices and charges are assembled by
+  growing the auxiliary-space 2x2 block monodromy one site at a time,
+  either as dense 2**L operators (the public builders) or, inside
+  joint_diagonalize, only as their magnetization-sector blocks, so the
+  diagonalization never forms a 2**L x 2**L array.
 """
 
 from __future__ import annotations
@@ -95,8 +97,14 @@ class SectorBasis:
     indices: np.ndarray
 
 
+def _down_counts(L: int) -> np.ndarray:
+    """Number of down spins (set bits) of every basis index 0 .. 2**L - 1."""
+    n = np.arange(2 ** L)
+    return sum((n >> j) & 1 for j in range(L))
+
+
 def sector_basis(L: int, M2: int) -> SectorBasis:
-    idx = np.array([n for n in range(2 ** L) if bin(n).count("1") == M2], dtype=int)
+    idx = np.flatnonzero(_down_counts(L) == M2)
     return SectorBasis(L=L, M2=M2, indices=idx)
 
 
@@ -147,25 +155,80 @@ def _perm_site_blocks():
     )
 
 
-def _traced_monodromy(site_blocks, twist=None) -> np.ndarray:
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices: the same products, without the
+    generic shape handling that dominates its cost on small blocks."""
+    n, k = len(a), len(b)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * k, n * k)
+
+
+def _traced_monodromy(site_blocks, twist=None, idx=None) -> np.ndarray:
     """Trace over the auxiliary space of the ordered product of site factors.
 
     ``site_blocks`` lists, per site (left to right), the four auxiliary
     blocks (b00, b01, b10, b11) acting on that site alone.  ``twist``
     is an optional diagonal (g_up, g_down) inserted at the right end of
-    the auxiliary product.
+    the auxiliary product.  Only the entries ``[idx, idx]`` are built
+    (all of them when ``idx`` is None).
+
+    Without ``idx`` every site is multiplied in densely with Kronecker
+    products.  With it, only the first L // 2 sites (at least one) are;
+    their blocks are gathered at the leading bits of ``idx`` and grown one
+    site at a time, entry by entry: m_ab <- m_a0 r_0b + m_a1 r_1b, with
+    each r gathered at that site's bits of ``idx``.  Every entry sees the
+    same floating-point operations as in the dense build, so a block
+    equals the slice of the dense operator bit for bit.
     """
+    L = len(site_blocks)
+    head = L if idx is None else max(L // 2, 1)
     m00, m01, m10, m11 = site_blocks[0]
-    for r00, r01, r10, r11 in site_blocks[1:]:
-        n00 = np.kron(m00, r00) + np.kron(m01, r10)
-        n01 = np.kron(m00, r01) + np.kron(m01, r11)
-        n10 = np.kron(m10, r00) + np.kron(m11, r10)
-        n11 = np.kron(m10, r01) + np.kron(m11, r11)
-        m00, m01, m10, m11 = n00, n01, n10, n11
+    for r00, r01, r10, r11 in site_blocks[1:head]:
+        m00, m01, m10, m11 = (
+            _kron(m00, r00) + _kron(m01, r10),
+            _kron(m00, r01) + _kron(m01, r11),
+            _kron(m10, r00) + _kron(m11, r10),
+            _kron(m10, r01) + _kron(m11, r11),
+        )
+    if idx is not None:
+        rows = (idx >> (L - head))[:, None]
+        m00, m01, m10, m11 = (m[rows, rows.T] for m in (m00, m01, m10, m11))
+    for j in range(head, L):
+        # Flat position 2 b_row + b_col of each entry in a site block.
+        bits = (idx >> (L - 1 - j)) & 1
+        pos = 2 * bits[:, None] + bits[None, :]
+        r00, r01, r10, r11 = np.reshape(site_blocks[j], (4, 4))[:, pos]
+        m00, m01, m10, m11 = (
+            m00 * r00 + m01 * r10,
+            m00 * r01 + m01 * r11,
+            m10 * r00 + m11 * r10,
+            m10 * r01 + m11 * r11,
+        )
     if twist is None:
         return m00 + m11
     g_up, g_down = twist
     return g_up * m00 + g_down * m11
+
+
+def _twist(params: ChainParams) -> tuple[complex, complex]:
+    return np.exp(params.L * params.h), np.exp(-params.L * params.h)
+
+
+def _charge_site_blocks(params: ChainParams) -> list[list[tuple]]:
+    """Site blocks of the 2L charges, H_1 .. H_L then G_1 .. G_L; all of
+    them take the twist diag(e^{Lh}, e^{-Lh}).
+
+    H_k is the twisted transfer matrix at x = x_k with the k-th weight
+    factor replaced by the permutation (its analytic residue); G_k is the
+    twisted transfer matrix at x = x_k - eta.
+    """
+    xs, eta = params.inhom, params.eta
+    h_blocks = [
+        [_perm_site_blocks() if i == k else _asym_site_blocks(xk - xi, eta, 0.0, 0.0)
+         for i, xi in enumerate(xs)]
+        for k, xk in enumerate(xs)
+    ]
+    g_blocks = [[_asym_site_blocks(xk - eta - xi, eta, 0.0, 0.0) for xi in xs] for xk in xs]
+    return h_blocks + g_blocks
 
 
 def transfer_matrix_asym(params: ChainParams, x) -> QuantumOperator:
@@ -179,27 +242,23 @@ def transfer_matrix_twisted(params: ChainParams, x) -> QuantumOperator:
     """Transfer matrix of the symmetric model with twist diag(e^{Lh}, e^{-Lh})."""
     x = complex(x)
     blocks = [_asym_site_blocks(x - xi, params.eta, 0.0, 0.0) for xi in params.inhom]
-    twist = (np.exp(params.L * params.h), np.exp(-params.L * params.h))
-    return QuantumOperator(_traced_monodromy(blocks, twist=twist))
+    return QuantumOperator(_traced_monodromy(blocks, twist=_twist(params)))
 
 
 def similarity_u(params: ChainParams) -> QuantumOperator:
     """Diagonal gauge exp(sum_j (j-1) h sigma^z_j) mapping the dressed model
     to the twisted one."""
     L, h = params.L, params.h
-    diag = np.empty(2 ** L, dtype=complex)
-    for n in range(2 ** L):
-        expo = 0.0 + 0.0j
-        for j in range(1, L + 1):
-            s = 1.0 - 2.0 * ((n >> (L - j)) & 1)
-            expo += (j - 1) * h * s
-        diag[n] = np.exp(expo)
-    return QuantumOperator(np.diag(diag))
+    n = np.arange(2 ** L)
+    expo = np.zeros(2 ** L, dtype=complex)
+    for j in range(1, L + 1):
+        expo += (j - 1) * h * (1.0 - 2.0 * ((n >> (L - j)) & 1))
+    return QuantumOperator(np.diag(np.exp(expo)))
 
 
 def sz_m1_m2_operators(L: int) -> tuple[QuantumOperator, QuantumOperator, QuantumOperator]:
     """Total spin S^z and the up/down counters M1, M2 (diagonal, exact)."""
-    m2 = np.array([bin(n).count("1") for n in range(2 ** L)], dtype=float)
+    m2 = _down_counts(L).astype(float)
     m1 = L - m2
     return (
         QuantumOperator(np.diag((m1 - m2).astype(complex))),
@@ -215,23 +274,14 @@ def hamiltonians_h(params: ChainParams) -> list[QuantumOperator]:
     factor replaced by the permutation (the analytic residue), evaluated
     at x = x_k.  No numerical limit is taken.
     """
-    L = params.L
-    twist = (np.exp(L * params.h), np.exp(-L * params.h))
-    out = []
-    for k in range(L):
-        blocks = []
-        for i, xi in enumerate(params.inhom):
-            if i == k:
-                blocks.append(_perm_site_blocks())
-            else:
-                blocks.append(_asym_site_blocks(params.inhom[k] - xi, params.eta, 0.0, 0.0))
-        out.append(QuantumOperator(_traced_monodromy(blocks, twist=twist)))
-    return out
+    twist, charges = _twist(params), _charge_site_blocks(params)[: params.L]
+    return [QuantumOperator(_traced_monodromy(blocks, twist)) for blocks in charges]
 
 
 def hamiltonians_g(params: ChainParams) -> list[QuantumOperator]:
     """The companion charges: twisted transfer matrix at x = x_i - eta."""
-    return [transfer_matrix_twisted(params, xi - params.eta) for xi in params.inhom]
+    twist, charges = _twist(params), _charge_site_blocks(params)[params.L :]
+    return [QuantumOperator(_traced_monodromy(blocks, twist)) for blocks in charges]
 
 
 def gh_product_scalar(params: ChainParams, i: int) -> complex:
@@ -284,17 +334,25 @@ def joint_diagonalize(
     times.
     """
     L = params.L
-    hs = hamiltonians_h(params)
-    gs = hamiltonians_g(params)
-    h_norms = [frobenius(op.entries) for op in hs]
-    g_norms = [frobenius(op.entries) for op in gs]
+    twist = _twist(params)
+    charges = _charge_site_blocks(params)
+    bases = sector_bases(L)
+    blocks = [[_traced_monodromy(c, twist, basis.indices) for c in charges] for basis in bases]
+    # The charges conserve magnetization, so each full operator's norm is
+    # the root of its summed squared sector-block norms.
+    norms = [
+        np.sqrt(sum(frobenius(sector[k]) ** 2 for sector in blocks)) for k in range(2 * L)
+    ]
+    h_norms, g_norms = norms[:L], norms[L:]
     rng = np.random.default_rng(seed)
     states: list[EigenState] = []
-    for basis in sector_bases(L):
+    for basis, sector in zip(bases, blocks):
         idx = basis.indices
-        h_sub = [op.entries[np.ix_(idx, idx)] for op in hs]
-        g_sub = [op.entries[np.ix_(idx, idx)] for op in gs]
+        h_sub, g_sub = sector[:L], sector[L:]
         c_val = sector_constant(params, basis.M2)
+        # (worst residual, charge, eigenvector column) of the first state
+        # above tolerance, over the redraws: the smallest such residual.
+        closest = (np.inf, "", -1)
         for attempt in range(max_retries):
             coeff = rng.standard_normal(L) + 1j * rng.standard_normal(L)
             combo = sum(c * m for c, m in zip(coeff, h_sub))
@@ -315,7 +373,10 @@ def joint_diagonalize(
                     w = g_sub[k] @ v
                     g_vals[k] = v.conj() @ w
                     res_g[k] = np.linalg.norm(w - g_vals[k] * v) / g_norms[k]
-                if max(res_h.max(), res_g.max()) > residual_tol:
+                worst = max(res_h.max(), res_g.max())
+                if worst > residual_tol:
+                    k = int(np.argmax(np.concatenate([res_h, res_g])))
+                    closest = min(closest, (worst, f"{'HG'[k // L]}_{k % L + 1}", col))
                     ok = False
                     break
                 full = np.zeros(2 ** L, dtype=complex)
@@ -334,9 +395,11 @@ def joint_diagonalize(
             if ok:
                 break
         else:
+            resid, charge, col = closest
             raise DegenerateSpectrum(
-                f"sector M2={basis.M2}: Rayleigh residuals above {residual_tol:g} "
-                f"after {max_retries} redraws"
+                f"L={L} sector M2={basis.M2}: smallest worst Rayleigh residual over "
+                f"{max_retries} redraws is {resid:.3e} ({charge}, eigenvector {col} of "
+                f"{idx.size}), above tol {residual_tol:g}"
             )
         sector_states.sort(key=lambda s: complex_sort_key(s.H))
         states.extend(sector_states)

@@ -40,6 +40,22 @@ def _rootset_raw(chain, roots):
     return BetheRootSet(M2=u.size, roots=u, residual=np.nan, params_hash=chain.params_hash)
 
 
+def _assert_matches_ed(chain, spec, m2, sols):
+    """Each ED state of sector m2 matches a distinct solution's charges."""
+    states = [s for s in spec.states if s.sector_M2 == m2]
+    assert len(sols) == len(states)
+    used = set()
+    for st in states:
+        errs = [
+            np.max(np.abs(all_eigenvalues_h(s, chain) - st.H) / np.maximum(np.abs(st.H), 1e-12))
+            for s in sols
+        ]
+        best = int(np.argmin(errs))
+        assert errs[best] <= 1e-8
+        assert best not in used
+        used.add(best)
+
+
 class TestDefect:
     def test_vacuum_defect_empty(self):
         sols = solve_bae(CHAIN, 0)
@@ -119,20 +135,17 @@ class TestSolve:
     def test_cross_validation_bijection(self, chain):
         spec = joint_diagonalize(chain, seed=0)
         for m2 in range(chain.L + 1):
-            sols = solve_bae(chain, m2)
-            states = [s for s in spec.states if s.sector_M2 == m2]
-            assert len(sols) == len(states)
-            used = set()
-            for st in states:
-                errs = [
-                    np.max(np.abs(all_eigenvalues_h(s, chain) - st.H)
-                           / np.maximum(np.abs(st.H), 1e-12))
-                    for s in sols
-                ]
-                best = int(np.argmin(errs))
-                assert errs[best] <= 1e-8
-                assert best not in used
-                used.add(best)
+            _assert_matches_ed(chain, spec, m2, solve_bae(chain, m2))
+
+    def test_closing_pass_completes_l7_sector(self):
+        # Every schedule path of one subset ends on coincident roots or on
+        # a solution already found; only the closing h -> +inf pass over
+        # all subsets reaches the 21st state.
+        chain = draw_chain_params(rng_from_seed(1), 7)
+        sols = solve_bae(chain, 2)
+        assert len(sols) == 21
+        assert any(s.retracks == len(_SCHEDULE) for s in sols)
+        _assert_matches_ed(chain, joint_diagonalize(chain, seed=0), 2, sols)
 
     def test_deterministic(self):
         chain = DRAWN["drawn-L4-seed1"]

@@ -5,8 +5,15 @@ embeddings assembled inside the tests, numerical residues/limits of the
 transfer matrix, and full-space eigensolves.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import vertexdual
 
 from vertexdual import (
     ChainParams,
@@ -25,7 +32,14 @@ from vertexdual import (
     transfer_matrix_twisted,
 )
 from vertexdual.linalg import rel_commutator, rel_diff
-from vertexdual.spin_chain import gh_product_scalar
+from vertexdual import spin_chain
+from vertexdual.spin_chain import (
+    _asym_site_blocks,
+    _charge_site_blocks,
+    _perm_site_blocks,
+    _traced_monodromy,
+    gh_product_scalar,
+)
 
 
 def embed_two(r4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
@@ -415,6 +429,115 @@ class TestJointDiagonalize:
         params = _chain()
         with pytest.raises(DegenerateSpectrum):
             joint_diagonalize(params, seed=0, residual_tol=1e-18)
+
+
+def _kron_monodromy(site_blocks, twist=None):
+    """Dense Kronecker build of the traced monodromy: the reference every
+    assembled operator and sector block must equal bit for bit."""
+    m00, m01, m10, m11 = site_blocks[0]
+    for r00, r01, r10, r11 in site_blocks[1:]:
+        m00, m01, m10, m11 = (
+            np.kron(m00, r00) + np.kron(m01, r10),
+            np.kron(m00, r01) + np.kron(m01, r11),
+            np.kron(m10, r00) + np.kron(m11, r10),
+            np.kron(m10, r01) + np.kron(m11, r11),
+        )
+    return m00 + m11 if twist is None else twist[0] * m00 + twist[1] * m11
+
+
+def _complex_chain(L):
+    rng = np.random.default_rng(100 + L)
+    xs = np.sort(rng.uniform(0.0, 2.5, L)) + 1j * rng.uniform(-0.3, 0.3, L)
+    return ChainParams(L=L, eta=0.41 + 0.07j, h=0.23 - 0.05j, v=0.13 + 0.02j, inhom=tuple(xs))
+
+
+class TestSectorAssembly:
+    @pytest.mark.parametrize("L", range(1, 8))
+    def test_bit_identical_to_kron_build(self, L):
+        params = _complex_chain(L)
+        xs, eta, x = params.inhom, params.eta, 0.37 + 0.2j
+        twist = (np.exp(L * params.h), np.exp(-L * params.h))
+        asym = [_asym_site_blocks(x - xi, eta, params.h, params.v) for xi in xs]
+        sym = [_asym_site_blocks(x - xi, eta, 0.0, 0.0) for xi in xs]
+        h_blocks = [
+            [_perm_site_blocks() if i == k else _asym_site_blocks(xk - xi, eta, 0.0, 0.0)
+             for i, xi in enumerate(xs)]
+            for k, xk in enumerate(xs)
+        ]
+        g_blocks = [[_asym_site_blocks(xk - eta - xi, eta, 0.0, 0.0) for xi in xs] for xk in xs]
+        ref_h = [_kron_monodromy(b, twist) for b in h_blocks]
+        ref_g = [_kron_monodromy(b, twist) for b in g_blocks]
+        ref_asym, ref_twisted = _kron_monodromy(asym), _kron_monodromy(sym, twist)
+        assert np.array_equal(transfer_matrix_asym(params, x).entries, ref_asym)
+        assert np.array_equal(transfer_matrix_twisted(params, x).entries, ref_twisted)
+        for op, ref in zip(hamiltonians_h(params) + hamiltonians_g(params), ref_h + ref_g):
+            assert np.array_equal(op.entries, ref)
+        charges = _charge_site_blocks(params)
+        for basis in sector_bases(L):
+            idx = basis.indices
+            cut = np.ix_(idx, idx)
+            for blocks, ref in zip(charges, ref_h + ref_g):
+                assert np.array_equal(_traced_monodromy(blocks, twist, idx), ref[cut])
+            assert np.array_equal(_traced_monodromy(asym, None, idx), ref_asym[cut])
+            assert np.array_equal(_traced_monodromy(sym, twist, idx), ref_twisted[cut])
+
+    @pytest.mark.parametrize("L", range(1, 8))
+    def test_diagonal_operators_match_site_loops(self, L):
+        params = _complex_chain(L)
+        u = np.empty(2 ** L, dtype=complex)
+        m2 = np.empty(2 ** L)
+        for n in range(2 ** L):
+            expo = 0.0 + 0.0j
+            for j in range(1, L + 1):
+                expo += (j - 1) * params.h * (1.0 - 2.0 * ((n >> (L - j)) & 1))
+            u[n] = np.exp(expo)
+            m2[n] = bin(n).count("1")
+        assert np.array_equal(similarity_u(params).entries, np.diag(u))
+        _, m1_op, m2_op = sz_m1_m2_operators(L)
+        assert np.array_equal(m2_op.entries, np.diag(m2.astype(complex)))
+        assert np.array_equal(m1_op.entries, np.diag((L - m2).astype(complex)))
+        for basis in sector_bases(L):
+            assert np.array_equal(basis.indices, np.flatnonzero(m2 == basis.M2))
+
+    def test_joint_diagonalize_builds_sector_blocks_only(self, monkeypatch):
+        L = 8
+        params = _complex_chain(L)
+        expected = joint_diagonalize(params, seed=3)
+
+        def refuse(_params):
+            raise AssertionError("dense charge assembly")
+
+        def sector_only(site_blocks, twist=None, idx=None):
+            assert idx is not None and idx.size < 2 ** L
+            return traced(site_blocks, twist, idx)
+
+        traced = spin_chain._traced_monodromy
+        monkeypatch.setattr(spin_chain, "hamiltonians_h", refuse)
+        monkeypatch.setattr(spin_chain, "hamiltonians_g", refuse)
+        monkeypatch.setattr(spin_chain, "_traced_monodromy", sector_only)
+        spec = joint_diagonalize(params, seed=3)
+        assert spec.n_states == 2 ** L
+        for a, b in zip(spec.states, expected.states):
+            assert np.array_equal(a.H, b.H) and np.array_equal(a.G, b.G)
+
+    def test_l9_peak_memory_growth(self):
+        # The 2L dense charges at L = 9 take about 100 MB together; their
+        # sector blocks take about 20 MB.
+        script = (
+            "import resource\n"
+            "from vertexdual.sampling import draw_chain_params, rng_from_seed\n"
+            "from vertexdual.spin_chain import joint_diagonalize\n"
+            "params = draw_chain_params(rng_from_seed(3), 9)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "joint_diagonalize(params)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(vertexdual.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        growth_mb = int(proc.stdout.split()[-1]) / 1024
+        assert growth_mb < 60
 
 
 class TestChainParamsValidation:
