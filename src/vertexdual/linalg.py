@@ -6,10 +6,10 @@ highest power first, leading coefficient 1 for monic polynomials.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def coth(z):
@@ -72,20 +72,85 @@ def poly_rel_residual(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.max(np.abs(pp - qq)) / scale)
 
 
-def match_multisets(values: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal-cost assignment of ``values`` onto ``targets``.
+def _assignment(cost: np.ndarray) -> np.ndarray:
+    """Columns of an exact minimum-cost assignment: row i takes column
+    cols[i] of the square, finite ``cost``, and the total is minimal.
 
-    Cost is the distance relative to the target magnitude.  Returns the
+    When the row-wise argmin is already a permutation it is returned:
+    the sum of row minima bounds every assignment from below.  Otherwise
+    the shortest-augmenting-path Hungarian method with dual potentials
+    (Kuhn 1955; Jonker & Volgenant 1987) adds the rows in order.  Ties
+    go to the lowest column index, in the row minima and in each path step.
+    The search is plain Python over ``cost.tolist()``: the matrices here
+    are at most 10 x 10, where numpy's per-call overhead would dominate.
+    """
+    n = cost.shape[0]
+    if cost.shape != (n, n):
+        raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
+    # The sum is finite only if every entry is.
+    if not math.isfinite(np.add.reduce(cost, axis=None)):
+        raise ValueError("cost matrix contains non-finite entries")
+    if n == 0:
+        return np.zeros(0, dtype=int)
+    cols = cost.argmin(1)
+    if len(set(cols.tolist())) == n:
+        return cols
+    c = cost.tolist()
+    inf = float("inf")
+    # 1-based columns; column 0 is the virtual start of each augmenting
+    # path.  row_of[j] is the row (1-based, 0 = free) holding column j.
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    row_of = [0] * (n + 1)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        dist = [inf] * (n + 1)
+        prev = [0] * (n + 1)
+        done = [False] * (n + 1)
+        while row_of[j0]:
+            done[j0] = True
+            i0 = row_of[j0]
+            row, ui = c[i0 - 1], u[i0]
+            delta, j1 = inf, 0
+            for j in range(1, n + 1):
+                if not done[j]:
+                    reduced = row[j - 1] - ui - v[j]
+                    if reduced < dist[j]:
+                        dist[j], prev[j] = reduced, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(n + 1):
+                if done[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:
+            row_of[j0] = row_of[prev[j0]]
+            j0 = prev[j0]
+    for j in range(1, n + 1):
+        cols[row_of[j] - 1] = j - 1
+    return cols
+
+
+def match_multisets(values: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact minimum-cost assignment of ``values`` onto ``targets``.
+
+    Cost is the distance relative to the target magnitude, and the
+    assignment minimizes its sum exactly (see _assignment).  Ties: when
+    each value's nearest target (the first, among equal ones) is a
+    different target, that matching is kept; otherwise the Hungarian
+    search takes the lowest target index at each tie.  Returns the
     permutation (values[i] is matched to targets[perm[i]]) and the
     per-pair relative errors.
     """
     values = np.asarray(values)
     targets = np.asarray(targets)
-    cost = np.abs(values[:, None] - targets[None, :]) / np.maximum(np.abs(targets[None, :]), 1e-12)
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(len(values), dtype=int)
-    perm[rows] = cols
-    return perm, cost[rows, cols]
+    cost = np.abs(values[:, None] - targets) / np.maximum(np.abs(targets), 1e-12)
+    perm = _assignment(cost)
+    return perm, cost[np.arange(len(perm)), perm]
 
 
 def reduce_mod_ipi(z):
@@ -96,7 +161,12 @@ def reduce_mod_ipi(z):
 
 
 def ipi_distance(u, v) -> float:
-    """Max distance between root tuples up to i*pi shifts and permutation."""
+    """Max distance between root tuples up to i*pi shifts and permutation.
+
+    The permutation is the exact minimum-sum assignment of the
+    i*pi-reduced distances (see _assignment; ties go to the lowest index
+    of ``v``), and the value is the largest distance it pairs.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     v = np.atleast_1d(np.asarray(v, dtype=complex))
     if u.size != v.size:
@@ -105,8 +175,8 @@ def ipi_distance(u, v) -> float:
         return 0.0
     diff = u[:, None] - v[None, :]
     diff = diff - 1j * np.pi * np.round(diff.imag / np.pi)
-    rows, cols = linear_sum_assignment(np.abs(diff))
-    return float(np.max(np.abs(diff[rows, cols])))
+    dist = np.abs(diff)
+    return float(np.max(dist[np.arange(u.size), _assignment(dist)]))
 
 
 def sinh_pairs(a, b, shift) -> np.ndarray:

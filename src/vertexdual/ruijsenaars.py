@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     CollisionDetected,
@@ -371,6 +370,9 @@ def evolve(
     with np.errstate(all="ignore"):
         if not all(np.all(np.isfinite(d)) for d in hamilton_rhs(state)):
             raise StepSizeUnderflow("the vector field is not finite at t = 0")
+
+    # Imported here so that only evolve pays for loading scipy.integrate.
+    from scipy.integrate import solve_ivp
 
     sol = solve_ivp(
         rhs,

@@ -2,10 +2,15 @@
 and byte-level determinism of the payload."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vertexdual
 from vertexdual.cli import main
 
 TOP_LEVEL_KEYS = {"schema_version", "command", "config", "results", "summary", "timestamp"}
@@ -223,3 +228,55 @@ def test_hostile_config_exit_code(tmp_path, capsys, command, config, expected):
     assert code == expected
     assert report is None
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def _python(tmp_path, args):
+    """Run the interpreter in tmp_path with the package on its path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(vertexdual.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+# Runs each command in a fresh interpreter; the last line of its output
+# holds the exit codes and the scipy modules loaded by then.
+_COLD_SCRIPT = """
+import json, sys
+from vertexdual import cli
+codes = []
+for command, config in json.loads(sys.argv[1]):
+    with open("cfg.json", "w") as f:
+        json.dump(config, f)
+    codes.append(cli.main([command, "--config", "cfg.json", "--out", "out.json"]))
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def _cold_run(tmp_path, commands):
+    proc = _python(tmp_path, ["-c", _COLD_SCRIPT, json.dumps(commands)])
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdImport:
+    def test_checks_run_without_scipy(self, tmp_path):
+        commands = [
+            ("verify-duality", {"L": 3, "inhom": None}),
+            ("solve-bethe", {"L": 2}),
+            ("check-identities", {"n_max": 4}),
+        ]
+        assert _cold_run(tmp_path, commands) == {"codes": [0, 0, 0], "scipy": []}
+
+    def test_rs_evolve_loads_scipy_on_first_use(self, tmp_path):
+        run = _cold_run(tmp_path, [("rs-evolve", {})])
+        assert run["codes"] == [0]
+        assert "scipy.integrate" in run["scipy"]
+
+    def test_module_form_writes_report(self, tmp_path):
+        (tmp_path / "c.json").write_text(json.dumps({"L": 2, "inhom": None}))
+        proc = _python(
+            tmp_path, ["-m", "vertexdual.cli", "verify-duality", "--config", "c.json", "--out", "o.json"]
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "o.json").read_text())["command"] == "verify-duality"

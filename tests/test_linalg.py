@@ -1,0 +1,92 @@
+"""Exact assignment in linalg: _assignment, match_multisets and
+ipi_distance against scipy's linear_sum_assignment as the reference."""
+
+import numpy as np
+import pytest
+
+from vertexdual.linalg import _assignment, ipi_distance, match_multisets
+
+SIZES = range(1, 11)
+DRAWS_PER_SIZE = 70
+
+
+def _pairs(rng, kind, n):
+    """Complex values and targets of one kind: uniform, small integers
+    (many ties) or a perturbed permutation of the values."""
+    if kind == "uniform":
+        return rng.uniform(-1, 1, (2, n)) + 1j * rng.uniform(-1, 1, (2, n))
+    if kind == "integer":
+        return (rng.integers(-2, 3, (2, n)) + 1j * rng.integers(-1, 2, (2, n))).astype(complex)
+    values = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    return values, rng.permutation(values) + 1e-3 * rng.standard_normal(n)
+
+
+def _cost_matrices(rng):
+    """Uniform, small-integer and |a_i - b_j| cost matrices, n = 1..10."""
+    for n in SIZES:
+        for _ in range(DRAWS_PER_SIZE):
+            yield rng.uniform(0, 1, (n, n))
+            yield rng.integers(0, 4, (n, n)).astype(float)
+            a, b = rng.uniform(-1, 1, (2, n))
+            yield np.abs(a[:, None] - b[None, :])
+
+
+def test_assignment_is_an_optimal_permutation():
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(20)
+    count = hungarian = 0
+    for cost in _cost_matrices(rng):
+        n = cost.shape[0]
+        cols = _assignment(cost)
+        assert sorted(cols.tolist()) == list(range(n))
+        rows, ref = linear_sum_assignment(cost)
+        assert abs(cost[np.arange(n), cols].sum() - cost[rows, ref].sum()) <= 1e-12
+        count += 1
+        hungarian += len(set(np.argmin(cost, axis=1).tolist())) < n
+    assert count >= 2000
+    # Both the argmin shortcut and the augmenting-path search were tested.
+    assert min(hungarian, count - hungarian) >= 300
+
+
+@pytest.mark.parametrize("kind", ["uniform", "integer", "permuted"])
+def test_match_multisets_and_ipi_distance_match_reference(kind):
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(21)
+    for n in SIZES:
+        for _ in range(DRAWS_PER_SIZE):
+            values, targets = _pairs(rng, kind, n)
+
+            cost = np.abs(values[:, None] - targets[None, :]) / np.maximum(np.abs(targets[None, :]), 1e-12)
+            rows, cols = linear_sum_assignment(cost)
+            perm, errors = match_multisets(values, targets)
+            assert sorted(perm.tolist()) == list(range(n))
+            np.testing.assert_array_equal(errors, cost[np.arange(n), perm])
+
+            diff = values[:, None] - targets[None, :]
+            diff = diff - 1j * np.pi * np.round(diff.imag / np.pi)
+            r, c = linear_sum_assignment(np.abs(diff))
+            reference = float(np.max(np.abs(diff[r, c])))
+            if kind == "integer":
+                # Tied optima may pair different values; the minimal sum
+                # is what the assignment fixes.  A zero target costs 1e12,
+                # so the sums agree relative to their size.
+                best = cost[rows, cols].sum()
+                assert abs(errors.sum() - best) <= 1e-12 * max(1.0, best)
+            else:
+                np.testing.assert_array_equal(errors, cost[rows, cols])
+                assert ipi_distance(values, targets) == reference
+
+
+def test_assignment_edge_cases():
+    assert _assignment(np.zeros((0, 0))).size == 0
+    assert ipi_distance([], []) == 0.0
+    assert ipi_distance([0.0], [0.0, 1.0]) == np.inf
+    with pytest.raises(ValueError, match="square"):
+        _assignment(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="non-finite"):
+        _assignment(np.array([[0.0, np.nan], [1.0, 0.0]]))
+    # Every row's cheapest column is column 0: the search must move rows.
+    cost = np.array([[0.0, 1.0, 5.0], [0.1, 4.0, 2.0], [0.2, 0.3, 9.0]])
+    assert _assignment(cost).tolist() == [0, 2, 1]
