@@ -16,29 +16,12 @@ def coth(z):
     return np.cosh(z) / np.sinh(z)
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
-def rel_commutator(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of [a, b] relative to ||a|| ||b||."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.linalg.norm(a @ b - b @ a) / (na * nb))
-
-
 def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Max entrywise difference relative to the larger matrix scale."""
     a = np.asarray(a)
     b = np.asarray(b)
     scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0), 1e-300)
     return float(np.max(np.abs(a - b), initial=0.0) / scale)
-
-
-def charpoly_from_eigs(a: np.ndarray) -> np.ndarray:
-    """Coefficients of det(lambda*I - a) from the eigenvalues of ``a``."""
-    return np.atleast_1d(np.poly(np.linalg.eigvals(a)))
 
 
 def charpoly_minors(a: np.ndarray) -> np.ndarray:

@@ -233,16 +233,6 @@ def char_poly_via_en(x, xdot, eta) -> np.ndarray:
     return coeffs
 
 
-def power_traces(lax: np.ndarray, n_max: int) -> np.ndarray:
-    """tr L^n for n = 1..n_max."""
-    out = np.empty(n_max, dtype=complex)
-    acc = np.eye(lax.shape[0], dtype=complex)
-    for n in range(n_max):
-        acc = acc @ lax
-        out[n] = np.trace(acc)
-    return out
-
-
 def s_matrix(K: int, eta) -> np.ndarray:
     """Diagonal ladder diag(e^{-(2i - K - 1) eta}), i = 1..K; empty for K=0."""
     if K < 0:
@@ -374,43 +364,33 @@ def evolve(
     # Imported here so that only evolve pays for loading scipy.integrate.
     from scipy.integrate import solve_ivp
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, float(t_final)),
-        _pack(state.x, state.p),
-        method="DOP853",
-        rtol=tol_ode,
-        atol=tol_ode,
-        t_eval=np.linspace(0.0, float(t_final), n_samples),
-        events=collision,
-        dense_output=False,
-    )
+    # Trial steps of a stalling run overflow the field; the status below
+    # reports the stall, in one line, without numpy's warnings.
+    with np.errstate(all="ignore"):
+        sol = solve_ivp(
+            rhs,
+            (0.0, float(t_final)),
+            _pack(state.x, state.p),
+            method="DOP853",
+            rtol=tol_ode,
+            atol=tol_ode,
+            t_eval=np.linspace(0.0, float(t_final), n_samples),
+            events=collision,
+            dense_output=False,
+        )
     if sol.status == 1:
         t_ev = sol.t_events[0][0]
         raise CollisionDetected(f"particles collide near t = {t_ev:.6g}")
     if sol.status < 0:
-        raise StepSizeUnderflow(sol.message)
+        # The last sample reached; t = 0 when the first step already failed.
+        t_last, x_last = (sol.t[-1], _unpack(sol.y[:, -1], n)[0]) if sol.t.size else (0.0, state.x)
+        gap, i, j, _ = smallest_sinh_gap(x_last, None, UNSHIFTED)
+        raise StepSizeUnderflow(
+            f"{sol.message} (last sample t = {t_last:.6g}, "
+            f"smallest |sinh(x_{i + 1} - x_{j + 1})| = {gap:.3e} there)"
+        )
     out = []
     for idx, t in enumerate(sol.t):
         x, p = _unpack(sol.y[:, idx], n)
         out.append((float(t), RSState(eta=eta, x=x, p=p)))
     return out
-
-
-def flow_step(state: RSState, dt: float, n_sub: int = 8) -> RSState:
-    """Fixed-step classical RK4 advance; used for local finite differences."""
-    x, p = state.x.copy(), state.p.copy()
-    eta = state.eta
-    h = dt / n_sub
-
-    def f(xx, pp):
-        return hamilton_rhs(RSState(eta=eta, x=xx, p=pp))
-
-    for _ in range(n_sub):
-        k1 = f(x, p)
-        k2 = f(x + h / 2 * k1[0], p + h / 2 * k1[1])
-        k3 = f(x + h / 2 * k2[0], p + h / 2 * k2[1])
-        k4 = f(x + h * k3[0], p + h * k3[1])
-        x = x + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        p = p + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return RSState(eta=eta, x=x, p=p)

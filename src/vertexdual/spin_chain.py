@@ -10,8 +10,10 @@ Conventions
   (dimension 1024).  Transfer matrices and charges are assembled by
   growing the auxiliary-space 2x2 block monodromy one site at a time,
   either as dense 2**L operators (the public builders) or, inside
-  joint_diagonalize, only as their magnetization-sector blocks, so the
-  diagonalization never forms a 2**L x 2**L array.
+  joint_diagonalize, only as their magnetization-sector blocks, one
+  sector at a time, so the diagonalization never forms a 2**L x 2**L
+  array and holds one sector's blocks at most.  The operator norms it
+  needs come in closed form from the site blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSpectrum, GeneralPositionViolated, SingularSpectralPoint
-from .linalg import complex_sort_key, eta_shifts, frobenius, require_sinh_gap, sinh_pair_product
+from .linalg import complex_sort_key, eta_shifts, require_sinh_gap, sinh_pair_product
 
 _SINGULAR_TOL = 1e-12
 
@@ -319,6 +321,24 @@ class JointSpectrum:
         return len(self.states)
 
 
+def _frobenius_norm(site_blocks, twist) -> float:
+    """Frobenius norm of _traced_monodromy(site_blocks, twist), in O(L).
+
+    The trace of a tensor product factors over the sites, so with the 4x4
+    Gram matrix E_j[(a,c),(b,d)] = <R_j^{cd}, R_j^{ab}>_F of site j's
+    auxiliary blocks, ||T||_F^2 = sum_{a,c} g_a conj(g_c)
+    (E_1 ... E_L)[(a,c),(a,c)].
+    """
+    prod = np.eye(4)
+    for blocks in site_blocks:
+        r = np.reshape(blocks, (4, 4))
+        # gram[c, d, a, b] = <R^{cd}, R^{ab}>_F
+        gram = (r.conj() @ r.T).reshape(2, 2, 2, 2)
+        prod = prod @ gram.transpose(2, 0, 3, 1).reshape(4, 4)
+    g = np.asarray(twist)
+    return float(np.sqrt((np.outer(g, g.conj()).ravel() @ np.diagonal(prod)).real))
+
+
 def joint_diagonalize(
     params: ChainParams,
     seed: int = 0,
@@ -327,80 +347,86 @@ def joint_diagonalize(
 ) -> JointSpectrum:
     """Diagonalize all residue charges simultaneously, sector by sector.
 
-    In each magnetization sector a random complex combination of the
+    One magnetization sector at a time, the 2L charge blocks are built,
+    used and freed before the next sector's, so at most one sector's
+    blocks are alive.  In each sector a random complex combination of the
     charges is diagonalized; charge values are then read off as Rayleigh
-    quotients of the eigenvectors.  If any Rayleigh residual exceeds
-    ``residual_tol`` the combination is redrawn, up to ``max_retries``
-    times.
+    quotients of the eigenvectors, with residuals relative to the full
+    operator's Frobenius norm (in closed form, see _frobenius_norm).  If
+    any Rayleigh residual exceeds ``residual_tol`` the combination is
+    redrawn, up to ``max_retries`` times.
     """
-    L = params.L
-    twist = _twist(params)
     charges = _charge_site_blocks(params)
-    bases = sector_bases(L)
-    blocks = [[_traced_monodromy(c, twist, basis.indices) for c in charges] for basis in bases]
-    # The charges conserve magnetization, so each full operator's norm is
-    # the root of its summed squared sector-block norms.
-    norms = [
-        np.sqrt(sum(frobenius(sector[k]) ** 2 for sector in blocks)) for k in range(2 * L)
-    ]
-    h_norms, g_norms = norms[:L], norms[L:]
+    twist = _twist(params)
+    norms = [_frobenius_norm(c, twist) for c in charges]
     rng = np.random.default_rng(seed)
     states: list[EigenState] = []
-    for basis, sector in zip(bases, blocks):
-        idx = basis.indices
-        h_sub, g_sub = sector[:L], sector[L:]
-        c_val = sector_constant(params, basis.M2)
-        # (worst residual, charge, eigenvector column) of the first state
-        # above tolerance, over the redraws: the smallest such residual.
-        closest = (np.inf, "", -1)
-        for attempt in range(max_retries):
-            coeff = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-            combo = sum(c * m for c, m in zip(coeff, h_sub))
-            _, vecs = np.linalg.eig(combo)
-            sector_states = []
-            ok = True
-            for col in range(idx.size):
-                v = vecs[:, col]
-                v = v / np.linalg.norm(v)
-                h_vals = np.empty(L, dtype=complex)
-                g_vals = np.empty(L, dtype=complex)
-                res_h = np.empty(L)
-                res_g = np.empty(L)
-                for k in range(L):
-                    w = h_sub[k] @ v
-                    h_vals[k] = v.conj() @ w
-                    res_h[k] = np.linalg.norm(w - h_vals[k] * v) / h_norms[k]
-                    w = g_sub[k] @ v
-                    g_vals[k] = v.conj() @ w
-                    res_g[k] = np.linalg.norm(w - g_vals[k] * v) / g_norms[k]
-                worst = max(res_h.max(), res_g.max())
-                if worst > residual_tol:
-                    k = int(np.argmax(np.concatenate([res_h, res_g])))
-                    closest = min(closest, (worst, f"{'HG'[k // L]}_{k % L + 1}", col))
-                    ok = False
-                    break
-                full = np.zeros(2 ** L, dtype=complex)
-                full[idx] = v
-                sector_states.append(
-                    EigenState(
-                        sector_M2=basis.M2,
-                        vector=full,
-                        H=h_vals,
-                        G=g_vals,
-                        C_value=c_val,
-                        residual_H=res_h,
-                        residual_G=res_g,
-                    )
-                )
-            if ok:
-                break
-        else:
-            resid, charge, col = closest
-            raise DegenerateSpectrum(
-                f"L={L} sector M2={basis.M2}: smallest worst Rayleigh residual over "
-                f"{max_retries} redraws is {resid:.3e} ({charge}, eigenvector {col} of "
-                f"{idx.size}), above tol {residual_tol:g}"
-            )
-        sector_states.sort(key=lambda s: complex_sort_key(s.H))
-        states.extend(sector_states)
+    for basis in sector_bases(params.L):
+        states.extend(
+            _sector_states(params, basis, charges, norms, rng, max_retries, residual_tol)
+        )
     return JointSpectrum(params_hash=params.params_hash, states=states)
+
+
+def _sector_states(params, basis, charges, norms, rng, max_retries, residual_tol):
+    """The joint eigenstates of one sector, sorted by H (see
+    joint_diagonalize); the sector's charge blocks die on return."""
+    L, idx = params.L, basis.indices
+    twist = _twist(params)
+    blocks = [_traced_monodromy(c, twist, idx) for c in charges]
+    h_sub, g_sub = blocks[:L], blocks[L:]
+    h_norms, g_norms = norms[:L], norms[L:]
+    c_val = sector_constant(params, basis.M2)
+    # (worst residual, charge, eigenvector column) of the first state
+    # above tolerance, over the redraws: the smallest such residual.
+    closest = (np.inf, "", -1)
+    for attempt in range(max_retries):
+        coeff = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+        combo = sum(c * m for c, m in zip(coeff, h_sub))
+        _, vecs = np.linalg.eig(combo)
+        sector_states = []
+        ok = True
+        for col in range(idx.size):
+            v = vecs[:, col]
+            v = v / np.linalg.norm(v)
+            h_vals = np.empty(L, dtype=complex)
+            g_vals = np.empty(L, dtype=complex)
+            res_h = np.empty(L)
+            res_g = np.empty(L)
+            for k in range(L):
+                w = h_sub[k] @ v
+                h_vals[k] = v.conj() @ w
+                res_h[k] = np.linalg.norm(w - h_vals[k] * v) / h_norms[k]
+                w = g_sub[k] @ v
+                g_vals[k] = v.conj() @ w
+                res_g[k] = np.linalg.norm(w - g_vals[k] * v) / g_norms[k]
+            worst = max(res_h.max(), res_g.max())
+            if worst > residual_tol:
+                k = int(np.argmax(np.concatenate([res_h, res_g])))
+                closest = min(closest, (worst, f"{'HG'[k // L]}_{k % L + 1}", col))
+                ok = False
+                break
+            full = np.zeros(2 ** L, dtype=complex)
+            full[idx] = v
+            sector_states.append(
+                EigenState(
+                    sector_M2=basis.M2,
+                    vector=full,
+                    H=h_vals,
+                    G=g_vals,
+                    C_value=c_val,
+                    residual_H=res_h,
+                    residual_G=res_g,
+                )
+            )
+        if ok:
+            break
+    else:
+        resid, charge, col = closest
+        raise DegenerateSpectrum(
+            f"L={L} sector M2={basis.M2}: smallest worst Rayleigh residual over "
+            f"{max_retries} redraws is {resid:.3e} ({charge}, eigenvector {col} of "
+            f"{idx.size}), above tol {residual_tol:g}"
+        )
+    sector_states.sort(key=lambda s: complex_sort_key(s.H))
+    return sector_states

@@ -40,9 +40,10 @@ from vertexdual.bethe import _defect
 from vertexdual.cli import main
 from vertexdual.identities import q_factorized, q_tilde_factorized
 from vertexdual.linalg import match_multisets, poly_rel_residual, rel_diff
-from vertexdual.ruijsenaars import flow_step, power_traces
 from vertexdual.sampling import draw_chain_params, draw_identity_params, draw_rs_state, rng_from_seed
 from vertexdual.spin_chain import gh_product_scalar, hamiltonians_g, hamiltonians_h
+
+from classical_reference import flow_step, power_traces
 
 
 def _report(num, name, worst, tol, extra=""):

@@ -155,6 +155,23 @@ class TestRsEvolve:
         assert code == 3
         assert report is None
 
+    def test_stalled_flow_fails_in_one_line(self, tmp_path):
+        # Trial steps overflow the field before the integrator gives up.
+        config = {
+            "eta": 1.9,
+            "x0": [0.37, 1.11, 2.06, 2.67],
+            "p0": [[1.98, -0.01], [1.8, 0.12], [-0.16, 1.14], [1.03, -0.34]],
+            "t_final": 5.0,
+        }
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        proc = _python(
+            tmp_path, ["-m", "vertexdual.cli", "rs-evolve", "--config", "c.json", "--out", "o.json"]
+        )
+        assert proc.returncode == 3
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("numerical failure: StepSizeUnderflow: ")
+        assert "last sample t = " in line
+
     def test_mismatched_lengths_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"x0": [0.1, 1.0], "p0": [0.0]}))

@@ -2,6 +2,8 @@
 Lax builds and factorizations against each other and against LU/eig
 oracles, spectral invariants, and monitored time evolution."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from vertexdual import (
     CollisionDetected,
     GeneralPositionViolated,
     RSState,
+    StepSizeUnderflow,
     a_matrix,
     acceleration,
     cauchy_det,
@@ -22,7 +25,9 @@ from vertexdual import (
     xle_relation_check,
 )
 from vertexdual.linalg import coth, match_multisets
-from vertexdual.ruijsenaars import flow_step, hamilton_rhs, power_traces, symmetric_invariants
+from vertexdual.ruijsenaars import hamilton_rhs, symmetric_invariants
+
+from classical_reference import flow_step, power_traces
 
 STATE3 = RSState(eta=0.45, x=np.array([0.15, 1.0, 2.05]), p=np.array([0.2, -0.1, 0.05]))
 
@@ -348,6 +353,19 @@ class TestEvolution:
         st = RSState(eta=0.4, x=np.array([0.0, 1e-7]), p=np.array([0.1, -0.1]))
         with pytest.raises(CollisionDetected):
             evolve(st, 1.0, 1e-10)
+
+    def test_stall_message_locates_the_failure(self):
+        # DOP853 stalls near t = 4.4 with every pair well apart.
+        st = RSState(eta=1.15, x=np.array([0.64, 1.56, 2.52]), p=np.array([0.38, -0.65, -0.43]))
+        with pytest.raises(StepSizeUnderflow) as info:
+            evolve(st, 5.0)
+        message = str(info.value)
+        assert "\n" not in message
+        pattern = r"last sample t = (\S+), smallest \|sinh\(x_\d - x_\d\)\| = (\S+) there"
+        found = re.search(pattern, message)
+        assert found, message
+        assert 0.0 < float(found[1]) < 5.0
+        assert float(found[2]) > 1e-6
 
 
 def test_invariants_multilinearity():

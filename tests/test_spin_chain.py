@@ -8,6 +8,8 @@ transfer matrix, and full-space eigensolves.
 import os
 import subprocess
 import sys
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +33,25 @@ from vertexdual import (
     transfer_matrix_asym,
     transfer_matrix_twisted,
 )
-from vertexdual.linalg import rel_commutator, rel_diff
+from vertexdual.linalg import rel_diff
 from vertexdual import spin_chain
 from vertexdual.spin_chain import (
     _asym_site_blocks,
     _charge_site_blocks,
+    _frobenius_norm,
     _perm_site_blocks,
     _traced_monodromy,
+    _twist,
     gh_product_scalar,
 )
+
+
+def rel_commutator(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius norm of [a, b] relative to ||a|| ||b||."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.linalg.norm(a @ b - b @ a) / (na * nb))
 
 
 def embed_two(r4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
@@ -499,6 +511,19 @@ class TestSectorAssembly:
         for basis in sector_bases(L):
             assert np.array_equal(basis.indices, np.flatnonzero(m2 == basis.M2))
 
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_closed_form_norm_matches_dense(self, L):
+        rng = np.random.default_rng(200 + L)
+        real = ChainParams(L=L, eta=0.47, h=0.0, inhom=tuple(np.sort(rng.uniform(0.0, 2.5, L))))
+        for chain in (real, _complex_chain(L)):
+            for h in (0.0, 0.5, -0.5, 0.5 + 0.3j):
+                params = replace(chain, h=h)
+                twist = _twist(params)
+                dense = hamiltonians_h(params) + hamiltonians_g(params)
+                for blocks, op in zip(_charge_site_blocks(params), dense):
+                    ref = np.linalg.norm(op.entries)
+                    assert abs(_frobenius_norm(blocks, twist) - ref) <= 1e-13 * ref
+
     def test_joint_diagonalize_builds_sector_blocks_only(self, monkeypatch):
         L = 8
         params = _complex_chain(L)
@@ -509,25 +534,32 @@ class TestSectorAssembly:
 
         def sector_only(site_blocks, twist=None, idx=None):
             assert idx is not None and idx.size < 2 ** L
-            return traced(site_blocks, twist, idx)
+            # One sector at a time: the blocks of earlier sectors are freed.
+            assert sum(ref() is not None for ref in built) <= 2 * L
+            block = traced(site_blocks, twist, idx)
+            built.append(weakref.ref(block))
+            return block
 
+        built = []
         traced = spin_chain._traced_monodromy
         monkeypatch.setattr(spin_chain, "hamiltonians_h", refuse)
         monkeypatch.setattr(spin_chain, "hamiltonians_g", refuse)
         monkeypatch.setattr(spin_chain, "_traced_monodromy", sector_only)
         spec = joint_diagonalize(params, seed=3)
         assert spec.n_states == 2 ** L
+        assert len(built) == 2 * L * (L + 1)
         for a, b in zip(spec.states, expected.states):
             assert np.array_equal(a.H, b.H) and np.array_equal(a.G, b.G)
+            assert np.array_equal(a.vector, b.vector)
 
-    def test_l9_peak_memory_growth(self):
-        # The 2L dense charges at L = 9 take about 100 MB together; their
-        # sector blocks take about 20 MB.
+    @staticmethod
+    def _peak_growth_mb(setup):
+        """ru_maxrss growth in MB of one joint_diagonalize call in a fresh
+        interpreter; ``setup`` defines ``params``."""
         script = (
             "import resource\n"
-            "from vertexdual.sampling import draw_chain_params, rng_from_seed\n"
-            "from vertexdual.spin_chain import joint_diagonalize\n"
-            "params = draw_chain_params(rng_from_seed(3), 9)\n"
+            "from vertexdual.spin_chain import ChainParams, joint_diagonalize\n"
+            f"{setup}\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "joint_diagonalize(params)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
@@ -536,8 +568,25 @@ class TestSectorAssembly:
         proc = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
-        growth_mb = int(proc.stdout.split()[-1]) / 1024
-        assert growth_mb < 60
+        return int(proc.stdout.split()[-1]) / 1024
+
+    def test_l9_peak_memory_growth(self):
+        # The 2L dense charges at L = 9 take about 100 MB together; their
+        # sector blocks take about 20 MB.
+        setup = (
+            "from vertexdual.sampling import draw_chain_params, rng_from_seed\n"
+            "params = draw_chain_params(rng_from_seed(3), 9)"
+        )
+        assert self._peak_growth_mb(setup) < 60
+
+    def test_l10_peak_memory_growth(self):
+        # All sectors' blocks of the 2L charges take 59 MB at L = 10; one
+        # sector's take at most 20 MB (M2 = 5), and the 1024 eigenvectors 16 MB.
+        setup = (
+            "xs = tuple(0.2 * j + 0.05 * (j % 3) for j in range(10))\n"
+            "params = ChainParams(L=10, eta=0.55, h=0.2, inhom=xs)"
+        )
+        assert self._peak_growth_mb(setup) < 60
 
 
 class TestChainParamsValidation:
