@@ -7,10 +7,11 @@ prescribed spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bethe import all_eigenvalues_h, solve_bae
 from .errors import MatchFailed, ZeroGValue
 from .linalg import complex_sort_key, match_multisets, sinh_pair_product
 from .ruijsenaars import LaxMatrix, lax_from_velocities, symmetric_invariants
@@ -146,13 +147,20 @@ def verify_momentum_identification(chain: ChainParams, spectrum: JointSpectrum) 
 
 @dataclass(frozen=True)
 class InverseSolution:
-    """One recovered charge tuple with its equation residual and, when
-    the sector was cross-diagonalized, its best eigenstate match."""
+    """One recovered charge tuple H of the sector, the worst relative
+    defect of its invariant equations, and the eigenstate of the sector
+    (its position in the sector, in joint_diagonalize order) whose
+    charge tuple lies closest, with their worst relative difference."""
 
     H: np.ndarray
     residual: float
-    matched_state: int | None = None
-    match_error: float | None = None
+    matched_state: int
+    match_error: float
+
+
+# Largest invariant-equation defect, relative to max(|e_n|, 1), that a
+# polished tuple may keep and still count as a solution.
+_INVERSE_RESIDUAL_TOL = 1e-9
 
 
 def _string_elementary(L: int, M2: int, h, eta) -> np.ndarray:
@@ -168,21 +176,19 @@ def _inverse_residual(x, H, eta, targets) -> float:
 def _inverse_newton(x, H0, eta, targets, max_iter=60):
     n = x.size
     H = H0.astype(complex).copy()
+    cols = np.arange(n)
     for _ in range(max_iter):
         f = symmetric_invariants(x, H, eta) - targets
         if np.max(np.abs(f) / np.maximum(np.abs(targets), 1.0)) < 1e-13:
             return H
-        jac = np.empty((n, n), dtype=complex)
-        for j in range(n):
-            h_one = H.copy()
-            h_one[j] = 1.0
-            h_zero = H.copy()
-            h_zero[j] = 0.0
-            # The invariants are multilinear in H, so the j-th partial is
-            # the difference of the H_j = 1 and H_j = 0 evaluations.
-            jac[:, j] = symmetric_invariants(x, h_one, eta) - symmetric_invariants(
-                x, h_zero, eta
-            )
+        # The invariants are multilinear in H, so the j-th partial is the
+        # difference of the H_j = 1 and H_j = 0 evaluations: rows j and
+        # n + j of one stacked call.
+        stack = np.tile(H, (2 * n, 1))
+        stack[cols, cols] = 1.0
+        stack[n + cols, cols] = 0.0
+        vals = symmetric_invariants(x, stack, eta)
+        jac = (vals[:n] - vals[n:]).T
         try:
             step = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
@@ -193,78 +199,45 @@ def _inverse_newton(x, H0, eta, targets, max_iter=60):
     return H if _inverse_residual(x, H, eta, targets) < 1e-10 else None
 
 
-def inverse_spectral_solve(
-    chain_x,
-    eta,
-    h,
-    M2: int,
-    seed: int = 0,
-    n_starts: int = 40,
-    mode: str = "both",
-    residual_tol: float = 1e-9,
-) -> list[InverseSolution]:
-    """Solve the inverse problem: charge tuples whose Lax invariants equal
-    the elementary symmetric functions of the predicted ladder values.
+def inverse_spectral_solve(chain_x, eta, h, M2: int) -> list[InverseSolution]:
+    """Solve the inverse problem: the charge tuples H of sector M2 whose
+    Lax invariants e_n(x, H) equal the elementary symmetric functions of
+    the sector's predicted ladder values.
 
-    Newton in C^L with the analytic (multilinearity) Jacobian.  Start
-    modes:
-
-    * ``"validation"`` - eigenstate charge vectors from an exact
-      diagonalization of the sector, perturbed by 1e-2 relative noise.
-      Available for L <= 4.
-    * ``"discovery"`` - ``n_starts`` seeded random complex tuples.  Note
-      that the algebraic system has solutions beyond the eigenstate
-      tuples (assignment permutations), so discovery-mode output need
-      not match an eigenstate.
-    * ``"both"`` - union of the two start sets.
-
-    When L <= 4, each returned solution is annotated with its closest
-    eigenstate tuple and the corresponding relative error.
+    Deterministic.  Each start is the charge tuple of one Bethe solution,
+    all_eigenvalues_h of a root set from solve_bae, so the starts are
+    labelled by the M2-subsets of the sites.  Sectors beyond the equator
+    (2 M2 > L) are solved by spin flip: sector M2 at twist h has the
+    charge tuples of sector L - M2 at -h, and the continuation reaches
+    the roots of the lower sector at every twist, h = 0 included.
+    Newton with the analytic (multilinearity) Jacobian polishes each
+    start; a tuple is kept when its residual is at most 1e-9 and it is
+    not a duplicate.  Every kept tuple is matched to the closest charge
+    tuple of the sector's exact diagonalization.
     """
     x = np.asarray(chain_x, dtype=complex)
     eta, h = complex(eta), complex(h)
     L = x.size
-    if mode not in ("validation", "discovery", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
     targets = _string_elementary(L, M2, h, eta)
-    rng = np.random.default_rng(seed)
-    ed_vectors: list[np.ndarray] = []
-    if L <= 4:
-        chain = ChainParams(L=L, eta=eta, h=h, inhom=tuple(x))
-        spec = joint_diagonalize(chain, seed=seed)
-        ed_vectors = [s.H for s in spec.states if s.sector_M2 == M2]
-    starts: list[np.ndarray] = []
-    if mode in ("validation", "both"):
-        if not ed_vectors:
-            raise ValueError("validation starts need L <= 4")
-        for vec in ed_vectors:
-            noise = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-            starts.append(vec * (1.0 + 1e-2 * noise / np.abs(noise)))
-    if mode in ("discovery", "both"):
-        scale = np.mean(np.abs(predicted_strings(L, M2, h, eta).values))
-        for _ in range(n_starts):
-            starts.append(scale * (rng.standard_normal(L) + 1j * rng.standard_normal(L)))
+    chain = ChainParams(L=L, eta=eta, h=h, inhom=tuple(x))
+    bethe_chain, m = (chain, M2) if 2 * M2 <= L else (replace(chain, h=-h), L - M2)
+    starts = [all_eigenvalues_h(s, bethe_chain) for s in solve_bae(bethe_chain, m)]
+    ed_vectors = [s.H for s in joint_diagonalize(chain).states if s.sector_M2 == M2]
     solutions: list[InverseSolution] = []
     for H0 in starts:
         H = _inverse_newton(x, H0, eta, targets)
         if H is None:
             continue
         residual = _inverse_residual(x, H, eta, targets)
-        if residual > residual_tol:
+        if residual > _INVERSE_RESIDUAL_TOL:
             continue
         scale = max(np.max(np.abs(H)), 1.0)
         if any(np.max(np.abs(H - s.H)) < 1e-7 * scale for s in solutions):
             continue
-        matched, match_err = None, None
-        if ed_vectors:
-            errs = [
-                float(np.max(np.abs(H - vec) / np.maximum(np.abs(vec), 1e-12)))
-                for vec in ed_vectors
-            ]
-            matched = int(np.argmin(errs))
-            match_err = errs[matched]
-        solutions.append(
-            InverseSolution(H=H, residual=residual, matched_state=matched, match_error=match_err)
-        )
+        errs = [
+            float(np.max(np.abs(H - vec) / np.maximum(np.abs(vec), 1e-12))) for vec in ed_vectors
+        ]
+        matched = int(np.argmin(errs))
+        solutions.append(InverseSolution(H, residual, matched, errs[matched]))
     solutions.sort(key=lambda s: complex_sort_key(s.H))
     return solutions

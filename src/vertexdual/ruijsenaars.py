@@ -10,7 +10,6 @@ and all derived matrices are complex; real initial data simply embeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -199,38 +198,43 @@ def cauchy_det(x, eta, subset=None) -> complex:
 
 
 def symmetric_invariants(x, weights, eta) -> np.ndarray:
-    """The n-th entry is sum over n-subsets S of prod_{i in S} w_i times
-    prod of cauchy_factor over pairs in S.  Multilinear in the weights."""
+    """e_m = sum over m-subsets S of prod_{i in S} w_i times
+    prod_{i < j in S} cauchy_factor(x_i - x_j), for m = 1..n.
+
+    The Lax matrix at coordinates x and velocities -w has these as the
+    elementary symmetric functions of its eigenvalues, and they are
+    multilinear in the weights.  One recursion over the subsets as
+    bitmasks builds every term: the subsets whose top element is k are
+    the subsets S of {0..k-1} with k added, so their terms are those of
+    S times w_k times prod_{i in S} cauchy_factor(x_i - x_k).  The terms
+    are then summed by subset size.  O(2^n n) work and no loop over
+    subsets; weights of shape (..., n) give invariants of shape (..., n).
+    """
     x = np.asarray(x, dtype=complex)
     weights = np.asarray(weights, dtype=complex)
     n = x.size
-    pair = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair[(i, j)] = cauchy_factor(x[i] - x[j], eta)
-    out = np.zeros(n, dtype=complex)
-    for size in range(1, n + 1):
-        total = 0.0 + 0.0j
-        for sub in combinations(range(n), size):
-            term = np.prod(weights[list(sub)])
-            for a in range(size):
-                for b in range(a + 1, size):
-                    term *= pair[(sub[a], sub[b])]
-            total += term
-        out[size - 1] = total
-    return out
+    pair = cauchy_factor(x[:, None] - x[None, :], eta)
+    terms = np.ones(weights.shape[:-1] + (1,), dtype=complex)
+    size = np.zeros(1, dtype=int)
+    for k in range(n):
+        # cross[S] = prod_{i in S} pair[i, k] over the subsets S of {0..k-1}.
+        cross = np.ones(1, dtype=complex)
+        for i in range(k):
+            cross = np.concatenate([cross, cross * pair[i, k]])
+        terms = np.concatenate([terms, terms * cross * weights[..., k : k + 1]], axis=-1)
+        size = np.concatenate([size, size + 1])
+    # Sum by subset size without BLAS: a product with a one-hot size
+    # matrix stalls for milliseconds when its threads wait on a busy core.
+    order = np.argsort(size, kind="stable")
+    starts = np.searchsorted(size[order], np.arange(1, n + 1))
+    return np.add.reduceat(terms[..., order], starts, axis=-1)
 
 
 def char_poly_via_en(x, xdot, eta) -> np.ndarray:
     """Coefficients (highest power first) of det(lambda I - L) assembled
     from the subset-sum invariants rather than from the matrix."""
-    x = np.asarray(x, dtype=complex)
     en = symmetric_invariants(x, -np.asarray(xdot, dtype=complex), eta)
-    coeffs = np.empty(x.size + 1, dtype=complex)
-    coeffs[0] = 1.0
-    for n in range(1, x.size + 1):
-        coeffs[n] = (-1.0) ** n * en[n - 1]
-    return coeffs
+    return np.concatenate([[1.0], (-1.0) ** np.arange(1, en.size + 1) * en])
 
 
 def s_matrix(K: int, eta) -> np.ndarray:

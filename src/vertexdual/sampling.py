@@ -22,38 +22,44 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def draw_chain_params(
-    rng: np.random.Generator,
-    L: int,
-    eta=None,
-    h=None,
-    v=0.0,
-    x_range=(0.0, 2.0),
-    min_gap: float = 0.05,
-    max_attempts: int = 500,
-) -> ChainParams:
-    """Real chain parameters with pairwise sinh gaps >= ``min_gap``.
+# draw_chain_params: coordinates lie in [0, _X_HIGH], or in
+# [0, _X_PER_SITE * L] from L = _WIDE_FROM_L on: eight or more points in
+# [0, 2] crowd so that whole runs of draws miss the gap rule (55 of 100
+# seeds at L = 10 used up their attempts).
+_X_HIGH, _X_PER_SITE, _WIDE_FROM_L = 2.0, 0.3, 8
+_MIN_GAP = 0.05
+# Attempts of a rejection draw before it raises DrawFailed.
+_MAX_ATTEMPTS = 500
+# draw_rs_state: mean coordinate spacing and the momentum range.
+_BASE_GAP = 0.8
+_P_RANGE = (-0.3, 0.3)
 
-    eta defaults to uniform [0.2, 1], h to uniform [-0.5, 0.5].  Draws
-    are rejected until the eta-shifted gaps clear a margin as well, so
-    downstream eigensolves stay well-conditioned.
+
+def draw_chain_params(rng: np.random.Generator, L: int, eta=None, h=None, v=0.0) -> ChainParams:
+    """Real chain parameters with pairwise sinh gaps >= 0.05.
+
+    eta defaults to uniform [0.2, 1], h to uniform [-0.5, 0.5], and the
+    sorted coordinates are uniform on [0, 2] (on [0, 0.3 L] for L >= 8).
+    Draws are rejected until the eta-shifted gaps clear the margin as
+    well, so downstream eigensolves stay well-conditioned.
     """
-    for _ in range(max_attempts):
+    x_high = _X_PER_SITE * L if L >= _WIDE_FROM_L else _X_HIGH
+    for _ in range(_MAX_ATTEMPTS):
         eta_val = complex(eta) if eta is not None else complex(rng.uniform(0.2, 1.0))
         h_val = complex(h) if h is not None else complex(rng.uniform(-0.5, 0.5))
-        x = np.sort(rng.uniform(x_range[0], x_range[1], L))
+        x = np.sort(rng.uniform(0.0, x_high, L))
         # Keep the eta-shifted gaps clear as well: when x_i - x_j drifts
         # onto +-eta the sector solves degrade and roots get pinched.
-        if smallest_sinh_gap(x, None, eta_shifts(eta_val))[0] < min_gap:
+        if smallest_sinh_gap(x, None, eta_shifts(eta_val))[0] < _MIN_GAP:
             continue
         return ChainParams(L=L, eta=eta_val, h=h_val, v=v, inhom=tuple(x))
-    raise DrawFailed(f"no general-position draw of L = {L} found in {max_attempts} attempts")
+    raise DrawFailed(f"no general-position draw of L = {L} found in {_MAX_ATTEMPTS} attempts")
 
 
-def draw_identity_params(rng: np.random.Generator, N: int, M: int, max_attempts: int = 500) -> IdentityParams:
+def draw_identity_params(rng: np.random.Generator, N: int, M: int) -> IdentityParams:
     """Complex draw: points in [0,2] x [-0.4,0.4]i, eta in [0.2,1] x
     [-0.3,0.3]i, g = e^w with w in [-1,1] x [-0.5,0.5]i."""
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         eta = complex(rng.uniform(0.2, 1.0), rng.uniform(-0.3, 0.3))
         x = rng.uniform(0.0, 2.0, N) + 1j * rng.uniform(-0.4, 0.4, N)
         y = rng.uniform(0.0, 2.0, M) + 1j * rng.uniform(-0.4, 0.4, M)
@@ -65,23 +71,17 @@ def draw_identity_params(rng: np.random.Generator, N: int, M: int, max_attempts:
             continue
         return IdentityParams(N=N, M=M, x=tuple(x), y=tuple(y), g=g, eta=eta)
     raise DrawFailed(
-        f"no general-position draw of N = {N}, M = {M} found in {max_attempts} attempts"
+        f"no general-position draw of N = {N}, M = {M} found in {_MAX_ATTEMPTS} attempts"
     )
 
 
-def draw_rs_state(
-    rng: np.random.Generator,
-    L: int,
-    eta=0.3,
-    base_gap: float = 0.8,
-    p_range=(-0.3, 0.3),
-) -> RSState:
+def draw_rs_state(rng: np.random.Generator, L: int, eta=0.3) -> RSState:
     """Real phase point with comfortably separated coordinates.
 
-    Coordinates are laid out with spacing around ``base_gap`` plus
-    jitter, keeping |x_i - x_j| away from |eta| so the Lax matrix stays
-    regular along short flows.
+    Coordinates are laid out with spacing around 0.8 plus jitter,
+    keeping |x_i - x_j| away from |eta| so the Lax matrix stays regular
+    along short flows.
     """
-    x = np.cumsum(rng.uniform(0.9 * base_gap, 1.1 * base_gap, L)) + rng.uniform(-0.1, 0.1)
-    p = rng.uniform(p_range[0], p_range[1], L)
+    x = np.cumsum(rng.uniform(0.9 * _BASE_GAP, 1.1 * _BASE_GAP, L)) + rng.uniform(-0.1, 0.1)
+    p = rng.uniform(_P_RANGE[0], _P_RANGE[1], L)
     return RSState(eta=complex(eta), x=x.astype(complex), p=p.astype(complex))

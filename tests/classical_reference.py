@@ -1,11 +1,14 @@
 """Reference routines of the classical-model tests: a fixed-step RK4
-advance for finite differences along the flow, and the power traces of
-the Newton identities."""
+advance for finite differences along the flow, the power traces of the
+Newton identities, and the subset-sum invariants as a plain loop over
+subsets."""
+
+from itertools import combinations
 
 import numpy as np
 
 from vertexdual import RSState
-from vertexdual.ruijsenaars import hamilton_rhs
+from vertexdual.ruijsenaars import cauchy_factor, hamilton_rhs
 
 
 def flow_step(state: RSState, dt: float, n_sub: int = 8) -> RSState:
@@ -35,3 +38,30 @@ def power_traces(lax: np.ndarray, n_max: int) -> np.ndarray:
         acc = acc @ lax
         out[n] = np.trace(acc)
     return out
+
+
+def subset_sums(x, weights, eta) -> tuple[np.ndarray, np.ndarray]:
+    """The subset-sum invariants term by term, one subset at a time: the
+    n-th entry sums, over the n-subsets S, prod_{i in S} w_i times the
+    cauchy_factor of every pair in S.  Returns the sums and the summed
+    magnitudes of their terms."""
+    x = np.asarray(x, dtype=complex)
+    weights = np.asarray(weights, dtype=complex)
+    n = x.size
+    pair = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair[(i, j)] = cauchy_factor(x[i] - x[j], eta)
+    out = np.zeros(n, dtype=complex)
+    scale = np.zeros(n)
+    for size in range(1, n + 1):
+        total = 0.0 + 0.0j
+        for sub in combinations(range(n), size):
+            term = np.prod(weights[list(sub)])
+            for a in range(size):
+                for b in range(a + 1, size):
+                    term *= pair[(sub[a], sub[b])]
+            total += term
+            scale[size - 1] += abs(term)
+        out[size - 1] = total
+    return out, scale

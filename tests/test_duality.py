@@ -1,9 +1,11 @@
 """Correspondence engine: ladder predictions, per-eigenstate spectrum
 matching, momentum extraction, inhomogeneity independence, and the
-inverse problem in both start modes."""
+inverse problem seeded by the Bethe solver."""
+
+from dataclasses import replace
+from math import comb
 
 import numpy as np
-import pytest
 
 from vertexdual import (
     ChainParams,
@@ -92,8 +94,6 @@ class TestVerifyDuality:
         report = verify_duality(CHAIN, seed=0)
         assert report.n_states == 8
         assert report.worst_error < 1e-8
-        from math import comb
-
         for m2 in range(4):
             recs = [r for r in report.records if r.sector_M2 == m2]
             assert len(recs) == comb(3, m2)
@@ -145,46 +145,36 @@ class TestSpectrumUniversality:
 
 
 class TestInverseSpectral:
+    @staticmethod
+    def _assert_bijection(chain, m2):
+        sols = inverse_spectral_solve(chain.inhom, chain.eta, chain.h, m2)
+        assert len(sols) == comb(chain.L, m2)
+        assert {s.matched_state for s in sols} == set(range(comb(chain.L, m2)))
+        for s in sols:
+            assert s.residual <= 1e-9
+            assert s.match_error <= 1e-6
+
     def test_single_site_unique(self):
-        sols = inverse_spectral_solve((0.2,), 0.5, 0.3, 0, seed=0, mode="both")
+        sols = inverse_spectral_solve((0.2,), 0.5, 0.3, 0)
         assert len(sols) == 1
         assert abs(sols[0].H[0] - np.exp(0.3)) < 1e-10
 
-    def test_validation_mode_recovers_all_states(self):
+    def test_recovers_all_states_l3(self):
         for m2 in range(4):
-            sols = inverse_spectral_solve(
-                CHAIN.inhom, CHAIN.eta, CHAIN.h, m2, seed=1, mode="validation"
-            )
-            from math import comb
+            self._assert_bijection(CHAIN, m2)
 
-            spec = joint_diagonalize(CHAIN, seed=1)
-            n_states = comb(3, m2)
-            assert len(sols) == n_states
-            matched = {s.matched_state for s in sols}
-            assert len(matched) == n_states
-            for s in sols:
-                assert s.residual <= 1e-9
-                assert s.match_error is not None and s.match_error <= 1e-6
-            del spec
+    def test_l2_balanced_sector(self):
+        self._assert_bijection(ChainParams(L=2, eta=0.45, h=0.3, inhom=(0.25, 1.35)), 1)
 
-    def test_discovery_mode_l2_balanced_sector(self):
-        sols = inverse_spectral_solve((0.25, 1.35), 0.45, 0.3, 1, seed=2, mode="discovery")
-        assert len(sols) >= 2
-        for s in sols:
-            assert s.residual <= 1e-9
-            assert s.match_error is not None and s.match_error <= 1e-6
+    def test_every_sector_l5(self):
+        for seed in range(3):
+            chain = draw_chain_params(rng_from_seed(seed), 5)
+            for m2 in range(6):
+                self._assert_bijection(chain, m2)
 
-    def test_discovery_finds_exact_non_eigenstate_solutions(self):
-        # The invariant equations are symmetric under swapping the two
-        # charge slots at L=2, so the one-state sectors carry a second
-        # exact solution that matches no eigenstate.
-        sols = inverse_spectral_solve((0.25, 1.35), 0.45, 0.3, 0, seed=3, mode="discovery")
-        assert len(sols) == 2
-        assert all(s.residual <= 1e-9 for s in sols)
-        match_errors = sorted(s.match_error for s in sols)
-        assert match_errors[0] <= 1e-6
-        assert match_errors[1] > 1e-3
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            inverse_spectral_solve((0.2,), 0.5, 0.3, 0, mode="guess")
+    def test_untwisted_chain_every_sector(self):
+        # At h = 0 the Bethe roots of sectors M2 > L/2 run off to infinity;
+        # those sectors are reached by spin flip from L - M2.
+        chain = replace(draw_chain_params(rng_from_seed(0), 4), h=0.0)
+        for m2 in range(5):
+            self._assert_bijection(chain, m2)

@@ -31,6 +31,7 @@ from vertexdual import (
 from vertexdual.bethe import _defect, _jacobian
 from vertexdual.linalg import coth, eta_shifts, sinh_pair_product, smallest_sinh_gap
 from vertexdual.ruijsenaars import hamilton_rhs
+from vertexdual import sampling
 from vertexdual.sampling import draw_chain_params, draw_identity_params, rng_from_seed
 
 
@@ -238,12 +239,15 @@ class TestCheckSites:
         with pytest.raises(SingularVandermonde, match="nodes 1 and 3"):
             _sandwiched_ladder([0.1, 0.7, 0.1 + 1j * np.pi], 0.3)
 
-    def test_failed_draw_is_domain_error(self):
-        with pytest.raises(DrawFailed, match="L = 3") as info:
-            draw_chain_params(rng_from_seed(0), 3, min_gap=10.0, max_attempts=5)
+    def test_failed_draw_is_domain_error(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_MIN_GAP", 10.0)
+        monkeypatch.setattr(sampling, "_MAX_ATTEMPTS", 5)
+        with pytest.raises(DrawFailed, match="L = 3 found in 5 attempts") as info:
+            draw_chain_params(rng_from_seed(0), 3)
         assert isinstance(info.value, RuntimeError)
+        monkeypatch.setattr(sampling, "_MAX_ATTEMPTS", 0)
         with pytest.raises(DrawFailed, match="N = 4, M = 4"):
-            draw_identity_params(rng_from_seed(0), 4, 4, max_attempts=0)
+            draw_identity_params(rng_from_seed(0), 4, 4)
 
 
 _CHAIN = ChainParams(L=3, eta=0.7, h=0.1, inhom=(0.0, 0.5, 1.4))
@@ -275,10 +279,19 @@ class TestSeededDraws:
             4: "6f974b033fd2c911",
             5: "5851caf6d13e04ce",
             6: "38968b62fb2d4d14",
+            # Recorded before the x interval grew with L from L = 8 on.
+            7: "7be3c373b854ff4b",
         }
         for L, digest in recorded.items():
             draws = (draw_chain_params(rng_from_seed(s), L).params_hash for s in range(10))
             assert _digest(draws) == digest
+
+    def test_chain_draws_succeed_up_to_l10(self):
+        # With x in [0, 2], 1, 12 and 55 of seeds 0-99 raised DrawFailed
+        # at L = 8, 9 and 10.
+        for L in (8, 9, 10):
+            for s in range(20):
+                draw_chain_params(rng_from_seed(s), L)
 
     def test_identity_draws(self):
         recorded = {

@@ -27,7 +27,7 @@ from vertexdual import (
 from vertexdual.linalg import coth, match_multisets
 from vertexdual.ruijsenaars import hamilton_rhs, symmetric_invariants
 
-from classical_reference import flow_step, power_traces
+from classical_reference import flow_step, power_traces, subset_sums
 
 STATE3 = RSState(eta=0.45, x=np.array([0.15, 1.0, 2.05]), p=np.array([0.2, -0.1, 0.05]))
 
@@ -389,3 +389,19 @@ def test_invariants_multilinearity():
             2 * eps
         )
         assert np.max(np.abs(partial - fd)) < 1e-8 * max(1.0, np.max(np.abs(base)))
+
+
+def test_invariants_recursion_matches_subset_loop():
+    # The bitmask recursion against the term-by-term loop, for complex
+    # coordinates, coupling and weights, one row at a time and stacked.
+    rng = np.random.default_rng(29)
+    eta = 0.45 + 0.2j
+    for n in range(1, 11):
+        x = np.cumsum(rng.uniform(0.5, 0.9, n)) + 1j * rng.uniform(-0.3, 0.3, n)
+        w = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        stacked = symmetric_invariants(x, w, eta)
+        assert stacked.shape == (3, n)
+        for row, got in zip(w, stacked):
+            expected, scale = subset_sums(x, row, eta)
+            for vals in (got, symmetric_invariants(x, row, eta)):
+                assert np.max(np.abs(vals - expected) / scale) <= 1e-13

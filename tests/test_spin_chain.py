@@ -572,10 +572,13 @@ class TestSectorAssembly:
 
     def test_l9_peak_memory_growth(self):
         # The 2L dense charges at L = 9 take about 100 MB together; their
-        # sector blocks take about 20 MB.
+        # sector blocks take about 20 MB.  The chain is the L = 9 draw of
+        # seed 3 from when coordinates were drawn on [0, 2] at every L.
         setup = (
-            "from vertexdual.sampling import draw_chain_params, rng_from_seed\n"
-            "params = draw_chain_params(rng_from_seed(3), 9)"
+            "xs = (0.07617642654634538, 0.13444426329751558, 0.1873868719275602,\n"
+            "      0.8692617794137216, 0.9981728978821285, 1.107883333667889,\n"
+            "      1.7764700193966347, 1.8412553362243926, 1.9184199481144202)\n"
+            "params = ChainParams(L=9, eta=0.39839223466946666, h=0.31533489015093596, inhom=xs)"
         )
         assert self._peak_growth_mb(setup) < 60
 
