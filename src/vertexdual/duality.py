@@ -16,6 +16,7 @@ from .errors import MatchFailed, ZeroGValue
 from .linalg import complex_sort_key, match_multisets, sinh_pair_product
 from .ruijsenaars import LaxMatrix, lax_from_velocities, symmetric_invariants
 from .spin_chain import ChainParams, JointSpectrum, joint_diagonalize
+from .spin_chain import _SectorCharges, _sector_states
 
 _HARD_MATCH_LIMIT = 1e-4
 
@@ -213,7 +214,8 @@ def inverse_spectral_solve(chain_x, eta, h, M2: int) -> list[InverseSolution]:
     Newton with the analytic (multilinearity) Jacobian polishes each
     start; a tuple is kept when its residual is at most 1e-9 and it is
     not a duplicate.  Every kept tuple is matched to the closest charge
-    tuple of the sector's exact diagonalization.
+    tuple of the exact diagonalization of sector M2 alone (the states in
+    joint_diagonalize order).
     """
     x = np.asarray(chain_x, dtype=complex)
     eta, h = complex(eta), complex(h)
@@ -222,7 +224,7 @@ def inverse_spectral_solve(chain_x, eta, h, M2: int) -> list[InverseSolution]:
     chain = ChainParams(L=L, eta=eta, h=h, inhom=tuple(x))
     bethe_chain, m = (chain, M2) if 2 * M2 <= L else (replace(chain, h=-h), L - M2)
     starts = [all_eigenvalues_h(s, bethe_chain) for s in solve_bae(bethe_chain, m)]
-    ed_vectors = [s.H for s in joint_diagonalize(chain).states if s.sector_M2 == M2]
+    ed_vectors = [s.H for s in _sector_states(_SectorCharges(chain), M2)]
     solutions: list[InverseSolution] = []
     for H0 in starts:
         H = _inverse_newton(x, H0, eta, targets)

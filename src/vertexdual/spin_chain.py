@@ -7,19 +7,20 @@ Conventions
 * Site 1 occupies the leftmost tensor factor, i.e. the most significant
   bit of the computational basis index on the 2**L space.
 * All arithmetic is complex128.  The intended scale is L <= 10
-  (dimension 1024).  Transfer matrices and charges are assembled by
-  growing the auxiliary-space 2x2 block monodromy one site at a time,
-  either as dense 2**L operators (the public builders) or, inside
-  joint_diagonalize, only as their magnetization-sector blocks, one
-  sector at a time, so the diagonalization never forms a 2**L x 2**L
-  array and holds one sector's blocks at most.  The operator norms it
-  needs come in closed form from the site blocks.
+  (dimension 1024).  The public builders assemble transfer matrices and
+  charges as dense 2**L operators, growing the auxiliary-space 2x2 block
+  monodromy one site at a time.  joint_diagonalize forms no operator:
+  within one magnetization sector at a time it applies each charge to a
+  block of sector vectors, H_k as a product of two-site weights and G_k
+  as the auxiliary-space product run site by site (see _SectorCharges).
+  The operator norms it needs come in closed form from the site blocks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,46 +165,22 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * k, n * k)
 
 
-def _traced_monodromy(site_blocks, twist=None, idx=None) -> np.ndarray:
+def _traced_monodromy(site_blocks, twist=None) -> np.ndarray:
     """Trace over the auxiliary space of the ordered product of site factors.
 
     ``site_blocks`` lists, per site (left to right), the four auxiliary
-    blocks (b00, b01, b10, b11) acting on that site alone.  ``twist``
-    is an optional diagonal (g_up, g_down) inserted at the right end of
-    the auxiliary product.  Only the entries ``[idx, idx]`` are built
-    (all of them when ``idx`` is None).
-
-    Without ``idx`` every site is multiplied in densely with Kronecker
-    products.  With it, only the first L // 2 sites (at least one) are;
-    their blocks are gathered at the leading bits of ``idx`` and grown one
-    site at a time, entry by entry: m_ab <- m_a0 r_0b + m_a1 r_1b, with
-    each r gathered at that site's bits of ``idx``.  Every entry sees the
-    same floating-point operations as in the dense build, so a block
-    equals the slice of the dense operator bit for bit.
+    blocks (b00, b01, b10, b11) acting on that site alone; they are
+    multiplied in densely with Kronecker products.  ``twist`` is an
+    optional diagonal (g_up, g_down) inserted at the right end of the
+    auxiliary product.
     """
-    L = len(site_blocks)
-    head = L if idx is None else max(L // 2, 1)
     m00, m01, m10, m11 = site_blocks[0]
-    for r00, r01, r10, r11 in site_blocks[1:head]:
+    for r00, r01, r10, r11 in site_blocks[1:]:
         m00, m01, m10, m11 = (
             _kron(m00, r00) + _kron(m01, r10),
             _kron(m00, r01) + _kron(m01, r11),
             _kron(m10, r00) + _kron(m11, r10),
             _kron(m10, r01) + _kron(m11, r11),
-        )
-    if idx is not None:
-        rows = (idx >> (L - head))[:, None]
-        m00, m01, m10, m11 = (m[rows, rows.T] for m in (m00, m01, m10, m11))
-    for j in range(head, L):
-        # Flat position 2 b_row + b_col of each entry in a site block.
-        bits = (idx >> (L - 1 - j)) & 1
-        pos = 2 * bits[:, None] + bits[None, :]
-        r00, r01, r10, r11 = np.reshape(site_blocks[j], (4, 4))[:, pos]
-        m00, m01, m10, m11 = (
-            m00 * r00 + m01 * r10,
-            m00 * r01 + m01 * r11,
-            m10 * r00 + m11 * r10,
-            m10 * r01 + m11 * r11,
         )
     if twist is None:
         return m00 + m11
@@ -300,15 +277,27 @@ def sector_constant(params: ChainParams, M2: int) -> complex:
 
 @dataclass(frozen=True)
 class EigenState:
-    """One joint eigenstate: sector label, eigenvector, charge values."""
+    """One joint eigenstate: its sector, its unit eigenvector as
+    coefficients on the sector basis, and the charge values."""
 
-    sector_M2: int
-    vector: np.ndarray
+    basis: SectorBasis
+    coefficients: np.ndarray
     H: np.ndarray
     G: np.ndarray
     C_value: complex
     residual_H: np.ndarray
     residual_G: np.ndarray
+
+    @property
+    def sector_M2(self) -> int:
+        return self.basis.M2
+
+    @property
+    def vector(self) -> np.ndarray:
+        """The eigenvector on the 2**L space, built anew on each access."""
+        full = np.zeros(2 ** self.basis.L, dtype=complex)
+        full[self.basis.indices] = self.coefficients
+        return full
 
 
 @dataclass(frozen=True)
@@ -339,6 +328,115 @@ def _frobenius_norm(site_blocks, twist) -> float:
     return float(np.sqrt((np.outer(g, g.conj()).ravel() @ np.diagonal(prod)).real))
 
 
+# Entries (16 bytes each) of the largest stack of charge actions formed at
+# once: every charge of a sector together up to L = 7, a few at a time at
+# L = 8, one at a time in the large sectors at L = 9 and 10.  Larger stacks
+# measured no faster at any L and raised the L = 9 peak RSS.
+_STACK_ENTRIES = 2 ** 14
+
+
+class _SectorCharges:
+    """The 2L charges H_1 .. H_L, G_1 .. G_L of a chain, applied to blocks
+    of magnetization-sector vectors without forming any operator.
+
+    H_k = R_{k,k+1} ... R_{k,L} D_k R_{k,1} ... R_{k,k-1}: the weight at
+    site k is the permutation, R_{kj} = r_matrix(x_k - x_j, eta) acts on
+    sites (k, j) and D_k = diag(e^{Lh}, e^{-Lh}) on site k.  On a sector
+    basis R_{kj} multiplies a row whose bits k and j agree by a, and
+    otherwise adds c times the row with the two bits swapped: one gather
+    and two scalings per factor.
+
+    G_k = t(x_k - eta) runs the auxiliary-space product site by site.
+    From auxiliary index 0 (1) it carries the block's component in its
+    sector M and one in M + 1 (M - 1); sigma^-_j and sigma^+_j move rows
+    between neighbouring sectors by gathers built once here and shared
+    by all charges and sectors.
+
+    Both act on a stack of charges ``ks`` at once and return the stack of
+    A_k v, shape (len(ks), rows, columns).
+    """
+
+    def __init__(self, params: ChainParams):
+        L = self.L = params.L
+        self.params, self.twist, self.bases = params, _twist(params), sector_bases(L)
+        site_blocks = _charge_site_blocks(params)
+        self.norms = np.array([_frobenius_norm(blocks, self.twist) for blocks in site_blocks])
+        # The diagonal and exchange weights a, c of every site factor, [k, j].
+        w = np.array([[(b00[0, 0], b01[1, 0]) for b00, b01, _, _ in blocks]
+                      for blocks in site_blocks])
+        self.h_weights, self.g_weights = (w[:L, :, 0], w[:L, :, 1]), (w[L:, :, 0], w[L:, :, 1])
+        self.pos = np.empty(2 ** L, dtype=np.intp)
+        for basis in self.bases:
+            self.pos[basis.indices] = np.arange(basis.indices.size)
+        # Sectors m = -1 .. L + 1, each closed by one zero pad row.  Per site
+        # j: up[j][m + 1] marks the rows of sector m with site j up;
+        # minus[j][m + 1] gives the row of m that sigma^-_j sends to each row
+        # of m + 1, and plus[j][m + 1] the row of m + 1 that sigma^+_j sends
+        # to each row of m (the pad row where there is none).
+        empty = np.empty(0, dtype=np.intp)
+        rows = [empty, *(basis.indices for basis in self.bases), empty]
+        self.up, self.minus, self.plus = [], [], []
+        for j in range(L):
+            bit = 1 << (L - 1 - j)
+            self.up.append([np.append((r & bit) == 0, False)[:, None] for r in rows])
+            self.minus.append([
+                np.append(np.where(hi & bit, self.pos[hi ^ bit], lo.size), lo.size)
+                for lo, hi in zip(rows, rows[1:])
+            ])
+            self.plus.append([
+                np.append(np.where(lo & bit, hi.size, self.pos[lo | bit]), hi.size)
+                for lo, hi in zip(rows, rows[1:])
+            ])
+
+    def h_factors(self, M2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gather, keep and exchange arrays [k, i] of the i-th factor to act
+        in H_k on sector M2: R_{k,k-1} .. R_{k,1}, D_k, R_{k,L} .. R_{k,k+1}
+        (D_k gathers each row from itself and exchanges nothing)."""
+        L, idx = self.L, self.bases[M2].indices
+        shifts = L - 1 - np.arange(L)
+        bits = (idx >> shifts[:, None]) & 1
+        k, i = np.indices((L, L))
+        site = np.where(i < k, k - 1 - i, np.where(i == k, k, L + k - i))
+        differ = bits[k] != bits[site]
+        swapped = self.pos[idx ^ ((1 << shifts[k]) | (1 << shifts[site]))[..., None]]
+        gather = np.where(differ, swapped, np.arange(idx.size))
+        a, c = (w[k, site][..., None] for w in self.h_weights)
+        g_up, g_down = self.twist
+        keep = np.where(
+            (site == k)[..., None], np.where(bits[k], g_down, g_up), np.where(differ, 1.0, a)
+        )
+        return gather, keep[..., None], np.where(differ, c, 0.0)[..., None]
+
+    def apply_h(self, factors, ks: np.ndarray, v: np.ndarray) -> np.ndarray:
+        gather, keep, exchange = (f[ks] for f in factors)
+        stack = np.arange(ks.size)[:, None]
+        v = np.broadcast_to(v, (ks.size, *v.shape))
+        for i in range(self.L):
+            v = keep[:, i] * v + exchange[:, i] * v[stack, gather[:, i]]
+        return v
+
+    def apply_g(self, M2: int, ks: np.ndarray, v: np.ndarray) -> np.ndarray:
+        n = v.shape[1]
+        a, c = (w[ks][:, :, None, None] for w in self.g_weights)
+        padded = np.vstack([v, np.zeros((1, n))])
+        out = 0.0
+        # From auxiliary index 0 (components in M2, M2 + 1) and from 1 (in
+        # M2 - 1, M2); m is the lower sector of the pair.
+        for g, m in zip(self.twist, (M2, M2 - 1)):
+            y0 = padded if m == M2 else np.zeros((self.plus[0][m + 1].size, n), complex)
+            y1 = padded if m != M2 else np.zeros((self.minus[0][m + 1].size, n), complex)
+            for j in range(self.L):
+                aj, cj = a[:, j], c[:, j]
+                y0, y1 = (
+                    np.where(self.up[j][m + 1], aj, 1.0) * y0
+                    + cj * y1[..., self.plus[j][m + 1], :],
+                    cj * y0[..., self.minus[j][m + 1], :]
+                    + np.where(self.up[j][m + 2], 1.0, aj) * y1,
+                )
+            out = out + g * (y0 if m == M2 else y1)[:, :-1]
+        return out
+
+
 def joint_diagonalize(
     params: ChainParams,
     seed: int = 0,
@@ -347,86 +445,75 @@ def joint_diagonalize(
 ) -> JointSpectrum:
     """Diagonalize all residue charges simultaneously, sector by sector.
 
-    One magnetization sector at a time, the 2L charge blocks are built,
-    used and freed before the next sector's, so at most one sector's
-    blocks are alive.  In each sector a random complex combination of the
-    charges is diagonalized; charge values are then read off as Rayleigh
-    quotients of the eigenvectors, with residuals relative to the full
-    operator's Frobenius norm (in closed form, see _frobenius_norm).  If
-    any Rayleigh residual exceeds ``residual_tol`` the combination is
-    redrawn, up to ``max_retries`` times.
+    No charge is formed: in each magnetization sector the charges act on
+    blocks of sector vectors (see _SectorCharges).  A random complex
+    combination of the H_k, applied to the identity, is diagonalized.
+    Each charge A then acts once on the eigenvector block V.  The charge
+    values are the two-sided Rayleigh quotients diag(V^{-1} A V), taken
+    by solving with V.  The residual gate uses the one-sided quotient of
+    the same A V: min over lambda of ||A v - lambda v|| relative to the
+    Frobenius norm of A (in closed form, see _frobenius_norm).  If any
+    residual exceeds ``residual_tol`` the combination is redrawn, up to
+    ``max_retries`` times.  The draws of sector M2 come from the stream
+    (seed, M2), so a sector's states do not depend on the other sectors.
     """
-    charges = _charge_site_blocks(params)
-    twist = _twist(params)
-    norms = [_frobenius_norm(c, twist) for c in charges]
-    rng = np.random.default_rng(seed)
+    charges = _SectorCharges(params)
     states: list[EigenState] = []
-    for basis in sector_bases(params.L):
-        states.extend(
-            _sector_states(params, basis, charges, norms, rng, max_retries, residual_tol)
-        )
+    for M2 in range(params.L + 1):
+        states.extend(_sector_states(charges, M2, seed, max_retries, residual_tol))
     return JointSpectrum(params_hash=params.params_hash, states=states)
 
 
-def _sector_states(params, basis, charges, norms, rng, max_retries, residual_tol):
-    """The joint eigenstates of one sector, sorted by H (see
-    joint_diagonalize); the sector's charge blocks die on return."""
-    L, idx = params.L, basis.indices
-    twist = _twist(params)
-    blocks = [_traced_monodromy(c, twist, idx) for c in charges]
-    h_sub, g_sub = blocks[:L], blocks[L:]
-    h_norms, g_norms = norms[:L], norms[L:]
-    c_val = sector_constant(params, basis.M2)
+def _sector_states(charges, M2, seed=0, max_retries=5, residual_tol=1e-8):
+    """The joint eigenstates of sector M2, sorted by H: the states of that
+    sector in joint_diagonalize(charges.params, seed, ...)."""
+    L, basis = charges.L, charges.bases[M2]
+    rng = np.random.default_rng([seed, M2])
+    n = basis.indices.size
+    factors = charges.h_factors(M2)
+    step = max(1, _STACK_ENTRIES // n ** 2)
+    stacks = [np.arange(L)[i : i + step] for i in range(0, L, step)]
+    eye = np.eye(n, dtype=complex)
     # (worst residual, charge, eigenvector column) of the first state
     # above tolerance, over the redraws: the smallest such residual.
     closest = (np.inf, "", -1)
-    for attempt in range(max_retries):
+    for _ in range(max_retries):
         coeff = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        combo = sum(c * m for c, m in zip(coeff, h_sub))
+        combo = sum(np.tensordot(coeff[ks], charges.apply_h(factors, ks, eye), 1) for ks in stacks)
         _, vecs = np.linalg.eig(combo)
-        sector_states = []
-        ok = True
-        for col in range(idx.size):
-            v = vecs[:, col]
-            v = v / np.linalg.norm(v)
-            h_vals = np.empty(L, dtype=complex)
-            g_vals = np.empty(L, dtype=complex)
-            res_h = np.empty(L)
-            res_g = np.empty(L)
-            for k in range(L):
-                w = h_sub[k] @ v
-                h_vals[k] = v.conj() @ w
-                res_h[k] = np.linalg.norm(w - h_vals[k] * v) / h_norms[k]
-                w = g_sub[k] @ v
-                g_vals[k] = v.conj() @ w
-                res_g[k] = np.linalg.norm(w - g_vals[k] * v) / g_norms[k]
-            worst = max(res_h.max(), res_g.max())
-            if worst > residual_tol:
-                k = int(np.argmax(np.concatenate([res_h, res_g])))
-                closest = min(closest, (worst, f"{'HG'[k // L]}_{k % L + 1}", col))
-                ok = False
-                break
-            full = np.zeros(2 ** L, dtype=complex)
-            full[idx] = v
-            sector_states.append(
-                EigenState(
-                    sector_M2=basis.M2,
-                    vector=full,
-                    H=h_vals,
-                    G=g_vals,
-                    C_value=c_val,
-                    residual_H=res_h,
-                    residual_G=res_g,
-                )
-            )
-        if ok:
+        vecs /= np.linalg.norm(vecs, axis=0)
+        values = np.empty((2 * L, n), dtype=complex)
+        resid = np.empty((2 * L, n))
+        # One stack of A V alive at a time; rows 0 .. L-1 are H, L .. 2L-1 G.
+        actions = chain(
+            ((ks, charges.apply_h(factors, ks, vecs)) for ks in stacks),
+            ((L + ks, charges.apply_g(M2, ks, vecs)) for ks in stacks),
+        )
+        for rows, av in actions:
+            rayleigh = np.einsum("ij,kij->kj", vecs.conj(), av)
+            resid[rows] = np.linalg.norm(av - vecs * rayleigh[:, None], axis=1)
+            resid[rows] /= charges.norms[rows, None]
+            values[rows] = np.diagonal(np.linalg.solve(vecs, av), axis1=1, axis2=2)
+        worst = resid.max(axis=0)
+        above = np.flatnonzero(worst > residual_tol)
+        if not above.size:
             break
+        col = int(above[0])
+        k = int(np.argmax(resid[:, col]))
+        closest = min(closest, (worst[col], f"{'HG'[k // L]}_{k % L + 1}", col))
     else:
         resid, charge, col = closest
         raise DegenerateSpectrum(
-            f"L={L} sector M2={basis.M2}: smallest worst Rayleigh residual over "
+            f"L={L} sector M2={M2}: smallest worst Rayleigh residual over "
             f"{max_retries} redraws is {resid:.3e} ({charge}, eigenvector {col} of "
-            f"{idx.size}), above tol {residual_tol:g}"
+            f"{n}), above tol {residual_tol:g}"
         )
-    sector_states.sort(key=lambda s: complex_sort_key(s.H))
-    return sector_states
+    c_val = sector_constant(charges.params, M2)
+    coeffs, values, resid = vecs.T.copy(), values.T.copy(), resid.T.copy()
+    states = [
+        EigenState(basis, coeffs[i], values[i, :L], values[i, L:], c_val,
+                   resid[i, :L], resid[i, L:])
+        for i in range(n)
+    ]
+    states.sort(key=lambda s: complex_sort_key(s.H))
+    return states

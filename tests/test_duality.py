@@ -18,6 +18,8 @@ from vertexdual import (
     verify_duality,
     verify_momentum_identification,
 )
+from vertexdual import duality
+from vertexdual.duality import _inverse_residual, _string_elementary
 from vertexdual.sampling import draw_chain_params, rng_from_seed
 
 CHAIN = ChainParams(L=3, eta=0.41, h=0.23, inhom=(0.1, 0.9, 1.75))
@@ -178,3 +180,62 @@ class TestInverseSpectral:
         chain = replace(draw_chain_params(rng_from_seed(0), 4), h=0.0)
         for m2 in range(5):
             self._assert_bijection(chain, m2)
+
+    def test_solve_diagonalizes_only_its_sector(self, monkeypatch):
+        # The ED annotation comes from sector M2 alone, and its states are
+        # those of joint_diagonalize in the same order, so each solution's
+        # matched_state is the nearest state of the full diagonalization.
+        rng = rng_from_seed(2032)
+        chains = [
+            CHAIN,
+            ChainParams(L=2, eta=0.45, h=0.3, inhom=(0.25, 1.35)),
+            draw_chain_params(rng_from_seed(0), 5),
+            replace(draw_chain_params(rng_from_seed(0), 4), h=0.0),
+            ChainParams(L=1, eta=0.5, h=0.3, inhom=(0.1,)),
+            draw_chain_params(rng, 2),
+            draw_chain_params(rng, 3),
+        ]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("inverse_spectral_solve diagonalized every sector")
+
+        for chain in chains:
+            full = joint_diagonalize(chain).states
+            for m2 in range(chain.L + 1):
+                with monkeypatch.context() as patch:
+                    patch.setattr(duality, "joint_diagonalize", refuse)
+                    sols = inverse_spectral_solve(chain.inhom, chain.eta, chain.h, m2)
+                ed = [s.H for s in full if s.sector_M2 == m2]
+                assert {s.matched_state for s in sols} == set(range(comb(chain.L, m2)))
+                for sol in sols:
+                    errs = [np.max(np.abs(sol.H - h) / np.maximum(np.abs(h), 1e-12)) for h in ed]
+                    assert sol.matched_state == int(np.argmin(errs))
+
+
+class TestChargeAccuracy:
+    # The L = 8 draw of seed 0 from when coordinates were drawn on [0, 2] at
+    # every L.  One-sided Rayleigh quotients v^H H_k v left an invariants
+    # residual of 1.5e-6 here; two-sided quotients leave 1.3e-10.
+    CHAIN = ChainParams(
+        L=8,
+        eta=0.7985448961935593,
+        h=-0.4496637168044585,
+        inhom=(0.0038347150555402276, 0.5377283440443801, 0.6694611169365887,
+               0.7380664273195472, 1.2331471074856855, 1.6944930487218395,
+               1.779991160284098, 1.8715215744566964),
+    )
+
+    def test_two_sided_values_meet_the_ladder_invariants(self):
+        chain = self.CHAIN
+        x = np.asarray(chain.inhom)
+        targets = [_string_elementary(chain.L, m, chain.h, chain.eta) for m in range(chain.L + 1)]
+        worst, control = 0.0, np.inf
+        for state in joint_diagonalize(chain).states:
+            target = targets[state.sector_M2]
+            worst = max(worst, _inverse_residual(x, state.H, chain.eta, target))
+            # Negative control: the largest charge value off by 1e-6 relative.
+            H = state.H.copy()
+            H[np.argmax(np.abs(H))] *= 1 + 1e-6
+            control = min(control, _inverse_residual(x, H, chain.eta, target))
+        assert worst <= 1e-8
+        assert control >= 1e-7

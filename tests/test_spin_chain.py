@@ -8,7 +8,6 @@ transfer matrix, and full-space eigensolves.
 import os
 import subprocess
 import sys
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,7 +39,6 @@ from vertexdual.spin_chain import (
     _charge_site_blocks,
     _frobenius_norm,
     _perm_site_blocks,
-    _traced_monodromy,
     _twist,
     gh_product_scalar,
 )
@@ -445,7 +443,7 @@ class TestJointDiagonalize:
 
 def _kron_monodromy(site_blocks, twist=None):
     """Dense Kronecker build of the traced monodromy: the reference every
-    assembled operator and sector block must equal bit for bit."""
+    dense operator must equal bit for bit."""
     m00, m01, m10, m11 = site_blocks[0]
     for r00, r01, r10, r11 in site_blocks[1:]:
         m00, m01, m10, m11 = (
@@ -484,14 +482,6 @@ class TestSectorAssembly:
         assert np.array_equal(transfer_matrix_twisted(params, x).entries, ref_twisted)
         for op, ref in zip(hamiltonians_h(params) + hamiltonians_g(params), ref_h + ref_g):
             assert np.array_equal(op.entries, ref)
-        charges = _charge_site_blocks(params)
-        for basis in sector_bases(L):
-            idx = basis.indices
-            cut = np.ix_(idx, idx)
-            for blocks, ref in zip(charges, ref_h + ref_g):
-                assert np.array_equal(_traced_monodromy(blocks, twist, idx), ref[cut])
-            assert np.array_equal(_traced_monodromy(asym, None, idx), ref_asym[cut])
-            assert np.array_equal(_traced_monodromy(sym, twist, idx), ref_twisted[cut])
 
     @pytest.mark.parametrize("L", range(1, 8))
     def test_diagonal_operators_match_site_loops(self, L):
@@ -524,38 +514,69 @@ class TestSectorAssembly:
                     ref = np.linalg.norm(op.entries)
                     assert abs(_frobenius_norm(blocks, twist) - ref) <= 1e-13 * ref
 
-    def test_joint_diagonalize_builds_sector_blocks_only(self, monkeypatch):
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_sector_action_matches_dense_charges(self, L):
+        # H_k in product form and G_k by the site-by-site auxiliary product,
+        # applied to the identity of each sector, against the [idx, idx]
+        # slices of the dense builders.
+        rng = np.random.default_rng(300 + L)
+        real = ChainParams(L=L, eta=0.47, h=0.31, inhom=tuple(np.sort(rng.uniform(0.0, 2.5, L))))
+        for params in (real, _complex_chain(L)):
+            charges = spin_chain._SectorCharges(params)
+            dense = [op.entries for op in hamiltonians_h(params) + hamiltonians_g(params)]
+            every = np.arange(L)
+            for basis in sector_bases(L):
+                idx = basis.indices
+                eye = np.eye(idx.size, dtype=complex)
+                factors = charges.h_factors(basis.M2)
+                applied = [
+                    *charges.apply_h(factors, every, eye),
+                    *charges.apply_g(basis.M2, every, eye),
+                ]
+                for k, (block, ref) in enumerate(zip(applied, dense)):
+                    assert rel_diff(block, ref[np.ix_(idx, idx)]) <= 1e-14, (k, basis.M2)
+
+    def test_joint_diagonalize_builds_no_operator(self, monkeypatch):
         L = 8
         params = _complex_chain(L)
         expected = joint_diagonalize(params, seed=3)
 
-        def refuse(_params):
+        def refuse(*_args, **_kwargs):
             raise AssertionError("dense charge assembly")
 
-        def sector_only(site_blocks, twist=None, idx=None):
-            assert idx is not None and idx.size < 2 ** L
-            # One sector at a time: the blocks of earlier sectors are freed.
-            assert sum(ref() is not None for ref in built) <= 2 * L
-            block = traced(site_blocks, twist, idx)
-            built.append(weakref.ref(block))
-            return block
-
-        built = []
-        traced = spin_chain._traced_monodromy
-        monkeypatch.setattr(spin_chain, "hamiltonians_h", refuse)
-        monkeypatch.setattr(spin_chain, "hamiltonians_g", refuse)
-        monkeypatch.setattr(spin_chain, "_traced_monodromy", sector_only)
+        for name in ("hamiltonians_h", "hamiltonians_g", "_traced_monodromy", "_kron"):
+            monkeypatch.setattr(spin_chain, name, refuse)
         spec = joint_diagonalize(params, seed=3)
         assert spec.n_states == 2 ** L
-        assert len(built) == 2 * L * (L + 1)
         for a, b in zip(spec.states, expected.states):
             assert np.array_equal(a.H, b.H) and np.array_equal(a.G, b.G)
             assert np.array_equal(a.vector, b.vector)
 
+    def test_states_keep_sector_coefficients(self):
+        params = _complex_chain(5)
+        for state in joint_diagonalize(params, seed=1).states:
+            idx = state.basis.indices
+            assert state.coefficients.shape == idx.shape
+            full = state.vector
+            assert full.shape == (2 ** 5,)
+            assert np.array_equal(full[idx], state.coefficients)
+            assert not np.any(np.delete(full, idx))
+            assert abs(np.linalg.norm(full) - 1.0) < 1e-12
+
     @staticmethod
     def _peak_growth_mb(setup):
         """ru_maxrss growth in MB of one joint_diagonalize call in a fresh
-        interpreter; ``setup`` defines ``params``."""
+        interpreter; ``setup`` defines ``params``.
+
+        A child's ru_maxrss starts at the resident size its parent had when
+        it forked, so a large test process would hide the growth (it reads 0
+        under a 200 MB parent).  The script therefore runs as the child of a
+        small launcher interpreter.
+        """
+        launcher = (
+            "import subprocess, sys\n"
+            "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n"
+        )
         script = (
             "import resource\n"
             "from vertexdual.spin_chain import ChainParams, joint_diagonalize\n"
@@ -566,30 +587,37 @@ class TestSectorAssembly:
         )
         env = {**os.environ, "PYTHONPATH": str(Path(vertexdual.__file__).parents[1])}
         proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", launcher, script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
         )
         return int(proc.stdout.split()[-1]) / 1024
 
     def test_l9_peak_memory_growth(self):
-        # The 2L dense charges at L = 9 take about 100 MB together; their
-        # sector blocks take about 20 MB.  The chain is the L = 9 draw of
-        # seed 3 from when coordinates were drawn on [0, 2] at every L.
+        # The 2L dense charges at L = 9 take about 100 MB together and their
+        # sector blocks about 20 MB; applied to sector vectors, without any
+        # block, the call grows the peak by about 10 MB.  The chain is the
+        # L = 9 draw of seed 3 from when coordinates were drawn on [0, 2].
         setup = (
             "xs = (0.07617642654634538, 0.13444426329751558, 0.1873868719275602,\n"
             "      0.8692617794137216, 0.9981728978821285, 1.107883333667889,\n"
             "      1.7764700193966347, 1.8412553362243926, 1.9184199481144202)\n"
             "params = ChainParams(L=9, eta=0.39839223466946666, h=0.31533489015093596, inhom=xs)"
         )
-        assert self._peak_growth_mb(setup) < 60
+        assert self._peak_growth_mb(setup) < 20
 
     def test_l10_peak_memory_growth(self):
-        # All sectors' blocks of the 2L charges take 59 MB at L = 10; one
-        # sector's take at most 20 MB (M2 = 5), and the 1024 eigenvectors 16 MB.
+        # All sectors' blocks of the 2L charges take 59 MB at L = 10 and one
+        # sector's up to 20 MB (M2 = 5); no block is built, and the 1024
+        # states keep 3 MB of sector coefficients, not 16 MB of 2^L vectors.
+        # Measured growth: 48 MB with sector blocks, about 22 MB without.
         setup = (
             "xs = tuple(0.2 * j + 0.05 * (j % 3) for j in range(10))\n"
             "params = ChainParams(L=10, eta=0.55, h=0.2, inhom=xs)"
         )
-        assert self._peak_growth_mb(setup) < 60
+        assert self._peak_growth_mb(setup) < 35
 
 
 class TestChainParamsValidation:
