@@ -14,7 +14,7 @@ import numpy as np
 from .bethe import all_eigenvalues_h, solve_bae
 from .errors import MatchFailed, ZeroGValue
 from .linalg import complex_sort_key, match_multisets, sinh_pair_product
-from .ruijsenaars import LaxMatrix, lax_from_velocities, symmetric_invariants
+from .ruijsenaars import LaxMatrix, ladder, lax_from_velocities, symmetric_invariants
 from .spin_chain import ChainParams, JointSpectrum, joint_diagonalize
 from .spin_chain import _SectorCharges, _sector_states
 
@@ -57,12 +57,11 @@ def predicted_strings(L: int, M2: int, h, eta) -> StringSpectrum:
     if not 0 <= M2 <= L:
         raise ValueError(f"M2 must lie in [0, {L}], got {M2}")
     h, eta = complex(h), complex(eta)
-    m1 = L - M2
-    up = [np.exp(L * h - (m1 - 1) * eta + 2 * eta * j) for j in range(m1)]
-    down = [np.exp(-L * h - (M2 - 1) * eta + 2 * eta * j) for j in range(M2)]
-    values = np.array(up + down, dtype=complex)
+    values = np.concatenate(
+        [np.exp(L * h) * ladder(L - M2, eta), np.exp(-L * h) * ladder(M2, eta)]
+    )
     order = np.lexsort((values.imag, values.real))
-    return StringSpectrum(values=values[order], M1=m1, M2=M2, h=h, eta=eta)
+    return StringSpectrum(values=values[order], M1=L - M2, M2=M2, h=h, eta=eta)
 
 
 def predicted_integrals(L: int, M2: int, h, eta, n: int) -> complex:

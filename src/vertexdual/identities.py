@@ -20,15 +20,13 @@ from .linalg import (
     rel_diff,
     require_sinh_gap,
     sinh_pair_product,
-    sinh_pairs,
 )
 from .ruijsenaars import (
     _require_distinct_nodes,
     _sandwiched_ladder,
     eta_shift_diagonal,
+    ladder,
     lax_from_velocities,
-    s_matrix,
-    vandermonde_sym,
 )
 from .spin_chain import ChainParams
 
@@ -66,16 +64,14 @@ class IdentityParams:
         _require_distinct_nodes(self.y, "e^(2y)")
 
 
-def _q_entrywise(x, y, g, eta) -> np.ndarray:
-    """Row i carries the full interaction weight of point x_i; the column
-    dependence sits only in the 1/sinh(x_j - x_i + eta) prefactor."""
-    weight = sinh_pair_product(x, None, eta, 0.0) * sinh_pair_product(x, y, 0.0, eta)
-    return g * np.sinh(eta) / sinh_pairs(x, x, eta).T * weight[:, None]
-
-
-def _q_tilde_entrywise(y, x, g, eta) -> np.ndarray:
-    weight = sinh_pair_product(y, None, -eta, 0.0) * sinh_pair_product(y, x, 0.0, -eta)
-    return g * np.sinh(eta) / sinh_pairs(y, y, eta).T * weight[:, None]
+def _q_lax(points, others, g, eta, shift) -> np.ndarray:
+    """The Lax matrix at coordinates ``points`` with velocities -g w_i,
+    w_i = prod_{j != i} sinh(p_i - p_j + shift)/sinh(p_i - p_j) times
+    prod_b sinh(p_i - o_b)/sinh(p_i - o_b + shift): Q takes the x family
+    and shift +eta, Q~ the y family and shift -eta."""
+    weight = sinh_pair_product(points, None, shift, 0.0)
+    weight = weight * sinh_pair_product(points, others, 0.0, shift)
+    return lax_from_velocities(points, -g * weight, eta).entries
 
 
 def w_matrix(params: IdentityParams) -> np.ndarray:
@@ -98,12 +94,10 @@ def q_factorized(params: IdentityParams) -> np.ndarray:
 
 
 def q_tilde_factorized(params: IdentityParams) -> np.ndarray:
-    """Ladder factorization g W~ D_0^{-1} V S_M V^{-1} D_0 on the y family."""
+    """Ladder factorization g W~ D_0^{-1} V S_M V^{-1} D_0 on the y family,
+    where V S_M V^{-1} = ((V^t)^{-1} S_M(-eta)^{-1} V^t)^t."""
     y = np.asarray(params.y, dtype=complex)
-    m = y.size
-    v = vandermonde_sym(y)
-    s = s_matrix(m, params.eta)
-    core = v @ s @ np.linalg.inv(v)
+    core = _sandwiched_ladder(y, -params.eta).T
     d0 = eta_shift_diagonal(y, 0.0)
     wt = np.diag(w_tilde_matrix(params))
     return params.g * wt[:, None] * core * (d0[None, :] / d0[:, None])
@@ -112,7 +106,7 @@ def q_tilde_factorized(params: IdentityParams) -> np.ndarray:
 def q_matrix(params: IdentityParams, check: bool = True) -> np.ndarray:
     """The N x N matrix of the identity; cross-checked against its
     ladder factorization when ``check`` is set."""
-    q = _q_entrywise(params.x, params.y, params.g, params.eta)
+    q = _q_lax(params.x, params.y, params.g, params.eta, params.eta)
     if check:
         err = rel_diff(q, q_factorized(params))
         if err > 1e-9:
@@ -124,7 +118,7 @@ def q_tilde_matrix(params: IdentityParams, check: bool = True) -> np.ndarray:
     """The M x M partner matrix; cross-checked against its factorization."""
     if params.M < 1:
         return np.zeros((0, 0), dtype=complex)
-    q = _q_tilde_entrywise(params.y, params.x, params.g, params.eta)
+    q = _q_lax(params.y, params.x, params.g, params.eta, -params.eta)
     if check:
         err = rel_diff(q, q_tilde_factorized(params))
         if err > 1e-9:
@@ -147,7 +141,7 @@ def ladder_char_poly(K: int, g, eta) -> np.ndarray:
     """Coefficients of det(lambda I - g S_K); exact product of linear factors."""
     if K == 0:
         return np.array([1.0 + 0.0j])
-    return np.poly(complex(g) * np.diag(s_matrix(K, eta)))
+    return np.poly(complex(g) * ladder(K, eta))
 
 
 def verify_determinant_splitting(params: IdentityParams) -> float:
@@ -171,12 +165,12 @@ def normalized_identity_sides(params: IdentityParams) -> tuple[np.ndarray, np.nd
     the natural objects for the large-y stabilization checks.
     """
     w = np.diag(w_matrix(params))
-    q0 = _q_entrywise(params.x, (), params.g, params.eta)
+    q0 = _q_lax(params.x, (), params.g, params.eta, params.eta)
     lhs = charpoly_minors(np.diag(w) @ q0) / np.prod(w)
     rhs = ladder_char_poly(params.N - params.M, params.g, params.eta)
     if params.M:
         wt = np.diag(w_tilde_matrix(params))
-        qt0 = _q_tilde_entrywise(params.y, (), params.g, params.eta)
+        qt0 = _q_lax(params.y, (), params.g, params.eta, -params.eta)
         rhs = np.polymul(rhs, charpoly_minors(np.diag(wt) @ qt0) / np.prod(wt))
     return lhs, rhs
 
@@ -194,15 +188,10 @@ def verify_solved_chain_splitting(chain: ChainParams, roots: BetheRootSet) -> fl
         raise InvalidBetheRoots(
             f"equation defect {np.max(np.abs(defect)):.3e} exceeds 1e-10"
         )
-    h_vals = all_eigenvalues_h(roots, chain)
-    lax = lax_from_velocities(np.asarray(chain.inhom), -h_vals, chain.eta).entries
+    x, eta = np.asarray(chain.inhom), chain.eta
+    lax = lax_from_velocities(x, -all_eigenvalues_h(roots, chain), eta).entries
     # Same matrix, assembled through the x - eta / root family weights.
-    q = _q_entrywise(
-        np.asarray(chain.inhom) - chain.eta,
-        roots.roots,
-        np.exp(chain.L * chain.h),
-        chain.eta,
-    )
+    q = _q_lax(x - eta, roots.roots, np.exp(chain.L * chain.h), eta, eta)
     if rel_diff(lax, q) > 1e-9:
         raise ArithmeticError("Lax build and weight-family build disagree")
     m2 = roots.M2

@@ -215,8 +215,13 @@ def require_sinh_gap(a, b, shifts: dict, tol: float, error: type, names: tuple[s
 
 
 def complex_sort_key(values) -> tuple[float, ...]:
-    """Lexicographic key over the (re, im) parts of a complex sequence."""
-    return tuple(part for z in values for part in (z.real, z.imag))
+    """Lexicographic key over the (re, im) parts of a complex sequence.
+
+    Real parts compare at 9 significant digits, so values whose real
+    parts agree up to rounding, such as a complex-conjugate pair, are
+    ordered by their imaginary parts.
+    """
+    return tuple(part for z in values for part in (float(f"{z.real:.9g}"), z.imag))
 
 
 def lagrange_vandermonde_inverse(t: np.ndarray) -> np.ndarray:

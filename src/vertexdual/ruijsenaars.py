@@ -21,7 +21,6 @@ from .errors import (
 )
 from .linalg import (
     UNSHIFTED,
-    coth,
     eta_shifts,
     lagrange_vandermonde_inverse,
     require_sinh_gap,
@@ -34,6 +33,8 @@ from .linalg import (
 # also singular on the +-eta shifts.
 _GP_TOL = 1e-9
 _EXIST_TOL = 1e-12
+# evolve stops with CollisionDetected when some |sinh(x_i - x_j)| falls to this.
+_COLLISION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -110,23 +111,11 @@ def acceleration(x, xdot, eta) -> np.ndarray:
     """Second-order form of the equations of motion, evaluated from (x, dx/dt)."""
     x = np.asarray(x, dtype=complex)
     xdot = np.asarray(xdot, dtype=complex)
-    n = x.size
-    out = np.zeros(n, dtype=complex)
-    sh2 = np.sinh(eta) ** 2
-    for j in range(n):
-        for k in range(n):
-            if k == j:
-                continue
-            d = x[j] - x[k]
-            out[j] -= (
-                2.0
-                * xdot[j]
-                * xdot[k]
-                * sh2
-                * np.cosh(d)
-                / (np.sinh(d + eta) * np.sinh(d) * np.sinh(d - eta))
-            )
-    return out
+    pair = np.cosh(x[:, None] - x[None, :]) / (
+        sinh_pairs(x, None, eta) * sinh_pairs(x, None, 0.0) * sinh_pairs(x, None, -eta)
+    )
+    np.fill_diagonal(pair, 0.0)
+    return -2.0 * np.sinh(eta) ** 2 * xdot * np.sum(pair * xdot, axis=1)
 
 
 def lax_from_velocities(x, xdot, eta) -> LaxMatrix:
@@ -154,18 +143,12 @@ def a_matrix(x, xdot, eta) -> np.ndarray:
     xdot = np.asarray(xdot, dtype=complex)
     eta = complex(eta)
     require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
-    n = x.size
-    a = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        diag = 0.0 + 0.0j
-        for l in range(n):
-            if l != j:
-                diag += xdot[l] * coth(x[j] - x[l])
-            diag -= xdot[l] * coth(x[j] - x[l] + eta)
-        a[j, j] = diag
-        for k in range(n):
-            if k != j:
-                a[j, k] = xdot[j] / np.sinh(x[j] - x[k])
+    d = x[:, None] - x[None, :]
+    s0 = sinh_pairs(x, None, 0.0)
+    coth0 = np.cosh(d) / s0
+    np.fill_diagonal(coth0, 0.0)
+    a = xdot[:, None] / s0
+    np.fill_diagonal(a, np.sum((coth0 - np.cosh(d + eta) / sinh_pairs(x, x, eta)) * xdot, axis=1))
     return a
 
 
@@ -184,10 +167,8 @@ def cauchy_det(x, eta, subset=None) -> complex:
     x = np.asarray(x, dtype=complex)
     if subset is not None:
         x = x[np.asarray(subset, dtype=int)]
-    eta = complex(eta)
-    require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
     n = x.size
-    direct = complex(np.linalg.det(np.sinh(eta) / sinh_pairs(x, x, -eta)))
+    direct = complex(np.linalg.det(lax_from_velocities(x, np.ones(n), eta).entries))
     i, j = np.triu_indices(n, 1)
     closed = complex((-1.0) ** n * np.prod(cauchy_factor(x[i] - x[j], eta)))
     if abs(direct - closed) > 1e-10 * max(abs(direct), abs(closed), 1e-300):
@@ -237,22 +218,16 @@ def char_poly_via_en(x, xdot, eta) -> np.ndarray:
     return np.concatenate([[1.0], (-1.0) ** np.arange(1, en.size + 1) * en])
 
 
-def s_matrix(K: int, eta) -> np.ndarray:
-    """Diagonal ladder diag(e^{-(2i - K - 1) eta}), i = 1..K; empty for K=0."""
+def ladder(K: int, eta) -> np.ndarray:
+    """The geometric ladder e^{-(2i - K - 1) eta}, i = 1..K; empty for K=0."""
     if K < 0:
         raise ValueError("K must be non-negative")
-    eta = complex(eta)
-    return np.diag([np.exp(-(2 * (i + 1) - K - 1) * eta) for i in range(K)]) if K else np.zeros(
-        (0, 0), dtype=complex
-    )
+    return np.exp(-(2 * np.arange(1, K + 1) - K - 1) * complex(eta))
 
 
-def vandermonde_sym(q) -> np.ndarray:
-    """V_ij = e^{(2j - K - 1) q_i}, the symmetric-exponent Vandermonde."""
-    q = np.asarray(q, dtype=complex)
-    k = q.size
-    j = np.arange(1, k + 1)
-    return np.exp(np.outer(q, 2 * j - k - 1))
+def s_matrix(K: int, eta) -> np.ndarray:
+    """Diagonal ladder diag(e^{-(2i - K - 1) eta}), i = 1..K; empty for K=0."""
+    return np.diag(ladder(K, eta))
 
 
 def eta_shift_diagonal(q, xi) -> np.ndarray:
@@ -271,7 +246,8 @@ def _require_distinct_nodes(q, label):
 
 
 def _sandwiched_ladder(q, eta) -> np.ndarray:
-    """(V^t)^{-1} S^{-1} V^t on nodes q, via the explicit Lagrange inverse.
+    """(V^t)^{-1} S^{-1} V^t on nodes q, via the explicit Lagrange inverse,
+    with V_ij = e^{(2j - K - 1) q_i} and S = s_matrix(K, eta).
 
     V factors as diag(e^{(1-K)q_i}) times the plain Vandermonde in
     t_i = e^{2 q_i}, so the explicit inverse of the latter gives a
@@ -283,9 +259,7 @@ def _sandwiched_ladder(q, eta) -> np.ndarray:
     t = np.exp(2 * q)
     b = lagrange_vandermonde_inverse(t)
     vt_plain = np.vander(t, k, increasing=True).T
-    powers = np.arange(1, k + 1)
-    ladder = 1.0 / np.exp(-(2 * powers - k - 1) * complex(eta))
-    core = (b * ladder[None, :]) @ vt_plain
+    core = (b * ladder(k, -eta)[None, :]) @ vt_plain
     tfac = np.exp((1 - k) * q)
     return core * (tfac[None, :] / tfac[:, None])
 
@@ -331,13 +305,12 @@ def evolve(
     t_final: float,
     tol_ode: float = 1e-10,
     n_samples: int = 33,
-    collision_tol: float = 1e-6,
 ) -> list[tuple[float, RSState]]:
     """Adaptive high-order Runge-Kutta integration of the canonical flow.
 
     Returns (t, state) samples on a uniform grid including both ends.
     Raises CollisionDetected when any |sinh(x_i - x_j)| crosses
-    ``collision_tol`` and StepSizeUnderflow when the integrator stalls or
+    ``_COLLISION_TOL`` and StepSizeUnderflow when the integrator stalls or
     the vector field is not finite at the start.
     """
     n = state.L
@@ -351,7 +324,7 @@ def evolve(
 
     def collision(_t, y):
         x, _ = _unpack(y, n)
-        return smallest_sinh_gap(x, None, UNSHIFTED)[0] - collision_tol
+        return smallest_sinh_gap(x, None, UNSHIFTED)[0] - _COLLISION_TOL
 
     collision.terminal = True
     collision.direction = -1.0

@@ -29,6 +29,13 @@ from .errors import DegenerateSpectrum, GeneralPositionViolated, SingularSpectra
 from .linalg import complex_sort_key, eta_shifts, require_sinh_gap, sinh_pair_product
 
 _SINGULAR_TOL = 1e-12
+# Smallest |sinh| that ChainParams accepts for eta and for the gaps
+# x_i - x_j and x_i - x_j +- eta.
+GENERAL_POSITION_TOL = 1e-9
+# joint_diagonalize redraws its random combination up to _MAX_RETRIES
+# times until every Rayleigh residual is at most _RESIDUAL_TOL.
+_MAX_RETRIES = 5
+_RESIDUAL_TOL = 1e-8
 
 _SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -48,7 +55,6 @@ class ChainParams:
     h: complex
     v: complex = 0.0
     inhom: tuple[complex, ...] = ()
-    tol_general_position: float = 1e-9
 
     def __post_init__(self):
         if self.L < 1:
@@ -59,7 +65,7 @@ class ChainParams:
         object.__setattr__(self, "inhom", tuple(complex(x) for x in self.inhom))
         if len(self.inhom) != self.L:
             raise ValueError(f"expected {self.L} inhomogeneities, got {len(self.inhom)}")
-        tol = self.tol_general_position
+        tol = GENERAL_POSITION_TOL
         if abs(np.sinh(self.eta)) <= tol:
             raise GeneralPositionViolated(f"|sinh(eta)| = {abs(np.sinh(self.eta)):.3e} <= {tol:g}")
         require_sinh_gap(
@@ -268,13 +274,6 @@ def gh_product_scalar(params: ChainParams, i: int) -> complex:
     return complex(sinh_pair_product(params.inhom, None, params.eta, 0.0)[i])
 
 
-def sector_constant(params: ChainParams, M2: int) -> complex:
-    """Value of the constant term of the twisted transfer matrix on a sector."""
-    L, eta, h = params.L, params.eta, params.h
-    M1 = L - M2
-    return complex(np.exp(L * h) * np.cosh(eta * M1) + np.exp(-L * h) * np.cosh(eta * M2))
-
-
 @dataclass(frozen=True)
 class EigenState:
     """One joint eigenstate: its sector, its unit eigenvector as
@@ -284,7 +283,6 @@ class EigenState:
     coefficients: np.ndarray
     H: np.ndarray
     G: np.ndarray
-    C_value: complex
     residual_H: np.ndarray
     residual_G: np.ndarray
 
@@ -437,12 +435,7 @@ class _SectorCharges:
         return out
 
 
-def joint_diagonalize(
-    params: ChainParams,
-    seed: int = 0,
-    max_retries: int = 5,
-    residual_tol: float = 1e-8,
-) -> JointSpectrum:
+def joint_diagonalize(params: ChainParams, seed: int = 0) -> JointSpectrum:
     """Diagonalize all residue charges simultaneously, sector by sector.
 
     No charge is formed: in each magnetization sector the charges act on
@@ -453,20 +446,20 @@ def joint_diagonalize(
     by solving with V.  The residual gate uses the one-sided quotient of
     the same A V: min over lambda of ||A v - lambda v|| relative to the
     Frobenius norm of A (in closed form, see _frobenius_norm).  If any
-    residual exceeds ``residual_tol`` the combination is redrawn, up to
-    ``max_retries`` times.  The draws of sector M2 come from the stream
+    residual exceeds _RESIDUAL_TOL the combination is redrawn, up to
+    _MAX_RETRIES times.  The draws of sector M2 come from the stream
     (seed, M2), so a sector's states do not depend on the other sectors.
     """
     charges = _SectorCharges(params)
     states: list[EigenState] = []
     for M2 in range(params.L + 1):
-        states.extend(_sector_states(charges, M2, seed, max_retries, residual_tol))
+        states.extend(_sector_states(charges, M2, seed))
     return JointSpectrum(params_hash=params.params_hash, states=states)
 
 
-def _sector_states(charges, M2, seed=0, max_retries=5, residual_tol=1e-8):
+def _sector_states(charges, M2, seed=0):
     """The joint eigenstates of sector M2, sorted by H: the states of that
-    sector in joint_diagonalize(charges.params, seed, ...)."""
+    sector in joint_diagonalize(charges.params, seed)."""
     L, basis = charges.L, charges.bases[M2]
     rng = np.random.default_rng([seed, M2])
     n = basis.indices.size
@@ -477,7 +470,7 @@ def _sector_states(charges, M2, seed=0, max_retries=5, residual_tol=1e-8):
     # (worst residual, charge, eigenvector column) of the first state
     # above tolerance, over the redraws: the smallest such residual.
     closest = (np.inf, "", -1)
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         coeff = rng.standard_normal(L) + 1j * rng.standard_normal(L)
         combo = sum(np.tensordot(coeff[ks], charges.apply_h(factors, ks, eye), 1) for ks in stacks)
         _, vecs = np.linalg.eig(combo)
@@ -495,7 +488,7 @@ def _sector_states(charges, M2, seed=0, max_retries=5, residual_tol=1e-8):
             resid[rows] /= charges.norms[rows, None]
             values[rows] = np.diagonal(np.linalg.solve(vecs, av), axis1=1, axis2=2)
         worst = resid.max(axis=0)
-        above = np.flatnonzero(worst > residual_tol)
+        above = np.flatnonzero(worst > _RESIDUAL_TOL)
         if not above.size:
             break
         col = int(above[0])
@@ -505,14 +498,12 @@ def _sector_states(charges, M2, seed=0, max_retries=5, residual_tol=1e-8):
         resid, charge, col = closest
         raise DegenerateSpectrum(
             f"L={L} sector M2={M2}: smallest worst Rayleigh residual over "
-            f"{max_retries} redraws is {resid:.3e} ({charge}, eigenvector {col} of "
-            f"{n}), above tol {residual_tol:g}"
+            f"{_MAX_RETRIES} redraws is {resid:.3e} ({charge}, eigenvector {col} of "
+            f"{n}), above tol {_RESIDUAL_TOL:g}"
         )
-    c_val = sector_constant(charges.params, M2)
     coeffs, values, resid = vecs.T.copy(), values.T.copy(), resid.T.copy()
     states = [
-        EigenState(basis, coeffs[i], values[i, :L], values[i, L:], c_val,
-                   resid[i, :L], resid[i, L:])
+        EigenState(basis, coeffs[i], values[i, :L], values[i, L:], resid[i, :L], resid[i, L:])
         for i in range(n)
     ]
     states.sort(key=lambda s: complex_sort_key(s.H))

@@ -1,13 +1,15 @@
 """Reference routines of the classical-model tests: a fixed-step RK4
 advance for finite differences along the flow, the power traces of the
-Newton identities, and the subset-sum invariants as a plain loop over
-subsets."""
+Newton identities, the subset-sum invariants as a plain loop over
+subsets, and the companion matrix and second-order equations of motion
+as plain loops over particle pairs."""
 
 from itertools import combinations
 
 import numpy as np
 
 from vertexdual import RSState
+from vertexdual.linalg import coth
 from vertexdual.ruijsenaars import cauchy_factor, hamilton_rhs
 
 
@@ -65,3 +67,47 @@ def subset_sums(x, weights, eta) -> tuple[np.ndarray, np.ndarray]:
             scale[size - 1] += abs(term)
         out[size - 1] = total
     return out, scale
+
+
+def a_matrix_loops(x, xdot, eta) -> np.ndarray:
+    """Companion matrix of dL/dt = [A, L], one entry at a time:
+    A_jk = xdot_j / sinh(x_j - x_k) off the diagonal and
+    A_jj = sum_{l != j} xdot_l coth(x_j - x_l) - sum_l xdot_l coth(x_j - x_l + eta)."""
+    x = np.asarray(x, dtype=complex)
+    xdot = np.asarray(xdot, dtype=complex)
+    n = x.size
+    a = np.empty((n, n), dtype=complex)
+    for j in range(n):
+        diag = 0.0 + 0.0j
+        for l in range(n):
+            if l != j:
+                diag += xdot[l] * coth(x[j] - x[l])
+            diag -= xdot[l] * coth(x[j] - x[l] + eta)
+        a[j, j] = diag
+        for k in range(n):
+            if k != j:
+                a[j, k] = xdot[j] / np.sinh(x[j] - x[k])
+    return a
+
+
+def acceleration_loops(x, xdot, eta) -> np.ndarray:
+    """Second-order equations of motion, one particle pair at a time."""
+    x = np.asarray(x, dtype=complex)
+    xdot = np.asarray(xdot, dtype=complex)
+    n = x.size
+    out = np.zeros(n, dtype=complex)
+    sh2 = np.sinh(eta) ** 2
+    for j in range(n):
+        for k in range(n):
+            if k == j:
+                continue
+            d = x[j] - x[k]
+            out[j] -= (
+                2.0
+                * xdot[j]
+                * xdot[k]
+                * sh2
+                * np.cosh(d)
+                / (np.sinh(d + eta) * np.sinh(d) * np.sinh(d - eta))
+            )
+    return out

@@ -55,6 +55,16 @@ class TestVerifyDuality:
         assert trial["n_states"] == 1024
         assert trial["worst_error"] <= 1e-8
 
+    def test_failed_draw_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(vertexdual.sampling, "_MAX_ATTEMPTS", 0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L": 3, "inhom": None}))
+        code, report = _run(tmp_path, ["verify-duality", "--config", str(cfg)])
+        assert code == 3
+        assert report is None
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("numerical failure: DrawFailed: no general-position draw of L = 3")
+
     def test_coincident_sites_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"L": 2, "inhom": [0.4, 0.4]}))
@@ -211,6 +221,16 @@ class TestCheckIdentities:
         code, report = _run(tmp_path, ["check-identities", "--config", str(cfg)])
         assert code == 0
         assert report["results"]["trials"][0]["identity_residual"] <= 1e-14
+
+    def test_q_tilde_factorization_residual(self, tmp_path):
+        # Q~'s ladder factorization goes through the Lagrange inverse of the
+        # y-Vandermonde; an LU inverse of V reaches 7.8e-13 on these draws.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 300, "n_max": 8, "seed": 7}))
+        code, report = _run(tmp_path, ["check-identities", "--config", str(cfg)])
+        assert code == 0
+        rows = report["results"]["trials"]
+        assert max(row["factorization_residual_q_tilde"] for row in rows) <= 5e-14
 
     def test_corrupted_scale_fails(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -73,6 +73,34 @@ class TestQMatrices:
         params = draw_identity_params(rng, 4, 3)
         assert rel_diff(q_tilde_matrix(params, check=False), q_tilde_factorized(params)) < 1e-9
 
+    def test_q_and_q_tilde_are_lax_matrices(self):
+        # Q and Q~ are the RS Lax matrix sinh(eta) v_i / sinh(p_i - p_j - eta)
+        # at velocities v = -g w, written out entry by entry.
+        def lax(points, others, g, eta, shift):
+            n = len(points)
+            out = np.empty((n, n), dtype=complex)
+            for i, p in enumerate(points):
+                w = 1.0 + 0.0j
+                for j, q in enumerate(points):
+                    if j != i:
+                        w *= np.sinh(p - q + shift) / np.sinh(p - q)
+                for o in others:
+                    w *= np.sinh(p - o) / np.sinh(p - o + shift)
+                for j, q in enumerate(points):
+                    out[i, j] = np.sinh(eta) * (-g * w) / np.sinh(p - q - eta)
+            return out
+
+        rng = rng_from_seed(8)
+        worst = 0.0
+        for n in range(1, 9):
+            for m in range(n + 1):
+                params = draw_identity_params(rng, n, m)
+                x, y, g, eta = params.x, params.y, params.g, params.eta
+                worst = max(worst, rel_diff(q_matrix(params), lax(x, y, g, eta, eta)))
+                if m:
+                    worst = max(worst, rel_diff(q_tilde_matrix(params), lax(y, x, g, eta, -eta)))
+        assert worst <= 1e-15
+
     def test_coupling_determinants_agree(self):
         rng = rng_from_seed(4)
         for _ in range(5):

@@ -1,10 +1,11 @@
 """Exact assignment in linalg: _assignment, match_multisets and
-ipi_distance against scipy's linear_sum_assignment as the reference."""
+ipi_distance against scipy's linear_sum_assignment as the reference;
+the order of complex sequences under complex_sort_key."""
 
 import numpy as np
 import pytest
 
-from vertexdual.linalg import _assignment, ipi_distance, match_multisets
+from vertexdual.linalg import _assignment, complex_sort_key, ipi_distance, match_multisets
 
 SIZES = range(1, 11)
 DRAWS_PER_SIZE = 70
@@ -90,3 +91,15 @@ def test_assignment_edge_cases():
     # Every row's cheapest column is column 0: the search must move rows.
     cost = np.array([[0.0, 1.0, 5.0], [0.1, 4.0, 2.0], [0.2, 0.3, 9.0]])
     assert _assignment(cost).tolist() == [0, 2, 1]
+
+
+def test_sort_key_orders_rounding_pairs_by_imaginary_part():
+    # Real parts one bit apart compare equal, so -Im comes first even where
+    # the +Im member has the smaller real part.
+    re = 0.1 + 0.2
+    plus, minus = complex(re, 0.5), complex(np.nextafter(re, 1.0), -0.5)
+    assert sorted([plus, minus], key=lambda z: complex_sort_key([z])) == [minus, plus]
+    assert sorted([[plus, 1.0], [minus, 0.0]], key=complex_sort_key) == [[minus, 0.0], [plus, 1.0]]
+    # Real parts that differ in the 8th digit still decide.
+    low, high = complex(1.0, 5.0), complex(1.0000001, -5.0)
+    assert sorted([high, low], key=lambda z: complex_sort_key([z])) == [low, high]

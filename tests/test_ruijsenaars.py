@@ -27,7 +27,13 @@ from vertexdual import (
 from vertexdual.linalg import coth, match_multisets
 from vertexdual.ruijsenaars import hamilton_rhs, symmetric_invariants
 
-from classical_reference import flow_step, power_traces, subset_sums
+from classical_reference import (
+    a_matrix_loops,
+    acceleration_loops,
+    flow_step,
+    power_traces,
+    subset_sums,
+)
 
 STATE3 = RSState(eta=0.45, x=np.array([0.15, 1.0, 2.05]), p=np.array([0.2, -0.1, 0.05]))
 
@@ -140,6 +146,20 @@ class TestCompanionMatrix:
                 if j != k:
                     expected = xd[j] / np.sinh(STATE3.x[j] - STATE3.x[k])
                     assert abs(a[j, k] - expected) < 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_pair_kernel_forms_match_loops(self, n):
+        # Complex coordinates, velocities and coupling.
+        rng = np.random.default_rng(n)
+        state = _random_state(rng, n, eta=0.45 + 0.2j)
+        x = state.x + 1j * rng.uniform(-0.3, 0.3, n)
+        xd = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        a = a_matrix(x, xd, state.eta)
+        ref = a_matrix_loops(x, xd, state.eta)
+        assert np.max(np.abs(a - ref)) <= 1e-14 * np.max(np.abs(ref))
+        acc = acceleration(x, xd, state.eta)
+        ref = acceleration_loops(x, xd, state.eta)
+        assert np.max(np.abs(acc - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1e-300)
 
     def test_lax_equation_along_flow(self):
         delta = 1e-4

@@ -33,6 +33,7 @@ from vertexdual import (
     transfer_matrix_twisted,
 )
 from vertexdual.linalg import rel_diff
+from vertexdual.sampling import draw_chain_params, rng_from_seed
 from vertexdual import spin_chain
 from vertexdual.spin_chain import (
     _asym_site_blocks,
@@ -434,11 +435,26 @@ class TestJointDiagonalize:
             assert np.max(np.abs(direct - collected)) < 1e-8
 
 
-    def test_retry_exhaustion_raises(self):
+    def test_conjugate_pairs_come_negative_imaginary_first(self):
+        # On a real chain the charge values of a sector come in conjugate
+        # pairs whose real parts agree only up to rounding; the sort puts
+        # the -Im member of each pair first, whatever the last bits say.
+        spec = joint_diagonalize(draw_chain_params(rng_from_seed(0), 5), seed=0)
+        pairs = 0
+        for m2 in (2, 3, 4):
+            h1 = [s.H[0] for s in spec.states if s.sector_M2 == m2]
+            for a, b in zip(h1, h1[1:]):
+                if abs(a.real - b.real) <= 1e-9 * abs(a):
+                    pairs += 1
+                    assert a.imag < 0 < b.imag
+        assert pairs == 7
+
+    def test_retry_exhaustion_raises(self, monkeypatch):
         # An unreachable residual target exhausts the redraws.
+        monkeypatch.setattr(spin_chain, "_RESIDUAL_TOL", 1e-18)
         params = _chain()
-        with pytest.raises(DegenerateSpectrum):
-            joint_diagonalize(params, seed=0, residual_tol=1e-18)
+        with pytest.raises(DegenerateSpectrum, match="over 5 redraws"):
+            joint_diagonalize(params, seed=0)
 
 
 def _kron_monodromy(site_blocks, twist=None):
