@@ -150,12 +150,16 @@ class InverseSolution:
     """One recovered charge tuple H of the sector, the worst relative
     defect of its invariant equations, and the eigenstate of the sector
     (its position in the sector, in joint_diagonalize order) whose
-    charge tuple lies closest, with their worst relative difference."""
+    charge tuple lies closest, with their worst relative difference.
+    ``condition`` is the 2-norm condition number of the invariants'
+    Jacobian at H: where it is large, a tuple that solves the equations
+    to rounding can still sit far from the ED tuple."""
 
     H: np.ndarray
     residual: float
     matched_state: int
     match_error: float
+    condition: float
 
 
 # Largest invariant-equation defect, relative to max(|e_n|, 1), that a
@@ -173,24 +177,27 @@ def _inverse_residual(x, H, eta, targets) -> float:
     return float(np.max(np.abs(vals - targets) / np.maximum(np.abs(targets), 1.0)))
 
 
-def _inverse_newton(x, H0, eta, targets, max_iter=60):
+def _invariant_jacobian(x, H, eta) -> np.ndarray:
+    """d e_n / d H_j of the Lax invariants at H.  They are multilinear in
+    H, so the j-th partial is the difference of the H_j = 1 and H_j = 0
+    evaluations: rows j and n + j of one stacked call."""
     n = x.size
-    H = H0.astype(complex).copy()
     cols = np.arange(n)
+    stack = np.tile(H, (2 * n, 1))
+    stack[cols, cols] = 1.0
+    stack[n + cols, cols] = 0.0
+    vals = symmetric_invariants(x, stack, eta)
+    return (vals[:n] - vals[n:]).T
+
+
+def _inverse_newton(x, H0, eta, targets, max_iter=60):
+    H = H0.astype(complex).copy()
     for _ in range(max_iter):
         f = symmetric_invariants(x, H, eta) - targets
         if np.max(np.abs(f) / np.maximum(np.abs(targets), 1.0)) < 1e-13:
             return H
-        # The invariants are multilinear in H, so the j-th partial is the
-        # difference of the H_j = 1 and H_j = 0 evaluations: rows j and
-        # n + j of one stacked call.
-        stack = np.tile(H, (2 * n, 1))
-        stack[cols, cols] = 1.0
-        stack[n + cols, cols] = 0.0
-        vals = symmetric_invariants(x, stack, eta)
-        jac = (vals[:n] - vals[n:]).T
         try:
-            step = np.linalg.solve(jac, f)
+            step = np.linalg.solve(_invariant_jacobian(x, H, eta), f)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(step)):
@@ -239,6 +246,7 @@ def inverse_spectral_solve(chain_x, eta, h, M2: int) -> list[InverseSolution]:
             float(np.max(np.abs(H - vec) / np.maximum(np.abs(vec), 1e-12))) for vec in ed_vectors
         ]
         matched = int(np.argmin(errs))
-        solutions.append(InverseSolution(H, residual, matched, errs[matched]))
+        cond = float(np.linalg.cond(_invariant_jacobian(x, H, eta)))
+        solutions.append(InverseSolution(H, residual, matched, errs[matched], cond))
     solutions.sort(key=lambda s: complex_sort_key(s.H))
     return solutions

@@ -227,18 +227,18 @@ def complex_sort_key(values) -> tuple[float, ...]:
 def lagrange_vandermonde_inverse(t: np.ndarray) -> np.ndarray:
     """Inverse transpose of the Vandermonde matrix V_ij = t_i^(j-1).
 
-    Row k holds the coefficients (ascending powers) of the Lagrange
+    Row i holds the coefficients (ascending powers) of the Lagrange
     basis polynomial through the nodes ``t``, so that the returned B
     satisfies B @ V^T = I.  Built from products of node differences,
-    which stays accurate where LU on V^T would not.
+    which stays accurate where LU on V^T would not: step j multiplies
+    every numerator but the j-th by (z - t_j).
     """
     t = np.asarray(t, dtype=complex)
-    k = t.size
-    out = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        others = np.delete(t, i)
-        # np.poly returns highest power first; flip to ascending.
-        num = np.poly(others) if others.size else np.array([1.0 + 0.0j])
-        den = np.prod(t[i] - others) if others.size else 1.0 + 0.0j
-        out[i, :] = num[::-1] / den
-    return out
+    others = ~np.eye(t.size, dtype=bool)
+    num = np.zeros((t.size, t.size), dtype=complex)
+    num[:, :1] = 1.0
+    for j, rows in enumerate(others):
+        num[rows, 1:] = num[rows, :-1] - t[j] * num[rows, 1:]
+        num[rows, 0] *= -t[j]
+    den = np.prod(np.where(others, t[:, None] - t, 1.0), axis=1)
+    return num / den[:, None]

@@ -11,16 +11,16 @@ Conventions
   charges as dense 2**L operators, growing the auxiliary-space 2x2 block
   monodromy one site at a time.  joint_diagonalize forms no operator:
   within one magnetization sector at a time it applies each charge to a
-  block of sector vectors, H_k as a product of two-site weights and G_k
-  as the auxiliary-space product run site by site (see _SectorCharges).
-  The operator norms it needs come in closed form from the site blocks.
+  block of sector vectors as a product of two-site weights and one
+  diagonal.  G_k H_k and r(x) r(-x) are scalars, so G_k is H_k's
+  product reversed with the gaps negated (see _SectorCharges).  The
+  operator norms it needs come in closed form from the site blocks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -339,100 +339,61 @@ class _SectorCharges:
 
     H_k = R_{k,k+1} ... R_{k,L} D_k R_{k,1} ... R_{k,k-1}: the weight at
     site k is the permutation, R_{kj} = r_matrix(x_k - x_j, eta) acts on
-    sites (k, j) and D_k = diag(e^{Lh}, e^{-Lh}) on site k.  On a sector
-    basis R_{kj} multiplies a row whose bits k and j agree by a, and
-    otherwise adds c times the row with the two bits swapped: one gather
-    and two scalings per factor.
+    sites (k, j) and D_k = diag(e^{Lh}, e^{-Lh}) on site k.  As G_k H_k =
+    w_k (gh_product_scalar) and r(x) r(-x) = 1 - sinh^2(eta)/sinh^2(x),
+    G_k = s_k R'_{k,k-1} ... R'_{k,1} D_k^{-1} R'_{k,L} ... R'_{k,k+1}:
+    H_k's factors reversed, with R'_{kj} = r_matrix(x_j - x_k, eta) and
+    s_k = prod_{j != k} sinh(x_k - x_j)/sinh(x_k - x_j - eta).  On a
+    sector basis R_{kj} multiplies a row whose bits k and j agree by a,
+    and otherwise adds c times the row with the two bits swapped: one
+    gather and two scalings per factor.
 
-    G_k = t(x_k - eta) runs the auxiliary-space product site by site.
-    From auxiliary index 0 (1) it carries the block's component in its
-    sector M and one in M + 1 (M - 1); sigma^-_j and sigma^+_j move rows
-    between neighbouring sectors by gathers built once here and shared
-    by all charges and sectors.
-
-    Both act on a stack of charges ``ks`` at once and return the stack of
-    A_k v, shape (len(ks), rows, columns).
+    apply acts on a stack of charges ``ks`` at once and returns the stack
+    of A_k v, shape (len(ks), rows, columns).
     """
 
     def __init__(self, params: ChainParams):
         L = self.L = params.L
-        self.params, self.twist, self.bases = params, _twist(params), sector_bases(L)
-        site_blocks = _charge_site_blocks(params)
-        self.norms = np.array([_frobenius_norm(blocks, self.twist) for blocks in site_blocks])
-        # The diagonal and exchange weights a, c of every site factor, [k, j].
+        self.params, self.bases = params, sector_bases(L)
+        site_blocks, (g_up, g_down) = _charge_site_blocks(params), _twist(params)
+        self.norms = np.array([_frobenius_norm(blocks, (g_up, g_down)) for blocks in site_blocks])
+        # The diagonal and exchange weights a, c of every site factor [k, j]
+        # of H_k; G_k's factor on sites (k, j) is H_j's on (j, k).
         w = np.array([[(b00[0, 0], b01[1, 0]) for b00, b01, _, _ in blocks]
-                      for blocks in site_blocks])
-        self.h_weights, self.g_weights = (w[:L, :, 0], w[:L, :, 1]), (w[L:, :, 0], w[L:, :, 1])
-        self.pos = np.empty(2 ** L, dtype=np.intp)
-        for basis in self.bases:
-            self.pos[basis.indices] = np.arange(basis.indices.size)
-        # Sectors m = -1 .. L + 1, each closed by one zero pad row.  Per site
-        # j: up[j][m + 1] marks the rows of sector m with site j up;
-        # minus[j][m + 1] gives the row of m that sigma^-_j sends to each row
-        # of m + 1, and plus[j][m + 1] the row of m + 1 that sigma^+_j sends
-        # to each row of m (the pad row where there is none).
-        empty = np.empty(0, dtype=np.intp)
-        rows = [empty, *(basis.indices for basis in self.bases), empty]
-        self.up, self.minus, self.plus = [], [], []
-        for j in range(L):
-            bit = 1 << (L - 1 - j)
-            self.up.append([np.append((r & bit) == 0, False)[:, None] for r in rows])
-            self.minus.append([
-                np.append(np.where(hi & bit, self.pos[hi ^ bit], lo.size), lo.size)
-                for lo, hi in zip(rows, rows[1:])
-            ])
-            self.plus.append([
-                np.append(np.where(lo & bit, hi.size, self.pos[lo | bit]), hi.size)
-                for lo, hi in zip(rows, rows[1:])
-            ])
+                      for blocks in site_blocks[:L]])
+        self.weights = np.concatenate([w, w.transpose(1, 0, 2)])
+        # D_k, and s_k D_k^{-1} for G_k, on site k up and down.
+        s = sinh_pair_product(params.inhom, None, 0.0, -params.eta)
+        self.diag = np.concatenate([np.tile((g_up, g_down), (L, 1)), np.outer(s, (g_down, g_up))])
 
-    def h_factors(self, M2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather, keep and exchange arrays [k, i] of the i-th factor to act
-        in H_k on sector M2: R_{k,k-1} .. R_{k,1}, D_k, R_{k,L} .. R_{k,k+1}
-        (D_k gathers each row from itself and exchanges nothing)."""
+    def factors(self, M2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gather, keep and exchange arrays [q, i] of the i-th factor to act
+        in charge q on sector M2; in H_k: R_{k,k-1} .. R_{k,1}, D_k,
+        R_{k,L} .. R_{k,k+1}, and in G_k the reverse (the diagonal factor
+        gathers each row from itself and exchanges nothing)."""
         L, idx = self.L, self.bases[M2].indices
         shifts = L - 1 - np.arange(L)
         bits = (idx >> shifts[:, None]) & 1
-        k, i = np.indices((L, L))
+        q, i = np.indices((2 * L, L))
+        k, i = q % L, np.where(q < L, i, L - 1 - i)
         site = np.where(i < k, k - 1 - i, np.where(i == k, k, L + k - i))
         differ = bits[k] != bits[site]
-        swapped = self.pos[idx ^ ((1 << shifts[k]) | (1 << shifts[site]))[..., None]]
+        # Where the two bits differ, the swapped index lies in the sector.
+        swapped = np.searchsorted(idx, idx ^ ((1 << shifts[k]) | (1 << shifts[site]))[..., None])
         gather = np.where(differ, swapped, np.arange(idx.size))
-        a, c = (w[k, site][..., None] for w in self.h_weights)
-        g_up, g_down = self.twist
+        a, c = np.moveaxis(self.weights[q, site], -1, 0)[..., None]
         keep = np.where(
-            (site == k)[..., None], np.where(bits[k], g_down, g_up), np.where(differ, 1.0, a)
+            (site == k)[..., None], self.diag[q[..., None], bits[k]], np.where(differ, 1.0, a)
         )
         return gather, keep[..., None], np.where(differ, c, 0.0)[..., None]
 
-    def apply_h(self, factors, ks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def apply(self, factors, ks: np.ndarray, v: np.ndarray) -> np.ndarray:
         gather, keep, exchange = (f[ks] for f in factors)
         stack = np.arange(ks.size)[:, None]
         v = np.broadcast_to(v, (ks.size, *v.shape))
         for i in range(self.L):
             v = keep[:, i] * v + exchange[:, i] * v[stack, gather[:, i]]
         return v
-
-    def apply_g(self, M2: int, ks: np.ndarray, v: np.ndarray) -> np.ndarray:
-        n = v.shape[1]
-        a, c = (w[ks][:, :, None, None] for w in self.g_weights)
-        padded = np.vstack([v, np.zeros((1, n))])
-        out = 0.0
-        # From auxiliary index 0 (components in M2, M2 + 1) and from 1 (in
-        # M2 - 1, M2); m is the lower sector of the pair.
-        for g, m in zip(self.twist, (M2, M2 - 1)):
-            y0 = padded if m == M2 else np.zeros((self.plus[0][m + 1].size, n), complex)
-            y1 = padded if m != M2 else np.zeros((self.minus[0][m + 1].size, n), complex)
-            for j in range(self.L):
-                aj, cj = a[:, j], c[:, j]
-                y0, y1 = (
-                    np.where(self.up[j][m + 1], aj, 1.0) * y0
-                    + cj * y1[..., self.plus[j][m + 1], :],
-                    cj * y0[..., self.minus[j][m + 1], :]
-                    + np.where(self.up[j][m + 2], 1.0, aj) * y1,
-                )
-            out = out + g * (y0 if m == M2 else y1)[:, :-1]
-        return out
 
 
 def joint_diagonalize(params: ChainParams, seed: int = 0) -> JointSpectrum:
@@ -463,7 +424,7 @@ def _sector_states(charges, M2, seed=0):
     L, basis = charges.L, charges.bases[M2]
     rng = np.random.default_rng([seed, M2])
     n = basis.indices.size
-    factors = charges.h_factors(M2)
+    factors = charges.factors(M2)
     step = max(1, _STACK_ENTRIES // n ** 2)
     stacks = [np.arange(L)[i : i + step] for i in range(0, L, step)]
     eye = np.eye(n, dtype=complex)
@@ -472,21 +433,18 @@ def _sector_states(charges, M2, seed=0):
     closest = (np.inf, "", -1)
     for _ in range(_MAX_RETRIES):
         coeff = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        combo = sum(np.tensordot(coeff[ks], charges.apply_h(factors, ks, eye), 1) for ks in stacks)
+        combo = sum(np.tensordot(coeff[ks], charges.apply(factors, ks, eye), 1) for ks in stacks)
         _, vecs = np.linalg.eig(combo)
         vecs /= np.linalg.norm(vecs, axis=0)
         values = np.empty((2 * L, n), dtype=complex)
         resid = np.empty((2 * L, n))
         # One stack of A V alive at a time; rows 0 .. L-1 are H, L .. 2L-1 G.
-        actions = chain(
-            ((ks, charges.apply_h(factors, ks, vecs)) for ks in stacks),
-            ((L + ks, charges.apply_g(M2, ks, vecs)) for ks in stacks),
-        )
-        for rows, av in actions:
+        for ks in stacks + [L + ks for ks in stacks]:
+            av = charges.apply(factors, ks, vecs)
             rayleigh = np.einsum("ij,kij->kj", vecs.conj(), av)
-            resid[rows] = np.linalg.norm(av - vecs * rayleigh[:, None], axis=1)
-            resid[rows] /= charges.norms[rows, None]
-            values[rows] = np.diagonal(np.linalg.solve(vecs, av), axis1=1, axis2=2)
+            resid[ks] = np.linalg.norm(av - vecs * rayleigh[:, None], axis=1)
+            resid[ks] /= charges.norms[ks, None]
+            values[ks] = np.diagonal(np.linalg.solve(vecs, av), axis1=1, axis2=2)
         worst = resid.max(axis=0)
         above = np.flatnonzero(worst > _RESIDUAL_TOL)
         if not above.size:

@@ -181,6 +181,17 @@ class TestInverseSpectral:
         for m2 in range(5):
             self._assert_bijection(chain, m2)
 
+    def test_condition_number_flags_the_loose_match(self):
+        # At h = 0, L = 6, seed 2, sector 3, one tuple solves the invariant
+        # equations to rounding yet lies 4.5e-7 from its ED tuple: the
+        # inverse map is ill-conditioned there, and the Jacobian shows it.
+        chain = replace(draw_chain_params(rng_from_seed(2), 6), h=0.0)
+        sols = inverse_spectral_solve(chain.inhom, chain.eta, chain.h, 3)
+        loose = max(sols, key=lambda s: s.match_error)
+        assert loose.match_error > 1e-7 and loose.condition >= 1e9
+        for s in sols:
+            assert s.match_error <= 1e-9 or s.condition >= 1e8
+
     def test_solve_diagonalizes_only_its_sector(self, monkeypatch):
         # The ED annotation comes from sector M2 alone, and its states are
         # those of joint_diagonalize in the same order, so each solution's

@@ -1,11 +1,19 @@
 """Exact assignment in linalg: _assignment, match_multisets and
 ipi_distance against scipy's linear_sum_assignment as the reference;
-the order of complex sequences under complex_sort_key."""
+the order of complex sequences under complex_sort_key; the Lagrange
+inverse against a per-row build."""
 
 import numpy as np
 import pytest
 
-from vertexdual.linalg import _assignment, complex_sort_key, ipi_distance, match_multisets
+from vertexdual.linalg import (
+    _assignment,
+    complex_sort_key,
+    ipi_distance,
+    lagrange_vandermonde_inverse,
+    match_multisets,
+    rel_diff,
+)
 
 SIZES = range(1, 11)
 DRAWS_PER_SIZE = 70
@@ -103,3 +111,24 @@ def test_sort_key_orders_rounding_pairs_by_imaginary_part():
     # Real parts that differ in the 8th digit still decide.
     low, high = complex(1.0, 5.0), complex(1.0000001, -5.0)
     assert sorted([high, low], key=lambda z: complex_sort_key([z])) == [low, high]
+
+
+def _lagrange_rows(t):
+    """Lagrange coefficients one row at a time, from np.poly of the
+    other nodes (ascending powers)."""
+    out = np.empty((t.size, t.size), dtype=complex)
+    for i in range(t.size):
+        others = np.delete(t, i)
+        out[i] = np.atleast_1d(np.poly(others))[::-1] / np.prod(t[i] - others)
+    return out
+
+
+def test_lagrange_inverse_matches_per_row_reference():
+    # Same products in another order, so equal to a few rounding units.
+    rng = np.random.default_rng(22)
+    for trial in range(400):
+        n = 1 + trial % 8
+        t = np.exp(2 * (rng.uniform(-1, 1, n) + 1j * rng.uniform(-0.3, 0.3, n)))
+        diff = rel_diff(lagrange_vandermonde_inverse(t), _lagrange_rows(t))
+        assert diff <= 20 * np.finfo(float).eps
+    assert lagrange_vandermonde_inverse(np.zeros(0)).shape == (0, 0)

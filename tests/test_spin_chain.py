@@ -40,6 +40,7 @@ from vertexdual.spin_chain import (
     _charge_site_blocks,
     _frobenius_norm,
     _perm_site_blocks,
+    _traced_monodromy,
     _twist,
     gh_product_scalar,
 )
@@ -477,6 +478,32 @@ def _complex_chain(L):
     return ChainParams(L=L, eta=0.41 + 0.07j, h=0.23 - 0.05j, v=0.13 + 0.02j, inhom=tuple(xs))
 
 
+def _long_double_charge_blocks(params):
+    """_charge_site_blocks and _twist evaluated in long double.  In
+    float64 the G_k weight at site k, a(x_k - eta - x_k), keeps the
+    rounding of the gap instead of vanishing."""
+    xs = np.array(params.inhom, dtype=np.clongdouble)
+    eta, Lh = np.clongdouble(params.eta), np.clongdouble(params.L * params.h)
+
+    def weight(x):
+        a, c = np.sinh(x + eta) / np.sinh(x), np.sinh(eta) / np.sinh(x)
+        zero = np.zeros_like(a)
+        return (
+            np.array([[a, zero], [zero, 1.0]]),
+            np.array([[zero, zero], [c, zero]]),
+            np.array([[zero, c], [zero, zero]]),
+            np.array([[1.0, zero], [zero, a]]),
+        )
+
+    perm = [b.astype(np.clongdouble) for b in _perm_site_blocks()]
+    h = [
+        [perm if i == k else weight(xk - xi) for i, xi in enumerate(xs)]
+        for k, xk in enumerate(xs)
+    ]
+    g = [[weight(xk - eta - xi) for xi in xs] for xk in xs]
+    return h + g, (np.exp(Lh), np.exp(-Lh))
+
+
 class TestSectorAssembly:
     @pytest.mark.parametrize("L", range(1, 8))
     def test_bit_identical_to_kron_build(self, L):
@@ -530,25 +557,27 @@ class TestSectorAssembly:
                     ref = np.linalg.norm(op.entries)
                     assert abs(_frobenius_norm(blocks, twist) - ref) <= 1e-13 * ref
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18,
+        reason="long double is no wider than double here, and the reference needs the extra bits",
+    )
     @pytest.mark.parametrize("L", range(1, 9))
     def test_sector_action_matches_dense_charges(self, L):
-        # H_k in product form and G_k by the site-by-site auxiliary product,
-        # applied to the identity of each sector, against the [idx, idx]
-        # slices of the dense builders.
+        # All 2L charges in product form, applied to the identity of each
+        # sector, against the [idx, idx] slices of the traced monodromy
+        # built in extended precision, site weights included.  The float64
+        # dense G_k is itself off by up to 1.3e-13 relative (the vacuum
+        # entry e^{-Lh} at L = 7, 8).
         rng = np.random.default_rng(300 + L)
         real = ChainParams(L=L, eta=0.47, h=0.31, inhom=tuple(np.sort(rng.uniform(0.0, 2.5, L))))
         for params in (real, _complex_chain(L)):
             charges = spin_chain._SectorCharges(params)
-            dense = [op.entries for op in hamiltonians_h(params) + hamiltonians_g(params)]
-            every = np.arange(L)
+            blocks, twist = _long_double_charge_blocks(params)
+            dense = [_traced_monodromy(b, twist) for b in blocks]
             for basis in sector_bases(L):
                 idx = basis.indices
                 eye = np.eye(idx.size, dtype=complex)
-                factors = charges.h_factors(basis.M2)
-                applied = [
-                    *charges.apply_h(factors, every, eye),
-                    *charges.apply_g(basis.M2, every, eye),
-                ]
+                applied = charges.apply(charges.factors(basis.M2), np.arange(2 * L), eye)
                 for k, (block, ref) in enumerate(zip(applied, dense)):
                     assert rel_diff(block, ref[np.ix_(idx, idx)]) <= 1e-14, (k, basis.M2)
 
