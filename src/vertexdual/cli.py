@@ -384,6 +384,7 @@ def _cmd_rs_evolve(config: dict):
     summary = {
         "lax_eigenvalue_drift": lax_drift,
         "invariant_drift": invariant_drift,
+        "ode": trajectory.ode,
         "passed": passed,
     }
     return {"trajectory": samples}, summary, (0 if passed else 1)

@@ -2,8 +2,10 @@
 flow, Lax matrix in its several equivalent builds, spectral invariants,
 and adaptive time evolution with isospectrality monitoring.
 
-The Hamilton equations are integrated in (x, p); the second-order form
-of the equations of motion is only used as a residual check.  States
+The Hamilton equations are integrated in (x, p) by an embedded
+Dormand-Prince 5(4) pair written here, so the package needs no ODE
+library; the second-order form of the equations of motion is only used
+as a residual check.  States
 and all derived matrices are complex; real initial data simply embeds.
 """
 
@@ -290,14 +292,122 @@ def xle_relation_check(state: RSState) -> float:
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lax))
 
 
-def _pack(x, p):
-    return np.concatenate([x.real, x.imag, p.real, p.imag])
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6
+# (1980) 19).  Row s of _DP_A weighs stages 1..s into the argument of stage
+# s + 1.  Its last row is the 5th-order solution, so the last stage is the
+# field at the new point and the first stage of the next step.  _DP_E weighs
+# the stages into the 5th- minus the embedded 4th-order solution, _DP_D into
+# the last term of the 4th-order continuous extension (Hairer, Norsett &
+# Wanner, Solving ODEs I, 2nd ed., II.6, their dopri5).
+_DP_A = np.array(
+    [
+        [0, 0, 0, 0, 0, 0],
+        [1 / 5, 0, 0, 0, 0, 0],
+        [3 / 40, 9 / 40, 0, 0, 0, 0],
+        [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+        [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ]
+)
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+_DP_D = np.array(
+    [
+        -12715105075 / 11282082432,
+        0,
+        87487479700 / 32700410799,
+        -10690763975 / 1880347072,
+        701980252875 / 199316789632,
+        -1453857185 / 822651844,
+        69997945 / 29380423,
+    ]
+)
+# Step-size control: the next step is the last times 0.9 err^(-1/5),
+# clamped to [0.2, 10].
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
-def _unpack(y, n):
-    x = y[0:n] + 1j * y[n : 2 * n]
-    p = y[2 * n : 3 * n] + 1j * y[3 * n :]
-    return x, p
+def _rms(v) -> float:
+    return float(np.sqrt(np.mean(v * v)))
+
+
+def _initial_step(f, y0, f0, t_final, tol) -> float:
+    """Hairer's starting step (Solving ODEs I, II.4): an explicit Euler
+    step of 1% of the solution's scale, then the 5th-order step that
+    makes the estimated local error 0.01 from the change of the field."""
+    scale = tol * (1.0 + np.abs(y0))
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t_final))
+    d2 = _rms((f(y0 + np.copysign(h0, t_final) * f0) - f0) / scale) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, 1e-3 * h0)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, abs(t_final))
+
+
+def _continuous_extension(y, y_new, k, h):
+    """The 4th-order interpolant of the step y -> y_new as a function of
+    theta in [0, 1]; it takes the stages k by value."""
+    dy = y_new - y
+    b = h * k[0] - dy
+    c = dy - h * k[6] - b
+    d = h * (_DP_D @ k)
+    return lambda theta: y + theta * (dy + (1 - theta) * (b + theta * (c + (1 - theta) * d)))
+
+
+def _dormand_prince(f, y0, f0, t_final, tol, counts):
+    """Accepted steps of the Dormand-Prince 5(4) pair for the autonomous
+    y' = f(y), from t = 0 to t_final of either sign; f0 = f(y0).
+
+    Steps run free; only the last is cut to end at t_final.  The error is
+    the RMS norm with rtol = atol = tol, and a step is accepted when it is
+    at most 1; a non-finite error rejects it.  After a rejection the
+    accepted step does not let the next one grow.  Yields (t, t_new, y_new,
+    dense) with dense(theta) the state at t + theta (t_new - t), and counts
+    the accepted and rejected steps in counts["steps"] and ["rejected"].
+    Raises StepSizeUnderflow when the step falls below 10 ulp of t.
+    """
+    direction = 1.0 if t_final > 0 else -1.0
+    k = np.empty((7, y0.size))
+    k[0] = f0
+    t, y = 0.0, y0
+    h_abs = _initial_step(f, y0, f0, t_final, tol) if t_final else 0.0
+    while t != t_final:
+        min_step = 10 * abs(np.nextafter(t, direction * np.inf) - t)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeUnderflow(f"the step size fell below 10 ulp at t = {t:.6g}")
+            t_new = t + direction * h_abs
+            if direction * (t_new - t_final) > 0:
+                t_new = t_final
+            h = t_new - t
+            for s in range(1, 7):
+                y_new = y + h * (_DP_A[s, :s] @ k[:s])
+                k[s] = f(y_new)
+            err = _rms(h * (_DP_E @ k) / (tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))))
+            if err <= 1.0:
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** -0.2) if np.isfinite(err) else _MIN_FACTOR
+            counts["rejected"] += 1
+            rejected = True
+        counts["steps"] += 1
+        yield t, t_new, y_new, _continuous_extension(y, y_new, k, h)
+        factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
+        h_abs *= min(1.0, factor) if rejected else factor
+        t, y = t_new, y_new
+        k[0] = k[6]
+
+
+class Trajectory(list):
+    """The (t, RSState) samples of evolve.  ``ode`` holds the integrator's
+    deterministic counts: field evaluations ``nfev``, accepted ``steps``
+    and ``rejected`` steps."""
+
+    def __init__(self, ode: dict[str, int]):
+        super().__init__()
+        self.ode = ode
 
 
 def evolve(
@@ -305,69 +415,70 @@ def evolve(
     t_final: float,
     tol_ode: float = 1e-10,
     n_samples: int = 33,
-) -> list[tuple[float, RSState]]:
-    """Adaptive high-order Runge-Kutta integration of the canonical flow.
+) -> Trajectory:
+    """Adaptive Dormand-Prince 5(4) integration of the canonical flow,
+    forward or backward in time.
 
-    Returns (t, state) samples on a uniform grid including both ends.
-    Raises CollisionDetected when any |sinh(x_i - x_j)| crosses
-    ``_COLLISION_TOL`` and StepSizeUnderflow when the integrator stalls or
-    the vector field is not finite at the start.
+    Returns (t, state) samples on the uniform grid of n_samples times from
+    0 to t_final, both ends included (all at t = 0 when t_final is 0),
+    taken from the continuous extension of the free-running steps.  Raises
+    CollisionDetected when any |sinh(x_i - x_j)| crosses ``_COLLISION_TOL``
+    at an accepted step, locating the crossing on the interpolant, and
+    StepSizeUnderflow when the integrator stalls or the vector field is not
+    finite at the start.
     """
     n = state.L
     eta = state.eta
+    t_final = float(t_final)
+    ode = {"nfev": 0, "steps": 0, "rejected": 0}
+    samples = Trajectory(ode)
+    grid = np.linspace(0.0, t_final, n_samples)
 
-    def rhs(_t, y):
-        x, p = _unpack(y, n)
-        st = RSState(eta=eta, x=x, p=p)
-        xd, pd = hamilton_rhs(st)
-        return _pack(xd, pd)
+    # The integrator works on the real view of the complex (x, p), so that
+    # its error norm weighs real and imaginary parts alike.
+    def rhs(y):
+        ode["nfev"] += 1
+        z = y.view(complex)
+        return np.concatenate(hamilton_rhs(RSState(eta=eta, x=z[:n], p=z[n:]))).view(float)
 
-    def collision(_t, y):
-        x, _ = _unpack(y, n)
-        return smallest_sinh_gap(x, None, UNSHIFTED)[0] - _COLLISION_TOL
+    def gap(y):
+        return smallest_sinh_gap(y.view(complex)[:n], None, UNSHIFTED)[0]
 
-    collision.terminal = True
-    collision.direction = -1.0
+    def sample_through(t_end, at):
+        # Records the grid times not beyond t_end; at(t) is the state there.
+        while len(samples) < n_samples and abs(grid[len(samples)]) <= abs(t_end):
+            z = at(grid[len(samples)]).view(complex)
+            samples.append((float(grid[len(samples)]), RSState(eta=eta, x=z[:n], p=z[n:])))
 
-    # The event detector only sees sign crossings, so reject states that
-    # start inside the collision shell.
-    if collision(0.0, _pack(state.x, state.p)) <= 0.0:
+    y0 = np.concatenate([state.x, state.p]).view(float)
+    if gap(y0) <= _COLLISION_TOL:
         raise CollisionDetected("initial coordinates already within the collision threshold")
-    # From a non-finite field solve_ivp steps on NaN and never returns.
+    # Trial steps of a stalling run overflow the field; the integrator
+    # rejects them and reports the stall, in one line, without numpy's
+    # warnings.
     with np.errstate(all="ignore"):
-        if not all(np.all(np.isfinite(d)) for d in hamilton_rhs(state)):
+        f0 = rhs(y0)
+        if not np.all(np.isfinite(f0)):
             raise StepSizeUnderflow("the vector field is not finite at t = 0")
-
-    # Imported here so that only evolve pays for loading scipy.integrate.
-    from scipy.integrate import solve_ivp
-
-    # Trial steps of a stalling run overflow the field; the status below
-    # reports the stall, in one line, without numpy's warnings.
-    with np.errstate(all="ignore"):
-        sol = solve_ivp(
-            rhs,
-            (0.0, float(t_final)),
-            _pack(state.x, state.p),
-            method="DOP853",
-            rtol=tol_ode,
-            atol=tol_ode,
-            t_eval=np.linspace(0.0, float(t_final), n_samples),
-            events=collision,
-            dense_output=False,
-        )
-    if sol.status == 1:
-        t_ev = sol.t_events[0][0]
-        raise CollisionDetected(f"particles collide near t = {t_ev:.6g}")
-    if sol.status < 0:
-        # The last sample reached; t = 0 when the first step already failed.
-        t_last, x_last = (sol.t[-1], _unpack(sol.y[:, -1], n)[0]) if sol.t.size else (0.0, state.x)
-        gap, i, j, _ = smallest_sinh_gap(x_last, None, UNSHIFTED)
-        raise StepSizeUnderflow(
-            f"{sol.message} (last sample t = {t_last:.6g}, "
-            f"smallest |sinh(x_{i + 1} - x_{j + 1})| = {gap:.3e} there)"
-        )
-    out = []
-    for idx, t in enumerate(sol.t):
-        x, p = _unpack(sol.y[:, idx], n)
-        out.append((float(t), RSState(eta=eta, x=x, p=p)))
-    return out
+        sample_through(0.0, lambda _t: y0)
+        try:
+            for t, t_new, y_new, dense in _dormand_prince(rhs, y0, f0, t_final, tol_ode, ode):
+                if gap(y_new) <= _COLLISION_TOL:
+                    # The gap is above the threshold at theta = 0: bisect.
+                    lo, hi = 0.0, 1.0
+                    for _ in range(60):
+                        mid = 0.5 * (lo + hi)
+                        lo, hi = (mid, hi) if gap(dense(mid)) > _COLLISION_TOL else (lo, mid)
+                    t_hit = t + hi * (t_new - t)
+                    raise CollisionDetected(f"particles collide near t = {t_hit:.6g}")
+                sample_through(
+                    t_new, lambda s: y_new if s == t_new else dense((s - t) / (t_new - t))
+                )
+        except StepSizeUnderflow as exc:
+            t_last, last = samples[-1]
+            g, i, j, _ = smallest_sinh_gap(last.x, None, UNSHIFTED)
+            raise StepSizeUnderflow(
+                f"{exc} (last sample t = {t_last:.6g}, "
+                f"smallest |sinh(x_{i + 1} - x_{j + 1})| = {g:.3e} there)"
+            ) from None
+    return samples

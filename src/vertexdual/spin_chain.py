@@ -212,7 +212,9 @@ def _charge_site_blocks(params: ChainParams) -> list[list[tuple]]:
          for i, xi in enumerate(xs)]
         for k, xk in enumerate(xs)
     ]
-    g_blocks = [[_asym_site_blocks(xk - eta - xi, eta, 0.0, 0.0) for xi in xs] for xk in xs]
+    # Grouped so that G_k's gap at its own site is exactly -eta, and the
+    # weight a(-eta) there exactly 0.
+    g_blocks = [[_asym_site_blocks((xk - xi) - eta, eta, 0.0, 0.0) for xi in xs] for xk in xs]
     return h_blocks + g_blocks
 
 

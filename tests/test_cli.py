@@ -193,6 +193,43 @@ class TestRsEvolve:
         assert line.startswith("numerical failure: StepSizeUnderflow: ")
         assert "last sample t = " in line
 
+    def test_zero_time_returns_the_grid(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_final": 0, "n_samples": 7}))
+        code, report = _run(tmp_path, ["rs-evolve", "--config", str(cfg)])
+        assert code == 0
+        trajectory = report["results"]["trajectory"]
+        assert len(trajectory) == 7
+        assert all(s["t"] == 0.0 and s["x"] == trajectory[0]["x"] for s in trajectory)
+        assert report["summary"]["ode"] == {"nfev": 1, "steps": 0, "rejected": 0}
+
+    def test_negative_time_runs_backward(self, tmp_path):
+        _, forward = _run(tmp_path, ["rs-evolve"], name="forward.json")
+        start, end = forward["results"]["trajectory"][0], forward["results"]["trajectory"][-1]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x0": end["x"], "p0": end["p"], "t_final": -end["t"]}))
+        code, backward = _run(tmp_path, ["rs-evolve", "--config", str(cfg)], name="backward.json")
+        assert code == 0
+        last = backward["results"]["trajectory"][-1]
+        assert last["t"] == -end["t"]
+        for key in ("x", "p"):
+            assert np.max(np.abs(np.array(last[key]) - np.array(start[key]))) <= 1e-7
+
+    def test_determinism_and_ode_counts(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        config = {"eta": 0.3, "x0": [0.1, 0.9, 1.8, 2.5], "p0": [0.2, 0, -0.1, 0.3]}
+        cfg.write_text(json.dumps(config))
+        _, rep_a = _run(tmp_path, ["rs-evolve", "--config", str(cfg)], name="a.json")
+        _, rep_b = _run(tmp_path, ["rs-evolve", "--config", str(cfg)], name="b.json")
+        ode = rep_a["summary"]["ode"]
+        assert set(ode) == {"nfev", "steps", "rejected"}
+        # Six new stages per step, whether accepted or rejected, after the
+        # field at the start and the probe of the initial step.
+        assert ode["nfev"] == 2 + 6 * (ode["steps"] + ode["rejected"]) and ode["steps"] > 0
+        rep_a.pop("timestamp")
+        rep_b.pop("timestamp")
+        assert json.dumps(rep_a, sort_keys=True) == json.dumps(rep_b, sort_keys=True)
+
     def test_mismatched_lengths_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"x0": [0.1, 1.0], "p0": [0.0]}))
@@ -312,13 +349,9 @@ class TestColdImport:
             ("verify-duality", {"L": 3, "inhom": None}),
             ("solve-bethe", {"L": 2}),
             ("check-identities", {"n_max": 4}),
+            ("rs-evolve", {}),
         ]
-        assert _cold_run(tmp_path, commands) == {"codes": [0, 0, 0], "scipy": []}
-
-    def test_rs_evolve_loads_scipy_on_first_use(self, tmp_path):
-        run = _cold_run(tmp_path, [("rs-evolve", {})])
-        assert run["codes"] == [0]
-        assert "scipy.integrate" in run["scipy"]
+        assert _cold_run(tmp_path, commands) == {"codes": [0, 0, 0, 0], "scipy": []}
 
     def test_module_form_writes_report(self, tmp_path):
         (tmp_path / "c.json").write_text(json.dumps({"L": 2, "inhom": None}))

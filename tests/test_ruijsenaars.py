@@ -1,6 +1,7 @@
 """Classical model: Hamiltonian/flow consistency by finite differences,
 Lax builds and factorizations against each other and against LU/eig
-oracles, spectral invariants, and monitored time evolution."""
+oracles, spectral invariants, and monitored time evolution against
+scipy's DOP853 as the reference integrator."""
 
 import re
 
@@ -276,6 +277,31 @@ class TestConjugationIdentity:
         assert abs(xle_relation_check(st) - xle_relation_check(shifted)) < 1e-11
 
 
+def _dop853(state, t_final, t_eval=None, collision=False):
+    """scipy's DOP853 at tol 1e-13 on the same field, as the reference for
+    evolve; the state is packed as the real view of (x, p).  With
+    ``collision``, the run ends where some |sinh(x_i - x_j)| falls to 1e-6."""
+    from scipy.integrate import solve_ivp
+
+    n = state.L
+
+    def rhs(_t, y):
+        z = y.view(complex)
+        return np.concatenate(hamilton_rhs(RSState(eta=state.eta, x=z[:n], p=z[n:]))).view(float)
+
+    def gap(_t, y):
+        x = y.view(complex)[:n]
+        s = np.abs(np.sinh(x[:, None] - x[None, :])) + np.diag(np.full(n, np.inf))
+        return s.min() - 1e-6
+
+    gap.terminal, gap.direction = True, -1.0
+    y0 = np.concatenate([state.x, state.p]).view(float)
+    return solve_ivp(
+        rhs, (0.0, t_final), y0, method="DOP853", rtol=1e-13, atol=1e-13, t_eval=t_eval,
+        events=gap if collision else None,
+    )
+
+
 class TestEvolution:
     def test_single_particle_free_motion(self):
         st = RSState(eta=0.4, x=np.array([0.2]), p=np.array([0.5]))
@@ -360,14 +386,32 @@ class TestEvolution:
         )
         assert np.max(np.abs(general - limit)) < 1e-4 * max(1.0, np.max(np.abs(limit)))
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_samples_match_dop853(self, n):
+        # rs_point-like states, against scipy's DOP853 at tol 1e-13.
+        for seed in range(2):
+            rng = np.random.default_rng([n, seed])
+            x = np.cumsum(rng.uniform(0.72, 0.88, n)) + rng.uniform(-0.1, 0.1)
+            st = RSState(eta=rng.uniform(0.25, 0.45), x=x, p=rng.uniform(-0.3, 0.3, n))
+            t_final = rng.uniform(7.5, 8.5)
+            traj = evolve(st, t_final, 1e-10, n_samples=17)
+            ref = _dop853(st, t_final, t_eval=np.linspace(0.0, t_final, 17))
+            assert [t for t, _ in traj] == list(ref.t)
+            for (_, state), y in zip(traj, ref.y.T):
+                z = np.ascontiguousarray(y).view(complex)
+                assert np.max(np.abs(np.concatenate([state.x, state.p]) - z)) <= 1e-7
+
     def test_collision_detection(self):
         st = RSState(
             eta=1j * np.pi / 2,
             x=np.array([0.0, 0.8], complex),
             p=np.array([0.0, 0.0], complex),
         )
-        with pytest.raises(CollisionDetected):
+        with pytest.raises(CollisionDetected) as info:
             evolve(st, 3.0, 1e-10)
+        found = re.search(r"near t = (\S+)$", str(info.value))
+        ref = _dop853(st, 3.0, collision=True).t_events[0][0]
+        assert found[1] == f"{ref:.6g}" == "0.0925497"
 
     def test_initial_state_inside_collision_shell(self):
         st = RSState(eta=0.4, x=np.array([0.0, 1e-7]), p=np.array([0.1, -0.1]))
@@ -375,17 +419,22 @@ class TestEvolution:
             evolve(st, 1.0, 1e-10)
 
     def test_stall_message_locates_the_failure(self):
-        # DOP853 stalls near t = 4.4 with every pair well apart.
+        # The flow itself blows up near t = 4.4067 with every pair well
+        # apart: this integrator and scipy's DOP853 both stop there.
         st = RSState(eta=1.15, x=np.array([0.64, 1.56, 2.52]), p=np.array([0.38, -0.65, -0.43]))
         with pytest.raises(StepSizeUnderflow) as info:
             evolve(st, 5.0)
         message = str(info.value)
         assert "\n" not in message
-        pattern = r"last sample t = (\S+), smallest \|sinh\(x_\d - x_\d\)\| = (\S+) there"
+        pattern = (
+            r"at t = (\S+) \(last sample t = (\S+), "
+            r"smallest \|sinh\(x_\d - x_\d\)\| = (\S+) there\)"
+        )
         found = re.search(pattern, message)
         assert found, message
-        assert 0.0 < float(found[1]) < 5.0
-        assert float(found[2]) > 1e-6
+        assert 4.4066 < float(found[1]) < 4.4068
+        assert 0.0 < float(found[2]) < float(found[1])
+        assert float(found[3]) > 1e-6
 
 
 def test_invariants_multilinearity():

@@ -479,9 +479,8 @@ def _complex_chain(L):
 
 
 def _long_double_charge_blocks(params):
-    """_charge_site_blocks and _twist evaluated in long double.  In
-    float64 the G_k weight at site k, a(x_k - eta - x_k), keeps the
-    rounding of the gap instead of vanishing."""
+    """_charge_site_blocks and _twist evaluated in long double, with the
+    same grouping of the gaps."""
     xs = np.array(params.inhom, dtype=np.clongdouble)
     eta, Lh = np.clongdouble(params.eta), np.clongdouble(params.L * params.h)
 
@@ -500,7 +499,7 @@ def _long_double_charge_blocks(params):
         [perm if i == k else weight(xk - xi) for i, xi in enumerate(xs)]
         for k, xk in enumerate(xs)
     ]
-    g = [[weight(xk - eta - xi) for xi in xs] for xk in xs]
+    g = [[weight((xk - xi) - eta) for xi in xs] for xk in xs]
     return h + g, (np.exp(Lh), np.exp(-Lh))
 
 
@@ -517,7 +516,7 @@ class TestSectorAssembly:
              for i, xi in enumerate(xs)]
             for k, xk in enumerate(xs)
         ]
-        g_blocks = [[_asym_site_blocks(xk - eta - xi, eta, 0.0, 0.0) for xi in xs] for xk in xs]
+        g_blocks = [[_asym_site_blocks((xk - xi) - eta, eta, 0.0, 0.0) for xi in xs] for xk in xs]
         ref_h = [_kron_monodromy(b, twist) for b in h_blocks]
         ref_g = [_kron_monodromy(b, twist) for b in g_blocks]
         ref_asym, ref_twisted = _kron_monodromy(asym), _kron_monodromy(sym, twist)
@@ -525,6 +524,9 @@ class TestSectorAssembly:
         assert np.array_equal(transfer_matrix_twisted(params, x).entries, ref_twisted)
         for op, ref in zip(hamiltonians_h(params) + hamiltonians_g(params), ref_h + ref_g):
             assert np.array_equal(op.entries, ref)
+        # G_k's weight at its own site, a((x_k - x_k) - eta), is exactly 0.
+        for k, blocks in enumerate(_charge_site_blocks(params)[L:]):
+            assert blocks[k][0][0, 0] == 0
 
     @pytest.mark.parametrize("L", range(1, 8))
     def test_diagonal_operators_match_site_loops(self, L):
@@ -565,9 +567,7 @@ class TestSectorAssembly:
     def test_sector_action_matches_dense_charges(self, L):
         # All 2L charges in product form, applied to the identity of each
         # sector, against the [idx, idx] slices of the traced monodromy
-        # built in extended precision, site weights included.  The float64
-        # dense G_k is itself off by up to 1.3e-13 relative (the vacuum
-        # entry e^{-Lh} at L = 7, 8).
+        # built in extended precision, site weights included.
         rng = np.random.default_rng(300 + L)
         real = ChainParams(L=L, eta=0.47, h=0.31, inhom=tuple(np.sort(rng.uniform(0.0, 2.5, L))))
         for params in (real, _complex_chain(L)):
