@@ -90,7 +90,8 @@ def _complex_out(z) -> list[float]:
 
 
 def _vector_out(values) -> list[list[float]]:
-    return [_complex_out(z) for z in np.asarray(values).ravel()]
+    z = np.asarray(values, dtype=complex).ravel()
+    return np.column_stack((z.real, z.imag)).tolist()
 
 
 class _Field(NamedTuple):

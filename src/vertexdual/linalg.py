@@ -58,27 +58,40 @@ def poly_rel_residual(p: np.ndarray, q: np.ndarray) -> float:
 def _assignment(cost: np.ndarray) -> np.ndarray:
     """Columns of an exact minimum-cost assignment: row i takes column
     cols[i] of the square, finite ``cost``, and the total is minimal.
+    A stack of shape (..., n, n) gives columns of shape (..., n), one
+    assignment per matrix.
 
-    When the row-wise argmin is already a permutation it is returned:
-    the sum of row minima bounds every assignment from below.  Otherwise
-    the shortest-augmenting-path Hungarian method with dual potentials
-    (Kuhn 1955; Jonker & Volgenant 1987) adds the rows in order.  Ties
-    go to the lowest column index, in the row minima and in each path step.
-    The search is plain Python over ``cost.tolist()``: the matrices here
-    are at most 10 x 10, where numpy's per-call overhead would dominate.
+    Where a matrix's row-wise argmin is already a permutation it is
+    returned: the sum of row minima bounds every assignment from below.
+    Only the other matrices go to the search (see _augmenting_paths).
+    Ties go to the lowest column index, in the row minima and in the
+    search.
     """
-    n = cost.shape[0]
-    if cost.shape != (n, n):
+    n = cost.shape[-1]
+    if cost.ndim < 2 or cost.shape[-2] != n:
         raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
     # The sum is finite only if every entry is.
     if not math.isfinite(np.add.reduce(cost, axis=None)):
         raise ValueError("cost matrix contains non-finite entries")
     if n == 0:
-        return np.zeros(0, dtype=int)
-    cols = cost.argmin(1)
-    if len(set(cols.tolist())) == n:
-        return cols
-    c = cost.tolist()
+        return np.zeros(cost.shape[:-1], dtype=int)
+    cols = cost.argmin(-1)
+    # Views of the stack as a list of matrices; writes go through to cols.
+    items, matrices = cols.reshape(-1, n), cost.reshape(-1, n, n)
+    for i, row in enumerate(items.tolist()):
+        if len(set(row)) < n:
+            items[i] = _augmenting_paths(matrices[i].tolist())
+    return cols
+
+
+def _augmenting_paths(c: list[list[float]]) -> list[int]:
+    """Columns of a minimum-cost assignment of the square cost rows ``c``
+    by the shortest-augmenting-path Hungarian method with dual potentials
+    (Kuhn 1955; Jonker & Volgenant 1987), adding the rows in order; ties
+    go to the lowest column index in each path step.  Plain Python: the
+    matrices here are at most 10 x 10, where numpy's per-call overhead
+    would dominate."""
+    n = len(c)
     inf = float("inf")
     # 1-based columns; column 0 is the virtual start of each augmenting
     # path.  row_of[j] is the row (1-based, 0 = free) holding column j.
@@ -113,6 +126,7 @@ def _assignment(cost: np.ndarray) -> np.ndarray:
         while j0:
             row_of[j0] = row_of[prev[j0]]
             j0 = prev[j0]
+    cols = [0] * n
     for j in range(1, n + 1):
         cols[row_of[j] - 1] = j - 1
     return cols
@@ -127,13 +141,14 @@ def match_multisets(values: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray
     different target, that matching is kept; otherwise the Hungarian
     search takes the lowest target index at each tie.  Returns the
     permutation (values[i] is matched to targets[perm[i]]) and the
-    per-pair relative errors.
+    per-pair relative errors.  Values of shape (..., n) are matched item
+    by item onto the one ``targets``, giving both of shape (..., n).
     """
     values = np.asarray(values)
     targets = np.asarray(targets)
-    cost = np.abs(values[:, None] - targets) / np.maximum(np.abs(targets), 1e-12)
+    cost = np.abs(values[..., :, None] - targets) / np.maximum(np.abs(targets), 1e-12)
     perm = _assignment(cost)
-    return perm, cost[np.arange(len(perm)), perm]
+    return perm, np.take_along_axis(cost, perm[..., None], axis=-1)[..., 0]
 
 
 def reduce_mod_ipi(z):

@@ -66,7 +66,7 @@ class LaxMatrix:
 
     @property
     def L(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 def rs_hamiltonian(state: RSState) -> complex:
@@ -121,12 +121,16 @@ def acceleration(x, xdot, eta) -> np.ndarray:
 
 
 def lax_from_velocities(x, xdot, eta) -> LaxMatrix:
-    """L_ij = sinh(eta) xdot_i / sinh(x_i - x_j - eta); diagonal is -xdot_i."""
+    """L_ij = sinh(eta) xdot_i / sinh(x_i - x_j - eta); diagonal is -xdot_i.
+
+    Velocities of shape (..., n) give a stack of Lax matrices of shape
+    (..., n, n) at the one x, checked for general position once.
+    """
     x = np.asarray(x, dtype=complex)
     xdot = np.asarray(xdot, dtype=complex)
     eta = complex(eta)
     require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
-    return LaxMatrix(np.sinh(eta) * xdot[:, None] / sinh_pairs(x, x, -eta))
+    return LaxMatrix(np.sinh(eta) * xdot[..., :, None] / sinh_pairs(x, x, -eta))
 
 
 def lax_from_momenta(state: RSState) -> LaxMatrix:

@@ -1,16 +1,19 @@
 """Reference routines of the classical-model tests: a fixed-step RK4
 advance for finite differences along the flow, the power traces of the
 Newton identities, the subset-sum invariants as a plain loop over
-subsets, and the companion matrix and second-order equations of motion
-as plain loops over particle pairs."""
+subsets, the companion matrix and second-order equations of motion
+as plain loops over particle pairs, and the duality and momentum checks
+one eigenstate at a time."""
 
 from itertools import combinations
 
 import numpy as np
 
-from vertexdual import RSState
-from vertexdual.linalg import coth
+from vertexdual import RSState, duality
+from vertexdual.errors import MatchFailed, ZeroGValue
+from vertexdual.linalg import coth, match_multisets, sinh_pair_product
 from vertexdual.ruijsenaars import cauchy_factor, hamilton_rhs
+from vertexdual.spin_chain import joint_diagonalize
 
 
 def flow_step(state: RSState, dt: float, n_sub: int = 8) -> RSState:
@@ -111,3 +114,43 @@ def acceleration_loops(x, xdot, eta) -> np.ndarray:
                 / (np.sinh(d + eta) * np.sinh(d) * np.sinh(d - eta))
             )
     return out
+
+
+def verify_duality_per_state(chain, seed=0) -> duality.DualityReport:
+    """duality.verify_duality with one Lax build, eigensolve and match per
+    eigenstate; MatchFailed names the first state over the module's
+    _HARD_MATCH_LIMIT by its position in its sector."""
+    spectrum = joint_diagonalize(chain, seed=seed)
+    records = []
+    worst = 0.0
+    for n, state in enumerate(spectrum.states):
+        lax = duality.lax_from_chain_state(chain, state.H)
+        eigs = np.linalg.eigvals(lax.entries)
+        target = duality.predicted_strings(chain.L, state.sector_M2, chain.h, chain.eta)
+        _, errors = match_multisets(eigs, target.values)
+        err = float(errors.max())
+        if err > duality._HARD_MATCH_LIMIT:
+            first = next(i for i, s in enumerate(spectrum.states) if s.sector_M2 == state.sector_M2)
+            raise MatchFailed(
+                f"L={chain.L} sector M2={state.sector_M2} state {n - first}: assignment error "
+                f"{err:.3e} exceeds {duality._HARD_MATCH_LIMIT:g}"
+            )
+        order = np.lexsort((eigs.imag, eigs.real))
+        records.append(duality.DualityRecord(state.sector_M2, state.H, eigs[order], target, err))
+        worst = max(worst, err)
+    return duality.DualityReport(records, worst, len(records), spectrum.params_hash, spectrum)
+
+
+def momentum_residual_per_state(chain, spectrum) -> float:
+    """duality.verify_momentum_identification one eigenstate at a time."""
+    eta = chain.eta
+    weights = sinh_pair_product(chain.inhom, None, eta, 0.0)
+    worst = 0.0
+    for state in spectrum.states:
+        if np.any(np.abs(state.G) < 1e-100):
+            raise ZeroGValue("a companion-charge value vanished")
+        p = -np.log(-eta * state.G) / eta
+        rhs = eta * np.exp(eta * p) * weights
+        resid = np.max(np.abs(-state.H - rhs) / np.maximum(np.abs(state.H), 1e-12))
+        worst = max(worst, float(resid))
+    return worst

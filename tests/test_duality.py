@@ -6,6 +6,7 @@ from dataclasses import replace
 from math import comb
 
 import numpy as np
+import pytest
 
 from vertexdual import (
     ChainParams,
@@ -20,7 +21,10 @@ from vertexdual import (
 )
 from vertexdual import duality
 from vertexdual.duality import _inverse_residual, _string_elementary
+from vertexdual.errors import MatchFailed
 from vertexdual.sampling import draw_chain_params, rng_from_seed
+
+from classical_reference import momentum_residual_per_state, verify_duality_per_state
 
 CHAIN = ChainParams(L=3, eta=0.41, h=0.23, inhom=(0.1, 0.9, 1.75))
 
@@ -119,6 +123,84 @@ class TestMomentumIdentification:
         for state in spec.states:
             p = -np.log(-CHAIN.eta * state.G) / CHAIN.eta
             assert np.max(np.abs(np.exp(-CHAIN.eta * p) + CHAIN.eta * state.G)) < 1e-12
+
+
+def _reference_chains():
+    """A drawn chain at each L = 1..8, and the same chain at h = 0 for even L."""
+    rng = rng_from_seed(2033)
+    for L in range(1, 9):
+        chain = draw_chain_params(rng, L)
+        yield f"L{L}", chain
+        if L % 2 == 0:
+            yield f"L{L}-h0", replace(chain, h=0.0)
+
+
+REFERENCE_CHAINS = dict(_reference_chains())
+
+
+class TestArrayPass:
+    """verify_duality and verify_momentum_identification work one array
+    pass per sector; they must agree bit for bit with the checks made one
+    eigenstate at a time."""
+
+    @pytest.mark.parametrize("name", REFERENCE_CHAINS)
+    def test_records_match_per_state_loop(self, name, monkeypatch):
+        chain = REFERENCE_CHAINS[name]
+        # h = 0 at even L fails the hard gate at larger L; compare every record.
+        monkeypatch.setattr(duality, "_HARD_MATCH_LIMIT", np.inf)
+        report = verify_duality(chain, seed=3)
+        reference = verify_duality_per_state(chain, seed=3)
+        assert report.n_states == reference.n_states == 2 ** chain.L
+        assert report.worst_error == reference.worst_error
+        for rec, ref in zip(report.records, reference.records):
+            assert rec.sector_M2 == ref.sector_M2
+            assert np.array_equal(rec.H_values, ref.H_values)
+            assert np.array_equal(rec.lax_eigenvalues, ref.lax_eigenvalues)
+            assert np.array_equal(rec.matched_string.values, ref.matched_string.values)
+            assert rec.max_match_error == ref.max_match_error
+        resid = verify_momentum_identification(chain, report.spectrum)
+        assert np.array_equal(resid, momentum_residual_per_state(chain, reference.spectrum))
+
+    @pytest.mark.parametrize("name", ["L6", "L6-h0", "L7", "L8"])
+    def test_match_failure_names_the_same_state(self, name, monkeypatch):
+        chain = REFERENCE_CHAINS[name]
+        monkeypatch.setattr(duality, "_HARD_MATCH_LIMIT", np.inf)
+        records = verify_duality(chain).records
+        errors = [r.max_match_error for r in records]
+        # The limit is the worst error before the first record that is past
+        # state 0 of a sector past M2 = 0 and sets a new worst: that record
+        # is the first state over the limit.
+        first = next(
+            k for k in range(1, len(records))
+            if records[k].sector_M2 > 0 and records[k - 1].sector_M2 == records[k].sector_M2
+            and errors[k] > max(errors[:k])
+        )
+        monkeypatch.setattr(duality, "_HARD_MATCH_LIMIT", max(errors[:first]))
+        with pytest.raises(MatchFailed) as expected:
+            verify_duality_per_state(chain)
+        assert f"sector M2={records[first].sector_M2} state 0:" not in str(expected.value)
+        with pytest.raises(MatchFailed) as raised:
+            verify_duality(chain)
+        assert str(raised.value) == str(expected.value)
+
+    def test_one_build_and_eigensolve_per_sector(self, monkeypatch):
+        calls = {"eigvals": 0, "lax": 0, "match": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(duality, "lax_from_velocities", counted("lax", lax_from_velocities))
+        monkeypatch.setattr(duality, "match_multisets", counted("match", duality.match_multisets))
+        for name in ("L1", "L4", "L7"):
+            chain = REFERENCE_CHAINS[name]
+            calls.update(eigvals=0, lax=0, match=0)
+            verify_duality(chain)
+            assert max(calls.values()) <= chain.L + 1, (name, calls)
 
 
 class TestSpectrumUniversality:

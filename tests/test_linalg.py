@@ -101,6 +101,31 @@ def test_assignment_edge_cases():
     assert _assignment(cost).tolist() == [0, 2, 1]
 
 
+def test_stacked_match_multisets_equals_row_calls():
+    rng = np.random.default_rng(24)
+    n = 5
+    # Equal magnitudes: the value 0 costs exactly 1 against every target.
+    targets = np.exp(2j * np.pi * np.arange(n) / n + 0.1)
+    rows = [targets[rng.permutation(n)] + 1e-3 * rng.standard_normal(n) for _ in range(6)]
+    rows.append(np.full(n, targets[2]) + 1e-2 * rng.standard_normal(n))  # one cheapest target
+    rows.append(np.concatenate([[0.0], targets[1:]]))  # tie, argmin a permutation
+    rows.append(np.concatenate([[0.0, 0.0], targets[2:]]))  # tie, argmin not a permutation
+    values = np.array(rows).reshape(3, 3, n)
+    perm, errors = match_multisets(values, targets)
+    assert perm.shape == errors.shape == (3, 3, n)
+    searched = 0
+    for idx in np.ndindex(3, 3):
+        row_perm, row_errors = match_multisets(values[idx], targets)
+        assert np.array_equal(perm[idx], row_perm)
+        assert np.array_equal(errors[idx], row_errors)
+        cost = np.abs(values[idx][:, None] - targets) / np.abs(targets)
+        searched += len(set(cost.argmin(axis=1).tolist())) < n
+    assert searched == 2
+    # The tied value goes to the lowest target index left open.
+    assert perm[2, 1].tolist() == [0, 1, 2, 3, 4]
+    assert perm[2, 2].tolist() == [0, 1, 2, 3, 4]
+
+
 def test_sort_key_orders_rounding_pairs_by_imaginary_part():
     # Real parts one bit apart compare equal, so -Im comes first even where
     # the +Im member has the smaller real part.

@@ -132,6 +132,27 @@ class TestLaxBuilds:
         with pytest.raises(GeneralPositionViolated):
             lax_from_velocities(np.array([0.2, 0.65]), np.array([1.0, 1.0]), 0.45)
 
+    def test_stacked_build_equals_row_builds(self):
+        rng = np.random.default_rng(10)
+        st = _random_state(rng, 6)
+        xdot = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
+        stack = lax_from_velocities(st.x, xdot, st.eta)
+        assert stack.entries.shape == (3, 4, 6, 6)
+        assert stack.L == 6
+        for idx in np.ndindex(3, 4):
+            row = lax_from_velocities(st.x, xdot[idx], st.eta).entries
+            assert np.array_equal(stack.entries[idx], row)
+
+    def test_stacked_general_position_guard(self):
+        # x_2 - x_1 = eta: the stacked call names the pair as one row does.
+        x = np.array([0.2, 0.65, 1.5])
+        with pytest.raises(GeneralPositionViolated) as row:
+            lax_from_velocities(x, np.ones(3), 0.45)
+        with pytest.raises(GeneralPositionViolated) as stacked:
+            lax_from_velocities(x, np.ones((5, 3)), 0.45)
+        assert re.search(r"x_[12] - x_[12] [+-] eta", str(stacked.value))
+        assert str(stacked.value) == str(row.value)
+
 
 class TestCompanionMatrix:
     def test_single_particle_entry(self):
