@@ -33,7 +33,6 @@ from .errors import (
     GeneralPositionViolated,
     InvalidBetheRoots,
     MatchFailed,
-    NoConvergence,
     SingularConfiguration,
     SingularSpectralPoint,
     SingularVandermonde,
@@ -68,10 +67,10 @@ from .ruijsenaars import (
 )
 from .spin_chain import (
     ChainParams,
-    EigenState,
     JointSpectrum,
     QuantumOperator,
     SectorBasis,
+    SectorStates,
     hamiltonians_g,
     hamiltonians_h,
     joint_diagonalize,

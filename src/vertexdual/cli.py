@@ -13,7 +13,7 @@ type and range are checked before a command runs), 3 numerical failure
 (degeneracy, collision, no convergence, a draw with no general-position
 sample).
 
-Reports are UTF-8 JSON with the fixed top level
+Reports are UTF-8 JSON on one line, keys sorted, with the fixed top level
 {schema_version, command, config, results, summary, timestamp};
 complex numbers are encoded as [re, im] pairs.  Identical config and
 seed produce byte-identical payloads apart from the timestamp.
@@ -287,11 +287,12 @@ def _cmd_verify_duality(config: dict):
                 "n_states": report.n_states,
                 "states": [
                     {
-                        "sector_M2": rec.sector_M2,
-                        "match_error": rec.max_match_error,
-                        "lax_eigenvalues": _vector_out(rec.lax_eigenvalues),
+                        "sector_M2": rec.matched_string.M2,
+                        "match_error": err,
+                        "lax_eigenvalues": _vector_out(eigs),
                     }
                     for rec in report.records
+                    for eigs, err in zip(rec.lax_eigenvalues, rec.match_errors.tolist())
                 ],
             }
         )
@@ -332,7 +333,7 @@ def _cmd_solve_bethe(config: dict):
             passed = False
         if cross:
             # Relative charge errors, indexed (ED state, solution, site).
-            ed_h = np.array([st.H for st in spectrum.states if st.sector_M2 == m2])[:, None]
+            ed_h = spectrum.sectors[m2].H[:, None]
             bethe_h = np.array([all_eigenvalues_h(sol, chain) for sol in sols]).reshape(-1, chain.L)
             errors = (np.abs(bethe_h - ed_h) / np.maximum(np.abs(ed_h), 1e-12)).max(axis=2)
             entry["ed_match_errors"] = [float(row.min()) if sols else None for row in errors]
@@ -471,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def write_report(path: Path, report: dict):
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(report, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""The correspondence engine: predicted ladder spectra, per-eigenstate
+"""The correspondence engine: predicted ladder spectra, per-sector
 verification that the classical Lax matrix built from quantum charge
 values carries those spectra, momentum extraction from the companion
 charges, and the inverse problem of recovering charge tuples from the
@@ -8,7 +8,6 @@ prescribed spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -35,16 +34,18 @@ class StringSpectrum:
 
 @dataclass(frozen=True)
 class DualityRecord:
-    sector_M2: int
-    H_values: np.ndarray
-    lax_eigenvalues: np.ndarray
+    """One sector's check: its ladders, and per state (row i: state i of
+    the sector) the sorted Lax eigenvalues and the worst match error."""
+
     matched_string: StringSpectrum
-    max_match_error: float
+    lax_eigenvalues: np.ndarray
+    match_errors: np.ndarray
 
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Per-state records and the joint spectrum they were verified on."""
+    """Per-sector records, indexed by M2, and the joint spectrum they
+    were verified on."""
 
     records: list[DualityRecord]
     worst_error: float
@@ -87,18 +88,17 @@ def lax_from_chain_state(chain: ChainParams, H) -> LaxMatrix:
 def verify_duality(chain: ChainParams, seed: int = 0) -> DualityReport:
     """Check every joint eigenstate against its predicted ladder spectrum.
 
-    One array pass per sector, in joint_diagonalize order: the sector's
-    Lax matrices are built as one stack from the measured charge values,
-    their eigenvalues are matched onto the sector's ladders by
-    minimal-cost assignment, and each state's worst relative error is
-    recorded.  MatchFailed names the first state above _HARD_MATCH_LIMIT.
+    One array pass per sector: the sector's Lax matrices are built as
+    one stack from the measured charge values, their eigenvalues are
+    matched onto the sector's ladders by minimal-cost assignment, and
+    each state's worst relative error is recorded.  MatchFailed names
+    the first state above _HARD_MATCH_LIMIT.
     """
     spectrum = joint_diagonalize(chain, seed=seed)
     records = []
     worst = 0.0
-    for M2, group in groupby(spectrum.states, key=lambda s: s.sector_M2):
-        states = list(group)
-        lax = lax_from_chain_state(chain, np.array([s.H for s in states]))
+    for M2, sector in enumerate(spectrum.sectors):
+        lax = lax_from_chain_state(chain, sector.H)
         eigs = np.linalg.eigvals(lax.entries)
         target = predicted_strings(chain.L, M2, chain.h, chain.eta)
         _, errors = match_multisets(eigs, target.values)
@@ -111,22 +111,12 @@ def verify_duality(chain: ChainParams, seed: int = 0) -> DualityReport:
                 f"{errs[n]:.3e} exceeds {_HARD_MATCH_LIMIT:g}"
             )
         order = np.lexsort((eigs.imag, eigs.real), axis=-1)
-        eigs = np.take_along_axis(eigs, order, axis=-1)
-        records.extend(
-            DualityRecord(
-                sector_M2=M2,
-                H_values=state.H,
-                lax_eigenvalues=sorted_eigs,
-                matched_string=target,
-                max_match_error=err,
-            )
-            for state, sorted_eigs, err in zip(states, eigs, errs.tolist())
-        )
+        records.append(DualityRecord(target, np.take_along_axis(eigs, order, axis=-1), errs))
         worst = max(worst, float(errs.max()))
     return DualityReport(
         records=records,
         worst_error=worst,
-        n_states=len(records),
+        n_states=spectrum.n_states,
         params_hash=spectrum.params_hash,
         spectrum=spectrum,
     )
@@ -142,8 +132,8 @@ def verify_momentum_identification(chain: ChainParams, spectrum: JointSpectrum) 
     """
     eta = chain.eta
     weights = sinh_pair_product(chain.inhom, None, eta, 0.0)
-    H = np.array([s.H for s in spectrum.states])
-    G = np.array([s.G for s in spectrum.states])
+    H = np.concatenate([s.H for s in spectrum.sectors])
+    G = np.concatenate([s.G for s in spectrum.sectors])
     if np.any(np.abs(G) < 1e-100):
         raise ZeroGValue("a companion-charge value vanished")
     p = -np.log(-eta * G) / eta
@@ -157,7 +147,7 @@ def verify_momentum_identification(chain: ChainParams, spectrum: JointSpectrum) 
 class InverseSolution:
     """One recovered charge tuple H of the sector, the worst relative
     defect of its invariant equations, and the eigenstate of the sector
-    (its position in the sector, in joint_diagonalize order) whose
+    (its row in the sector's states, in joint_diagonalize order) whose
     charge tuple lies closest, with their worst relative difference.
     ``condition`` is the 2-norm condition number of the invariants'
     Jacobian at H: where it is large, a tuple that solves the equations
@@ -238,7 +228,7 @@ def inverse_spectral_solve(chain_x, eta, h, M2: int) -> list[InverseSolution]:
     chain = ChainParams(L=L, eta=eta, h=h, inhom=tuple(x))
     bethe_chain, m = (chain, M2) if 2 * M2 <= L else (replace(chain, h=-h), L - M2)
     starts = [all_eigenvalues_h(s, bethe_chain) for s in solve_bae(bethe_chain, m)]
-    ed_vectors = [s.H for s in _sector_states(_SectorCharges(chain), M2)]
+    ed_h = _sector_states(_SectorCharges(chain), M2).H
     solutions: list[InverseSolution] = []
     for H0 in starts:
         H = _inverse_newton(x, H0, eta, targets)
@@ -250,11 +240,9 @@ def inverse_spectral_solve(chain_x, eta, h, M2: int) -> list[InverseSolution]:
         scale = max(np.max(np.abs(H)), 1.0)
         if any(np.max(np.abs(H - s.H)) < 1e-7 * scale for s in solutions):
             continue
-        errs = [
-            float(np.max(np.abs(H - vec) / np.maximum(np.abs(vec), 1e-12))) for vec in ed_vectors
-        ]
+        errs = np.max(np.abs(H - ed_h) / np.maximum(np.abs(ed_h), 1e-12), axis=1)
         matched = int(np.argmin(errs))
         cond = float(np.linalg.cond(_invariant_jacobian(x, H, eta)))
-        solutions.append(InverseSolution(H, residual, matched, errs[matched], cond))
+        solutions.append(InverseSolution(H, residual, matched, float(errs[matched]), cond))
     solutions.sort(key=lambda s: complex_sort_key(s.H))
     return solutions

@@ -21,10 +21,6 @@ class SingularConfiguration(VertexDualError):
     """Bethe roots collide with inhomogeneities or with each other."""
 
 
-class NoConvergence(VertexDualError):
-    """An iterative solve failed to reach its tolerance."""
-
-
 class SingularVandermonde(VertexDualError):
     """Vandermonde nodes coincide; the factorized build is unavailable."""
 

@@ -277,9 +277,10 @@ def gh_product_scalar(params: ChainParams, i: int) -> complex:
 
 
 @dataclass(frozen=True)
-class EigenState:
-    """One joint eigenstate: its sector, its unit eigenvector as
-    coefficients on the sector basis, and the charge values."""
+class SectorStates:
+    """The joint eigenstates of one sector, row i of each array being
+    state i: unit eigenvectors as coefficients on the sector basis, the
+    charge values and their Rayleigh residuals."""
 
     basis: SectorBasis
     coefficients: np.ndarray
@@ -289,25 +290,23 @@ class EigenState:
     residual_G: np.ndarray
 
     @property
-    def sector_M2(self) -> int:
-        return self.basis.M2
-
-    @property
-    def vector(self) -> np.ndarray:
-        """The eigenvector on the 2**L space, built anew on each access."""
-        full = np.zeros(2 ** self.basis.L, dtype=complex)
-        full[self.basis.indices] = self.coefficients
+    def vectors(self) -> np.ndarray:
+        """The eigenvectors on the 2**L space, one per row, built anew on each access."""
+        full = np.zeros((len(self.coefficients), 2 ** self.basis.L), dtype=complex)
+        full[:, self.basis.indices] = self.coefficients
         return full
 
 
 @dataclass(frozen=True)
 class JointSpectrum:
+    """The sectors' states, indexed by M2."""
+
     params_hash: str
-    states: list[EigenState] = field(default_factory=list)
+    sectors: list[SectorStates] = field(default_factory=list)
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return sum(len(s.H) for s in self.sectors)
 
 
 def _frobenius_norm(site_blocks, twist) -> float:
@@ -414,15 +413,13 @@ def joint_diagonalize(params: ChainParams, seed: int = 0) -> JointSpectrum:
     (seed, M2), so a sector's states do not depend on the other sectors.
     """
     charges = _SectorCharges(params)
-    states: list[EigenState] = []
-    for M2 in range(params.L + 1):
-        states.extend(_sector_states(charges, M2, seed))
-    return JointSpectrum(params_hash=params.params_hash, states=states)
+    sectors = [_sector_states(charges, M2, seed) for M2 in range(params.L + 1)]
+    return JointSpectrum(params_hash=params.params_hash, sectors=sectors)
 
 
-def _sector_states(charges, M2, seed=0):
-    """The joint eigenstates of sector M2, sorted by H: the states of that
-    sector in joint_diagonalize(charges.params, seed)."""
+def _sector_states(charges, M2, seed=0) -> SectorStates:
+    """The joint eigenstates of sector M2, sorted by H: sector M2 of
+    joint_diagonalize(charges.params, seed)."""
     L, basis = charges.L, charges.bases[M2]
     rng = np.random.default_rng([seed, M2])
     n = basis.indices.size
@@ -461,10 +458,8 @@ def _sector_states(charges, M2, seed=0):
             f"{_MAX_RETRIES} redraws is {resid:.3e} ({charge}, eigenvector {col} of "
             f"{n}), above tol {_RESIDUAL_TOL:g}"
         )
-    coeffs, values, resid = vecs.T.copy(), values.T.copy(), resid.T.copy()
-    states = [
-        EigenState(basis, coeffs[i], values[i, :L], values[i, L:], resid[i, :L], resid[i, L:])
-        for i in range(n)
-    ]
-    states.sort(key=lambda s: complex_sort_key(s.H))
-    return states
+    order = sorted(range(n), key=lambda i: complex_sort_key(values[:L, i]))
+    values, resid = values.T[order], resid.T[order]
+    return SectorStates(
+        basis, vecs.T[order], values[:, :L], values[:, L:], resid[:, :L], resid[:, L:]
+    )

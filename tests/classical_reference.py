@@ -123,22 +123,25 @@ def verify_duality_per_state(chain, seed=0) -> duality.DualityReport:
     spectrum = joint_diagonalize(chain, seed=seed)
     records = []
     worst = 0.0
-    for n, state in enumerate(spectrum.states):
-        lax = duality.lax_from_chain_state(chain, state.H)
-        eigs = np.linalg.eigvals(lax.entries)
-        target = duality.predicted_strings(chain.L, state.sector_M2, chain.h, chain.eta)
-        _, errors = match_multisets(eigs, target.values)
-        err = float(errors.max())
-        if err > duality._HARD_MATCH_LIMIT:
-            first = next(i for i, s in enumerate(spectrum.states) if s.sector_M2 == state.sector_M2)
-            raise MatchFailed(
-                f"L={chain.L} sector M2={state.sector_M2} state {n - first}: assignment error "
-                f"{err:.3e} exceeds {duality._HARD_MATCH_LIMIT:g}"
-            )
-        order = np.lexsort((eigs.imag, eigs.real))
-        records.append(duality.DualityRecord(state.sector_M2, state.H, eigs[order], target, err))
-        worst = max(worst, err)
-    return duality.DualityReport(records, worst, len(records), spectrum.params_hash, spectrum)
+    for M2, sector in enumerate(spectrum.sectors):
+        target = duality.predicted_strings(chain.L, M2, chain.h, chain.eta)
+        sorted_eigs, errs = [], []
+        for n, H in enumerate(sector.H):
+            lax = duality.lax_from_chain_state(chain, H)
+            eigs = np.linalg.eigvals(lax.entries)
+            _, errors = match_multisets(eigs, target.values)
+            err = float(errors.max())
+            if err > duality._HARD_MATCH_LIMIT:
+                raise MatchFailed(
+                    f"L={chain.L} sector M2={M2} state {n}: assignment error "
+                    f"{err:.3e} exceeds {duality._HARD_MATCH_LIMIT:g}"
+                )
+            sorted_eigs.append(eigs[np.lexsort((eigs.imag, eigs.real))])
+            errs.append(err)
+            worst = max(worst, err)
+        records.append(duality.DualityRecord(target, np.array(sorted_eigs), np.array(errs)))
+    n_states = sum(len(rec.match_errors) for rec in records)
+    return duality.DualityReport(records, worst, n_states, spectrum.params_hash, spectrum)
 
 
 def momentum_residual_per_state(chain, spectrum) -> float:
@@ -146,11 +149,12 @@ def momentum_residual_per_state(chain, spectrum) -> float:
     eta = chain.eta
     weights = sinh_pair_product(chain.inhom, None, eta, 0.0)
     worst = 0.0
-    for state in spectrum.states:
-        if np.any(np.abs(state.G) < 1e-100):
-            raise ZeroGValue("a companion-charge value vanished")
-        p = -np.log(-eta * state.G) / eta
-        rhs = eta * np.exp(eta * p) * weights
-        resid = np.max(np.abs(-state.H - rhs) / np.maximum(np.abs(state.H), 1e-12))
-        worst = max(worst, float(resid))
+    for sector in spectrum.sectors:
+        for H, G in zip(sector.H, sector.G):
+            if np.any(np.abs(G) < 1e-100):
+                raise ZeroGValue("a companion-charge value vanished")
+            p = -np.log(-eta * G) / eta
+            rhs = eta * np.exp(eta * p) * weights
+            resid = np.max(np.abs(-H - rhs) / np.maximum(np.abs(H), 1e-12))
+            worst = max(worst, float(resid))
     return worst

@@ -42,12 +42,12 @@ def _rootset_raw(chain, roots):
 
 def _assert_matches_ed(chain, spec, m2, sols):
     """Each ED state of sector m2 matches a distinct solution's charges."""
-    states = [s for s in spec.states if s.sector_M2 == m2]
-    assert len(sols) == len(states)
+    ed_h = spec.sectors[m2].H
+    assert len(sols) == len(ed_h)
     used = set()
-    for st in states:
+    for H in ed_h:
         errs = [
-            np.max(np.abs(all_eigenvalues_h(s, chain) - st.H) / np.maximum(np.abs(st.H), 1e-12))
+            np.max(np.abs(all_eigenvalues_h(s, chain) - H) / np.maximum(np.abs(H), 1e-12))
             for s in sols
         ]
         best = int(np.argmin(errs))
@@ -188,14 +188,14 @@ class TestEigenvalues:
         t_op = transfer_matrix_twisted(CHAIN, x).entries
         for m2 in range(4):
             sols = solve_bae(CHAIN, m2)
-            states = [s for s in spec.states if s.sector_M2 == m2]
-            for st in states:
+            sector = spec.sectors[m2]
+            for H, vector in zip(sector.H, sector.vectors):
                 errs = [
-                    np.max(np.abs(all_eigenvalues_h(s, CHAIN) - st.H))
+                    np.max(np.abs(all_eigenvalues_h(s, CHAIN) - H))
                     for s in sols
                 ]
                 sol = sols[int(np.argmin(errs))]
-                rayleigh = st.vector.conj() @ (t_op @ st.vector)
+                rayleigh = vector.conj() @ (t_op @ vector)
                 assert abs(eigenvalue_t(sol, CHAIN, x) - rayleigh) < 1e-8 * max(
                     1.0, abs(rayleigh)
                 )
@@ -250,14 +250,14 @@ class TestEigenvalues:
         spec = joint_diagonalize(CHAIN, seed=0)
         for m2 in range(4):
             sols = solve_bae(CHAIN, m2)
-            for st in (s for s in spec.states if s.sector_M2 == m2):
+            for H, G in zip(spec.sectors[m2].H, spec.sectors[m2].G):
                 errs_h = []
                 errs_g = []
                 for sol in sols:
                     hv = all_eigenvalues_h(sol, CHAIN)
                     gv = all_eigenvalues_g(sol, CHAIN)
-                    errs_h.append(np.max(np.abs(hv - st.H) / np.maximum(np.abs(st.H), 1e-12)))
-                    errs_g.append(np.max(np.abs(gv - st.G) / np.maximum(np.abs(st.G), 1e-12)))
+                    errs_h.append(np.max(np.abs(hv - H) / np.maximum(np.abs(H), 1e-12)))
+                    errs_g.append(np.max(np.abs(gv - G) / np.maximum(np.abs(G), 1e-12)))
                 best = int(np.argmin(errs_h))
                 assert errs_h[best] <= 1e-8
                 assert errs_g[best] <= 1e-8

@@ -100,12 +100,12 @@ class TestVerifyDuality:
         report = verify_duality(CHAIN, seed=0)
         assert report.n_states == 8
         assert report.worst_error < 1e-8
-        for m2 in range(4):
-            recs = [r for r in report.records if r.sector_M2 == m2]
-            assert len(recs) == comb(3, m2)
-            for rec in recs:
-                assert rec.matched_string.M2 == m2
-                assert rec.matched_string.values.size == 3
+        assert len(report.records) == 4
+        for m2, rec in enumerate(report.records):
+            assert rec.matched_string.M2 == m2
+            assert rec.matched_string.values.size == 3
+            assert rec.lax_eigenvalues.shape == (comb(3, m2), 3)
+            assert rec.match_errors.shape == (comb(3, m2),)
 
 
 class TestMomentumIdentification:
@@ -120,9 +120,9 @@ class TestMomentumIdentification:
 
     def test_momentum_branch_consistency(self):
         spec = joint_diagonalize(CHAIN, seed=0)
-        for state in spec.states:
-            p = -np.log(-CHAIN.eta * state.G) / CHAIN.eta
-            assert np.max(np.abs(np.exp(-CHAIN.eta * p) + CHAIN.eta * state.G)) < 1e-12
+        for sector in spec.sectors:
+            p = -np.log(-CHAIN.eta * sector.G) / CHAIN.eta
+            assert np.max(np.abs(np.exp(-CHAIN.eta * p) + CHAIN.eta * sector.G)) < 1e-12
 
 
 def _reference_chains():
@@ -152,12 +152,11 @@ class TestArrayPass:
         reference = verify_duality_per_state(chain, seed=3)
         assert report.n_states == reference.n_states == 2 ** chain.L
         assert report.worst_error == reference.worst_error
-        for rec, ref in zip(report.records, reference.records):
-            assert rec.sector_M2 == ref.sector_M2
-            assert np.array_equal(rec.H_values, ref.H_values)
+        for rec, ref in zip(report.records, reference.records, strict=True):
+            assert rec.matched_string.M2 == ref.matched_string.M2
             assert np.array_equal(rec.lax_eigenvalues, ref.lax_eigenvalues)
             assert np.array_equal(rec.matched_string.values, ref.matched_string.values)
-            assert rec.max_match_error == ref.max_match_error
+            assert np.array_equal(rec.match_errors, ref.match_errors)
         resid = verify_momentum_identification(chain, report.spectrum)
         assert np.array_equal(resid, momentum_residual_per_state(chain, reference.spectrum))
 
@@ -166,19 +165,19 @@ class TestArrayPass:
         chain = REFERENCE_CHAINS[name]
         monkeypatch.setattr(duality, "_HARD_MATCH_LIMIT", np.inf)
         records = verify_duality(chain).records
-        errors = [r.max_match_error for r in records]
-        # The limit is the worst error before the first record that is past
-        # state 0 of a sector past M2 = 0 and sets a new worst: that record
-        # is the first state over the limit.
+        errors = np.concatenate([r.match_errors for r in records])
+        sectors = np.concatenate([np.full(len(r.match_errors), m2) for m2, r in enumerate(records)])
+        # The limit is the worst error before the first state that is past
+        # state 0 of a sector past M2 = 0 and sets a new worst: that state
+        # is the first one over the limit.
         first = next(
-            k for k in range(1, len(records))
-            if records[k].sector_M2 > 0 and records[k - 1].sector_M2 == records[k].sector_M2
-            and errors[k] > max(errors[:k])
+            k for k in range(1, len(errors))
+            if sectors[k] > 0 and sectors[k - 1] == sectors[k] and errors[k] > max(errors[:k])
         )
         monkeypatch.setattr(duality, "_HARD_MATCH_LIMIT", max(errors[:first]))
         with pytest.raises(MatchFailed) as expected:
             verify_duality_per_state(chain)
-        assert f"sector M2={records[first].sector_M2} state 0:" not in str(expected.value)
+        assert f"sector M2={sectors[first]} state 0:" not in str(expected.value)
         with pytest.raises(MatchFailed) as raised:
             verify_duality(chain)
         assert str(raised.value) == str(expected.value)
@@ -209,9 +208,7 @@ class TestSpectrumUniversality:
         rep_a = verify_duality(CHAIN, seed=0)
         rep_b = verify_duality(chain_b, seed=5)
         def sector_values(report, m2):
-            vals = np.concatenate(
-                [r.lax_eigenvalues for r in report.records if r.sector_M2 == m2]
-            )
+            vals = report.records[m2].lax_eigenvalues.ravel()
             return vals[np.lexsort((vals.imag, vals.real))]
 
         for m2 in range(4):
@@ -222,7 +219,7 @@ class TestSpectrumUniversality:
     def test_charge_vectors_distinct(self):
         # Empirical injectivity of state -> charge tuple at L=3.
         spec = joint_diagonalize(CHAIN, seed=0)
-        vectors = [s.H for s in spec.states]
+        vectors = np.concatenate([s.H for s in spec.sectors])
         for i in range(len(vectors)):
             for j in range(i + 1, len(vectors)):
                 assert np.max(np.abs(vectors[i] - vectors[j])) > 1e-6
@@ -293,12 +290,12 @@ class TestInverseSpectral:
             raise AssertionError("inverse_spectral_solve diagonalized every sector")
 
         for chain in chains:
-            full = joint_diagonalize(chain).states
+            full = joint_diagonalize(chain).sectors
             for m2 in range(chain.L + 1):
                 with monkeypatch.context() as patch:
                     patch.setattr(duality, "joint_diagonalize", refuse)
                     sols = inverse_spectral_solve(chain.inhom, chain.eta, chain.h, m2)
-                ed = [s.H for s in full if s.sector_M2 == m2]
+                ed = full[m2].H
                 assert {s.matched_state for s in sols} == set(range(comb(chain.L, m2)))
                 for sol in sols:
                     errs = [np.max(np.abs(sol.H - h) / np.maximum(np.abs(h), 1e-12)) for h in ed]
@@ -323,12 +320,12 @@ class TestChargeAccuracy:
         x = np.asarray(chain.inhom)
         targets = [_string_elementary(chain.L, m, chain.h, chain.eta) for m in range(chain.L + 1)]
         worst, control = 0.0, np.inf
-        for state in joint_diagonalize(chain).states:
-            target = targets[state.sector_M2]
-            worst = max(worst, _inverse_residual(x, state.H, chain.eta, target))
-            # Negative control: the largest charge value off by 1e-6 relative.
-            H = state.H.copy()
-            H[np.argmax(np.abs(H))] *= 1 + 1e-6
-            control = min(control, _inverse_residual(x, H, chain.eta, target))
+        for sector, target in zip(joint_diagonalize(chain).sectors, targets, strict=True):
+            for H in sector.H:
+                worst = max(worst, _inverse_residual(x, H, chain.eta, target))
+                # Negative control: the largest charge value off by 1e-6 relative.
+                off = H.copy()
+                off[np.argmax(np.abs(off))] *= 1 + 1e-6
+                control = min(control, _inverse_residual(x, off, chain.eta, target))
         assert worst <= 1e-8
         assert control >= 1e-7

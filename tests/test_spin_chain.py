@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from vertexdual import (
     transfer_matrix_asym,
     transfer_matrix_twisted,
 )
-from vertexdual.linalg import rel_diff
+from vertexdual.linalg import complex_sort_key, rel_diff
 from vertexdual.sampling import draw_chain_params, rng_from_seed
 from vertexdual import spin_chain
 from vertexdual.spin_chain import (
@@ -401,16 +402,16 @@ class TestJointDiagonalize:
         params = ChainParams(L=1, eta=0.5, h=0.3, inhom=(0.0,))
         spec = joint_diagonalize(params, seed=0)
         assert spec.n_states == 2
-        by_sector = {s.sector_M2: s for s in spec.states}
-        assert abs(by_sector[0].H[0] - np.exp(0.3)) < 1e-12
-        assert abs(by_sector[0].G[0] - np.exp(-0.3)) < 1e-12
-        assert abs(by_sector[1].H[0] - np.exp(-0.3)) < 1e-12
-        assert abs(by_sector[1].G[0] - np.exp(0.3)) < 1e-12
+        up, down = spec.sectors
+        assert abs(up.H[0, 0] - np.exp(0.3)) < 1e-12
+        assert abs(up.G[0, 0] - np.exp(-0.3)) < 1e-12
+        assert abs(down.H[0, 0] - np.exp(-0.3)) < 1e-12
+        assert abs(down.G[0, 0] - np.exp(0.3)) < 1e-12
 
     def test_vacuum_sector_closed_form(self):
         params = ChainParams(L=2, eta=0.45, h=0.25, inhom=(0.2, 1.2))
         spec = joint_diagonalize(params, seed=1)
-        state = next(s for s in spec.states if s.sector_M2 == 0)
+        (H,) = spec.sectors[0].H
         xs = params.inhom
         for j in range(2):
             expected = np.exp(2 * params.h) * np.prod(
@@ -420,19 +421,19 @@ class TestJointDiagonalize:
                     if k != j
                 ]
             )
-            assert abs(state.H[j] - expected) < 1e-12
+            assert abs(H[j] - expected) < 1e-12
 
     def test_full_chain_against_direct_eigensolve(self):
         params = ChainParams(L=4, eta=0.38, h=0.21, inhom=(0.05, 0.7, 1.3, 1.95))
         spec = joint_diagonalize(params, seed=2)
         assert spec.n_states == 16
-        for s in spec.states:
+        for s in spec.sectors:
             assert s.residual_H.max() <= 1e-8
             assert s.residual_G.max() <= 1e-8
         hs = hamiltonians_h(params)
         for k in (0, 3):
             direct = np.sort_complex(np.linalg.eigvals(hs[k].entries))
-            collected = np.sort_complex(np.array([s.H[k] for s in spec.states]))
+            collected = np.sort_complex(np.concatenate([s.H[:, k] for s in spec.sectors]))
             assert np.max(np.abs(direct - collected)) < 1e-8
 
 
@@ -443,7 +444,7 @@ class TestJointDiagonalize:
         spec = joint_diagonalize(draw_chain_params(rng_from_seed(0), 5), seed=0)
         pairs = 0
         for m2 in (2, 3, 4):
-            h1 = [s.H[0] for s in spec.states if s.sector_M2 == m2]
+            h1 = spec.sectors[m2].H[:, 0]
             for a, b in zip(h1, h1[1:]):
                 if abs(a.real - b.real) <= 1e-9 * abs(a):
                     pairs += 1
@@ -593,20 +594,37 @@ class TestSectorAssembly:
             monkeypatch.setattr(spin_chain, name, refuse)
         spec = joint_diagonalize(params, seed=3)
         assert spec.n_states == 2 ** L
-        for a, b in zip(spec.states, expected.states):
+        for a, b in zip(spec.sectors, expected.sectors, strict=True):
             assert np.array_equal(a.H, b.H) and np.array_equal(a.G, b.G)
-            assert np.array_equal(a.vector, b.vector)
+            assert np.array_equal(a.vectors, b.vectors)
 
     def test_states_keep_sector_coefficients(self):
         params = _complex_chain(5)
-        for state in joint_diagonalize(params, seed=1).states:
-            idx = state.basis.indices
-            assert state.coefficients.shape == idx.shape
-            full = state.vector
-            assert full.shape == (2 ** 5,)
-            assert np.array_equal(full[idx], state.coefficients)
-            assert not np.any(np.delete(full, idx))
-            assert abs(np.linalg.norm(full) - 1.0) < 1e-12
+        for sector in joint_diagonalize(params, seed=1).sectors:
+            idx = sector.basis.indices
+            assert sector.coefficients.shape == (idx.size, idx.size)
+            full = sector.vectors
+            assert full.shape == (idx.size, 2 ** 5)
+            assert np.array_equal(full[:, idx], sector.coefficients)
+            assert not np.any(np.delete(full, idx, axis=1))
+            assert np.max(np.abs(np.linalg.norm(full, axis=1) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("L", [1, 3, 6])
+    def test_sector_layout(self, L):
+        # One SectorStates per M2: row i of every array is state i, and the
+        # rows are in complex_sort_key order of H.
+        params = _complex_chain(L)
+        spec = joint_diagonalize(params, seed=2)
+        assert len(spec.sectors) == L + 1
+        assert spec.n_states == 2 ** L
+        for m2, sector in enumerate(spec.sectors):
+            n = comb(L, m2)
+            assert sector.basis.M2 == m2
+            assert sector.coefficients.shape == (n, n)
+            for values in (sector.H, sector.G, sector.residual_H, sector.residual_G):
+                assert values.shape == (n, L)
+            keys = [complex_sort_key(row) for row in sector.H]
+            assert keys == sorted(keys)
 
     @staticmethod
     def _peak_growth_mb(setup):
