@@ -296,6 +296,9 @@ def _cmd_verify_duality(config: dict):
                 ],
             }
         )
+        # The trial's spectrum is not needed past its entry; free it before
+        # the next trial diagonalizes.
+        del report
     passed = worst <= config["tol"]
     summary = {
         "worst_error": worst,

@@ -330,8 +330,16 @@ def _frobenius_norm(site_blocks, twist) -> float:
 # Entries (16 bytes each) of the largest stack of charge actions formed at
 # once: every charge of a sector together up to L = 7, a few at a time at
 # L = 8, one at a time in the large sectors at L = 9 and 10.  Larger stacks
-# measured no faster at any L and raised the L = 9 peak RSS.
+# (2^15 .. 2^17) measured no faster at L = 8..10 and raised the L = 9 peak
+# RSS growth of joint_diagonalize from 7.5 MB to 8.2 .. 11.4 MB.
 _STACK_ENTRIES = 2 ** 14
+
+
+def _scale(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w * x, written over x.  numpy multiplies a single complex entry in
+    place without the fused multiply-add of its vector loop, so a block of
+    one entry gets a fresh product: the bits are always those of w * x."""
+    return np.multiply(w, x, out=x if x.size > 1 else None)
 
 
 class _SectorCharges:
@@ -347,10 +355,13 @@ class _SectorCharges:
     s_k = prod_{j != k} sinh(x_k - x_j)/sinh(x_k - x_j - eta).  On a
     sector basis R_{kj} multiplies a row whose bits k and j agree by a,
     and otherwise adds c times the row with the two bits swapped: one
-    gather and two scalings per factor.
+    gather and two scalings per factor.  The diagonal factor multiplies
+    each row by D_k's (or s_k D_k^{-1}'s) entry for bit k.
 
-    apply acts on a stack of charges ``ks`` at once and returns the stack
-    of A_k v, shape (len(ks), rows, columns).
+    factors(M2) holds, per sector, only what depends on the rows: the
+    gather indices, the mask of rows whose two bits differ and the
+    diagonal factor's row weights.  apply expands them into row weights
+    for the charges it is given, and updates one block in place.
     """
 
     def __init__(self, params: ChainParams):
@@ -358,43 +369,59 @@ class _SectorCharges:
         self.params, self.bases = params, sector_bases(L)
         site_blocks, (g_up, g_down) = _charge_site_blocks(params), _twist(params)
         self.norms = np.array([_frobenius_norm(blocks, (g_up, g_down)) for blocks in site_blocks])
-        # The diagonal and exchange weights a, c of every site factor [k, j]
-        # of H_k; G_k's factor on sites (k, j) is H_j's on (j, k).
+        q, i = np.indices((2 * L, L))
+        k, i = q % L, np.where(q < L, i, L - 1 - i)
+        # The site that factor i of charge q acts on together with site k.
+        self.sites = np.where(i < k, k - 1 - i, np.where(i == k, k, L + k - i))
+        # The diagonal factor is H_k's factor k and G_k's factor L-1-k.
+        self.diag_factor = np.concatenate([np.arange(L), np.arange(L)[::-1]])
+        # The diagonal and exchange weights a, c of every factor of every
+        # charge; G_k's factor on sites (k, j) is H_j's on (j, k).
         w = np.array([[(b00[0, 0], b01[1, 0]) for b00, b01, _, _ in blocks]
                       for blocks in site_blocks[:L]])
-        self.weights = np.concatenate([w, w.transpose(1, 0, 2)])
+        self.a, self.c = np.moveaxis(np.concatenate([w, w.transpose(1, 0, 2)])[q, self.sites], -1, 0)
         # D_k, and s_k D_k^{-1} for G_k, on site k up and down.
         s = sinh_pair_product(params.inhom, None, 0.0, -params.eta)
         self.diag = np.concatenate([np.tile((g_up, g_down), (L, 1)), np.outer(s, (g_down, g_up))])
 
     def factors(self, M2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather, keep and exchange arrays [q, i] of the i-th factor to act
-        in charge q on sector M2; in H_k: R_{k,k-1} .. R_{k,1}, D_k,
-        R_{k,L} .. R_{k,k+1}, and in G_k the reverse (the diagonal factor
-        gathers each row from itself and exchanges nothing)."""
+        """Gather indices and differ mask [q, i, row] of the i-th factor to
+        act in charge q on sector M2, and the diagonal factor's row weights
+        [q, row].  In H_k the factors are R_{k,k-1} .. R_{k,1}, D_k,
+        R_{k,L} .. R_{k,k+1}, and in G_k the reverse; a row gathers itself
+        where its two bits agree."""
         L, idx = self.L, self.bases[M2].indices
         shifts = L - 1 - np.arange(L)
         bits = (idx >> shifts[:, None]) & 1
-        q, i = np.indices((2 * L, L))
-        k, i = q % L, np.where(q < L, i, L - 1 - i)
-        site = np.where(i < k, k - 1 - i, np.where(i == k, k, L + k - i))
-        differ = bits[k] != bits[site]
+        k = np.arange(2 * L) % L
+        differ = bits[k, None] != bits[self.sites]
         # Where the two bits differ, the swapped index lies in the sector.
-        swapped = np.searchsorted(idx, idx ^ ((1 << shifts[k]) | (1 << shifts[site]))[..., None])
+        flip = (1 << shifts[k, None]) | (1 << shifts[self.sites])
+        swapped = np.searchsorted(idx, idx ^ flip[..., None])
         gather = np.where(differ, swapped, np.arange(idx.size))
-        a, c = np.moveaxis(self.weights[q, site], -1, 0)[..., None]
-        keep = np.where(
-            (site == k)[..., None], self.diag[q[..., None], bits[k]], np.where(differ, 1.0, a)
-        )
-        return gather, keep[..., None], np.where(differ, c, 0.0)[..., None]
+        return gather, differ, self.diag[np.arange(2 * L)[:, None], bits[k]]
 
     def apply(self, factors, ks: np.ndarray, v: np.ndarray) -> np.ndarray:
-        gather, keep, exchange = (f[ks] for f in factors)
+        """The stack of A_k v over the charges ``ks``, shape (len(ks),
+        rows, columns).  v is read, never written; the result is one
+        fresh block that each factor after the first updates in place."""
+        gather, differ, diag = (f[ks] for f in factors)
         stack = np.arange(ks.size)[:, None]
-        v = np.broadcast_to(v, (ks.size, *v.shape))
+        # Row weights [charge, factor, row, 1] of the charges ks.
+        keep = np.where(differ, 1.0, self.a[ks, :, None])
+        keep[stack, self.diag_factor[ks, None]] = diag[:, None]
+        exchange = np.where(differ, self.c[ks, :, None], 0.0)
+        keep, exchange = keep[..., None], exchange[..., None]
+        out = np.broadcast_to(v, (ks.size, *v.shape))
         for i in range(self.L):
-            v = keep[:, i] * v + exchange[:, i] * v[stack, gather[:, i]]
-        return v
+            # The swapped rows are gathered before the block is scaled; the
+            # first factor reads the input and forms a fresh block.
+            swapped = _scale(exchange[:, i], out[stack, gather[:, i]])
+            out = _scale(keep[:, i], out) if i else keep[:, 0] * out
+            out += swapped
+            # Freed before the next gather allocates its block.
+            del swapped
+        return out
 
 
 def joint_diagonalize(params: ChainParams, seed: int = 0) -> JointSpectrum:
@@ -426,14 +453,18 @@ def _sector_states(charges, M2, seed=0) -> SectorStates:
     factors = charges.factors(M2)
     step = max(1, _STACK_ENTRIES // n ** 2)
     stacks = [np.arange(L)[i : i + step] for i in range(0, L, step)]
-    eye = np.eye(n, dtype=complex)
     # (worst residual, charge, eigenvector column) of the first state
     # above tolerance, over the redraws: the smallest such residual.
     closest = (np.inf, "", -1)
     for _ in range(_MAX_RETRIES):
         coeff = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        combo = sum(np.tensordot(coeff[ks], charges.apply(factors, ks, eye), 1) for ks in stacks)
-        _, vecs = np.linalg.eig(combo)
+        eye = np.eye(n, dtype=complex)
+        combo = 0
+        for ks in stacks:
+            combo += np.tensordot(coeff[ks], charges.apply(factors, ks, eye), 1)
+        del eye
+        vecs = np.linalg.eig(combo)[1]
+        del combo
         vecs /= np.linalg.norm(vecs, axis=0)
         values = np.empty((2 * L, n), dtype=complex)
         resid = np.empty((2 * L, n))
@@ -441,9 +472,11 @@ def _sector_states(charges, M2, seed=0) -> SectorStates:
         for ks in stacks + [L + ks for ks in stacks]:
             av = charges.apply(factors, ks, vecs)
             rayleigh = np.einsum("ij,kij->kj", vecs.conj(), av)
-            resid[ks] = np.linalg.norm(av - vecs * rayleigh[:, None], axis=1)
-            resid[ks] /= charges.norms[ks, None]
             values[ks] = np.diagonal(np.linalg.solve(vecs, av), axis1=1, axis2=2)
+            # A V - V diag(rayleigh), formed in place of A V.
+            resid[ks] = np.linalg.norm(np.subtract(av, vecs * rayleigh[:, None], out=av), axis=1)
+            resid[ks] /= charges.norms[ks, None]
+            del av
         worst = resid.max(axis=0)
         above = np.flatnonzero(worst > _RESIDUAL_TOL)
         if not above.size:

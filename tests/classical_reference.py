@@ -1,9 +1,9 @@
-"""Reference routines of the classical-model tests: a fixed-step RK4
-advance for finite differences along the flow, the power traces of the
-Newton identities, the subset-sum invariants as a plain loop over
-subsets, the companion matrix and second-order equations of motion
-as plain loops over particle pairs, and the duality and momentum checks
-one eigenstate at a time."""
+"""Reference routines of the tests: a fixed-step RK4 advance for finite
+differences along the flow, the power traces of the Newton identities,
+the subset-sum invariants as a plain loop over subsets, the companion
+matrix and second-order equations of motion as plain loops over
+particle pairs, the sector charges as an out-of-place product kernel,
+and the duality and momentum checks one eigenstate at a time."""
 
 from itertools import combinations
 
@@ -13,7 +13,7 @@ from vertexdual import RSState, duality
 from vertexdual.errors import MatchFailed, ZeroGValue
 from vertexdual.linalg import coth, match_multisets, sinh_pair_product
 from vertexdual.ruijsenaars import cauchy_factor, hamilton_rhs
-from vertexdual.spin_chain import joint_diagonalize
+from vertexdual.spin_chain import _charge_site_blocks, _twist, joint_diagonalize, sector_basis
 
 
 def flow_step(state: RSState, dt: float, n_sub: int = 8) -> RSState:
@@ -114,6 +114,39 @@ def acceleration_loops(x, xdot, eta) -> np.ndarray:
                 / (np.sinh(d + eta) * np.sinh(d) * np.sinh(d - eta))
             )
     return out
+
+
+def sector_charges_out_of_place(params, M2, ks, v) -> np.ndarray:
+    """The stack of A_k v over the charges ``ks`` (0 .. L-1 are H, L .. 2L-1
+    G) on sector M2, in the product form of spin_chain._SectorCharges, with
+    full (2L, L, n, 1) keep and exchange tables and every factor formed
+    out of place: v <- keep * v + exchange * v[gather]."""
+    L, idx = params.L, sector_basis(params.L, M2).indices
+    site_blocks, (g_up, g_down) = _charge_site_blocks(params), _twist(params)
+    w = np.array([[(b00[0, 0], b01[1, 0]) for b00, b01, _, _ in blocks]
+                  for blocks in site_blocks[:L]])
+    weights = np.concatenate([w, w.transpose(1, 0, 2)])
+    s = sinh_pair_product(params.inhom, None, 0.0, -params.eta)
+    diag = np.concatenate([np.tile((g_up, g_down), (L, 1)), np.outer(s, (g_down, g_up))])
+    shifts = L - 1 - np.arange(L)
+    bits = (idx >> shifts[:, None]) & 1
+    q, i = np.indices((2 * L, L))
+    k, i = q % L, np.where(q < L, i, L - 1 - i)
+    site = np.where(i < k, k - 1 - i, np.where(i == k, k, L + k - i))
+    differ = bits[k] != bits[site]
+    swapped = np.searchsorted(idx, idx ^ ((1 << shifts[k]) | (1 << shifts[site]))[..., None])
+    gather = np.where(differ, swapped, np.arange(idx.size))
+    a, c = np.moveaxis(weights[q, site], -1, 0)[..., None]
+    keep = np.where(
+        (site == k)[..., None], diag[q[..., None], bits[k]], np.where(differ, 1.0, a)
+    )[..., None]
+    exchange = np.where(differ, c, 0.0)[..., None]
+    gather, keep, exchange = gather[ks], keep[ks], exchange[ks]
+    stack = np.arange(ks.size)[:, None]
+    v = np.broadcast_to(v, (ks.size, *v.shape))
+    for i in range(L):
+        v = keep[:, i] * v + exchange[:, i] * v[stack, gather[:, i]]
+    return v
 
 
 def verify_duality_per_state(chain, seed=0) -> duality.DualityReport:
