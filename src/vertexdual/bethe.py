@@ -19,7 +19,7 @@ du/dh = -2L J^{-1} (1, ..., 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -81,20 +81,19 @@ def _check_configuration(u: np.ndarray, params: ChainParams):
     require_sinh_gap(u, None, shifts, _GUARD, SingularConfiguration, ("u", "u"))
 
 
-def _defect(u: np.ndarray, params: ChainParams) -> np.ndarray:
-    """Principal-log defect vector; no singularity guards (solver internal)."""
+def _equations(u: np.ndarray, params: ChainParams, h) -> tuple[np.ndarray, np.ndarray]:
+    """Principal-log defect vector at twist h and its Jacobian d(defect)/du,
+    from one set of sinh pair matrices; no singularity guards (solver
+    internal).  coth(z + a) - coth(z + b) = sinh(b - a)/(sinh(z + a) sinh(z + b))."""
     eta = params.eta
-    sites = np.exp(2 * params.L * params.h) * sinh_pair_product(u, params.inhom, eta, 0.0)
-    return np.log(sites / sinh_pair_product(u, None, eta, -eta))
-
-
-def _jacobian(u: np.ndarray, params: ChainParams) -> np.ndarray:
-    """d(defect)/du; coth(z + a) - coth(z + b) = sinh(b - a)/(sinh(z + a) sinh(z + b))."""
-    eta = params.eta
-    sites = np.sinh(-eta) / (sinh_pairs(u, params.inhom, eta) * sinh_pairs(u, params.inhom, 0.0))
-    pairs = np.sinh(-2 * eta) / (sinh_pairs(u, None, eta) * sinh_pairs(u, None, -eta))
+    site_up, site = sinh_pairs(u, params.inhom, eta), sinh_pairs(u, params.inhom, 0.0)
+    up, down = sinh_pairs(u, None, eta), sinh_pairs(u, None, -eta)
+    left = np.exp(2 * params.L * h) * np.prod(site_up / site, axis=1)
+    defect = np.log(left / np.prod(up / down, axis=1))
+    sites = np.sinh(-eta) / (site_up * site)
+    pairs = np.sinh(-2 * eta) / (up * down)
     np.fill_diagonal(pairs, 0.0)
-    return np.diag(sites.sum(axis=1) - pairs.sum(axis=1)) + pairs
+    return defect, np.diag(sites.sum(axis=1) - pairs.sum(axis=1)) + pairs
 
 
 def bae_defect(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
@@ -103,11 +102,11 @@ def bae_defect(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
     if u.size == 0:
         return np.zeros(0, dtype=complex)
     _check_configuration(u, params)
-    return _defect(u, params)
+    return _equations(u, params, params.h)[0]
 
 
-def _newton(u: np.ndarray, params: ChainParams, iters: int) -> tuple[np.ndarray, float]:
-    """Up to ``iters`` Newton steps, stopping at one below _STEP_TOL;
+def _newton(u: np.ndarray, params: ChainParams, h, iters: int) -> tuple[np.ndarray, float]:
+    """Up to ``iters`` Newton steps at twist h, stopping at one below _STEP_TOL;
     returns the roots and the size of the last step, their error estimate
     (inf or nan when a step is singular or leaves the finite domain).
     The step, not the defect, decides: near a site the defect's slope
@@ -115,8 +114,9 @@ def _newton(u: np.ndarray, params: ChainParams, iters: int) -> tuple[np.ndarray,
     step = np.inf
     with np.errstate(all="ignore"):
         for _ in range(iters):
+            defect, jacobian = _equations(u, params, h)
             try:
-                du = np.linalg.solve(_jacobian(u, params), _defect(u, params))
+                du = np.linalg.solve(jacobian, defect)
             except np.linalg.LinAlgError:
                 return u, np.inf
             u, step = u - du, float(np.max(np.abs(du)))
@@ -154,7 +154,7 @@ def _track(params: ChainParams, h0: complex, u: np.ndarray, beta: float):
     du/ds = -2L h'(s) J^{-1} (1, ..., 1) and a Newton corrector, with the
     step halved when the corrector fails.  Returns the roots polished at
     the target, or None when the path fails."""
-    u, err = _newton(u, replace(params, h=h0), _POLISH_ITERS)
+    u, err = _newton(u, params, h0, _POLISH_ITERS)
     if not err <= _STEP_TOL:
         return None
     s, ds = 0.0, _FIRST_STEP
@@ -163,18 +163,19 @@ def _track(params: ChainParams, h0: complex, u: np.ndarray, beta: float):
         slope = 2 * params.L * (params.h - h0 + 1j * np.pi * beta * np.cos(np.pi * s))
         with np.errstate(all="ignore"):
             try:
-                du = np.linalg.solve(_jacobian(u, params), np.full(u.size, -slope))
+                # The Jacobian does not depend on the twist.
+                du = np.linalg.solve(_equations(u, params, params.h)[1], np.full(u.size, -slope))
             except np.linalg.LinAlgError:
                 return None
         ht = h0 + t * (params.h - h0) + 1j * beta * np.sin(np.pi * t)
-        u_new, err = _newton(u + (t - s) * du, replace(params, h=ht), _CORRECTOR_ITERS)
+        u_new, err = _newton(u + (t - s) * du, params, ht, _CORRECTOR_ITERS)
         if err <= _STEP_TOL:
             s, u, ds = t, u_new, min(_GROWTH * ds, _MAX_STEP)
         elif ds > _MIN_STEP:
             ds /= 2
         else:
             return None
-    u, err = _newton(u, params, _POLISH_ITERS)
+    u, err = _newton(u, params, params.h, _POLISH_ITERS)
     return u if err <= _STEP_TOL else None
 
 
@@ -187,7 +188,7 @@ def _root_set(u, params: ChainParams, found: list[BetheRootSet], retracks: int):
     if smallest_sinh_gap(u, params.inhom, UNSHIFTED)[0] <= _GUARD:
         return None
     u = canonicalize_roots(u)
-    residual = float(np.max(np.abs(_defect(u, params))))
+    residual = float(np.max(np.abs(_equations(u, params, params.h)[0])))
     if not residual <= _RESIDUAL_TOL or any(ipi_distance(u, s.roots) < _DEDUP_TOL for s in found):
         return None
     return BetheRootSet(u.size, u, residual, params.params_hash, retracks)
@@ -253,29 +254,24 @@ def eigenvalue_t(roots: BetheRootSet, params: ChainParams, x) -> complex:
 
 def eigenvalue_h(roots: BetheRootSet, params: ChainParams, j: int) -> complex:
     """Residue-charge eigenvalue at site j (0-based) for this root set."""
-    L, eta, h = params.L, params.eta, params.h
-    xs = np.asarray(params.inhom)
-    u = np.atleast_1d(np.asarray(roots.roots, dtype=complex))
-    if np.any(np.abs(sinh_pairs(xs[j : j + 1], u, 0.0)) <= _GUARD):
-        raise SingularConfiguration(f"a root collides with site {j + 1}")
-    pref = sinh_pair_product(xs[j : j + 1], np.delete(xs, j), eta, 0.0)[0]
-    pref *= sinh_pair_product(xs[j : j + 1], u, -eta, 0.0)[0]
-    return complex(np.exp(L * h) * pref)
+    return complex(all_eigenvalues_h(roots, params)[j])
 
 
 def eigenvalue_g(roots: BetheRootSet, params: ChainParams, j: int) -> complex:
     """Companion-charge eigenvalue at site j (0-based) for this root set."""
-    L, eta, h = params.L, params.eta, params.h
-    xs = np.asarray(params.inhom)
-    u = np.atleast_1d(np.asarray(roots.roots, dtype=complex))
-    if np.any(np.abs(sinh_pairs(xs[j : j + 1], u, -eta)) <= _GUARD):
-        raise SingularConfiguration("a root sits at x_j - eta")
-    return complex(np.exp(-L * h) * sinh_pair_product(xs[j : j + 1], u, 0.0, -eta)[0])
+    return complex(all_eigenvalues_g(roots, params)[j])
 
 
 def all_eigenvalues_h(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
-    return np.array([eigenvalue_h(roots, params, j) for j in range(params.L)])
+    """H_1 .. H_L for this root set, stacked over the sites."""
+    u, xs, eta = np.atleast_1d(np.asarray(roots.roots, dtype=complex)), params.inhom, params.eta
+    require_sinh_gap(u, xs, UNSHIFTED, _GUARD, SingularConfiguration, ("u", "x"))
+    pref = sinh_pair_product(xs, None, eta, 0.0) * sinh_pair_product(xs, u, -eta, 0.0)
+    return np.exp(params.L * params.h) * pref
 
 
 def all_eigenvalues_g(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
-    return np.array([eigenvalue_g(roots, params, j) for j in range(params.L)])
+    """G_1 .. G_L for this root set, stacked over the sites."""
+    u, xs, eta = np.atleast_1d(np.asarray(roots.roots, dtype=complex)), params.inhom, params.eta
+    require_sinh_gap(u, xs, {" + eta": eta}, _GUARD, SingularConfiguration, ("u", "x"))
+    return np.exp(-params.L * params.h) * sinh_pair_product(xs, u, 0.0, -eta)

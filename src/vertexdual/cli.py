@@ -160,7 +160,6 @@ _SCHEMAS: dict[str, dict[str, _Field]] = {
         "L": _int_field(1, 1, _MAX_L),
         "eta": _or_null(_complex_field(0.5)),
         "h": _or_null(_complex_field(0.3)),
-        "v": _complex_field(0.0),
         "inhom": _or_null(_complex_list_field([0.0])),
         "trials": _int_field(1, 1, _MAX_COUNT),
         "seed": _int_field(0, 0, _MAX_SEED),
@@ -245,7 +244,6 @@ def _chain_from_config(config: dict, rng) -> ChainParams:
     L = config["L"]
     eta = _as_complex(config["eta"]) if config["eta"] is not None else None
     h = _as_complex(config["h"]) if config["h"] is not None else None
-    v = _as_complex(config.get("v", 0.0))
     if config["inhom"] is not None:
         inhom = [_as_complex(z) for z in config["inhom"]]
         if len(inhom) != L:
@@ -253,10 +251,10 @@ def _chain_from_config(config: dict, rng) -> ChainParams:
         if eta is None or h is None:
             raise ConfigError("eta and h are required when inhom is given")
         try:
-            return ChainParams(L=L, eta=eta, h=h, v=v, inhom=tuple(inhom))
+            return ChainParams(L=L, eta=eta, h=h, inhom=tuple(inhom))
         except (GeneralPositionViolated, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-    return draw_chain_params(rng, L, eta=eta, h=h, v=v)
+    return draw_chain_params(rng, L, eta=eta, h=h)
 
 
 def _chain_config_out(chain: ChainParams) -> dict:
@@ -264,7 +262,6 @@ def _chain_config_out(chain: ChainParams) -> dict:
         "L": chain.L,
         "eta": _complex_out(chain.eta),
         "h": _complex_out(chain.h),
-        "v": _complex_out(chain.v),
         "inhom": _vector_out(chain.inhom),
         "params_hash": chain.params_hash,
     }

@@ -35,7 +35,7 @@ _BASE_GAP = 0.8
 _P_RANGE = (-0.3, 0.3)
 
 
-def draw_chain_params(rng: np.random.Generator, L: int, eta=None, h=None, v=0.0) -> ChainParams:
+def draw_chain_params(rng: np.random.Generator, L: int, eta=None, h=None) -> ChainParams:
     """Real chain parameters with pairwise sinh gaps >= 0.05.
 
     eta defaults to uniform [0.2, 1], h to uniform [-0.5, 0.5], and the
@@ -52,7 +52,7 @@ def draw_chain_params(rng: np.random.Generator, L: int, eta=None, h=None, v=0.0)
         # onto +-eta the sector solves degrade and roots get pinched.
         if smallest_sinh_gap(x, None, eta_shifts(eta_val))[0] < _MIN_GAP:
             continue
-        return ChainParams(L=L, eta=eta_val, h=h_val, v=v, inhom=tuple(x))
+        return ChainParams(L=L, eta=eta_val, h=h_val, inhom=tuple(x))
     raise DrawFailed(f"no general-position draw of L = {L} found in {_MAX_ATTEMPTS} attempts")
 
 

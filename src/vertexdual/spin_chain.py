@@ -43,7 +43,7 @@ _SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Shared parameter record: size, anisotropy, fields, inhomogeneities.
+    """Shared parameter record: size, anisotropy, field h, inhomogeneities.
 
     Validates the general-position requirements on construction: all
     pairwise gaps x_i - x_j and x_i - x_j +- eta must stay away from the
@@ -53,7 +53,6 @@ class ChainParams:
     L: int
     eta: complex
     h: complex
-    v: complex = 0.0
     inhom: tuple[complex, ...] = ()
 
     def __post_init__(self):
@@ -61,7 +60,6 @@ class ChainParams:
             raise ValueError(f"need at least one site, got L={self.L}")
         object.__setattr__(self, "eta", complex(self.eta))
         object.__setattr__(self, "h", complex(self.h))
-        object.__setattr__(self, "v", complex(self.v))
         object.__setattr__(self, "inhom", tuple(complex(x) for x in self.inhom))
         if len(self.inhom) != self.L:
             raise ValueError(f"expected {self.L} inhomogeneities, got {len(self.inhom)}")
@@ -80,17 +78,16 @@ class ChainParams:
     def params_hash(self) -> str:
         """Stable digest of all parameter values (used to tag results)."""
         buf = struct.pack("<q", self.L)
-        for z in (self.eta, self.h, self.v, *self.inhom):
+        for z in (self.eta, self.h, *self.inhom):
             buf += struct.pack("<dd", z.real, z.imag)
         return hashlib.sha256(buf).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
 class QuantumOperator:
-    """Dense operator on the 2**L chain space, with the site-order tag."""
+    """Dense operator on the 2**L chain space (site 1 the most significant bit)."""
 
     entries: np.ndarray
-    site_order: str = "site1-msb"
 
     @property
     def dim(self) -> int:
@@ -218,10 +215,11 @@ def _charge_site_blocks(params: ChainParams) -> list[list[tuple]]:
     return h_blocks + g_blocks
 
 
-def transfer_matrix_asym(params: ChainParams, x) -> QuantumOperator:
-    """Periodic transfer matrix of the field-dressed model at parameter x."""
-    x = complex(x)
-    blocks = [_asym_site_blocks(x - xi, params.eta, params.h, params.v) for xi in params.inhom]
+def transfer_matrix_asym(params: ChainParams, x, v=0.0) -> QuantumOperator:
+    """Periodic transfer matrix of the field-dressed model at parameter x and
+    vertical field v, which only rescales sector M2 by e^{v (L - 2 M2)}."""
+    x, v = complex(x), complex(v)
+    blocks = [_asym_site_blocks(x - xi, params.eta, params.h, v) for xi in params.inhom]
     return QuantumOperator(_traced_monodromy(blocks))
 
 
@@ -437,10 +435,14 @@ def joint_diagonalize(params: ChainParams, seed: int = 0) -> JointSpectrum:
     Frobenius norm of A (in closed form, see _frobenius_norm).  If any
     residual exceeds _RESIDUAL_TOL the combination is redrawn, up to
     _MAX_RETRIES times.  The draws of sector M2 come from the stream
-    (seed, M2), so a sector's states do not depend on the other sectors.
+    (seed, M2), so a sector's states depend neither on the other sectors
+    nor on their order.  The largest sector is solved first, so that the
+    smaller ones reuse the memory it freed.
     """
-    charges = _SectorCharges(params)
-    sectors = [_sector_states(charges, M2, seed) for M2 in range(params.L + 1)]
+    charges, L = _SectorCharges(params), params.L
+    sectors = [None] * (L + 1)
+    for M2 in sorted(range(L + 1), key=lambda m: abs(2 * m - L)):
+        sectors[M2] = _sector_states(charges, M2, seed)
     return JointSpectrum(params_hash=params.params_hash, sectors=sectors)
 
 

@@ -36,7 +36,7 @@ from vertexdual import (
     verify_momentum_identification,
     xle_relation_check,
 )
-from vertexdual.bethe import _defect
+from vertexdual.bethe import _equations
 from vertexdual.cli import main
 from vertexdual.identities import q_factorized, q_tilde_factorized
 from vertexdual.linalg import match_multisets, poly_rel_residual, rel_diff
@@ -173,7 +173,8 @@ def test_criterion_05_bethe_cross_validation():
         counts_ok = counts_ok and len(sols) == comb(3, m2)
         for sol in sols:
             if sol.roots.size:
-                worst_defect = max(worst_defect, float(np.max(np.abs(_defect(sol.roots, chain)))))
+                defect = _equations(sol.roots, chain, chain.h)[0]
+                worst_defect = max(worst_defect, float(np.max(np.abs(defect))))
         for H, G in zip(spec.sectors[m2].H, spec.sectors[m2].G):
             errs = []
             for sol in sols:

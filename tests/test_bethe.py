@@ -22,7 +22,7 @@ from vertexdual import (
     solve_bae,
     transfer_matrix_twisted,
 )
-from vertexdual.bethe import _SCHEDULE, _defect, _jacobian, _starts, _track
+from vertexdual.bethe import _SCHEDULE, _equations, _starts, _track
 from vertexdual.linalg import ipi_distance
 from vertexdual.sampling import draw_chain_params, rng_from_seed
 from vertexdual.spin_chain import gh_product_scalar
@@ -69,19 +69,20 @@ class TestDefect:
         chain = ChainParams(L=1, eta=0.5, h=0.3, inhom=(0.2,))
         z = -np.exp(0.6) * np.sinh(0.5) / (np.exp(0.6) * np.cosh(0.5) - 1.0)
         u = 0.2 + np.arctanh(complex(z))
-        assert abs(_defect(np.array([u]), chain))[0] < 1e-12
+        assert abs(_equations(np.array([u]), chain, chain.h)[0])[0] < 1e-12
         sols = solve_bae(chain, 1)
         assert len(sols) == 1
         assert ipi_distance(sols[0].roots, [u]) < 1e-9
 
     def test_analytic_jacobian_vs_finite_differences(self):
         u = np.array([0.3 + 0.2j, 1.4 - 0.35j])
-        jac = _jacobian(u, CHAIN)
+        jac = _equations(u, CHAIN, CHAIN.h)[1]
         eps = 1e-6
         for b in range(2):
             step = np.zeros(2, dtype=complex)
             step[b] = eps
-            col = (_defect(u + step, CHAIN) - _defect(u - step, CHAIN)) / (2 * eps)
+            plus, minus = (_equations(u + d, CHAIN, CHAIN.h)[0] for d in (step, -step))
+            col = (plus - minus) / (2 * eps)
             assert np.max(np.abs(col - jac[:, b])) < 1e-6 * max(1.0, np.max(np.abs(jac)))
 
     def test_near_solution_linear_response(self):
@@ -90,8 +91,8 @@ class TestDefect:
         direction = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         direction /= np.max(np.abs(direction))
         delta = 1e-6 * direction
-        defect = _defect(sol.roots + delta, CHAIN)
-        predicted = _jacobian(sol.roots, CHAIN) @ delta
+        defect = _equations(sol.roots + delta, CHAIN, CHAIN.h)[0]
+        predicted = _equations(sol.roots, CHAIN, CHAIN.h)[1] @ delta
         assert np.max(np.abs(defect - predicted)) < 1e-10
 
     def test_singular_configuration_raises(self):

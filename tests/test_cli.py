@@ -72,11 +72,17 @@ class TestVerifyDuality:
         assert code == 2
         assert report is None
 
-    def test_unknown_key_rejected(self, tmp_path):
+    # "v", the vertical field, only rescaled whole sectors, so no result
+    # depended on it; the key is gone from the schema.
+    @pytest.mark.parametrize("key", ["mystery_knob", "v"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"L": 2, "mystery_knob": 1}))
-        code, _ = _run(tmp_path, ["verify-duality", "--config", str(cfg)])
+        cfg.write_text(json.dumps({"L": 2, "inhom": None, key: 0.7}))
+        code, report = _run(tmp_path, ["verify-duality", "--config", str(cfg)])
         assert code == 2
+        assert report is None
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.endswith(f"unknown config keys for verify-duality: [{key!r}]")
 
     def test_bad_schema_version(self, tmp_path):
         cfg = tmp_path / "cfg.json"

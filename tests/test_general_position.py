@@ -28,7 +28,7 @@ from vertexdual import (
     rs_hamiltonian,
     velocities,
 )
-from vertexdual.bethe import _defect, _jacobian
+from vertexdual.bethe import _equations
 from vertexdual.linalg import coth, eta_shifts, sinh_pair_product, smallest_sinh_gap
 from vertexdual.ruijsenaars import hamilton_rhs
 from vertexdual import sampling
@@ -87,11 +87,11 @@ def _loop_hamilton_rhs(state):
     return xd, pd
 
 
-def _loop_defect(u, chain):
+def _loop_defect(u, chain, h):
     xs, eta = np.asarray(chain.inhom), chain.eta
     out = np.empty(u.size, dtype=complex)
     for a in range(u.size):
-        lhs = np.exp(2 * chain.L * chain.h) * np.prod(np.sinh(u[a] - xs + eta) / np.sinh(u[a] - xs))
+        lhs = np.exp(2 * chain.L * h) * np.prod(np.sinh(u[a] - xs + eta) / np.sinh(u[a] - xs))
         rhs = 1.0 + 0.0j
         for b in range(u.size):
             if b != a:
@@ -141,9 +141,12 @@ class TestBetheFormulas:
         rng = np.random.default_rng(20 + m2)
         for _ in range(3):
             u = rng.uniform(-0.5, 2.5, m2) + 1j * rng.uniform(-0.6, 0.6, m2)
-            for fast, slow in ((_defect(u, self.CHAIN), _loop_defect(u, self.CHAIN)),
-                               (_jacobian(u, self.CHAIN), _loop_jacobian(u, self.CHAIN))):
-                assert np.max(np.abs(fast - slow)) <= 1e-14 * np.max(np.abs(slow))
+            # The chain's own twist, and one off it as the continuation passes.
+            for h in (self.CHAIN.h, -0.7 + 0.15j):
+                defect, jacobian = _equations(u, self.CHAIN, h)
+                for fast, slow in ((defect, _loop_defect(u, self.CHAIN, h)),
+                                   (jacobian, _loop_jacobian(u, self.CHAIN))):
+                    assert np.max(np.abs(fast - slow)) <= 1e-14 * np.max(np.abs(slow))
             x = complex(rng.uniform(0, 2), rng.uniform(-0.5, 0.5))
             t, hs, gs = _loop_eigenvalues(u, self.CHAIN, x)
             roots = _roots(u)
@@ -226,6 +229,8 @@ class TestCheckSites:
             (lambda: IdentityParams(2, 1, (0.4, 1.2), (0.9,), 1.0, 0.3), GPV, "x_2 - y_1 - eta"),
             (lambda: bae_defect(_roots([0.1, 0.5]), _CHAIN), SCF, "u_2 - x_2)"),
             (lambda: bae_defect(_roots([0.3, -0.4]), _CHAIN), SCF, "u_1 - u_2 - eta"),
+            (lambda: eigenvalue_h(_roots([0.2, 0.5]), _CHAIN, 0), SCF, "u_2 - x_2)"),
+            (lambda: eigenvalue_g(_roots([0.7]), _CHAIN, 2), SCF, "u_1 - x_3 + eta"),
         ],
     )
     def test_error_type_and_pair(self, build, error, needle):
@@ -261,6 +266,15 @@ def _digest(parts):
     return hashlib.sha256("".join(parts).encode()).hexdigest()[:16]
 
 
+def _chain_hash(p):
+    """ChainParams.params_hash as the digests below were recorded: the
+    chain record then also held a vertical field, always 0 in these draws."""
+    buf = struct.pack("<q", p.L)
+    for z in (p.eta, p.h, 0j, *p.inhom):
+        buf += struct.pack("<dd", z.real, z.imag)
+    return hashlib.sha256(buf).hexdigest()[:16]
+
+
 def _identity_hash(p):
     buf = struct.pack("<qq", p.N, p.M)
     for z in (p.g, p.eta, *p.x, *p.y):
@@ -283,7 +297,7 @@ class TestSeededDraws:
             7: "7be3c373b854ff4b",
         }
         for L, digest in recorded.items():
-            draws = (draw_chain_params(rng_from_seed(s), L).params_hash for s in range(10))
+            draws = (_chain_hash(draw_chain_params(rng_from_seed(s), L)) for s in range(10))
             assert _digest(draws) == digest
 
     def test_chain_draws_succeed_up_to_l10(self):
