@@ -8,8 +8,6 @@ from .bethe import (
     all_eigenvalues_h,
     bae_defect,
     canonicalize_roots,
-    eigenvalue_g,
-    eigenvalue_h,
     eigenvalue_t,
     solve_bae,
 )
@@ -28,6 +26,7 @@ from .duality import (
 from .errors import (
     CollisionDetected,
     ConfigError,
+    CrossCheckFailed,
     DegenerateSpectrum,
     DrawFailed,
     GeneralPositionViolated,
@@ -50,7 +49,6 @@ from .identities import (
     verify_solved_chain_splitting,
 )
 from .ruijsenaars import (
-    LaxMatrix,
     RSState,
     a_matrix,
     acceleration,

@@ -56,15 +56,13 @@ _CORRECTOR_ITERS, _POLISH_ITERS, _STEP_TOL = 4, 8, 1e-8
 
 @dataclass(frozen=True)
 class BetheRootSet:
-    """A solved sector: M2 roots, the worst equation defect, the hash of
-    the chain parameters they were solved for, and how many times the
-    solver re-tracked their subset's path before accepting them
+    """A solved sector: M2 roots, the worst equation defect, and how many
+    times the solver re-tracked their subset's path before accepting them
     (len(_SCHEDULE) when the closing pass over every subset found them)."""
 
     M2: int
     roots: np.ndarray
     residual: float
-    params_hash: str
     retracks: int = 0
 
 
@@ -191,7 +189,7 @@ def _root_set(u, params: ChainParams, found: list[BetheRootSet], retracks: int):
     residual = float(np.max(np.abs(_equations(u, params, params.h)[0])))
     if not residual <= _RESIDUAL_TOL or any(ipi_distance(u, s.roots) < _DEDUP_TOL for s in found):
         return None
-    return BetheRootSet(u.size, u, residual, params.params_hash, retracks)
+    return BetheRootSet(u.size, u, residual, retracks)
 
 
 def solve_bae(params: ChainParams, M2: int) -> list[BetheRootSet]:
@@ -210,7 +208,7 @@ def solve_bae(params: ChainParams, M2: int) -> list[BetheRootSet]:
     if not 0 <= M2 <= params.L:
         raise ValueError(f"M2 must lie in [0, {params.L}], got {M2}")
     if M2 == 0:
-        return [BetheRootSet(0, np.zeros(0, dtype=complex), 0.0, params.params_hash)]
+        return [BetheRootSet(0, np.zeros(0, dtype=complex), 0.0)]
     solutions: list[BetheRootSet] = []
     subsets = list(combinations(range(params.L), M2))
     unsolved = list(range(len(subsets)))
@@ -250,16 +248,6 @@ def eigenvalue_t(roots: BetheRootSet, params: ChainParams, x) -> complex:
     down = sinh_pair_product(x, u, -eta, 0.0)[0]
     up = sinh_pair_product(x, u, eta, 0.0)[0]
     return complex(np.exp(L * h) * site * down + np.exp(-L * h) * up)
-
-
-def eigenvalue_h(roots: BetheRootSet, params: ChainParams, j: int) -> complex:
-    """Residue-charge eigenvalue at site j (0-based) for this root set."""
-    return complex(all_eigenvalues_h(roots, params)[j])
-
-
-def eigenvalue_g(roots: BetheRootSet, params: ChainParams, j: int) -> complex:
-    """Companion-charge eigenvalue at site j (0-based) for this root set."""
-    return complex(all_eigenvalues_g(roots, params)[j])
 
 
 def all_eigenvalues_h(roots: BetheRootSet, params: ChainParams) -> np.ndarray:

@@ -14,7 +14,8 @@ import numpy as np
 from .bethe import all_eigenvalues_h, solve_bae
 from .errors import MatchFailed, ZeroGValue
 from .linalg import complex_sort_key, match_multisets, sinh_pair_product
-from .ruijsenaars import LaxMatrix, ladder, lax_from_velocities, symmetric_invariants
+from .identities import sector_char_poly
+from .ruijsenaars import ladder, lax_from_velocities, symmetric_invariants
 from .spin_chain import ChainParams, JointSpectrum, joint_diagonalize
 from .spin_chain import _SectorCharges, _sector_states
 
@@ -50,7 +51,6 @@ class DualityReport:
     records: list[DualityRecord]
     worst_error: float
     n_states: int
-    params_hash: str
     spectrum: JointSpectrum
 
 
@@ -79,7 +79,7 @@ def predicted_integrals(L: int, M2: int, h, eta, n: int) -> complex:
     )
 
 
-def lax_from_chain_state(chain: ChainParams, H) -> LaxMatrix:
+def lax_from_chain_state(chain: ChainParams, H) -> np.ndarray:
     """Lax matrix at coordinates x_i with velocities -H_i; diagonal is H.
     Charge tuples of shape (..., L) give a stack of Lax matrices."""
     return lax_from_velocities(np.asarray(chain.inhom), -np.asarray(H, dtype=complex), chain.eta)
@@ -98,8 +98,7 @@ def verify_duality(chain: ChainParams, seed: int = 0) -> DualityReport:
     records = []
     worst = 0.0
     for M2, sector in enumerate(spectrum.sectors):
-        lax = lax_from_chain_state(chain, sector.H)
-        eigs = np.linalg.eigvals(lax.entries)
+        eigs = np.linalg.eigvals(lax_from_chain_state(chain, sector.H))
         target = predicted_strings(chain.L, M2, chain.h, chain.eta)
         _, errors = match_multisets(eigs, target.values)
         errs = errors.max(axis=-1)
@@ -114,11 +113,7 @@ def verify_duality(chain: ChainParams, seed: int = 0) -> DualityReport:
         records.append(DualityRecord(target, np.take_along_axis(eigs, order, axis=-1), errs))
         worst = max(worst, float(errs.max()))
     return DualityReport(
-        records=records,
-        worst_error=worst,
-        n_states=spectrum.n_states,
-        params_hash=spectrum.params_hash,
-        spectrum=spectrum,
+        records=records, worst_error=worst, n_states=spectrum.n_states, spectrum=spectrum
     )
 
 
@@ -166,8 +161,8 @@ _INVERSE_RESIDUAL_TOL = 1e-9
 
 
 def _string_elementary(L: int, M2: int, h, eta) -> np.ndarray:
-    poly = np.poly(predicted_strings(L, M2, h, eta).values)
-    return np.array([(-1.0) ** n * poly[n] for n in range(1, L + 1)])
+    poly = sector_char_poly(L, M2, h, eta)
+    return (-1.0) ** np.arange(1, L + 1) * poly[1:]
 
 
 def _inverse_residual(x, H, eta, targets) -> float:

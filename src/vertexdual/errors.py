@@ -49,5 +49,9 @@ class DrawFailed(VertexDualError, RuntimeError):
     """A seeded draw found no general-position sample within its attempt cap."""
 
 
+class CrossCheckFailed(VertexDualError, ArithmeticError):
+    """Two independent builds of one quantity disagree beyond their bound."""
+
+
 class ConfigError(VertexDualError):
     """A run configuration is malformed or violates its schema."""

@@ -7,11 +7,12 @@ solved chain must satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bethe import BetheRootSet, all_eigenvalues_h, bae_defect
-from .errors import GeneralPositionViolated, InvalidBetheRoots
+from .errors import CrossCheckFailed, GeneralPositionViolated, InvalidBetheRoots
 from .linalg import (
     charpoly_minors,
     eta_shifts,
@@ -71,17 +72,17 @@ def _q_lax(points, others, g, eta, shift) -> np.ndarray:
     and shift +eta, Q~ the y family and shift -eta."""
     weight = sinh_pair_product(points, None, shift, 0.0)
     weight = weight * sinh_pair_product(points, others, 0.0, shift)
-    return lax_from_velocities(points, -g * weight, eta).entries
+    return lax_from_velocities(points, -g * weight, eta)
 
 
 def w_matrix(params: IdentityParams) -> np.ndarray:
-    """Diagonal coupling of each x_i to the whole y family."""
-    return np.diag(sinh_pair_product(params.x, params.y, 0.0, params.eta))
+    """The diagonal of W: the coupling of each x_i to the whole y family."""
+    return sinh_pair_product(params.x, params.y, 0.0, params.eta)
 
 
 def w_tilde_matrix(params: IdentityParams) -> np.ndarray:
-    """Diagonal coupling of each y_a to the whole x family."""
-    return np.diag(sinh_pair_product(params.y, params.x, 0.0, -params.eta))
+    """The diagonal of W~: the coupling of each y_a to the whole x family."""
+    return sinh_pair_product(params.y, params.x, 0.0, -params.eta)
 
 
 def q_factorized(params: IdentityParams) -> np.ndarray:
@@ -89,8 +90,7 @@ def q_factorized(params: IdentityParams) -> np.ndarray:
     x = np.asarray(params.x, dtype=complex)
     core = _sandwiched_ladder(x, params.eta)
     d = eta_shift_diagonal(x, params.eta)
-    w = np.diag(w_matrix(params))
-    return params.g * w[:, None] * d[:, None] * core / d[None, :]
+    return params.g * w_matrix(params)[:, None] * d[:, None] * core / d[None, :]
 
 
 def q_tilde_factorized(params: IdentityParams) -> np.ndarray:
@@ -99,31 +99,19 @@ def q_tilde_factorized(params: IdentityParams) -> np.ndarray:
     y = np.asarray(params.y, dtype=complex)
     core = _sandwiched_ladder(y, -params.eta).T
     d0 = eta_shift_diagonal(y, 0.0)
-    wt = np.diag(w_tilde_matrix(params))
-    return params.g * wt[:, None] * core * (d0[None, :] / d0[:, None])
+    return params.g * w_tilde_matrix(params)[:, None] * core * (d0[None, :] / d0[:, None])
 
 
-def q_matrix(params: IdentityParams, check: bool = True) -> np.ndarray:
-    """The N x N matrix of the identity; cross-checked against its
-    ladder factorization when ``check`` is set."""
-    q = _q_lax(params.x, params.y, params.g, params.eta, params.eta)
-    if check:
-        err = rel_diff(q, q_factorized(params))
-        if err > 1e-9:
-            raise ArithmeticError(f"ladder factorization disagrees: rel err {err:.3e}")
-    return q
+def q_matrix(params: IdentityParams) -> np.ndarray:
+    """The N x N matrix of the identity."""
+    return _q_lax(params.x, params.y, params.g, params.eta, params.eta)
 
 
-def q_tilde_matrix(params: IdentityParams, check: bool = True) -> np.ndarray:
-    """The M x M partner matrix; cross-checked against its factorization."""
+def q_tilde_matrix(params: IdentityParams) -> np.ndarray:
+    """The M x M partner matrix."""
     if params.M < 1:
         return np.zeros((0, 0), dtype=complex)
-    q = _q_lax(params.y, params.x, params.g, params.eta, -params.eta)
-    if check:
-        err = rel_diff(q, q_tilde_factorized(params))
-        if err > 1e-9:
-            raise ArithmeticError(f"ladder factorization disagrees: rel err {err:.3e}")
-    return q
+    return _q_lax(params.y, params.x, params.g, params.eta, -params.eta)
 
 
 def vandermonde_inverse(x) -> np.ndarray:
@@ -144,15 +132,47 @@ def ladder_char_poly(K: int, g, eta) -> np.ndarray:
     return np.poly(complex(g) * ladder(K, eta))
 
 
-def verify_determinant_splitting(params: IdentityParams) -> float:
-    """Coefficient-wise residual of the determinant identity
-    det(lambda I - Q) = det(lambda I - g S_{N-M}) det(lambda I - Q~)."""
-    q = q_matrix(params)
-    lhs = charpoly_minors(q)
+def sector_char_poly(L: int, M2: int, h, eta) -> np.ndarray:
+    """Coefficients of the characteristic polynomial that sector M2 of
+    the chain predicts for the Lax matrix: the product of the two ladder
+    polynomials, of L - M2 and M2 values, centred at e^{+-Lh}."""
+    return np.polymul(
+        ladder_char_poly(L - M2, np.exp(L * h), eta), ladder_char_poly(M2, np.exp(-L * h), eta)
+    )
+
+
+class SplittingResiduals(NamedTuple):
+    """Residuals of one determinant-identity trial: the identity's
+    coefficient-wise residual, and the relative differences of Q and Q~
+    from their ladder factorizations (0 for Q~ when M = 0)."""
+
+    identity: float
+    factorization_q: float
+    factorization_q_tilde: float
+
+
+def splitting_rhs(params: IdentityParams, q_tilde: np.ndarray) -> np.ndarray:
+    """Coefficients of det(lambda I - g S_{N-M}) det(lambda I - Q~)."""
     rhs = ladder_char_poly(params.N - params.M, params.g, params.eta)
     if params.M:
-        rhs = np.polymul(rhs, charpoly_minors(q_tilde_matrix(params)))
-    return poly_rel_residual(lhs, rhs)
+        rhs = np.polymul(rhs, charpoly_minors(q_tilde))
+    return rhs
+
+
+def verify_determinant_splitting(params: IdentityParams) -> SplittingResiduals:
+    """Residuals of the determinant identity
+    det(lambda I - Q) = det(lambda I - g S_{N-M}) det(lambda I - Q~)
+    and of both ladder factorizations, each matrix built once.  Raises
+    CrossCheckFailed when a factorization differs by more than 1e-9."""
+    q = q_matrix(params)
+    q_tilde = q_tilde_matrix(params)
+    fact_q = rel_diff(q, q_factorized(params))
+    fact_qt = rel_diff(q_tilde, q_tilde_factorized(params)) if params.M else 0.0
+    for name, err in (("Q", fact_q), ("Q~", fact_qt)):
+        if err > 1e-9:
+            raise CrossCheckFailed(f"ladder factorization of {name} disagrees: rel err {err:.3e}")
+    residual = poly_rel_residual(charpoly_minors(q), splitting_rhs(params, q_tilde))
+    return SplittingResiduals(residual, fact_q, fact_qt)
 
 
 def normalized_identity_sides(params: IdentityParams) -> tuple[np.ndarray, np.ndarray]:
@@ -164,12 +184,12 @@ def normalized_identity_sides(params: IdentityParams) -> tuple[np.ndarray, np.nd
     coalesce, but these coefficient vectors stay bounded; they are also
     the natural objects for the large-y stabilization checks.
     """
-    w = np.diag(w_matrix(params))
+    w = w_matrix(params)
     q0 = _q_lax(params.x, (), params.g, params.eta, params.eta)
     lhs = charpoly_minors(np.diag(w) @ q0) / np.prod(w)
     rhs = ladder_char_poly(params.N - params.M, params.g, params.eta)
     if params.M:
-        wt = np.diag(w_tilde_matrix(params))
+        wt = w_tilde_matrix(params)
         qt0 = _q_lax(params.y, (), params.g, params.eta, -params.eta)
         rhs = np.polymul(rhs, charpoly_minors(np.diag(wt) @ qt0) / np.prod(wt))
     return lhs, rhs
@@ -189,16 +209,10 @@ def verify_solved_chain_splitting(chain: ChainParams, roots: BetheRootSet) -> fl
             f"equation defect {np.max(np.abs(defect)):.3e} exceeds 1e-10"
         )
     x, eta = np.asarray(chain.inhom), chain.eta
-    lax = lax_from_velocities(x, -all_eigenvalues_h(roots, chain), eta).entries
+    lax = lax_from_velocities(x, -all_eigenvalues_h(roots, chain), eta)
     # Same matrix, assembled through the x - eta / root family weights.
     q = _q_lax(x - eta, roots.roots, np.exp(chain.L * chain.h), eta, eta)
     if rel_diff(lax, q) > 1e-9:
-        raise ArithmeticError("Lax build and weight-family build disagree")
-    m2 = roots.M2
-    m1 = chain.L - m2
-    lhs = charpoly_minors(lax)
-    rhs = np.polymul(
-        ladder_char_poly(m1, np.exp(chain.L * chain.h), chain.eta),
-        ladder_char_poly(m2, np.exp(-chain.L * chain.h), chain.eta),
-    )
-    return poly_rel_residual(lhs, rhs)
+        raise CrossCheckFailed("Lax build and weight-family build disagree")
+    rhs = sector_char_poly(chain.L, roots.M2, chain.h, chain.eta)
+    return poly_rel_residual(charpoly_minors(lax), rhs)

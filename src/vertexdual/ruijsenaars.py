@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     CollisionDetected,
+    CrossCheckFailed,
     GeneralPositionViolated,
     SingularVandermonde,
     StepSizeUnderflow,
@@ -58,15 +59,6 @@ class RSState:
     @property
     def L(self) -> int:
         return self.x.size
-
-
-@dataclass(frozen=True)
-class LaxMatrix:
-    entries: np.ndarray
-
-    @property
-    def L(self) -> int:
-        return self.entries.shape[-1]
 
 
 def rs_hamiltonian(state: RSState) -> complex:
@@ -120,7 +112,7 @@ def acceleration(x, xdot, eta) -> np.ndarray:
     return -2.0 * np.sinh(eta) ** 2 * xdot * np.sum(pair * xdot, axis=1)
 
 
-def lax_from_velocities(x, xdot, eta) -> LaxMatrix:
+def lax_from_velocities(x, xdot, eta) -> np.ndarray:
     """L_ij = sinh(eta) xdot_i / sinh(x_i - x_j - eta); diagonal is -xdot_i.
 
     Velocities of shape (..., n) give a stack of Lax matrices of shape
@@ -130,10 +122,10 @@ def lax_from_velocities(x, xdot, eta) -> LaxMatrix:
     xdot = np.asarray(xdot, dtype=complex)
     eta = complex(eta)
     require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
-    return LaxMatrix(np.sinh(eta) * xdot[..., :, None] / sinh_pairs(x, x, -eta))
+    return np.sinh(eta) * xdot[..., :, None] / sinh_pairs(x, x, -eta)
 
 
-def lax_from_momenta(state: RSState) -> LaxMatrix:
+def lax_from_momenta(state: RSState) -> np.ndarray:
     """Lax matrix written directly in momenta; equals the velocity build."""
     return lax_from_velocities(state.x, velocities(state), state.eta)
 
@@ -167,20 +159,18 @@ def cauchy_det(x, eta, subset=None) -> complex:
     """Determinant of [sinh(eta)/sinh(x_i - x_j - eta)] on a coordinate subset.
 
     Computes both the LU determinant and the closed product form
-    (-1)^n prod_{i<j} cauchy_factor(x_i - x_j), asserts they agree to
-    1e-10 relative, and returns the closed form.
+    (-1)^n prod_{i<j} cauchy_factor(x_i - x_j), raises CrossCheckFailed
+    unless they agree to 1e-10 relative, and returns the closed form.
     """
     x = np.asarray(x, dtype=complex)
     if subset is not None:
         x = x[np.asarray(subset, dtype=int)]
     n = x.size
-    direct = complex(np.linalg.det(lax_from_velocities(x, np.ones(n), eta).entries))
+    direct = complex(np.linalg.det(lax_from_velocities(x, np.ones(n), eta)))
     i, j = np.triu_indices(n, 1)
     closed = complex((-1.0) ** n * np.prod(cauchy_factor(x[i] - x[j], eta)))
     if abs(direct - closed) > 1e-10 * max(abs(direct), abs(closed), 1e-300):
-        raise ArithmeticError(
-            f"closed-form determinant disagrees with LU: {closed} vs {direct}"
-        )
+        raise CrossCheckFailed(f"closed-form determinant disagrees with LU: {closed} vs {direct}")
     return closed
 
 
@@ -270,15 +260,14 @@ def _sandwiched_ladder(q, eta) -> np.ndarray:
     return core * (tfac[None, :] / tfac[:, None])
 
 
-def factorized_lax(state: RSState) -> LaxMatrix:
+def factorized_lax(state: RSState) -> np.ndarray:
     """Lax matrix through the ladder factorization
     -eta e^{eta P} D_eta (V^t)^{-1} S^{-1} V^t D_eta^{-1}."""
     x, p, eta = state.x, state.p, state.eta
     require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
     core = _sandwiched_ladder(x, eta)
     d = eta_shift_diagonal(x, eta)
-    entries = -eta * np.exp(eta * p)[:, None] * d[:, None] * core / d[None, :]
-    return LaxMatrix(entries)
+    return -eta * np.exp(eta * p)[:, None] * d[:, None] * core / d[None, :]
 
 
 def xle_relation_check(state: RSState) -> float:
@@ -286,7 +275,7 @@ def xle_relation_check(state: RSState) -> float:
     e^{-eta} e^X L e^{-X} - e^{eta} e^{-X} L e^X = 2 sinh(eta) Xdot E,
     relative to ||L||, with E the all-ones matrix."""
     x, eta = state.x, state.eta
-    lax = lax_from_momenta(state).entries
+    lax = lax_from_momenta(state)
     xd = velocities(state)
     ex = np.exp(x)
     lhs = np.exp(-eta) * (ex[:, None] * lax / ex[None, :]) - np.exp(eta) * (

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,12 +71,8 @@ class ChainParams:
         )
 
     @property
-    def dim(self) -> int:
-        return 2 ** self.L
-
-    @property
     def params_hash(self) -> str:
-        """Stable digest of all parameter values (used to tag results)."""
+        """Stable digest of all parameter values (echoed with the chain in reports)."""
         buf = struct.pack("<q", self.L)
         for z in (self.eta, self.h, *self.inhom):
             buf += struct.pack("<dd", z.real, z.imag)
@@ -88,10 +84,6 @@ class QuantumOperator:
     """Dense operator on the 2**L chain space (site 1 the most significant bit)."""
 
     entries: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -299,8 +291,7 @@ class SectorStates:
 class JointSpectrum:
     """The sectors' states, indexed by M2."""
 
-    params_hash: str
-    sectors: list[SectorStates] = field(default_factory=list)
+    sectors: list[SectorStates]
 
     @property
     def n_states(self) -> int:
@@ -443,7 +434,7 @@ def joint_diagonalize(params: ChainParams, seed: int = 0) -> JointSpectrum:
     sectors = [None] * (L + 1)
     for M2 in sorted(range(L + 1), key=lambda m: abs(2 * m - L)):
         sectors[M2] = _sector_states(charges, M2, seed)
-    return JointSpectrum(params_hash=params.params_hash, sectors=sectors)
+    return JointSpectrum(sectors)
 
 
 def _sector_states(charges, M2, seed=0) -> SectorStates:

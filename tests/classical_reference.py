@@ -160,8 +160,7 @@ def verify_duality_per_state(chain, seed=0) -> duality.DualityReport:
         target = duality.predicted_strings(chain.L, M2, chain.h, chain.eta)
         sorted_eigs, errs = [], []
         for n, H in enumerate(sector.H):
-            lax = duality.lax_from_chain_state(chain, H)
-            eigs = np.linalg.eigvals(lax.entries)
+            eigs = np.linalg.eigvals(duality.lax_from_chain_state(chain, H))
             _, errors = match_multisets(eigs, target.values)
             err = float(errors.max())
             if err > duality._HARD_MATCH_LIMIT:
@@ -174,7 +173,7 @@ def verify_duality_per_state(chain, seed=0) -> duality.DualityReport:
             worst = max(worst, err)
         records.append(duality.DualityRecord(target, np.array(sorted_eigs), np.array(errs)))
     n_states = sum(len(rec.match_errors) for rec in records)
-    return duality.DualityReport(records, worst, n_states, spectrum.params_hash, spectrum)
+    return duality.DualityReport(records, worst, n_states, spectrum)
 
 
 def momentum_residual_per_state(chain, spectrum) -> float:

@@ -12,6 +12,9 @@ import pytest
 
 import vertexdual
 from vertexdual.cli import main
+from vertexdual.identities import q_factorized, q_matrix, q_tilde_factorized, q_tilde_matrix
+from vertexdual.linalg import rel_diff
+from vertexdual.sampling import draw_identity_params, rng_from_seed
 
 TOP_LEVEL_KEYS = {"schema_version", "command", "config", "results", "summary", "timestamp"}
 
@@ -281,6 +284,38 @@ class TestCheckIdentities:
         code, report = _run(tmp_path, ["check-identities", "--config", str(cfg)])
         assert code == 1
         assert report["summary"]["worst_residual"] > 1e-2
+
+    def test_factorization_residuals_are_fresh_rebuilds(self, tmp_path):
+        # Each row reports the residuals of the one Q and Q~ the verifier
+        # built; rebuilding both from the same draw gives the same numbers.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 40, "n_max": 8, "seed": 3}))
+        code, report = _run(tmp_path, ["check-identities", "--config", str(cfg)])
+        assert code == 0
+        rng = rng_from_seed(3)
+        for row in report["results"]["trials"]:
+            n = int(rng.integers(1, 9))
+            m = int(rng.integers(0, n + 1))
+            params = draw_identity_params(rng, n, m)
+            assert (row["N"], row["M"]) == (n, m)
+            assert row["factorization_residual_q"] == rel_diff(
+                q_matrix(params), q_factorized(params)
+            )
+            expected_qt = rel_diff(q_tilde_matrix(params), q_tilde_factorized(params)) if m else 0.0
+            assert row["factorization_residual_q_tilde"] == expected_qt
+
+    def test_factorization_mismatch_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        exact = vertexdual.identities.q_factorized
+        monkeypatch.setattr(
+            vertexdual.identities, "q_factorized", lambda params: exact(params) * (1 + 1e-6)
+        )
+        code, report = _run(tmp_path, ["check-identities", "--trials", "3"])
+        assert code == 3
+        assert report is None
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(
+            "numerical failure: CrossCheckFailed: ladder factorization of Q disagrees"
+        )
 
     def test_determinism(self, tmp_path):
         args = ["check-identities", "--trials", "5", "--seed", "11"]

@@ -66,11 +66,11 @@ class TestLaxFromChain:
     def test_single_site(self):
         chain = ChainParams(L=1, eta=0.5, h=0.3, inhom=(0.2,))
         lax = lax_from_chain_state(chain, [np.exp(0.3)])
-        assert abs(lax.entries[0, 0] - np.exp(0.3)) < 1e-15
+        assert abs(lax[0, 0] - np.exp(0.3)) < 1e-15
 
     def test_off_diagonal_entry(self):
         h_vals = np.array([1.3 - 0.2j, 0.7 + 0.1j, 2.0])
-        lax = lax_from_chain_state(CHAIN, h_vals).entries
+        lax = lax_from_chain_state(CHAIN, h_vals)
         x = CHAIN.inhom
         expected = np.sinh(CHAIN.eta) * h_vals[0] / np.sinh(x[1] - x[0] + CHAIN.eta)
         assert abs(lax[0, 1] - expected) < 1e-14 * abs(expected)
@@ -78,8 +78,8 @@ class TestLaxFromChain:
 
     def test_agrees_with_velocity_build(self):
         h_vals = np.array([1.1, 0.4 - 0.3j, 1.9 + 0.2j])
-        a = lax_from_chain_state(CHAIN, h_vals).entries
-        b = lax_from_velocities(np.array(CHAIN.inhom), -h_vals, CHAIN.eta).entries
+        a = lax_from_chain_state(CHAIN, h_vals)
+        b = lax_from_velocities(np.array(CHAIN.inhom), -h_vals, CHAIN.eta)
         assert np.max(np.abs(a - b)) == 0.0
 
 

@@ -13,15 +13,17 @@ import pytest
 from vertexdual import (
     BetheRootSet,
     ChainParams,
+    CrossCheckFailed,
     DrawFailed,
     GeneralPositionViolated,
     IdentityParams,
     RSState,
     SingularConfiguration,
     SingularVandermonde,
+    all_eigenvalues_g,
+    all_eigenvalues_h,
     bae_defect,
-    eigenvalue_g,
-    eigenvalue_h,
+    cauchy_det,
     eigenvalue_t,
     factorized_lax,
     lax_from_velocities,
@@ -31,7 +33,7 @@ from vertexdual import (
 from vertexdual.bethe import _equations
 from vertexdual.linalg import coth, eta_shifts, sinh_pair_product, smallest_sinh_gap
 from vertexdual.ruijsenaars import hamilton_rhs
-from vertexdual import sampling
+from vertexdual import ruijsenaars, sampling
 from vertexdual.sampling import draw_chain_params, draw_identity_params, rng_from_seed
 
 
@@ -152,8 +154,8 @@ class TestBetheFormulas:
             roots = _roots(u)
             assert abs(eigenvalue_t(roots, self.CHAIN, x) - t) <= 1e-14 * abs(t)
             for j in range(self.CHAIN.L):
-                assert abs(eigenvalue_h(roots, self.CHAIN, j) - hs[j]) <= 1e-14 * abs(hs[j])
-                assert abs(eigenvalue_g(roots, self.CHAIN, j) - gs[j]) <= 1e-14 * abs(gs[j])
+                assert abs(all_eigenvalues_h(roots, self.CHAIN)[j] - hs[j]) <= 1e-14 * abs(hs[j])
+                assert abs(all_eigenvalues_g(roots, self.CHAIN)[j] - gs[j]) <= 1e-14 * abs(gs[j])
 
 
 class TestKernel:
@@ -229,8 +231,8 @@ class TestCheckSites:
             (lambda: IdentityParams(2, 1, (0.4, 1.2), (0.9,), 1.0, 0.3), GPV, "x_2 - y_1 - eta"),
             (lambda: bae_defect(_roots([0.1, 0.5]), _CHAIN), SCF, "u_2 - x_2)"),
             (lambda: bae_defect(_roots([0.3, -0.4]), _CHAIN), SCF, "u_1 - u_2 - eta"),
-            (lambda: eigenvalue_h(_roots([0.2, 0.5]), _CHAIN, 0), SCF, "u_2 - x_2)"),
-            (lambda: eigenvalue_g(_roots([0.7]), _CHAIN, 2), SCF, "u_1 - x_3 + eta"),
+            (lambda: all_eigenvalues_h(_roots([0.2, 0.5]), _CHAIN)[0], SCF, "u_2 - x_2)"),
+            (lambda: all_eigenvalues_g(_roots([0.7]), _CHAIN)[2], SCF, "u_1 - x_3 + eta"),
         ],
     )
     def test_error_type_and_pair(self, build, error, needle):
@@ -254,12 +256,19 @@ class TestCheckSites:
         with pytest.raises(DrawFailed, match="N = 4, M = 4"):
             draw_identity_params(rng_from_seed(0), 4, 4)
 
+    def test_cauchy_det_mismatch_is_domain_error(self, monkeypatch):
+        exact = ruijsenaars.cauchy_factor
+        monkeypatch.setattr(ruijsenaars, "cauchy_factor", lambda d, eta: 1.01 * exact(d, eta))
+        with pytest.raises(CrossCheckFailed, match="closed-form determinant") as info:
+            cauchy_det(np.array([0.1, 0.9, 1.75]), 0.3)
+        assert isinstance(info.value, ArithmeticError)
+
 
 _CHAIN = ChainParams(L=3, eta=0.7, h=0.1, inhom=(0.0, 0.5, 1.4))
 
 
 def _roots(u):
-    return BetheRootSet(M2=len(u), roots=np.asarray(u, dtype=complex), residual=0.0, params_hash="")
+    return BetheRootSet(M2=len(u), roots=np.asarray(u, dtype=complex), residual=0.0)
 
 
 def _digest(parts):

@@ -57,7 +57,7 @@ class TestHamiltonian:
         assert abs(rs_hamiltonian(st) - expected) < 1e-14
 
     def test_trace_relation(self):
-        lax = lax_from_momenta(STATE3).entries
+        lax = lax_from_momenta(STATE3)
         assert abs(rs_hamiltonian(STATE3) + np.trace(lax) / STATE3.eta) < 1e-12
 
     def test_velocities_match_momentum_gradient(self):
@@ -90,12 +90,12 @@ class TestHamiltonian:
 class TestLaxBuilds:
     def test_single_particle_value(self):
         st = RSState(eta=0.4, x=np.array([0.2]), p=np.array([0.5]))
-        lax = lax_from_momenta(st).entries
+        lax = lax_from_momenta(st)
         assert abs(lax[0, 0] + 0.4 * np.exp(0.4 * 0.5)) < 1e-14
 
     def test_diagonal_is_minus_velocity(self):
         vel = velocities(STATE3)
-        lax = lax_from_momenta(STATE3).entries
+        lax = lax_from_momenta(STATE3)
         assert np.max(np.abs(np.diag(lax) + vel)) < 1e-14
         assert abs(np.trace(lax) + np.sum(vel)) < 1e-13
 
@@ -103,7 +103,7 @@ class TestLaxBuilds:
         rng = np.random.default_rng(7)
         st = _random_state(rng, 5)
         xd = velocities(st)
-        lax = lax_from_velocities(st.x, xd, st.eta).entries
+        lax = lax_from_velocities(st.x, xd, st.eta)
         n = 5
         cauchy = np.empty((n, n), dtype=complex)
         for i in range(n):
@@ -113,20 +113,20 @@ class TestLaxBuilds:
     def test_momentum_and_velocity_builds_agree(self):
         rng = np.random.default_rng(8)
         st = _random_state(rng, 4)
-        a = lax_from_momenta(st).entries
-        b = lax_from_velocities(st.x, velocities(st), st.eta).entries
+        a = lax_from_momenta(st)
+        b = lax_from_velocities(st.x, velocities(st), st.eta)
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
     def test_factorized_build(self):
         st1 = RSState(eta=0.4, x=np.array([0.3]), p=np.array([0.6]))
-        assert abs(factorized_lax(st1).entries[0, 0] + 0.4 * np.exp(0.24)) < 1e-12
+        assert abs(factorized_lax(st1)[0, 0] + 0.4 * np.exp(0.24)) < 1e-12
         rng = np.random.default_rng(9)
         st3 = _random_state(rng, 3)
-        err = np.max(np.abs(factorized_lax(st3).entries - lax_from_momenta(st3).entries))
-        assert err < 1e-9 * np.max(np.abs(lax_from_momenta(st3).entries))
+        err = np.max(np.abs(factorized_lax(st3) - lax_from_momenta(st3)))
+        assert err < 1e-9 * np.max(np.abs(lax_from_momenta(st3)))
         st5 = _random_state(rng, 5, spread=0.7)
-        err5 = np.max(np.abs(factorized_lax(st5).entries - lax_from_momenta(st5).entries))
-        assert err5 < 1e-8 * np.max(np.abs(lax_from_momenta(st5).entries))
+        err5 = np.max(np.abs(factorized_lax(st5) - lax_from_momenta(st5)))
+        assert err5 < 1e-8 * np.max(np.abs(lax_from_momenta(st5)))
 
     def test_general_position_guard(self):
         with pytest.raises(GeneralPositionViolated):
@@ -137,11 +137,10 @@ class TestLaxBuilds:
         st = _random_state(rng, 6)
         xdot = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
         stack = lax_from_velocities(st.x, xdot, st.eta)
-        assert stack.entries.shape == (3, 4, 6, 6)
-        assert stack.L == 6
+        assert stack.shape == (3, 4, 6, 6)
         for idx in np.ndindex(3, 4):
-            row = lax_from_velocities(st.x, xdot[idx], st.eta).entries
-            assert np.array_equal(stack.entries[idx], row)
+            row = lax_from_velocities(st.x, xdot[idx], st.eta)
+            assert np.array_equal(stack[idx], row)
 
     def test_stacked_general_position_guard(self):
         # x_2 - x_1 = eta: the stacked call names the pair as one row does.
@@ -190,10 +189,10 @@ class TestCompanionMatrix:
                                       p=np.array([0.25, -0.15, 0.0], complex))):
             plus = flow_step(state, delta)
             minus = flow_step(state, -delta)
-            d_lax = (lax_from_momenta(plus).entries - lax_from_momenta(minus).entries) / (
+            d_lax = (lax_from_momenta(plus) - lax_from_momenta(minus)) / (
                 2 * delta
             )
-            lax = lax_from_momenta(state).entries
+            lax = lax_from_momenta(state)
             a = a_matrix(state.x, velocities(state), state.eta)
             resid = np.linalg.norm(d_lax - (a @ lax - lax @ a)) / np.linalg.norm(lax)
             assert resid < 1e-6
@@ -240,7 +239,7 @@ class TestSpectralInvariants:
         st = _random_state(rng, 4)
         xd = velocities(st)
         coeffs = char_poly_via_en(st.x, xd, st.eta)
-        lax = lax_from_velocities(st.x, xd, st.eta).entries
+        lax = lax_from_velocities(st.x, xd, st.eta)
         # lambda^{L-1} coefficient is -tr(L); constant term is (-1)^L det(L).
         assert abs(coeffs[1] + np.trace(lax)) < 1e-12 * max(1.0, abs(np.trace(lax)))
         det = np.linalg.det(lax)
@@ -251,7 +250,7 @@ class TestSpectralInvariants:
         st = _random_state(rng, 5, spread=0.75)
         xd = velocities(st)
         coeffs = char_poly_via_en(st.x, xd, st.eta)
-        direct = np.poly(np.linalg.eigvals(lax_from_velocities(st.x, xd, st.eta).entries))
+        direct = np.poly(np.linalg.eigvals(lax_from_velocities(st.x, xd, st.eta)))
         assert np.max(np.abs(coeffs - direct)) < 1e-9 * np.max(np.abs(direct))
 
     def test_newton_identity_chain(self):
@@ -259,7 +258,7 @@ class TestSpectralInvariants:
         for n in (2, 4, 6):
             st = _random_state(rng, n, spread=0.7)
             xd = velocities(st)
-            lax = lax_from_velocities(st.x, xd, st.eta).entries
+            lax = lax_from_velocities(st.x, xd, st.eta)
             en = np.concatenate([[1.0], (-1.0) ** np.arange(1, n + 1) * 0])
             coeffs = char_poly_via_en(st.x, xd, st.eta)
             en = np.array(
@@ -344,9 +343,9 @@ class TestEvolution:
         rng = np.random.default_rng(20)
         st = _random_state(rng, 3)
         traj = evolve(st, 2.0, 1e-10, n_samples=17)
-        ref = np.linalg.eigvals(lax_from_momenta(st).entries)
+        ref = np.linalg.eigvals(lax_from_momenta(st))
         for _, state in traj:
-            eigs = np.linalg.eigvals(lax_from_momenta(state).entries)
+            eigs = np.linalg.eigvals(lax_from_momenta(state))
             _, errors = match_multisets(eigs, ref)
             assert errors.max() < 1e-6
 
