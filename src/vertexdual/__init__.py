@@ -15,7 +15,6 @@ from .duality import (
     DualityRecord,
     DualityReport,
     InverseSolution,
-    StringSpectrum,
     inverse_spectral_solve,
     lax_from_chain_state,
     predicted_integrals,
@@ -65,16 +64,13 @@ from .ruijsenaars import (
 )
 from .spin_chain import (
     ChainParams,
-    JointSpectrum,
     QuantumOperator,
-    SectorBasis,
     SectorStates,
     hamiltonians_g,
     hamiltonians_h,
     joint_diagonalize,
     r_matrix,
     r_matrix_asymmetric,
-    sector_basis,
     sector_bases,
     similarity_u,
     sz_m1_m2_operators,

@@ -40,6 +40,7 @@ from .errors import ConfigError, GeneralPositionViolated, MatchFailed, VertexDua
 from .identities import q_matrix, q_tilde_matrix, splitting_rhs, verify_determinant_splitting
 from .linalg import charpoly_minors, match_multisets, poly_rel_residual
 from .ruijsenaars import (
+    MIN_TOL_ODE,
     RSState,
     char_poly_via_en,
     evolve,
@@ -174,7 +175,6 @@ _SCHEMAS: dict[str, dict[str, _Field]] = {
         ),
         "seed": _int_field(0, 0, _MAX_SEED),
         "tol": _tol_field(1e-10),
-        "cross_validate": _bool_field(True),
     },
     "rs-evolve": {
         "schema_version": _VERSION,
@@ -188,8 +188,12 @@ _SCHEMAS: dict[str, dict[str, _Field]] = {
         "t_final": _real_field(
             2.0, lambda t: abs(t) <= _MAX_TIME, f"a real number in [-{_MAX_TIME:g}, {_MAX_TIME:g}]"
         ),
-        "tol_ode": _real_field(1e-10, lambda t: 0 < t <= 1, "a real number in (0, 1]"),
+        "tol_ode": _real_field(
+            1e-10, lambda t: MIN_TOL_ODE <= t <= 1, f"a real number in [{MIN_TOL_ODE:.3g}, 1]"
+        ),
         "n_samples": _int_field(33, 2, _MAX_COUNT),
+        # Unread: the flow is deterministic.  Accepted so that configs
+        # written for every command alike are not rejected.
         "seed": _int_field(0, 0, _MAX_SEED),
         "tol": _tol_field(1e-6),
     },
@@ -204,28 +208,20 @@ _SCHEMAS: dict[str, dict[str, _Field]] = {
 }
 
 
-def _resolve_config(command: str, args) -> dict:
+def _resolve_config(command: str, path: str | None) -> dict:
     schema = _SCHEMAS[command]
     config = {key: field.default for key, field in schema.items()}
-    if args.config is not None:
+    if path is not None:
         try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            loaded = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config must be a JSON object")
         unknown = set(loaded) - set(schema)
         if unknown:
             raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
         config.update(loaded)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.tol is not None:
-        config["tol"] = args.tol
-    if args.trials is not None:
-        if "trials" not in schema:
-            raise ConfigError(f"--trials is not applicable to {command}")
-        config["trials"] = args.trials
     for key, field in schema.items():
         if not field.accepts(config[key]):
             raise ConfigError(f"{key}: expected {field.expected}, got {config[key]!r}")
@@ -278,11 +274,11 @@ def _cmd_verify_duality(config: dict):
                 "n_states": report.n_states,
                 "states": [
                     {
-                        "sector_M2": rec.matched_string.M2,
+                        "sector_M2": M2,
                         "match_error": err,
                         "lax_eigenvalues": _vector_out(eigs),
                     }
-                    for rec in report.records
+                    for M2, rec in enumerate(report.records)
                     for eigs, err in zip(rec.lax_eigenvalues, rec.match_errors.tolist())
                 ],
             }
@@ -305,7 +301,7 @@ def _cmd_solve_bethe(config: dict):
     sectors = config["sectors"]
     if sectors is None:
         sectors = list(range(chain.L + 1))
-    cross = config["cross_validate"] and chain.L <= 6
+    cross = chain.L <= 6
     spectrum = joint_diagonalize(chain, seed=config["seed"]) if cross else None
     results = []
     passed = True
@@ -327,7 +323,7 @@ def _cmd_solve_bethe(config: dict):
             passed = False
         if cross:
             # Relative charge errors, indexed (ED state, solution, site).
-            ed_h = spectrum.sectors[m2].H[:, None]
+            ed_h = spectrum[m2].H[:, None]
             bethe_h = np.array([all_eigenvalues_h(sol, chain) for sol in sols]).reshape(-1, chain.L)
             errors = (np.abs(bethe_h - ed_h) / np.maximum(np.abs(ed_h), 1e-12)).max(axis=2)
             entry["ed_match_errors"] = [float(row.min()) if sols else None for row in errors]
@@ -449,9 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--out", type=str, default=None, help="report output path")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
-        p.add_argument("--tol", type=float, default=None, help="pass tolerance (overrides config)")
-        p.add_argument("--trials", type=int, default=None, help="trial count (overrides config)")
     return parser
 
 
@@ -463,7 +456,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
     try:
-        config = _resolve_config(command, args)
+        config = _resolve_config(command, args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

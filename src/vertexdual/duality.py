@@ -16,29 +16,17 @@ from .errors import MatchFailed, ZeroGValue
 from .linalg import complex_sort_key, match_multisets, sinh_pair_product
 from .identities import sector_char_poly
 from .ruijsenaars import ladder, lax_from_velocities, symmetric_invariants
-from .spin_chain import ChainParams, JointSpectrum, joint_diagonalize
+from .spin_chain import ChainParams, SectorStates, joint_diagonalize
 from .spin_chain import _SectorCharges, _sector_states
 
 _HARD_MATCH_LIMIT = 1e-4
 
 
 @dataclass(frozen=True)
-class StringSpectrum:
-    """The two geometric ladders of Lax eigenvalues for one sector."""
-
-    values: np.ndarray
-    M1: int
-    M2: int
-    h: complex
-    eta: complex
-
-
-@dataclass(frozen=True)
 class DualityRecord:
-    """One sector's check: its ladders, and per state (row i: state i of
-    the sector) the sorted Lax eigenvalues and the worst match error."""
+    """One sector's check: per state (row i: state i of the sector) the
+    sorted Lax eigenvalues and the worst match error."""
 
-    matched_string: StringSpectrum
     lax_eigenvalues: np.ndarray
     match_errors: np.ndarray
 
@@ -46,24 +34,24 @@ class DualityRecord:
 @dataclass(frozen=True)
 class DualityReport:
     """Per-sector records, indexed by M2, and the joint spectrum they
-    were verified on."""
+    were verified on (joint_diagonalize's sectors, indexed by M2)."""
 
     records: list[DualityRecord]
     worst_error: float
     n_states: int
-    spectrum: JointSpectrum
+    spectrum: list[SectorStates]
 
 
-def predicted_strings(L: int, M2: int, h, eta) -> StringSpectrum:
-    """Eigenvalue ladders e^{+-Lh - (M - 1) eta + 2 eta j} for the sector."""
+def predicted_strings(L: int, M2: int, h, eta) -> np.ndarray:
+    """Eigenvalue ladders e^{+-Lh - (M - 1) eta + 2 eta j} for the sector,
+    sorted by real then imaginary part."""
     if not 0 <= M2 <= L:
         raise ValueError(f"M2 must lie in [0, {L}], got {M2}")
     h, eta = complex(h), complex(eta)
     values = np.concatenate(
         [np.exp(L * h) * ladder(L - M2, eta), np.exp(-L * h) * ladder(M2, eta)]
     )
-    order = np.lexsort((values.imag, values.real))
-    return StringSpectrum(values=values[order], M1=L - M2, M2=M2, h=h, eta=eta)
+    return values[np.lexsort((values.imag, values.real))]
 
 
 def predicted_integrals(L: int, M2: int, h, eta, n: int) -> complex:
@@ -97,10 +85,10 @@ def verify_duality(chain: ChainParams, seed: int = 0) -> DualityReport:
     spectrum = joint_diagonalize(chain, seed=seed)
     records = []
     worst = 0.0
-    for M2, sector in enumerate(spectrum.sectors):
+    for M2, sector in enumerate(spectrum):
         eigs = np.linalg.eigvals(lax_from_chain_state(chain, sector.H))
         target = predicted_strings(chain.L, M2, chain.h, chain.eta)
-        _, errors = match_multisets(eigs, target.values)
+        _, errors = match_multisets(eigs, target)
         errs = errors.max(axis=-1)
         above = np.flatnonzero(errs > _HARD_MATCH_LIMIT)
         if above.size:
@@ -110,14 +98,13 @@ def verify_duality(chain: ChainParams, seed: int = 0) -> DualityReport:
                 f"{errs[n]:.3e} exceeds {_HARD_MATCH_LIMIT:g}"
             )
         order = np.lexsort((eigs.imag, eigs.real), axis=-1)
-        records.append(DualityRecord(target, np.take_along_axis(eigs, order, axis=-1), errs))
+        records.append(DualityRecord(np.take_along_axis(eigs, order, axis=-1), errs))
         worst = max(worst, float(errs.max()))
-    return DualityReport(
-        records=records, worst_error=worst, n_states=spectrum.n_states, spectrum=spectrum
-    )
+    n_states = sum(len(s.H) for s in spectrum)
+    return DualityReport(records=records, worst_error=worst, n_states=n_states, spectrum=spectrum)
 
 
-def verify_momentum_identification(chain: ChainParams, spectrum: JointSpectrum) -> float:
+def verify_momentum_identification(chain: ChainParams, spectrum: list[SectorStates]) -> float:
     """Extract momenta from the companion charges and test the velocity law.
 
     For each state, p_i = -log(-eta G_i)/eta on the principal branch;
@@ -127,8 +114,8 @@ def verify_momentum_identification(chain: ChainParams, spectrum: JointSpectrum) 
     """
     eta = chain.eta
     weights = sinh_pair_product(chain.inhom, None, eta, 0.0)
-    H = np.concatenate([s.H for s in spectrum.sectors])
-    G = np.concatenate([s.G for s in spectrum.sectors])
+    H = np.concatenate([s.H for s in spectrum])
+    G = np.concatenate([s.G for s in spectrum])
     if np.any(np.abs(G) < 1e-100):
         raise ZeroGValue("a companion-charge value vanished")
     p = -np.log(-eta * G) / eta

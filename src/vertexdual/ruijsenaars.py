@@ -38,6 +38,10 @@ _GP_TOL = 1e-9
 _EXIST_TOL = 1e-12
 # evolve stops with CollisionDetected when some |sinh(x_i - x_j)| falls to this.
 _COLLISION_TOL = 1e-6
+# Smallest tol_ode that evolve accepts, the floor scipy's solve_ivp puts on
+# rtol.  Below it the step falls to 10 ulp of t near t = 0, where y + h k
+# stops moving, and the run does not return.
+MIN_TOL_ODE = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -150,9 +154,27 @@ def a_matrix(x, xdot, eta) -> np.ndarray:
     return a
 
 
+def _cauchy_factor_cancelled(d, eta):
+    """cauchy_factor at the d with Re d >= 0 as expm1(-2d)^2 /
+    (expm1(-2(d + eta)) expm1(-2(d - eta))): the factors e^{2d} cancel,
+    so it stays finite, tending to 1, however far apart the pair is."""
+    d = np.where(np.real(d) < 0, -d, d)
+    return np.expm1(-2 * d) ** 2 / (np.expm1(-2 * (d + eta)) * np.expm1(-2 * (d - eta)))
+
+
 def cauchy_factor(d, eta):
-    """sinh^2(d) / (sinh(d + eta) sinh(d - eta)); symmetric in d -> -d."""
-    return np.sinh(d) ** 2 / (np.sinh(d + eta) * np.sinh(d - eta))
+    """sinh^2(d) / (sinh(d + eta) sinh(d - eta)); symmetric in d -> -d.
+
+    Where this quotient is not finite, as from |Re d| ~ 355 on, where
+    sinh^2(d) overflows, the cancelled form is taken.  Elsewhere the two
+    agree to about 1e-15 relative, but the sinh form is kept: an
+    ill-conditioned inverse solve (Jacobian condition ~1e9) turns that
+    last-bit difference into a 1e-7 move of its solution.
+    """
+    d = np.asarray(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = np.sinh(d) ** 2 / (np.sinh(d + eta) * np.sinh(d - eta))
+    return np.where(np.isfinite(direct), direct, _cauchy_factor_cancelled(d, eta))
 
 
 def cauchy_det(x, eta, subset=None) -> complex:
@@ -418,8 +440,10 @@ def evolve(
     CollisionDetected when any |sinh(x_i - x_j)| crosses ``_COLLISION_TOL``
     at an accepted step, locating the crossing on the interpolant, and
     StepSizeUnderflow when the integrator stalls or the vector field is not
-    finite at the start.
+    finite at the start, and ValueError when tol_ode is below MIN_TOL_ODE.
     """
+    if not tol_ode >= MIN_TOL_ODE:
+        raise ValueError(f"tol_ode must be at least {MIN_TOL_ODE:.3g}, got {tol_ode!r}")
     n = state.L
     eta = state.eta
     t_final = float(t_final)

@@ -86,28 +86,17 @@ class QuantumOperator:
     entries: np.ndarray
 
 
-@dataclass(frozen=True)
-class SectorBasis:
-    """Computational-basis indices with a fixed number of down spins."""
-
-    L: int
-    M2: int
-    indices: np.ndarray
-
-
 def _down_counts(L: int) -> np.ndarray:
     """Number of down spins (set bits) of every basis index 0 .. 2**L - 1."""
     n = np.arange(2 ** L)
     return sum((n >> j) & 1 for j in range(L))
 
 
-def sector_basis(L: int, M2: int) -> SectorBasis:
-    idx = np.flatnonzero(_down_counts(L) == M2)
-    return SectorBasis(L=L, M2=M2, indices=idx)
-
-
-def sector_bases(L: int) -> list[SectorBasis]:
-    return [sector_basis(L, m2) for m2 in range(L + 1)]
+def sector_bases(L: int) -> list[np.ndarray]:
+    """The computational-basis indices of each sector, indexed by its
+    number M2 of down spins."""
+    counts = _down_counts(L)
+    return [np.flatnonzero(counts == m2) for m2 in range(L + 1)]
 
 
 def _asym_site_blocks(x, eta, h, v):
@@ -269,33 +258,21 @@ def gh_product_scalar(params: ChainParams, i: int) -> complex:
 @dataclass(frozen=True)
 class SectorStates:
     """The joint eigenstates of one sector, row i of each array being
-    state i: unit eigenvectors as coefficients on the sector basis, the
-    charge values and their Rayleigh residuals."""
+    state i: unit eigenvectors as coefficients on the sector's basis
+    indices, the charge values and their Rayleigh residuals."""
 
-    basis: SectorBasis
+    indices: np.ndarray
     coefficients: np.ndarray
     H: np.ndarray
     G: np.ndarray
     residual_H: np.ndarray
     residual_G: np.ndarray
 
-    @property
-    def vectors(self) -> np.ndarray:
-        """The eigenvectors on the 2**L space, one per row, built anew on each access."""
-        full = np.zeros((len(self.coefficients), 2 ** self.basis.L), dtype=complex)
-        full[:, self.basis.indices] = self.coefficients
+    def vectors(self, L: int) -> np.ndarray:
+        """The eigenvectors on the 2**L space, one per row."""
+        full = np.zeros((len(self.coefficients), 2 ** L), dtype=complex)
+        full[:, self.indices] = self.coefficients
         return full
-
-
-@dataclass(frozen=True)
-class JointSpectrum:
-    """The sectors' states, indexed by M2."""
-
-    sectors: list[SectorStates]
-
-    @property
-    def n_states(self) -> int:
-        return sum(len(s.H) for s in self.sectors)
 
 
 def _frobenius_norm(site_blocks, twist) -> float:
@@ -379,7 +356,7 @@ class _SectorCharges:
         [q, row].  In H_k the factors are R_{k,k-1} .. R_{k,1}, D_k,
         R_{k,L} .. R_{k,k+1}, and in G_k the reverse; a row gathers itself
         where its two bits agree."""
-        L, idx = self.L, self.bases[M2].indices
+        L, idx = self.L, self.bases[M2]
         shifts = L - 1 - np.arange(L)
         bits = (idx >> shifts[:, None]) & 1
         k = np.arange(2 * L) % L
@@ -413,8 +390,9 @@ class _SectorCharges:
         return out
 
 
-def joint_diagonalize(params: ChainParams, seed: int = 0) -> JointSpectrum:
-    """Diagonalize all residue charges simultaneously, sector by sector.
+def joint_diagonalize(params: ChainParams, seed: int = 0) -> list[SectorStates]:
+    """Diagonalize all residue charges simultaneously, sector by sector;
+    the sectors' states are returned indexed by M2.
 
     No charge is formed: in each magnetization sector the charges act on
     blocks of sector vectors (see _SectorCharges).  A random complex
@@ -434,15 +412,15 @@ def joint_diagonalize(params: ChainParams, seed: int = 0) -> JointSpectrum:
     sectors = [None] * (L + 1)
     for M2 in sorted(range(L + 1), key=lambda m: abs(2 * m - L)):
         sectors[M2] = _sector_states(charges, M2, seed)
-    return JointSpectrum(sectors)
+    return sectors
 
 
 def _sector_states(charges, M2, seed=0) -> SectorStates:
     """The joint eigenstates of sector M2, sorted by H: sector M2 of
     joint_diagonalize(charges.params, seed)."""
-    L, basis = charges.L, charges.bases[M2]
+    L, indices = charges.L, charges.bases[M2]
     rng = np.random.default_rng([seed, M2])
-    n = basis.indices.size
+    n = indices.size
     factors = charges.factors(M2)
     step = max(1, _STACK_ENTRIES // n ** 2)
     stacks = [np.arange(L)[i : i + step] for i in range(0, L, step)]
@@ -487,5 +465,5 @@ def _sector_states(charges, M2, seed=0) -> SectorStates:
     order = sorted(range(n), key=lambda i: complex_sort_key(values[:L, i]))
     values, resid = values.T[order], resid.T[order]
     return SectorStates(
-        basis, vecs.T[order], values[:, :L], values[:, L:], resid[:, :L], resid[:, L:]
+        indices, vecs.T[order], values[:, :L], values[:, L:], resid[:, :L], resid[:, L:]
     )

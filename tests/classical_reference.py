@@ -13,7 +13,7 @@ from vertexdual import RSState, duality
 from vertexdual.errors import MatchFailed, ZeroGValue
 from vertexdual.linalg import coth, match_multisets, sinh_pair_product
 from vertexdual.ruijsenaars import cauchy_factor, hamilton_rhs
-from vertexdual.spin_chain import _charge_site_blocks, _twist, joint_diagonalize, sector_basis
+from vertexdual.spin_chain import _charge_site_blocks, _twist, joint_diagonalize, sector_bases
 
 
 def flow_step(state: RSState, dt: float, n_sub: int = 8) -> RSState:
@@ -121,7 +121,7 @@ def sector_charges_out_of_place(params, M2, ks, v) -> np.ndarray:
     G) on sector M2, in the product form of spin_chain._SectorCharges, with
     full (2L, L, n, 1) keep and exchange tables and every factor formed
     out of place: v <- keep * v + exchange * v[gather]."""
-    L, idx = params.L, sector_basis(params.L, M2).indices
+    L, idx = params.L, sector_bases(params.L)[M2]
     site_blocks, (g_up, g_down) = _charge_site_blocks(params), _twist(params)
     w = np.array([[(b00[0, 0], b01[1, 0]) for b00, b01, _, _ in blocks]
                   for blocks in site_blocks[:L]])
@@ -156,12 +156,12 @@ def verify_duality_per_state(chain, seed=0) -> duality.DualityReport:
     spectrum = joint_diagonalize(chain, seed=seed)
     records = []
     worst = 0.0
-    for M2, sector in enumerate(spectrum.sectors):
+    for M2, sector in enumerate(spectrum):
         target = duality.predicted_strings(chain.L, M2, chain.h, chain.eta)
         sorted_eigs, errs = [], []
         for n, H in enumerate(sector.H):
             eigs = np.linalg.eigvals(duality.lax_from_chain_state(chain, H))
-            _, errors = match_multisets(eigs, target.values)
+            _, errors = match_multisets(eigs, target)
             err = float(errors.max())
             if err > duality._HARD_MATCH_LIMIT:
                 raise MatchFailed(
@@ -171,7 +171,7 @@ def verify_duality_per_state(chain, seed=0) -> duality.DualityReport:
             sorted_eigs.append(eigs[np.lexsort((eigs.imag, eigs.real))])
             errs.append(err)
             worst = max(worst, err)
-        records.append(duality.DualityRecord(target, np.array(sorted_eigs), np.array(errs)))
+        records.append(duality.DualityRecord(np.array(sorted_eigs), np.array(errs)))
     n_states = sum(len(rec.match_errors) for rec in records)
     return duality.DualityReport(records, worst, n_states, spectrum)
 
@@ -181,7 +181,7 @@ def momentum_residual_per_state(chain, spectrum) -> float:
     eta = chain.eta
     weights = sinh_pair_product(chain.inhom, None, eta, 0.0)
     worst = 0.0
-    for sector in spectrum.sectors:
+    for sector in spectrum:
         for H, G in zip(sector.H, sector.G):
             if np.any(np.abs(G) < 1e-100):
                 raise ZeroGValue("a companion-charge value vanished")

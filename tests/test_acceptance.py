@@ -121,7 +121,7 @@ def test_criterion_03_gh_identity():
                 np.linalg.norm(prod - scalar * eye) / (abs(scalar) * np.linalg.norm(eye)),
             )
         spec = joint_diagonalize(chain, seed=1)
-        for sector in spec.sectors:
+        for sector in spec:
             for i in range(L):
                 scalar = gh_product_scalar(chain, i)
                 worst_eig = max(
@@ -175,7 +175,7 @@ def test_criterion_05_bethe_cross_validation():
             if sol.roots.size:
                 defect = _equations(sol.roots, chain, chain.h)[0]
                 worst_defect = max(worst_defect, float(np.max(np.abs(defect))))
-        for H, G in zip(spec.sectors[m2].H, spec.sectors[m2].G):
+        for H, G in zip(spec[m2].H, spec[m2].G):
             errs = []
             for sol in sols:
                 hv = all_eigenvalues_h(sol, chain)

@@ -40,7 +40,7 @@ def _rootset_raw(chain, roots):
 
 def _assert_matches_ed(chain, spec, m2, sols):
     """Each ED state of sector m2 matches a distinct solution's charges."""
-    ed_h = spec.sectors[m2].H
+    ed_h = spec[m2].H
     assert len(sols) == len(ed_h)
     used = set()
     for H in ed_h:
@@ -187,8 +187,8 @@ class TestEigenvalues:
         t_op = transfer_matrix_twisted(CHAIN, x).entries
         for m2 in range(4):
             sols = solve_bae(CHAIN, m2)
-            sector = spec.sectors[m2]
-            for H, vector in zip(sector.H, sector.vectors):
+            sector = spec[m2]
+            for H, vector in zip(sector.H, sector.vectors(CHAIN.L)):
                 errs = [
                     np.max(np.abs(all_eigenvalues_h(s, CHAIN) - H))
                     for s in sols
@@ -249,7 +249,7 @@ class TestEigenvalues:
         spec = joint_diagonalize(CHAIN, seed=0)
         for m2 in range(4):
             sols = solve_bae(CHAIN, m2)
-            for H, G in zip(spec.sectors[m2].H, spec.sectors[m2].G):
+            for H, G in zip(spec[m2].H, spec[m2].G):
                 errs_h = []
                 errs_g = []
                 for sol in sols:

@@ -3,6 +3,7 @@ and byte-level determinism of the payload."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import vertexdual
+from vertexdual import cli
 from vertexdual.cli import main
 from vertexdual.identities import q_factorized, q_matrix, q_tilde_factorized, q_tilde_matrix
 from vertexdual.linalg import rel_diff
@@ -107,13 +109,6 @@ class TestVerifyDuality:
         rep_a.pop("timestamp")
         rep_b.pop("timestamp")
         assert json.dumps(rep_a, sort_keys=True) == json.dumps(rep_b, sort_keys=True)
-
-    def test_seed_flag_overrides_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"L": 2, "inhom": None, "seed": 1}))
-        code, report = _run(tmp_path, ["verify-duality", "--config", str(cfg), "--seed", "5"])
-        assert code == 0
-        assert report["config"]["seed"] == 5
 
 
 class TestSolveBethe:
@@ -245,9 +240,18 @@ class TestRsEvolve:
         code, _ = _run(tmp_path, ["rs-evolve", "--config", str(cfg)])
         assert code == 2
 
-    def test_trials_flag_not_applicable(self, tmp_path):
-        code, _ = _run(tmp_path, ["rs-evolve", "--trials", "3"])
-        assert code == 2
+    def test_far_apart_particles_keep_finite_invariants(self, tmp_path):
+        # By t = 625 the default particles are more than 355 apart, where
+        # sinh^2 of a gap overflows; the invariants must stay finite and
+        # the run must print nothing on stderr.
+        (tmp_path / "c.json").write_text(json.dumps({"t_final": 1000}))
+        proc = _python(
+            tmp_path, ["-m", "vertexdual.cli", "rs-evolve", "--config", "c.json", "--out", "o.json"]
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        drift = json.loads((tmp_path / "o.json").read_text())["summary"]["invariant_drift"]
+        assert 0.0 <= drift <= 1e-9
 
 
 class TestCheckIdentities:
@@ -309,7 +313,9 @@ class TestCheckIdentities:
         monkeypatch.setattr(
             vertexdual.identities, "q_factorized", lambda params: exact(params) * (1 + 1e-6)
         )
-        code, report = _run(tmp_path, ["check-identities", "--trials", "3"])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 3}))
+        code, report = _run(tmp_path, ["check-identities", "--config", str(cfg)])
         assert code == 3
         assert report is None
         [line] = capsys.readouterr().err.splitlines()
@@ -318,7 +324,9 @@ class TestCheckIdentities:
         )
 
     def test_determinism(self, tmp_path):
-        args = ["check-identities", "--trials", "5", "--seed", "11"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 5, "seed": 11}))
+        args = ["check-identities", "--config", str(cfg)]
         _, rep_a = _run(tmp_path, args, name="a.json")
         _, rep_b = _run(tmp_path, args, name="b.json")
         rep_a.pop("timestamp")
@@ -333,11 +341,12 @@ HOSTILE_CONFIGS = [
     ("rs-evolve", {"x0": [], "p0": []}, 2),
     ("rs-evolve", {"x0": 3}, 2),
     ("rs-evolve", {"eta": 0}, 2),
+    ("rs-evolve", {"tol_ode": 1e-300}, 2),
     ("verify-duality", {"L": True}, 2),
     ("solve-bethe", {"sectors": 1}, 2),
     ("verify-duality", {"trials": True}, 2),
     ("solve-bethe", {"n_starts": -1}, 2),
-    ("solve-bethe", {"cross_validate": "no"}, 2),
+    ("solve-bethe", {"cross_validate": True}, 2),
     ("check-identities", {"n_max": True}, 2),
     ("check-identities", {"corrupt_g": "no"}, 2),
     # In range, but e^{eta p} overflows: the field is not finite at t = 0.
@@ -401,3 +410,14 @@ class TestColdImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "o.json").read_text())["command"] == "verify-duality"
+
+
+def test_readme_config_table_lists_every_schema_key():
+    # The key column of README's config table names each config key once
+    # or more; together they must be exactly the keys the schemas accept.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | commands | type and range |", 1)[1].split("\n\n", 1)[0]
+    documented = set()
+    for row in table.splitlines()[2:]:
+        documented.update(re.findall(r"`(\w+)`", row.split("|")[1]))
+    assert documented == set().union(*cli._SCHEMAS.values())

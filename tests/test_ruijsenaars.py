@@ -26,7 +26,13 @@ from vertexdual import (
     xle_relation_check,
 )
 from vertexdual.linalg import coth, match_multisets
-from vertexdual.ruijsenaars import hamilton_rhs, symmetric_invariants
+from vertexdual.ruijsenaars import (
+    MIN_TOL_ODE,
+    _cauchy_factor_cancelled,
+    cauchy_factor,
+    hamilton_rhs,
+    symmetric_invariants,
+)
 
 from classical_reference import (
     a_matrix_loops,
@@ -231,6 +237,27 @@ class TestDeterminants:
         full = cauchy_det(x, 0.3, subset=[1, 3])
         direct = cauchy_det(x[[1, 3]], 0.3)
         assert abs(full - direct) < 1e-13 * abs(direct)
+
+
+class TestCauchyFactor:
+    @pytest.mark.parametrize("eta", [0.35, 0.8, 0.5 + 0.2j])
+    def test_cancelled_form_matches_sinh_form(self, eta):
+        # Near d = +-eta the factor has a pole; there both forms lose the
+        # same digits to the cancellation in d -+ eta.
+        points = [1e-8, 0.1, 1.0, -2.5, 20.0, 0.3 + 0.2j, -1 + 2j, 5 - 3j, 1e-3j, 3j]
+        points += [s * eta + e for s in (1, -1) for e in (1e-9, -1e-9)]
+        for d in points:
+            sinh_form = np.sinh(d) ** 2 / (np.sinh(d + eta) * np.sinh(d - eta))
+            assert cauchy_factor(d, eta) == sinh_form, d
+            cancelled = _cauchy_factor_cancelled(d, eta)
+            assert abs(cancelled - sinh_form) <= 1e-15 * abs(sinh_form), d
+
+    @pytest.mark.parametrize("eta", [0.35, 0.5 + 0.2j])
+    def test_far_apart_is_one(self, eta):
+        # sinh^2(d) overflows from |Re d| ~ 355, where the sinh form is inf/inf.
+        assert np.array_equal(cauchy_factor(np.array([400, -400, 800, -800]), eta), np.ones(4))
+        off_axis = cauchy_factor(np.array([400 + 1j, -800 - 2j]), eta)
+        assert np.max(np.abs(off_axis - 1)) <= 1e-15
 
 
 class TestSpectralInvariants:
@@ -455,6 +482,13 @@ class TestEvolution:
         assert 4.4066 < float(found[1]) < 4.4068
         assert 0.0 < float(found[2]) < float(found[1])
         assert float(found[3]) > 1e-6
+
+    def test_tolerance_below_floor_rejected(self):
+        # Below the floor the step falls to 10 ulp of t near t = 0 and the
+        # run does not return; at the floor it does.
+        with pytest.raises(ValueError, match="tol_ode"):
+            evolve(STATE3, 1.0, tol_ode=0.99 * MIN_TOL_ODE)
+        assert len(evolve(STATE3, 0.1, tol_ode=MIN_TOL_ODE, n_samples=3)) == 3
 
 
 def test_invariants_multilinearity():

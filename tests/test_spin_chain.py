@@ -285,11 +285,11 @@ class TestCountingOperators:
 
     def test_sector_partition(self):
         bases = sector_bases(4)
-        assert sum(b.indices.size for b in bases) == 16
+        assert sum(b.size for b in bases) == 16
         from math import comb
 
-        for b in bases:
-            assert b.indices.size == comb(4, b.M2)
+        for m2, b in enumerate(bases):
+            assert b.size == comb(4, m2)
 
     def test_transfer_preserves_sectors(self):
         params = _chain()
@@ -403,8 +403,8 @@ class TestJointDiagonalize:
     def test_single_site_states(self):
         params = ChainParams(L=1, eta=0.5, h=0.3, inhom=(0.0,))
         spec = joint_diagonalize(params, seed=0)
-        assert spec.n_states == 2
-        up, down = spec.sectors
+        assert sum(len(s.H) for s in spec) == 2
+        up, down = spec
         assert abs(up.H[0, 0] - np.exp(0.3)) < 1e-12
         assert abs(up.G[0, 0] - np.exp(-0.3)) < 1e-12
         assert abs(down.H[0, 0] - np.exp(-0.3)) < 1e-12
@@ -413,7 +413,7 @@ class TestJointDiagonalize:
     def test_vacuum_sector_closed_form(self):
         params = ChainParams(L=2, eta=0.45, h=0.25, inhom=(0.2, 1.2))
         spec = joint_diagonalize(params, seed=1)
-        (H,) = spec.sectors[0].H
+        (H,) = spec[0].H
         xs = params.inhom
         for j in range(2):
             expected = np.exp(2 * params.h) * np.prod(
@@ -428,14 +428,14 @@ class TestJointDiagonalize:
     def test_full_chain_against_direct_eigensolve(self):
         params = ChainParams(L=4, eta=0.38, h=0.21, inhom=(0.05, 0.7, 1.3, 1.95))
         spec = joint_diagonalize(params, seed=2)
-        assert spec.n_states == 16
-        for s in spec.sectors:
+        assert sum(len(s.H) for s in spec) == 16
+        for s in spec:
             assert s.residual_H.max() <= 1e-8
             assert s.residual_G.max() <= 1e-8
         hs = hamiltonians_h(params)
         for k in (0, 3):
             direct = np.sort_complex(np.linalg.eigvals(hs[k].entries))
-            collected = np.sort_complex(np.concatenate([s.H[:, k] for s in spec.sectors]))
+            collected = np.sort_complex(np.concatenate([s.H[:, k] for s in spec]))
             assert np.max(np.abs(direct - collected)) < 1e-8
 
 
@@ -446,7 +446,7 @@ class TestJointDiagonalize:
         spec = joint_diagonalize(draw_chain_params(rng_from_seed(0), 5), seed=0)
         pairs = 0
         for m2 in (2, 3, 4):
-            h1 = spec.sectors[m2].H[:, 0]
+            h1 = spec[m2].H[:, 0]
             for a, b in zip(h1, h1[1:]):
                 if abs(a.real - b.real) <= 1e-9 * abs(a):
                     pairs += 1
@@ -550,8 +550,8 @@ class TestSectorAssembly:
         _, m1_op, m2_op = sz_m1_m2_operators(L)
         assert np.array_equal(m2_op.entries, np.diag(m2.astype(complex)))
         assert np.array_equal(m1_op.entries, np.diag((L - m2).astype(complex)))
-        for basis in sector_bases(L):
-            assert np.array_equal(basis.indices, np.flatnonzero(m2 == basis.M2))
+        for M2, basis in enumerate(sector_bases(L)):
+            assert np.array_equal(basis, np.flatnonzero(m2 == M2))
 
     @pytest.mark.parametrize("L", range(1, 9))
     def test_closed_form_norm_matches_dense(self, L):
@@ -581,12 +581,11 @@ class TestSectorAssembly:
             charges = spin_chain._SectorCharges(params)
             blocks, twist = _long_double_charge_blocks(params)
             dense = [_traced_monodromy(b, twist) for b in blocks]
-            for basis in sector_bases(L):
-                idx = basis.indices
+            for M2, idx in enumerate(sector_bases(L)):
                 eye = np.eye(idx.size, dtype=complex)
-                applied = charges.apply(charges.factors(basis.M2), np.arange(2 * L), eye)
+                applied = charges.apply(charges.factors(M2), np.arange(2 * L), eye)
                 for k, (block, ref) in enumerate(zip(applied, dense)):
-                    assert rel_diff(block, ref[np.ix_(idx, idx)]) <= 1e-14, (k, basis.M2)
+                    assert rel_diff(block, ref[np.ix_(idx, idx)]) <= 1e-14, (k, M2)
 
     @pytest.mark.parametrize("L", range(1, 9))
     def test_sector_kernel_matches_out_of_place_reference(self, L):
@@ -599,16 +598,16 @@ class TestSectorAssembly:
         every = np.arange(2 * L)
         for params in (real, _complex_chain(L)):
             charges = spin_chain._SectorCharges(params)
-            for basis in sector_bases(L):
-                n = basis.indices.size
-                factors = charges.factors(basis.M2)
+            for M2, basis in enumerate(sector_bases(L)):
+                n = basis.size
+                factors = charges.factors(M2)
                 block = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
                 for v in (np.eye(n, dtype=complex), block):
                     before = v.copy()
                     for ks in (every, every[:L], every[L:], rng.permutation(every), *every[:, None]):
                         got = charges.apply(factors, ks, v)
-                        ref = sector_charges_out_of_place(params, basis.M2, ks, v)
-                        assert np.array_equal(got, ref), (basis.M2, ks)
+                        ref = sector_charges_out_of_place(params, M2, ks, v)
+                        assert np.array_equal(got, ref), (M2, ks)
                     assert np.array_equal(v, before)
 
     def test_sector_working_set(self):
@@ -641,10 +640,10 @@ class TestSectorAssembly:
         for name in ("hamiltonians_h", "hamiltonians_g", "_traced_monodromy", "_kron"):
             monkeypatch.setattr(spin_chain, name, refuse)
         spec = joint_diagonalize(params, seed=3)
-        assert spec.n_states == 2 ** L
-        for a, b in zip(spec.sectors, expected.sectors, strict=True):
+        assert sum(len(s.H) for s in spec) == 2 ** L
+        for a, b in zip(spec, expected, strict=True):
             assert np.array_equal(a.H, b.H) and np.array_equal(a.G, b.G)
-            assert np.array_equal(a.vectors, b.vectors)
+            assert np.array_equal(a.vectors(L), b.vectors(L))
 
     @pytest.mark.parametrize("L", [1, 4, 7])
     def test_sectors_independent_of_order(self, L):
@@ -652,18 +651,18 @@ class TestSectorAssembly:
         # (seed, M2): sector M2 is the one solved alone, bit for bit.
         params = _complex_chain(L)
         spec = joint_diagonalize(params, seed=4)
-        for m2, sector in enumerate(spec.sectors):
+        for m2, sector in enumerate(spec):
             alone = spin_chain._sector_states(spin_chain._SectorCharges(params), m2, 4)
-            assert np.array_equal(sector.basis.indices, alone.basis.indices)
+            assert np.array_equal(sector.indices, alone.indices)
             for field in ("coefficients", "H", "G", "residual_H", "residual_G"):
                 assert getattr(sector, field).tobytes() == getattr(alone, field).tobytes(), field
 
     def test_states_keep_sector_coefficients(self):
         params = _complex_chain(5)
-        for sector in joint_diagonalize(params, seed=1).sectors:
-            idx = sector.basis.indices
+        for sector in joint_diagonalize(params, seed=1):
+            idx = sector.indices
             assert sector.coefficients.shape == (idx.size, idx.size)
-            full = sector.vectors
+            full = sector.vectors(5)
             assert full.shape == (idx.size, 2 ** 5)
             assert np.array_equal(full[:, idx], sector.coefficients)
             assert not np.any(np.delete(full, idx, axis=1))
@@ -675,11 +674,11 @@ class TestSectorAssembly:
         # rows are in complex_sort_key order of H.
         params = _complex_chain(L)
         spec = joint_diagonalize(params, seed=2)
-        assert len(spec.sectors) == L + 1
-        assert spec.n_states == 2 ** L
-        for m2, sector in enumerate(spec.sectors):
+        assert len(spec) == L + 1
+        assert sum(len(s.H) for s in spec) == 2 ** L
+        for m2, sector in enumerate(spec):
             n = comb(L, m2)
-            assert sector.basis.M2 == m2
+            assert np.array_equal(sector.indices, sector_bases(L)[m2])
             assert sector.coefficients.shape == (n, n)
             for values in (sector.H, sector.G, sector.residual_H, sector.residual_G):
                 assert values.shape == (n, L)
