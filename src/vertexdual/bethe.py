@@ -60,7 +60,6 @@ class BetheRootSet:
     times the solver re-tracked their subset's path before accepting them
     (len(_SCHEDULE) when the closing pass over every subset found them)."""
 
-    M2: int
     roots: np.ndarray
     residual: float
     retracks: int = 0
@@ -189,7 +188,7 @@ def _root_set(u, params: ChainParams, found: list[BetheRootSet], retracks: int):
     residual = float(np.max(np.abs(_equations(u, params, params.h)[0])))
     if not residual <= _RESIDUAL_TOL or any(ipi_distance(u, s.roots) < _DEDUP_TOL for s in found):
         return None
-    return BetheRootSet(u.size, u, residual, retracks)
+    return BetheRootSet(u, residual, retracks)
 
 
 def solve_bae(params: ChainParams, M2: int) -> list[BetheRootSet]:
@@ -208,7 +207,7 @@ def solve_bae(params: ChainParams, M2: int) -> list[BetheRootSet]:
     if not 0 <= M2 <= params.L:
         raise ValueError(f"M2 must lie in [0, {params.L}], got {M2}")
     if M2 == 0:
-        return [BetheRootSet(0, np.zeros(0, dtype=complex), 0.0)]
+        return [BetheRootSet(np.zeros(0, dtype=complex), 0.0)]
     solutions: list[BetheRootSet] = []
     subsets = list(combinations(range(params.L), M2))
     unsolved = list(range(len(subsets)))

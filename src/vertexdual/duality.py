@@ -33,13 +33,13 @@ class DualityRecord:
 
 @dataclass(frozen=True)
 class DualityReport:
-    """Per-sector records, indexed by M2, and the joint spectrum they
-    were verified on (joint_diagonalize's sectors, indexed by M2)."""
+    """Per-sector records, indexed by M2, and the momentum residual of
+    the same states (see verify_momentum_identification)."""
 
     records: list[DualityRecord]
     worst_error: float
     n_states: int
-    spectrum: list[SectorStates]
+    momentum_residual: float
 
 
 def predicted_strings(L: int, M2: int, h, eta) -> np.ndarray:
@@ -80,7 +80,8 @@ def verify_duality(chain: ChainParams, seed: int = 0) -> DualityReport:
     one stack from the measured charge values, their eigenvalues are
     matched onto the sector's ladders by minimal-cost assignment, and
     each state's worst relative error is recorded.  MatchFailed names
-    the first state above _HARD_MATCH_LIMIT.
+    the first state above _HARD_MATCH_LIMIT.  The momentum residual is
+    then taken over the same spectrum.
     """
     spectrum = joint_diagonalize(chain, seed=seed)
     records = []
@@ -101,7 +102,7 @@ def verify_duality(chain: ChainParams, seed: int = 0) -> DualityReport:
         records.append(DualityRecord(np.take_along_axis(eigs, order, axis=-1), errs))
         worst = max(worst, float(errs.max()))
     n_states = sum(len(s.H) for s in spectrum)
-    return DualityReport(records=records, worst_error=worst, n_states=n_states, spectrum=spectrum)
+    return DualityReport(records, worst, n_states, verify_momentum_identification(chain, spectrum))
 
 
 def verify_momentum_identification(chain: ChainParams, spectrum: list[SectorStates]) -> float:

@@ -23,6 +23,7 @@ from .linalg import (
     sinh_pair_product,
 )
 from .ruijsenaars import (
+    _ladder_factorized,
     _require_distinct_nodes,
     _sandwiched_ladder,
     eta_shift_diagonal,
@@ -88,9 +89,7 @@ def w_tilde_matrix(params: IdentityParams) -> np.ndarray:
 def q_factorized(params: IdentityParams) -> np.ndarray:
     """Ladder factorization g W D_eta (V^t)^{-1} S_N^{-1} V^t D_eta^{-1}."""
     x = np.asarray(params.x, dtype=complex)
-    core = _sandwiched_ladder(x, params.eta)
-    d = eta_shift_diagonal(x, params.eta)
-    return params.g * w_matrix(params)[:, None] * d[:, None] * core / d[None, :]
+    return _ladder_factorized(x, params.g * w_matrix(params), params.eta)
 
 
 def q_tilde_factorized(params: IdentityParams) -> np.ndarray:
@@ -214,5 +213,5 @@ def verify_solved_chain_splitting(chain: ChainParams, roots: BetheRootSet) -> fl
     q = _q_lax(x - eta, roots.roots, np.exp(chain.L * chain.h), eta, eta)
     if rel_diff(lax, q) > 1e-9:
         raise CrossCheckFailed("Lax build and weight-family build disagree")
-    rhs = sector_char_poly(chain.L, roots.M2, chain.h, chain.eta)
+    rhs = sector_char_poly(chain.L, roots.roots.size, chain.h, chain.eta)
     return poly_rel_residual(charpoly_minors(lax), rhs)

@@ -191,10 +191,36 @@ def sinh_pairs(a, b, shift) -> np.ndarray:
     return out
 
 
+def _far_pair_quotient(d, top, bottom) -> np.ndarray:
+    """sinh(d + top)/sinh(d + bottom) as
+    e^{s(top - bottom)} expm1(-2s(d + top))/expm1(-2s(d + bottom)) with
+    s = +-1 the sign of Re d: the factors e^{|Re d|} cancel, so it stays
+    finite however far apart the pair is."""
+    s = np.where(np.real(d) < 0, -1.0, 1.0)
+    quotient = np.expm1(-2 * s * (d + top)) / np.expm1(-2 * s * (d + bottom))
+    return np.exp(s * (top - bottom)) * quotient
+
+
+def sinh_pair_quotient(a, b, top, bottom, den=None) -> np.ndarray:
+    """The pair matrix sinh(a_i - b_j + top)/sinh(a_i - b_j + bottom), 1
+    on the diagonal when ``b`` is None; ``den`` is sinh_pairs(a, b,
+    bottom) if the caller has it.  Entries where this quotient is not
+    finite, as where the sinh overflow, are taken from _far_pair_quotient.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = sinh_pairs(a, b, top) / (sinh_pairs(a, b, bottom) if den is None else den)
+    if not np.isfinite(out).all():
+        far = ~np.isfinite(out)
+        a = np.asarray(a, dtype=complex)
+        other = a if b is None else np.asarray(b, dtype=complex)
+        out[far] = _far_pair_quotient((a[:, None] - other[None, :])[far], top, bottom)
+    return out
+
+
 def sinh_pair_product(a, b, top, bottom) -> np.ndarray:
     """prod_j sinh(a_i - b_j + top)/sinh(a_i - b_j + bottom) for each i
     (j != i when ``b`` is None)."""
-    return np.prod(sinh_pairs(a, b, top) / sinh_pairs(a, b, bottom), axis=1)
+    return np.prod(sinh_pair_quotient(a, b, top, bottom), axis=1)
 
 
 # Shifts for the plain gaps sinh(a_i - b_j).
@@ -209,8 +235,9 @@ def eta_shifts(eta) -> dict[str, complex]:
 def smallest_sinh_gap(a, b, shifts: dict) -> tuple[float, int, int, str]:
     """(gap, i, j, label): the smallest |sinh(a_i - b_j + s)| over the
     labelled shifts s and all pairs, i != j when ``b`` is None.  The gap
-    is inf when there is no pair."""
-    gaps = np.abs([sinh_pairs(a, b, s) for s in shifts.values()])
+    is inf when there is no pair, and inf for a pair whose sinh overflows."""
+    with np.errstate(over="ignore"):
+        gaps = np.abs([sinh_pairs(a, b, s) for s in shifts.values()])
     if b is None:
         gaps[:, np.eye(gaps.shape[1], dtype=bool)] = np.inf
     if gaps.size == 0:

@@ -28,6 +28,7 @@ from .linalg import (
     lagrange_vandermonde_inverse,
     require_sinh_gap,
     sinh_pair_product,
+    sinh_pair_quotient,
     sinh_pairs,
     smallest_sinh_gap,
 )
@@ -87,21 +88,31 @@ def hamilton_rhs(state: RSState) -> tuple[np.ndarray, np.ndarray]:
     naive W_i * coth(x_i - x_k + eta) grouping loses all precision
     there, stalling the adaptive integrator.  For the same reason the
     products omitting one factor are formed by masking that factor,
-    never by dividing the full product by it.
+    never by dividing the full product by it.  Where a pair is so far
+    apart that its sinh and cosh overflow, its flux is taken in the
+    closed form -sinh(eta) e^{eta p_i} omit_ik / sinh^2(x_i - x_k), the
+    same derivative without the cosh cancellation.
     """
     x, p, eta = state.x, state.p, state.eta
     require_sinh_gap(x, None, UNSHIFTED, _GP_TOL, GeneralPositionViolated, ("x", "x"))
     boost = np.exp(eta * p)
-    s0 = sinh_pairs(x, None, 0.0)
-    ratio = sinh_pairs(x, None, eta) / s0
-    full = np.prod(ratio, axis=1)
     diag = np.eye(x.size, dtype=bool)
-    # omit[i, k] = prod over l not in {i, k} of ratio[i, l].
-    omit = np.prod(np.where(diag[None, :, :], 1.0, ratio[:, None, :]), axis=2)
     d = x[:, None] - x[None, :]
-    # flux[i, k] enters dp_i/dt with a minus sign and dp_k/dt with a plus sign.
-    flux = boost[:, None] * (omit * np.cosh(d + eta) - full[:, None] * np.cosh(d)) / s0
+    with np.errstate(over="ignore", invalid="ignore"):
+        s0 = sinh_pairs(x, None, 0.0)
+        ratio = sinh_pair_quotient(x, None, eta, 0.0, den=s0)
+        full = np.prod(ratio, axis=1)
+        # omit[i, k] = prod over l not in {i, k} of ratio[i, l].
+        omit = np.prod(np.where(diag[None, :, :], 1.0, ratio[:, None, :]), axis=2)
+        # flux[i, k] enters dp_i/dt with a minus sign and dp_k/dt with a plus sign.
+        flux = boost[:, None] * (omit * np.cosh(d + eta) - full[:, None] * np.cosh(d)) / s0
     flux[diag] = 0.0
+    if not np.isfinite(flux).all():
+        far = ~np.isfinite(flux)
+        # 1/sinh^2(d) = 4 e^{-2r} / expm1(-2r)^2 with r = +-d, Re r >= 0.
+        r = np.where(d.real < 0, -d, d)[far]
+        inv_sinh_sq = 4 * np.exp(-2 * r) / np.expm1(-2 * r) ** 2
+        flux[far] = -np.sinh(eta) * (boost[:, None] * omit)[far] * inv_sinh_sq
     return eta * boost * full, flux.sum(axis=0) - flux.sum(axis=1)
 
 
@@ -120,13 +131,20 @@ def lax_from_velocities(x, xdot, eta) -> np.ndarray:
     """L_ij = sinh(eta) xdot_i / sinh(x_i - x_j - eta); diagonal is -xdot_i.
 
     Velocities of shape (..., n) give a stack of Lax matrices of shape
-    (..., n, n) at the one x, checked for general position once.
+    (..., n, n) at the one x, checked for general position once.  An
+    entry whose sinh overflows is 0, as its value is below the smallest
+    double; complex division by inf would make it nan.
     """
     x = np.asarray(x, dtype=complex)
     xdot = np.asarray(xdot, dtype=complex)
     eta = complex(eta)
     require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
-    return np.sinh(eta) * xdot[..., :, None] / sinh_pairs(x, x, -eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = sinh_pairs(x, x, -eta)
+        lax = np.sinh(eta) * xdot[..., :, None] / den
+    if not np.isfinite(den).all():
+        lax[..., ~np.isfinite(den)] = 0.0
+    return lax
 
 
 def lax_from_momenta(state: RSState) -> np.ndarray:
@@ -282,14 +300,20 @@ def _sandwiched_ladder(q, eta) -> np.ndarray:
     return core * (tfac[None, :] / tfac[:, None])
 
 
+def _ladder_factorized(q, weights, eta) -> np.ndarray:
+    """diag(weights) D_eta (V^t)^{-1} S^{-1} V^t D_eta^{-1} on nodes q,
+    with D_eta = diag(eta_shift_diagonal(q, eta))."""
+    core = _sandwiched_ladder(q, eta)
+    d = eta_shift_diagonal(q, eta)
+    return weights[:, None] * d[:, None] * core / d[None, :]
+
+
 def factorized_lax(state: RSState) -> np.ndarray:
     """Lax matrix through the ladder factorization
     -eta e^{eta P} D_eta (V^t)^{-1} S^{-1} V^t D_eta^{-1}."""
     x, p, eta = state.x, state.p, state.eta
     require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
-    core = _sandwiched_ladder(x, eta)
-    d = eta_shift_diagonal(x, eta)
-    return -eta * np.exp(eta * p)[:, None] * d[:, None] * core / d[None, :]
+    return _ladder_factorized(x, -eta * np.exp(eta * p), eta)
 
 
 def xle_relation_check(state: RSState) -> float:

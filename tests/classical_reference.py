@@ -173,7 +173,9 @@ def verify_duality_per_state(chain, seed=0) -> duality.DualityReport:
             worst = max(worst, err)
         records.append(duality.DualityRecord(np.array(sorted_eigs), np.array(errs)))
     n_states = sum(len(rec.match_errors) for rec in records)
-    return duality.DualityReport(records, worst, n_states, spectrum)
+    return duality.DualityReport(
+        records, worst, n_states, momentum_residual_per_state(chain, spectrum)
+    )
 
 
 def momentum_residual_per_state(chain, spectrum) -> float:

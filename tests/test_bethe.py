@@ -35,7 +35,7 @@ DRAWN = {
 
 def _rootset_raw(chain, roots):
     u = np.atleast_1d(np.asarray(roots, dtype=complex))
-    return BetheRootSet(M2=u.size, roots=u, residual=np.nan)
+    return BetheRootSet(roots=u, residual=np.nan)
 
 
 def _assert_matches_ed(chain, spec, m2, sols):
@@ -264,7 +264,6 @@ class TestEigenvalues:
     def test_permutation_invariance(self):
         sol = solve_bae(CHAIN, 3)[0]
         shuffled = BetheRootSet(
-            M2=3,
             roots=sol.roots[[2, 0, 1]],
             residual=sol.residual,
         )

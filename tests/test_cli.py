@@ -181,13 +181,9 @@ class TestRsEvolve:
         assert report is None
 
     def test_stalled_flow_fails_in_one_line(self, tmp_path):
-        # Trial steps overflow the field before the integrator gives up.
-        config = {
-            "eta": 1.9,
-            "x0": [0.37, 1.11, 2.06, 2.67],
-            "p0": [[1.98, -0.01], [1.8, 0.12], [-0.16, 1.14], [1.03, -0.34]],
-            "t_final": 5.0,
-        }
+        # The flow blows up near t = 4.4067: trial steps overflow the field
+        # before the integrator gives up.
+        config = {"eta": 1.15, "x0": [0.64, 1.56, 2.52], "p0": [0.38, -0.65, -0.43], "t_final": 5.0}
         (tmp_path / "c.json").write_text(json.dumps(config))
         proc = _python(
             tmp_path, ["-m", "vertexdual.cli", "rs-evolve", "--config", "c.json", "--out", "o.json"]
@@ -196,6 +192,19 @@ class TestRsEvolve:
         [line] = proc.stderr.splitlines()
         assert line.startswith("numerical failure: StepSizeUnderflow: ")
         assert "last sample t = " in line
+
+    def test_far_apart_pair_runs_to_the_end(self, tmp_path):
+        # The gap passes |Re d| ~ 710, where its sinh overflows, near t = 490.
+        config = {"x0": [0, 1], "p0": [-3, 3], "t_final": 1000}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        proc = _python(
+            tmp_path, ["-m", "vertexdual.cli", "rs-evolve", "--config", "c.json", "--out", "o.json"]
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        summary = json.loads((tmp_path / "o.json").read_text())["summary"]
+        assert summary["invariant_drift"] <= 1e-6
+        assert summary["lax_eigenvalue_drift"] <= 1e-6
 
     def test_zero_time_returns_the_grid(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -282,13 +291,6 @@ class TestCheckIdentities:
         rows = report["results"]["trials"]
         assert max(row["factorization_residual_q_tilde"] for row in rows) <= 5e-14
 
-    def test_corrupted_scale_fails(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"trials": 5, "seed": 7, "corrupt_g": True}))
-        code, report = _run(tmp_path, ["check-identities", "--config", str(cfg)])
-        assert code == 1
-        assert report["summary"]["worst_residual"] > 1e-2
-
     def test_factorization_residuals_are_fresh_rebuilds(self, tmp_path):
         # Each row reports the residuals of the one Q and Q~ the verifier
         # built; rebuilding both from the same draw gives the same numbers.
@@ -348,7 +350,7 @@ HOSTILE_CONFIGS = [
     ("solve-bethe", {"n_starts": -1}, 2),
     ("solve-bethe", {"cross_validate": True}, 2),
     ("check-identities", {"n_max": True}, 2),
-    ("check-identities", {"corrupt_g": "no"}, 2),
+    ("check-identities", {"corrupt_g": True}, 2),
     # In range, but e^{eta p} overflows: the field is not finite at t = 0.
     ("rs-evolve", {"eta": 50, "p0": [50, 50, 50]}, 3),
 ]

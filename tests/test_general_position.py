@@ -268,7 +268,7 @@ _CHAIN = ChainParams(L=3, eta=0.7, h=0.1, inhom=(0.0, 0.5, 1.4))
 
 
 def _roots(u):
-    return BetheRootSet(M2=len(u), roots=np.asarray(u, dtype=complex), residual=0.0)
+    return BetheRootSet(roots=np.asarray(u, dtype=complex), residual=0.0)
 
 
 def _digest(parts):

@@ -3,6 +3,8 @@ explicit Vandermonde inverse, the paired characteristic-polynomial
 identity across random draws, pole-cancellation and large-y behaviour,
 and the solved-chain spectral identity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,14 @@ from vertexdual import (
     verify_solved_chain_splitting,
 )
 from vertexdual.bethe import BetheRootSet
-from vertexdual.identities import ladder_char_poly, q_factorized, q_tilde_factorized, w_matrix, w_tilde_matrix
+from vertexdual.identities import (
+    ladder_char_poly,
+    q_factorized,
+    q_tilde_factorized,
+    splitting_rhs,
+    w_matrix,
+    w_tilde_matrix,
+)
 from vertexdual.linalg import charpoly_minors, match_multisets, poly_rel_residual, rel_diff
 from vertexdual.sampling import draw_identity_params, rng_from_seed
 
@@ -160,6 +169,18 @@ class TestIdentity:
             params = draw_identity_params(rng, n, m)
             assert verify_determinant_splitting(params).identity < 1e-8
 
+    def test_scale_negated_on_one_side_fails(self):
+        # Negative control on the draws of check-identities at seed 7: g
+        # negated in the ladder and in Q~ only must break the identity.
+        rng = rng_from_seed(7)
+        for _ in range(5):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(0, n + 1))
+            params = draw_identity_params(rng, n, m)
+            bad = replace(params, g=-params.g)
+            rhs = splitting_rhs(bad, q_tilde_matrix(bad))
+            assert poly_rel_residual(charpoly_minors(q_matrix(params)), rhs) > 1e-2
+
     def test_normalized_sides_agree(self):
         # The W-normalized statement carries no extra constant term.
         rng = rng_from_seed(9)
@@ -218,7 +239,6 @@ class TestSolvedChainIdentity:
         chain = ChainParams(L=3, eta=0.41, h=0.23, inhom=(0.1, 0.9, 1.75))
         sol = solve_bae(chain, 1)[0]
         bad = BetheRootSet(
-            M2=1,
             roots=sol.roots + 0.01,
             residual=sol.residual,
         )
