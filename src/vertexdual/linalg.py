@@ -191,6 +191,23 @@ def sinh_pairs(a, b, shift) -> np.ndarray:
     return out
 
 
+# A pair is far apart where a shifted gap has |Re| > FAR_RE.  Its sinh
+# and cosh overflow from |Re| ~ 710, complex division of two finite ones
+# overflows inside (giving 0, say) a little before that, and the flow
+# multiplies a cosh by further factors; far pairs are taken in cancelled
+# forms, which are as accurate at any gap.
+FAR_RE = 350.0
+
+
+def far_pairs(d, top, bottom) -> np.ndarray | None:
+    """Mask of the gaps d where d + top or d + bottom has |Re| > FAR_RE,
+    or None when no gap comes that far."""
+    reach = max(abs(np.real(top)), abs(np.real(bottom)))
+    if np.abs(np.real(d)).max(initial=0.0) + reach <= FAR_RE:
+        return None
+    return np.maximum(np.abs(np.real(d + top)), np.abs(np.real(d + bottom))) > FAR_RE
+
+
 def _far_pair_quotient(d, top, bottom) -> np.ndarray:
     """sinh(d + top)/sinh(d + bottom) as
     e^{s(top - bottom)} expm1(-2s(d + top))/expm1(-2s(d + bottom)) with
@@ -201,19 +218,22 @@ def _far_pair_quotient(d, top, bottom) -> np.ndarray:
     return np.exp(s * (top - bottom)) * quotient
 
 
-def sinh_pair_quotient(a, b, top, bottom, den=None) -> np.ndarray:
+def sinh_pair_quotient(a, b, top, bottom) -> np.ndarray:
     """The pair matrix sinh(a_i - b_j + top)/sinh(a_i - b_j + bottom), 1
-    on the diagonal when ``b`` is None; ``den`` is sinh_pairs(a, b,
-    bottom) if the caller has it.  Entries where this quotient is not
-    finite, as where the sinh overflow, are taken from _far_pair_quotient.
-    """
+    on the diagonal when ``b`` is None; far_pairs are taken from
+    _far_pair_quotient."""
+    a = np.asarray(a, dtype=complex)
+    other = a if b is None else np.asarray(b, dtype=complex)
+    d = a[:, None] - other[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = sinh_pairs(a, b, top) / (sinh_pairs(a, b, bottom) if den is None else den)
-    if not np.isfinite(out).all():
-        far = ~np.isfinite(out)
-        a = np.asarray(a, dtype=complex)
-        other = a if b is None else np.asarray(b, dtype=complex)
-        out[far] = _far_pair_quotient((a[:, None] - other[None, :])[far], top, bottom)
+        num, den = np.sinh(d + top), np.sinh(d + bottom)
+        if b is None:
+            np.fill_diagonal(num, 1.0)
+            np.fill_diagonal(den, 1.0)
+        out = num / den
+    far = far_pairs(d, top, bottom)
+    if far is not None:
+        out[far] = _far_pair_quotient(d[far], top, bottom)
     return out
 
 

@@ -25,6 +25,7 @@ from .errors import (
 from .linalg import (
     UNSHIFTED,
     eta_shifts,
+    far_pairs,
     lagrange_vandermonde_inverse,
     require_sinh_gap,
     sinh_pair_product,
@@ -88,31 +89,31 @@ def hamilton_rhs(state: RSState) -> tuple[np.ndarray, np.ndarray]:
     naive W_i * coth(x_i - x_k + eta) grouping loses all precision
     there, stalling the adaptive integrator.  For the same reason the
     products omitting one factor are formed by masking that factor,
-    never by dividing the full product by it.  Where a pair is so far
-    apart that its sinh and cosh overflow, its flux is taken in the
-    closed form -sinh(eta) e^{eta p_i} omit_ik / sinh^2(x_i - x_k), the
-    same derivative without the cosh cancellation.
+    never by dividing the full product by it.  When some pair is far
+    apart (far_pairs), where the cosh terms overflow, the flux of every
+    pair is taken in the closed form -sinh(eta) e^{eta p_i} omit_ik /
+    sinh^2(x_i - x_k), the same derivative; elsewhere the cosh form is
+    used.
     """
     x, p, eta = state.x, state.p, state.eta
     require_sinh_gap(x, None, UNSHIFTED, _GP_TOL, GeneralPositionViolated, ("x", "x"))
     boost = np.exp(eta * p)
+    ratio = sinh_pair_quotient(x, None, eta, 0.0)
+    full = np.prod(ratio, axis=1)
     diag = np.eye(x.size, dtype=bool)
+    # omit[i, k] = prod over l not in {i, k} of ratio[i, l].
+    omit = np.prod(np.where(diag[None, :, :], 1.0, ratio[:, None, :]), axis=2)
     d = x[:, None] - x[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
+    # flux[i, k] enters dp_i/dt with a minus sign and dp_k/dt with a plus sign.
+    if far_pairs(d, eta, 0.0) is None:
         s0 = sinh_pairs(x, None, 0.0)
-        ratio = sinh_pair_quotient(x, None, eta, 0.0, den=s0)
-        full = np.prod(ratio, axis=1)
-        # omit[i, k] = prod over l not in {i, k} of ratio[i, l].
-        omit = np.prod(np.where(diag[None, :, :], 1.0, ratio[:, None, :]), axis=2)
-        # flux[i, k] enters dp_i/dt with a minus sign and dp_k/dt with a plus sign.
         flux = boost[:, None] * (omit * np.cosh(d + eta) - full[:, None] * np.cosh(d)) / s0
+    else:
+        # 1/sinh^2(d) = 4 e^{-2r} / expm1(-2r)^2 with r = +-d, Re r >= 0;
+        # the diagonal takes r = 1 and is zeroed below.
+        r = np.where(d.real < 0, -d, d) + diag
+        flux = -np.sinh(eta) * boost[:, None] * omit * 4 * np.exp(-2 * r) / np.expm1(-2 * r) ** 2
     flux[diag] = 0.0
-    if not np.isfinite(flux).all():
-        far = ~np.isfinite(flux)
-        # 1/sinh^2(d) = 4 e^{-2r} / expm1(-2r)^2 with r = +-d, Re r >= 0.
-        r = np.where(d.real < 0, -d, d)[far]
-        inv_sinh_sq = 4 * np.exp(-2 * r) / np.expm1(-2 * r) ** 2
-        flux[far] = -np.sinh(eta) * (boost[:, None] * omit)[far] * inv_sinh_sq
     return eta * boost * full, flux.sum(axis=0) - flux.sum(axis=1)
 
 
@@ -132,8 +133,9 @@ def lax_from_velocities(x, xdot, eta) -> np.ndarray:
 
     Velocities of shape (..., n) give a stack of Lax matrices of shape
     (..., n, n) at the one x, checked for general position once.  An
-    entry whose sinh overflows is 0, as its value is below the smallest
-    double; complex division by inf would make it nan.
+    entry whose sinh overflows is set to 0: it is below about
+    1e-308 |sinh(eta) xdot_i|, negligible against the diagonal -xdot_i,
+    and complex division by an infinite sinh would make it nan.
     """
     x = np.asarray(x, dtype=complex)
     xdot = np.asarray(xdot, dtype=complex)
@@ -142,8 +144,7 @@ def lax_from_velocities(x, xdot, eta) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         den = sinh_pairs(x, x, -eta)
         lax = np.sinh(eta) * xdot[..., :, None] / den
-    if not np.isfinite(den).all():
-        lax[..., ~np.isfinite(den)] = 0.0
+    lax[..., ~np.isfinite(den)] = 0.0
     return lax
 
 

@@ -193,9 +193,23 @@ class TestRsEvolve:
         assert line.startswith("numerical failure: StepSizeUnderflow: ")
         assert "last sample t = " in line
 
-    def test_far_apart_pair_runs_to_the_end(self, tmp_path):
-        # The gap passes |Re d| ~ 710, where its sinh overflows, near t = 490.
-        config = {"x0": [0, 1], "p0": [-3, 3], "t_final": 1000}
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # The gap passes |Re d| ~ 710, where its sinh overflows, near t = 490.
+            {"x0": [0, 1], "p0": [-3, 3], "t_final": 1000},
+            # Complex momenta: particle 4 leaves at |dx/dt| ~ 5e3 and its gaps
+            # pass |Re d| ~ 710 near t = 0.14.
+            {
+                "eta": 1.9,
+                "x0": [0.37, 1.11, 2.06, 2.67],
+                "p0": [[1.98, -0.01], [1.8, 0.12], [-0.16, 1.14], [1.03, -0.34]],
+                "t_final": 5.0,
+            },
+        ],
+        ids=["real", "complex"],
+    )
+    def test_far_apart_pair_runs_to_the_end(self, tmp_path, config):
         (tmp_path / "c.json").write_text(json.dumps(config))
         proc = _python(
             tmp_path, ["-m", "vertexdual.cli", "rs-evolve", "--config", "c.json", "--out", "o.json"]
