@@ -16,7 +16,9 @@ sample).
 Reports are UTF-8 JSON on one line, keys sorted, with the fixed top level
 {schema_version, command, config, results, summary, timestamp};
 complex numbers are encoded as [re, im] pairs.  Identical config and
-seed produce byte-identical payloads apart from the timestamp.
+seed produce byte-identical payloads apart from the timestamp at a fixed
+BLAS thread count; between one and two threads, verify-duality Lax
+eigenvalues at L >= 7 differ in their last digits.
 """
 
 from __future__ import annotations

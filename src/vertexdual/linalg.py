@@ -192,20 +192,10 @@ def sinh_pairs(a, b, shift) -> np.ndarray:
 
 
 # A pair is far apart where a shifted gap has |Re| > FAR_RE.  Its sinh
-# and cosh overflow from |Re| ~ 710, complex division of two finite ones
-# overflows inside (giving 0, say) a little before that, and the flow
-# multiplies a cosh by further factors; far pairs are taken in cancelled
-# forms, which are as accurate at any gap.
+# overflows from |Re| ~ 710, and complex division of two finite ones
+# overflows inside (giving 0, say) a little before that; far pairs are
+# taken in a cancelled form, which is as accurate at any gap.
 FAR_RE = 350.0
-
-
-def far_pairs(d, top, bottom) -> np.ndarray | None:
-    """Mask of the gaps d where d + top or d + bottom has |Re| > FAR_RE,
-    or None when no gap comes that far."""
-    reach = max(abs(np.real(top)), abs(np.real(bottom)))
-    if np.abs(np.real(d)).max(initial=0.0) + reach <= FAR_RE:
-        return None
-    return np.maximum(np.abs(np.real(d + top)), np.abs(np.real(d + bottom))) > FAR_RE
 
 
 def _far_pair_quotient(d, top, bottom) -> np.ndarray:
@@ -220,7 +210,7 @@ def _far_pair_quotient(d, top, bottom) -> np.ndarray:
 
 def sinh_pair_quotient(a, b, top, bottom) -> np.ndarray:
     """The pair matrix sinh(a_i - b_j + top)/sinh(a_i - b_j + bottom), 1
-    on the diagonal when ``b`` is None; far_pairs are taken from
+    on the diagonal when ``b`` is None; far pairs are taken from
     _far_pair_quotient."""
     a = np.asarray(a, dtype=complex)
     other = a if b is None else np.asarray(b, dtype=complex)
@@ -231,8 +221,9 @@ def sinh_pair_quotient(a, b, top, bottom) -> np.ndarray:
             np.fill_diagonal(num, 1.0)
             np.fill_diagonal(den, 1.0)
         out = num / den
-    far = far_pairs(d, top, bottom)
-    if far is not None:
+    reach = max(abs(np.real(top)), abs(np.real(bottom)))
+    if np.abs(np.real(d)).max(initial=0.0) + reach > FAR_RE:
+        far = np.maximum(np.abs(np.real(d + top)), np.abs(np.real(d + bottom))) > FAR_RE
         out[far] = _far_pair_quotient(d[far], top, bottom)
     return out
 

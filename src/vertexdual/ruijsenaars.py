@@ -25,7 +25,6 @@ from .errors import (
 from .linalg import (
     UNSHIFTED,
     eta_shifts,
-    far_pairs,
     lagrange_vandermonde_inverse,
     require_sinh_gap,
     sinh_pair_product,
@@ -81,50 +80,48 @@ def velocities(state: RSState) -> np.ndarray:
     return eta * np.exp(eta * p) * sinh_pair_product(x, None, eta, 0.0)
 
 
-def hamilton_rhs(state: RSState) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic right-hand sides (dx/dt, dp/dt) of the canonical flow.
+def _csch_pairs(x, shift) -> np.ndarray:
+    """The pair matrix csch(x_i - x_j + shift), 0 on the diagonal, each entry
+    as -2 s e^{-s d} / expm1(-2 s d) with s = +-1 the sign of Re d: no
+    exponent has a positive real part, so nothing overflows or cancels at
+    any gap."""
+    diag = np.eye(x.size, dtype=bool)
+    d = np.where(diag, 1.0, x[:, None] - x[None, :] + shift)
+    s = np.where(d.real < 0, -1.0, 1.0)
+    return np.where(diag, 0.0, -2 * s * np.exp(-s * d) / np.expm1(-2 * s * d))
 
-    Written so the only denominators are sinh(x_i - x_k): the flow (but
-    not the Lax matrix) is regular where a gap crosses +-eta, and the
-    naive W_i * coth(x_i - x_k + eta) grouping loses all precision
-    there, stalling the adaptive integrator.  For the same reason the
-    products omitting one factor are formed by masking that factor,
-    never by dividing the full product by it.  When some pair is far
-    apart (far_pairs), where the cosh terms overflow, the flux of every
-    pair is taken in the closed form -sinh(eta) e^{eta p_i} omit_ik /
-    sinh^2(x_i - x_k), the same derivative; elsewhere the cosh form is
-    used.
+
+def hamilton_rhs(x, p, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand sides (dx/dt, dp/dt) of the canonical flow at coordinates
+    x, momenta p and coupling eta.
+
+    The pair (i, k) moves momentum by the flux -sinh(eta) e^{eta p_i}
+    omit_ik csch^2(x_i - x_k), omit_ik the product of particle i's pair
+    weights without the k-th, formed by masking it: dividing by it, or the
+    grouping W_i coth(x_i - x_k + eta), loses all precision where a gap
+    crosses +-eta, where the flow (not the Lax matrix) is regular.
     """
-    x, p, eta = state.x, state.p, state.eta
+    x = np.asarray(x, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    eta = complex(eta)
     require_sinh_gap(x, None, UNSHIFTED, _GP_TOL, GeneralPositionViolated, ("x", "x"))
     boost = np.exp(eta * p)
     ratio = sinh_pair_quotient(x, None, eta, 0.0)
-    full = np.prod(ratio, axis=1)
     diag = np.eye(x.size, dtype=bool)
     # omit[i, k] = prod over l not in {i, k} of ratio[i, l].
     omit = np.prod(np.where(diag[None, :, :], 1.0, ratio[:, None, :]), axis=2)
-    d = x[:, None] - x[None, :]
     # flux[i, k] enters dp_i/dt with a minus sign and dp_k/dt with a plus sign.
-    if far_pairs(d, eta, 0.0) is None:
-        s0 = sinh_pairs(x, None, 0.0)
-        flux = boost[:, None] * (omit * np.cosh(d + eta) - full[:, None] * np.cosh(d)) / s0
-    else:
-        # 1/sinh^2(d) = 4 e^{-2r} / expm1(-2r)^2 with r = +-d, Re r >= 0;
-        # the diagonal takes r = 1 and is zeroed below.
-        r = np.where(d.real < 0, -d, d) + diag
-        flux = -np.sinh(eta) * boost[:, None] * omit * 4 * np.exp(-2 * r) / np.expm1(-2 * r) ** 2
-    flux[diag] = 0.0
-    return eta * boost * full, flux.sum(axis=0) - flux.sum(axis=1)
+    flux = -np.sinh(eta) * boost[:, None] * omit * _csch_pairs(x, 0.0) ** 2
+    return eta * boost * np.prod(ratio, axis=1), flux.sum(axis=0) - flux.sum(axis=1)
 
 
 def acceleration(x, xdot, eta) -> np.ndarray:
     """Second-order form of the equations of motion, evaluated from (x, dx/dt)."""
     x = np.asarray(x, dtype=complex)
     xdot = np.asarray(xdot, dtype=complex)
-    pair = np.cosh(x[:, None] - x[None, :]) / (
-        sinh_pairs(x, None, eta) * sinh_pairs(x, None, 0.0) * sinh_pairs(x, None, -eta)
-    )
-    np.fill_diagonal(pair, 0.0)
+    # The diagonal takes coth(1), which meets the 0 diagonal of _csch_pairs.
+    coth = 1 / np.tanh(x[:, None] - x[None, :] + np.eye(x.size))
+    pair = coth * _csch_pairs(x, eta) * _csch_pairs(x, -eta)
     return -2.0 * np.sinh(eta) ** 2 * xdot * np.sum(pair * xdot, axis=1)
 
 
@@ -164,12 +161,11 @@ def a_matrix(x, xdot, eta) -> np.ndarray:
     xdot = np.asarray(xdot, dtype=complex)
     eta = complex(eta)
     require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
-    d = x[:, None] - x[None, :]
-    s0 = sinh_pairs(x, None, 0.0)
-    coth0 = np.cosh(d) / s0
-    np.fill_diagonal(coth0, 0.0)
-    a = xdot[:, None] / s0
-    np.fill_diagonal(a, np.sum((coth0 - np.cosh(d + eta) / sinh_pairs(x, x, eta)) * xdot, axis=1))
+    csch0 = _csch_pairs(x, 0.0)
+    a = xdot[:, None] * csch0
+    # coth(d) - coth(d + eta) = sinh(eta) csch(d) csch(d + eta); l = j gives -coth(eta).
+    coupling = np.sinh(eta) * np.sum(csch0 * _csch_pairs(x, eta) * xdot, axis=1)
+    np.fill_diagonal(a, coupling - xdot / np.tanh(eta))
     return a
 
 
@@ -462,9 +458,9 @@ def evolve(
     Returns (t, state) samples on the uniform grid of n_samples times from
     0 to t_final, both ends included (all at t = 0 when t_final is 0),
     taken from the continuous extension of the free-running steps.  Raises
-    CollisionDetected when any |sinh(x_i - x_j)| crosses ``_COLLISION_TOL``
-    at an accepted step, locating the crossing on the interpolant, and
-    StepSizeUnderflow when the integrator stalls or the vector field is not
+    CollisionDetected when some |sinh(x_i - x_j)| crosses ``_COLLISION_TOL``
+    at an accepted step (located on the interpolant) or _GP_TOL at a trial
+    stage, StepSizeUnderflow when the integrator stalls or the field is not
     finite at the start, and ValueError when tol_ode is below MIN_TOL_ODE.
     """
     if not tol_ode >= MIN_TOL_ODE:
@@ -481,7 +477,7 @@ def evolve(
     def rhs(y):
         ode["nfev"] += 1
         z = y.view(complex)
-        return np.concatenate(hamilton_rhs(RSState(eta=eta, x=z[:n], p=z[n:]))).view(float)
+        return np.concatenate(hamilton_rhs(z[:n], z[n:], eta)).view(float)
 
     def gap(y):
         return smallest_sinh_gap(y.view(complex)[:n], None, UNSHIFTED)[0]
@@ -503,6 +499,7 @@ def evolve(
         if not np.all(np.isfinite(f0)):
             raise StepSizeUnderflow("the vector field is not finite at t = 0")
         sample_through(0.0, lambda _t: y0)
+        t_new = 0.0
         try:
             for t, t_new, y_new, dense in _dormand_prince(rhs, y0, f0, t_final, tol_ode, ode):
                 if gap(y_new) <= _COLLISION_TOL:
@@ -522,5 +519,10 @@ def evolve(
             raise StepSizeUnderflow(
                 f"{exc} (last sample t = {t_last:.6g}, "
                 f"smallest |sinh(x_{i + 1} - x_{j + 1})| = {g:.3e} there)"
+            ) from None
+        except GeneralPositionViolated as exc:
+            # The step being tried starts at t_new, the last accepted time.
+            raise CollisionDetected(
+                f"particles collide in the step from t = {t_new:.6g} (a trial stage has {exc})"
             ) from None
     return samples

@@ -23,7 +23,7 @@ def flow_step(state: RSState, dt: float, n_sub: int = 8) -> RSState:
     h = dt / n_sub
 
     def f(xx, pp):
-        return hamilton_rhs(RSState(eta=eta, x=xx, p=pp))
+        return hamilton_rhs(xx, pp, eta)
 
     for _ in range(n_sub):
         k1 = f(x, p)

@@ -193,6 +193,28 @@ class TestRsEvolve:
         assert line.startswith("numerical failure: StepSizeUnderflow: ")
         assert "last sample t = " in line
 
+    def test_trial_stage_collision_is_a_numerical_failure(self, tmp_path, capsys):
+        # A valid config (gaps 0.14 and 0.41) whose flow brings x_1 and x_2
+        # together: a Dormand-Prince trial stage lands inside the field's
+        # general-position bound before any accepted step crosses the
+        # collision threshold.
+        config = {
+            "eta": 0.9484053750521879,
+            "x0": [0.2740267877812341, 0.40973427443511845, 0.8210406890379702],
+            "p0": [0.07804176777752847, -0.49389666170134516, -0.06423588173687511],
+            "t_final": 13.818694418868146,
+            "tol_ode": 2.1990168057721755e-06,
+        }
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code, report = _run(tmp_path, ["rs-evolve", "--config", str(tmp_path / "c.json")])
+        assert code == 3 and report is None
+        [line] = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(
+            r"numerical failure: CollisionDetected: particles collide in the step from "
+            r"t = \S+ \(a trial stage has \|sinh\(x_1 - x_2\)\| = \S+ <= 1e-09\)",
+            line,
+        )
+
     @pytest.mark.parametrize(
         "config",
         [

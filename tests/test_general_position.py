@@ -190,7 +190,8 @@ class TestHamiltonRhs:
         for n in (1, 2, 5, 10):
             x = np.cumsum(rng.uniform(0.6, 1.0, n)) + 1j * rng.uniform(-0.2, 0.2, n)
             state = RSState(eta=0.35 + 0.1j, x=x, p=rng.uniform(-0.3, 0.3, n))
-            for fast, slow in zip(hamilton_rhs(state), _loop_hamilton_rhs(state)):
+            rhs = hamilton_rhs(state.x, state.p, state.eta)
+            for fast, slow in zip(rhs, _loop_hamilton_rhs(state)):
                 assert np.max(np.abs(fast - slow)) <= 1e-13 * max(np.max(np.abs(slow)), 1.0)
 
     def test_finite_at_zero_of_interaction_factor(self):
@@ -199,7 +200,7 @@ class TestHamiltonRhs:
         x = np.array([0.0, 0.5, 1.7])
         p = np.array([0.1, -0.2, 0.3])
         state = RSState(eta=0.5, x=x, p=p)
-        xd, pd = hamilton_rhs(state)
+        xd, pd = hamilton_rhs(state.x, state.p, state.eta)
         assert np.all(np.isfinite(xd)) and np.all(np.isfinite(pd))
         step = 1e-6
 

@@ -4,6 +4,7 @@ oracles, spectral invariants, and monitored time evolution against
 scipy's DOP853 as the reference integrator."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from vertexdual import (
     velocities,
     xle_relation_check,
 )
+from vertexdual import ruijsenaars
 from vertexdual.linalg import coth, match_multisets
 from vertexdual.ruijsenaars import (
     MIN_TOL_ODE,
@@ -83,7 +85,7 @@ class TestHamiltonian:
         rng = np.random.default_rng(3)
         st = _random_state(rng, 4)
         eps = 1e-5
-        _, forces = hamilton_rhs(st)
+        _, forces = hamilton_rhs(st.x, st.p, st.eta)
         for i in range(4):
             step = np.zeros(4)
             step[i] = eps
@@ -101,13 +103,15 @@ class TestHamiltonian:
     )
     def test_far_apart_pair_takes_its_limit(self, gap, eta):
         # sinh of the gap overflows from |Re d| ~ 710 on.  The pair weights
-        # sinh(d + eta)/sinh(d) tend to e^{+-eta}, the forces and the Lax
-        # entries between the two particles to 0 (below 1e-300).
+        # sinh(d + eta)/sinh(d) tend to e^{+-eta}, the forces, the
+        # accelerations and the Lax and companion entries between the two
+        # particles to 0 (below 1e-300), and the companion diagonal to
+        # -coth(eta) xdot_i, without a RuntimeWarning on the way.
         p = np.array([0.2, -0.4])
         st = RSState(eta=eta, x=np.array([0.0, gap]), p=p)
         side = np.sign(-np.real(gap)) * np.array([1, -1])
         limit = np.exp(eta * p) * np.exp(side * eta)
-        xdot, pdot = hamilton_rhs(st)
+        xdot, pdot = hamilton_rhs(st.x, st.p, st.eta)
         for value, expected in (
             (xdot, eta * limit),
             (velocities(st), eta * limit),
@@ -119,6 +123,14 @@ class TestHamiltonian:
         lax = lax_from_velocities(st.x, xdot, eta)
         assert max(abs(lax[0, 1]), abs(lax[1, 0])) <= 1e-300
         assert np.max(np.abs(np.diag(lax) + xdot)) <= 1e-15 * np.max(np.abs(xdot))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            acc = acceleration(st.x, xdot, eta)
+            a = a_matrix(st.x, xdot, eta)
+        assert np.all(np.isfinite(acc)) and np.max(np.abs(acc)) <= 1e-300
+        assert max(abs(a[0, 1]), abs(a[1, 0])) <= 1e-300
+        diagonal = -coth(eta) * xdot
+        assert np.max(np.abs(np.diag(a) - diagonal)) <= 1e-15 * np.max(np.abs(diagonal))
 
 
 class TestLaxBuilds:
@@ -362,7 +374,7 @@ def _dop853(state, t_final, t_eval=None, collision=False):
 
     def rhs(_t, y):
         z = y.view(complex)
-        return np.concatenate(hamilton_rhs(RSState(eta=state.eta, x=z[:n], p=z[n:]))).view(float)
+        return np.concatenate(hamilton_rhs(z[:n], z[n:], state.eta)).view(float)
 
     def gap(_t, y):
         x = y.view(complex)[:n]
@@ -510,6 +522,19 @@ class TestEvolution:
         assert 4.4066 < float(found[1]) < 4.4068
         assert 0.0 < float(found[2]) < float(found[1])
         assert float(found[3]) > 1e-6
+
+    def test_every_field_evaluation_goes_through_hamilton_rhs(self, monkeypatch):
+        # The benchmark's tracer counts evolve's field evaluations by
+        # swapping the module attribute; a private field would read 0.
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return hamilton_rhs(*args)
+
+        monkeypatch.setattr(ruijsenaars, "hamilton_rhs", counting)
+        traj = evolve(STATE3, 1.0, 1e-10, n_samples=5)
+        assert len(calls) == traj.ode["nfev"] > 0
 
     def test_tolerance_below_floor_rejected(self):
         # Below the floor the step falls to 10 ulp of t near t = 0 and the
