@@ -83,8 +83,13 @@ def _equations(u: np.ndarray, params: ChainParams, h) -> tuple[np.ndarray, np.nd
     from one set of sinh pair matrices; no singularity guards (solver
     internal).  coth(z + a) - coth(z + b) = sinh(b - a)/(sinh(z + a) sinh(z + b))."""
     eta = params.eta
-    site_up, site = sinh_pairs(u, params.inhom, eta), sinh_pairs(u, params.inhom, 0.0)
-    up, down = sinh_pairs(u, None, eta), sinh_pairs(u, None, -eta)
+    # One difference matrix per pair family, u - x and u - u.
+    to_site = u[:, None] - np.asarray(params.inhom)[None, :]
+    to_root = u[:, None] - u[None, :]
+    site_up, site = np.sinh(to_site + eta), np.sinh(to_site)
+    up, down = np.sinh(to_root + eta), np.sinh(to_root - eta)
+    np.fill_diagonal(up, 1.0)
+    np.fill_diagonal(down, 1.0)
     left = np.exp(2 * params.L * h) * np.prod(site_up / site, axis=1)
     defect = np.log(left / np.prod(up / down, axis=1))
     sites = np.sinh(-eta) / (site_up * site)

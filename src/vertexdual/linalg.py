@@ -146,7 +146,8 @@ def match_multisets(values: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray
     """
     values = np.asarray(values)
     targets = np.asarray(targets)
-    cost = np.abs(values[..., :, None] - targets) / np.maximum(np.abs(targets), 1e-12)
+    cost = np.abs(values[..., :, None] - targets)
+    cost /= np.maximum(np.abs(targets), 1e-12)
     perm = _assignment(cost)
     return perm, np.take_along_axis(cost, perm[..., None], axis=-1)[..., 0]
 
@@ -181,13 +182,14 @@ def sinh_pairs(a, b, shift) -> np.ndarray:
     """The pair matrix sinh(a_i - b_j + shift).
 
     With ``b`` None, ``a`` is paired with itself and the diagonal i = j
-    is set to 1, so row products run over j != i.
+    is set to 1, so row products run over j != i.  Coordinates of shape
+    (..., n) give a stack of matrices of shape (..., n, m).
     """
     a = np.asarray(a, dtype=complex)
     other = a if b is None else np.asarray(b, dtype=complex)
-    out = np.sinh(a[:, None] - other[None, :] + shift)
+    out = np.sinh(a[..., :, None] - other[..., None, :] + shift)
     if b is None:
-        np.fill_diagonal(out, 1.0)
+        out[..., np.eye(a.shape[-1], dtype=bool)] = 1.0
     return out
 
 
@@ -208,30 +210,40 @@ def _far_pair_quotient(d, top, bottom) -> np.ndarray:
     return np.exp(s * (top - bottom)) * quotient
 
 
-def sinh_pair_quotient(a, b, top, bottom) -> np.ndarray:
-    """The pair matrix sinh(a_i - b_j + top)/sinh(a_i - b_j + bottom), 1
-    on the diagonal when ``b`` is None; far pairs are taken from
-    _far_pair_quotient."""
-    a = np.asarray(a, dtype=complex)
-    other = a if b is None else np.asarray(b, dtype=complex)
-    d = a[:, None] - other[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        num, den = np.sinh(d + top), np.sinh(d + bottom)
-        if b is None:
-            np.fill_diagonal(num, 1.0)
-            np.fill_diagonal(den, 1.0)
-        out = num / den
+def gap_quotient(d, top, bottom, den) -> np.ndarray:
+    """sinh(d + top)/den entrywise on the pair differences ``d``, where
+    den = sinh(d + bottom) was formed by the caller; far pairs are taken
+    from _far_pair_quotient.  Where den is 0 the entry is not finite, so
+    a caller pairing a family with itself sets its diagonal."""
+    out = d + top
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.sinh(out, out=out)
+        out /= den
     reach = max(abs(np.real(top)), abs(np.real(bottom)))
-    if np.abs(np.real(d)).max(initial=0.0) + reach > FAR_RE:
+    if max(d.real.max(initial=0.0), -d.real.min(initial=0.0)) + reach > FAR_RE:
         far = np.maximum(np.abs(np.real(d + top)), np.abs(np.real(d + bottom))) > FAR_RE
         out[far] = _far_pair_quotient(d[far], top, bottom)
     return out
 
 
+def sinh_pair_quotient(a, b, top, bottom) -> np.ndarray:
+    """The pair matrix sinh(a_i - b_j + top)/sinh(a_i - b_j + bottom), 1
+    on the diagonal when ``b`` is None (see gap_quotient); stacked like
+    sinh_pairs."""
+    a = np.asarray(a, dtype=complex)
+    other = a if b is None else np.asarray(b, dtype=complex)
+    d = a[..., :, None] - other[..., None, :]
+    with np.errstate(over="ignore"):
+        out = gap_quotient(d, top, bottom, np.sinh(d + bottom))
+    if b is None:
+        out[..., np.eye(a.shape[-1], dtype=bool)] = 1.0
+    return out
+
+
 def sinh_pair_product(a, b, top, bottom) -> np.ndarray:
     """prod_j sinh(a_i - b_j + top)/sinh(a_i - b_j + bottom) for each i
-    (j != i when ``b`` is None)."""
-    return np.prod(sinh_pair_quotient(a, b, top, bottom), axis=1)
+    (j != i when ``b`` is None); stacked like sinh_pairs."""
+    return np.prod(sinh_pair_quotient(a, b, top, bottom), axis=-1)
 
 
 # Shifts for the plain gaps sinh(a_i - b_j).
@@ -243,25 +255,55 @@ def eta_shifts(eta) -> dict[str, complex]:
     return {"": 0.0, " + eta": eta, " - eta": -eta}
 
 
-def smallest_sinh_gap(a, b, shifts: dict) -> tuple[float, int, int, str]:
+def smallest_sinh_gap(a, b, shifts: dict):
     """(gap, i, j, label): the smallest |sinh(a_i - b_j + s)| over the
     labelled shifts s and all pairs, i != j when ``b`` is None.  The gap
-    is inf when there is no pair, and inf for a pair whose sinh overflows."""
+    is inf when there is no pair (then i = j = -1 and the label is ""),
+    and inf for a pair whose sinh overflows.
+
+    The differences a_i - b_j are formed once and each shift is added to
+    them in one scratch matrix.  Coordinates of shape (..., n) give one
+    result per row: gap, i, j and label are then arrays of shape (...).
+    """
+    a = np.asarray(a, dtype=complex)
+    other = a if b is None else np.asarray(b, dtype=complex)
+    d = a[..., :, None] - other[..., None, :]
+    stack = d.shape[:-2]
+    gaps = np.empty(stack + (len(shifts),) + d.shape[-2:])
+    shifted = np.empty_like(d)
     with np.errstate(over="ignore"):
-        gaps = np.abs([sinh_pairs(a, b, s) for s in shifts.values()])
+        for k, s in enumerate(shifts.values()):
+            np.add(d, s, out=shifted)
+            np.abs(np.sinh(shifted, out=shifted), out=gaps[..., k, :, :])
     if b is None:
-        gaps[:, np.eye(gaps.shape[1], dtype=bool)] = np.inf
-    if gaps.size == 0:
-        return np.inf, -1, -1, ""
-    k, i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
-    return float(gaps[k, i, j]), int(i), int(j), list(shifts)[k]
+        gaps[..., np.eye(a.shape[-1], dtype=bool)] = np.inf
+    flat = gaps.reshape(stack + (math.prod(gaps.shape[-3:]),))
+    labels = np.array(list(shifts) + [""])
+    if flat.shape[-1] == 0:
+        none = np.full(stack, -1)
+        gap, i, j, label = np.full(stack, np.inf), none, none, labels[none]
+    else:
+        # min is the entry argmin finds, a nan where there is one.
+        gap = flat.min(axis=-1)
+        k, i, j = np.unravel_index(flat.argmin(axis=-1), gaps.shape[-3:])
+        label = labels[k]
+    if stack:
+        return gap, i, j, label
+    return float(gap), int(i), int(j), str(label)
 
 
 def require_sinh_gap(a, b, shifts: dict, tol: float, error: type, names: tuple[str, str]):
     """Raise ``error`` naming the pair and the shift when some
     |sinh(a_i - b_j + s)| <= tol (see smallest_sinh_gap); ``names`` are
-    the symbols of the two families in the message."""
+    the symbols of the two families in the message.  On stacked
+    coordinates the first row (in C order) that fails names the pair."""
     gap, i, j, label = smallest_sinh_gap(a, b, shifts)
+    if np.ndim(gap):
+        # The rows are searched only where the smallest gap (or a nan) asks.
+        rows = np.flatnonzero(gap.ravel() <= tol) if not gap.min(initial=np.inf) > tol else []
+        if len(rows) == 0:
+            return
+        gap, i, j, label = (v.ravel()[rows[0]] for v in (gap, i, j, label))
     if gap <= tol:
         pair = f"{names[0]}_{i + 1} - {names[1]}_{j + 1}{label}"
         raise error(f"|sinh({pair})| = {gap:.3e} <= {tol:g}")

@@ -7,11 +7,19 @@ Dormand-Prince 5(4) pair written here, so the package needs no ODE
 library; the second-order form of the equations of motion is only used
 as a residual check.  States
 and all derived matrices are complex; real initial data simply embeds.
+
+evolve returns its samples as arrays (a Trajectory of times, coordinates
+and momenta).  velocities, lax_from_velocities, symmetric_invariants and
+char_poly_via_en take coordinates stacked over samples, of shape
+(..., n), so that a trajectory is checked in array passes rather than
+one sample at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,10 +33,9 @@ from .errors import (
 from .linalg import (
     UNSHIFTED,
     eta_shifts,
+    gap_quotient,
     lagrange_vandermonde_inverse,
     require_sinh_gap,
-    sinh_pair_product,
-    sinh_pair_quotient,
     sinh_pairs,
     smallest_sinh_gap,
 )
@@ -43,6 +50,10 @@ _COLLISION_TOL = 1e-6
 # rtol.  Below it the step falls to 10 ulp of t near t = 0, where y + h k
 # stops moving, and the run does not return.
 MIN_TOL_ODE = 100 * np.finfo(float).eps
+# Pair-matrix entries (16 KB) that a pass over stacked samples forms at a
+# time: stacks of samples in blocks of this size keep the heap, and so the
+# peak memory, near the per-sample loop's whatever n_samples is.
+PAIR_ENTRIES = 2**10
 
 
 @dataclass(frozen=True)
@@ -66,29 +77,65 @@ class RSState:
         return self.x.size
 
 
+@lru_cache(maxsize=16)
+def _diagonal(n: int) -> np.ndarray:
+    """The read-only n x n boolean mask of the diagonal; the field, called
+    once per integrator stage, would otherwise build it three times."""
+    diag = np.eye(n, dtype=bool)
+    diag.flags.writeable = False
+    return diag
+
+
+def _pair_weights(x, eta) -> tuple[np.ndarray, np.ndarray]:
+    """(d, ratio): the pair differences d = x_i - x_j and the pair weights
+    sinh(d + eta)/sinh(d), 1 on the diagonal, for coordinates of shape
+    (..., n).  One pass over d also checks general position; only a
+    failure goes to require_sinh_gap, which words it."""
+    d = x[..., :, None] - x[..., None, :]
+    diag = _diagonal(x.shape[-1])
+    with np.errstate(over="ignore"):
+        den = np.sinh(d)
+    den[..., diag] = 1.0
+    if not np.abs(den).min(initial=np.inf) > _GP_TOL:
+        require_sinh_gap(x, None, UNSHIFTED, _GP_TOL, GeneralPositionViolated, ("x", "x"))
+    ratio = gap_quotient(d, eta, 0.0, den)
+    ratio[..., diag] = 1.0
+    return d, ratio
+
+
 def rs_hamiltonian(state: RSState) -> complex:
     """sum_i e^{eta p_i} prod_{k != i} sinh(x_i - x_k + eta)/sinh(x_i - x_k)."""
-    x, p, eta = state.x, state.p, state.eta
-    require_sinh_gap(x, None, UNSHIFTED, _GP_TOL, GeneralPositionViolated, ("x", "x"))
-    return complex(np.sum(np.exp(eta * p) * sinh_pair_product(x, None, eta, 0.0)))
+    weights = np.prod(_pair_weights(state.x, state.eta)[1], axis=-1)
+    return complex(np.sum(np.exp(state.eta * state.p) * weights))
 
 
-def velocities(state: RSState) -> np.ndarray:
-    """dx_i/dt = eta e^{eta p_i} prod_{k != i} sinh(x_i - x_k + eta)/sinh(x_i - x_k)."""
-    x, p, eta = state.x, state.p, state.eta
-    require_sinh_gap(x, None, UNSHIFTED, _GP_TOL, GeneralPositionViolated, ("x", "x"))
-    return eta * np.exp(eta * p) * sinh_pair_product(x, None, eta, 0.0)
+def velocities(x, p, eta) -> np.ndarray:
+    """dx_i/dt = eta e^{eta p_i} prod_{k != i} sinh(x_i - x_k + eta)/sinh(x_i - x_k)
+    at coordinates x, momenta p and coupling eta.
+
+    Coordinates and momenta of shape (..., n) give velocities of shape
+    (..., n), with one general-position check over the whole stack.
+    """
+    x = np.asarray(x, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    eta = complex(eta)
+    return eta * np.exp(eta * p) * np.prod(_pair_weights(x, eta)[1], axis=-1)
 
 
-def _csch_pairs(x, shift) -> np.ndarray:
-    """The pair matrix csch(x_i - x_j + shift), 0 on the diagonal, each entry
-    as -2 s e^{-s d} / expm1(-2 s d) with s = +-1 the sign of Re d: no
-    exponent has a positive real part, so nothing overflows or cancels at
-    any gap."""
-    diag = np.eye(x.size, dtype=bool)
-    d = np.where(diag, 1.0, x[:, None] - x[None, :] + shift)
-    s = np.where(d.real < 0, -1.0, 1.0)
-    return np.where(diag, 0.0, -2 * s * np.exp(-s * d) / np.expm1(-2 * s * d))
+def _csch_pairs(d) -> np.ndarray:
+    """csch of the pair differences d = x_i - x_j + shift, 0 on the
+    diagonal, each entry as -2 s e^{-s d} / expm1(-2 s d) with s = +-1 the
+    sign of Re d: no exponent has a positive real part, so nothing
+    overflows or cancels at any gap."""
+    diag = _diagonal(d.shape[-1])
+    d = np.where(diag, 1.0, d)
+    flip = d.real < 0
+    # -s d, and -2 s for the numerator.
+    e = np.where(flip, d, -d)
+    out = np.where(flip, 2.0, -2.0) * np.exp(e)
+    out /= np.expm1(2 * e)
+    out[..., diag] = 0.0
+    return out
 
 
 def hamilton_rhs(x, p, eta) -> tuple[np.ndarray, np.ndarray]:
@@ -104,32 +151,35 @@ def hamilton_rhs(x, p, eta) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=complex)
     p = np.asarray(p, dtype=complex)
     eta = complex(eta)
-    require_sinh_gap(x, None, UNSHIFTED, _GP_TOL, GeneralPositionViolated, ("x", "x"))
+    # The general-position check, the weights and csch read one pass
+    # over the pair differences.
+    d, ratio = _pair_weights(x, eta)
     boost = np.exp(eta * p)
-    ratio = sinh_pair_quotient(x, None, eta, 0.0)
-    diag = np.eye(x.size, dtype=bool)
     # omit[i, k] = prod over l not in {i, k} of ratio[i, l].
-    omit = np.prod(np.where(diag[None, :, :], 1.0, ratio[:, None, :]), axis=2)
+    omit = np.multiply.reduce(np.where(_diagonal(x.size), 1.0, ratio[:, None, :]), axis=2)
     # flux[i, k] enters dp_i/dt with a minus sign and dp_k/dt with a plus sign.
-    flux = -np.sinh(eta) * boost[:, None] * omit * _csch_pairs(x, 0.0) ** 2
-    return eta * boost * np.prod(ratio, axis=1), flux.sum(axis=0) - flux.sum(axis=1)
+    flux = -np.sinh(eta) * boost[:, None] * omit * _csch_pairs(d) ** 2
+    xdot = eta * boost * np.multiply.reduce(ratio, axis=1)
+    return xdot, np.add.reduce(flux, axis=0) - np.add.reduce(flux, axis=1)
 
 
 def acceleration(x, xdot, eta) -> np.ndarray:
     """Second-order form of the equations of motion, evaluated from (x, dx/dt)."""
     x = np.asarray(x, dtype=complex)
     xdot = np.asarray(xdot, dtype=complex)
+    d = x[:, None] - x[None, :]
     # The diagonal takes coth(1), which meets the 0 diagonal of _csch_pairs.
-    coth = 1 / np.tanh(x[:, None] - x[None, :] + np.eye(x.size))
-    pair = coth * _csch_pairs(x, eta) * _csch_pairs(x, -eta)
+    coth = 1 / np.tanh(d + np.eye(x.size))
+    pair = coth * _csch_pairs(d + eta) * _csch_pairs(d - eta)
     return -2.0 * np.sinh(eta) ** 2 * xdot * np.sum(pair * xdot, axis=1)
 
 
 def lax_from_velocities(x, xdot, eta) -> np.ndarray:
     """L_ij = sinh(eta) xdot_i / sinh(x_i - x_j - eta); diagonal is -xdot_i.
 
-    Velocities of shape (..., n) give a stack of Lax matrices of shape
-    (..., n, n) at the one x, checked for general position once.  An
+    Velocities of shape (..., n), at one x of shape (n,) or at a stack
+    of shape (..., n), give a stack of Lax matrices of shape (..., n, n),
+    checked for general position once over the stack.  An
     entry whose sinh overflows is set to 0: it is below about
     1e-308 |sinh(eta) xdot_i|, negligible against the diagonal -xdot_i,
     and complex division by an infinite sinh would make it nan.
@@ -147,7 +197,7 @@ def lax_from_velocities(x, xdot, eta) -> np.ndarray:
 
 def lax_from_momenta(state: RSState) -> np.ndarray:
     """Lax matrix written directly in momenta; equals the velocity build."""
-    return lax_from_velocities(state.x, velocities(state), state.eta)
+    return lax_from_velocities(state.x, velocities(state.x, state.p, state.eta), state.eta)
 
 
 def a_matrix(x, xdot, eta) -> np.ndarray:
@@ -161,10 +211,11 @@ def a_matrix(x, xdot, eta) -> np.ndarray:
     xdot = np.asarray(xdot, dtype=complex)
     eta = complex(eta)
     require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
-    csch0 = _csch_pairs(x, 0.0)
+    d = x[:, None] - x[None, :]
+    csch0 = _csch_pairs(d)
     a = xdot[:, None] * csch0
     # coth(d) - coth(d + eta) = sinh(eta) csch(d) csch(d + eta); l = j gives -coth(eta).
-    coupling = np.sinh(eta) * np.sum(csch0 * _csch_pairs(x, eta) * xdot, axis=1)
+    coupling = np.sinh(eta) * np.sum(csch0 * _csch_pairs(d + eta) * xdot, axis=1)
     np.fill_diagonal(a, coupling - xdot / np.tanh(eta))
     return a
 
@@ -222,19 +273,21 @@ def symmetric_invariants(x, weights, eta) -> np.ndarray:
     the subsets S of {0..k-1} with k added, so their terms are those of
     S times w_k times prod_{i in S} cauchy_factor(x_i - x_k).  The terms
     are then summed by subset size.  O(2^n n) work and no loop over
-    subsets; weights of shape (..., n) give invariants of shape (..., n).
+    subsets.  Coordinates and weights of shape (..., n), broadcast
+    against each other, give invariants of shape (..., n); the terms take
+    2^n entries per item.
     """
     x = np.asarray(x, dtype=complex)
     weights = np.asarray(weights, dtype=complex)
-    n = x.size
-    pair = cauchy_factor(x[:, None] - x[None, :], eta)
+    n = x.shape[-1]
+    pair = cauchy_factor(x[..., :, None] - x[..., None, :], eta)
     terms = np.ones(weights.shape[:-1] + (1,), dtype=complex)
     size = np.zeros(1, dtype=int)
     for k in range(n):
         # cross[S] = prod_{i in S} pair[i, k] over the subsets S of {0..k-1}.
-        cross = np.ones(1, dtype=complex)
+        cross = np.ones(pair.shape[:-2] + (1,), dtype=complex)
         for i in range(k):
-            cross = np.concatenate([cross, cross * pair[i, k]])
+            cross = np.concatenate([cross, cross * pair[..., i, k, None]], axis=-1)
         terms = np.concatenate([terms, terms * cross * weights[..., k : k + 1]], axis=-1)
         size = np.concatenate([size, size + 1])
     # Sum by subset size without BLAS: a product with a one-hot size
@@ -246,9 +299,11 @@ def symmetric_invariants(x, weights, eta) -> np.ndarray:
 
 def char_poly_via_en(x, xdot, eta) -> np.ndarray:
     """Coefficients (highest power first) of det(lambda I - L) assembled
-    from the subset-sum invariants rather than from the matrix."""
+    from the subset-sum invariants rather than from the matrix; stacked
+    like symmetric_invariants."""
     en = symmetric_invariants(x, -np.asarray(xdot, dtype=complex), eta)
-    return np.concatenate([[1.0], (-1.0) ** np.arange(1, en.size + 1) * en])
+    signs = (-1.0) ** np.arange(1, en.shape[-1] + 1)
+    return np.concatenate([np.ones(en.shape[:-1] + (1,)), signs * en], axis=-1)
 
 
 def ladder(K: int, eta) -> np.ndarray:
@@ -318,8 +373,8 @@ def xle_relation_check(state: RSState) -> float:
     e^{-eta} e^X L e^{-X} - e^{eta} e^{-X} L e^X = 2 sinh(eta) Xdot E,
     relative to ||L||, with E the all-ones matrix."""
     x, eta = state.x, state.eta
-    lax = lax_from_momenta(state)
-    xd = velocities(state)
+    xd = velocities(x, state.p, eta)
+    lax = lax_from_velocities(x, xd, eta)
     ex = np.exp(x)
     lhs = np.exp(-eta) * (ex[:, None] * lax / ex[None, :]) - np.exp(eta) * (
         lax * ex[None, :] / ex[:, None]
@@ -436,14 +491,16 @@ def _dormand_prince(f, y0, f0, t_final, tol, counts):
         k[0] = k[6]
 
 
-class Trajectory(list):
-    """The (t, RSState) samples of evolve.  ``ode`` holds the integrator's
-    deterministic counts: field evaluations ``nfev``, accepted ``steps``
-    and ``rejected`` steps."""
+class Trajectory(NamedTuple):
+    """The samples of evolve as arrays: times ``t`` of shape (S,),
+    coordinates ``x`` and momenta ``p`` of shape (S, n), row s the state
+    at t[s].  ``ode`` holds the integrator's deterministic counts: field
+    evaluations ``nfev``, accepted ``steps`` and ``rejected`` steps."""
 
-    def __init__(self, ode: dict[str, int]):
-        super().__init__()
-        self.ode = ode
+    t: np.ndarray
+    x: np.ndarray
+    p: np.ndarray
+    ode: dict[str, int]
 
 
 def evolve(
@@ -455,13 +512,16 @@ def evolve(
     """Adaptive Dormand-Prince 5(4) integration of the canonical flow,
     forward or backward in time.
 
-    Returns (t, state) samples on the uniform grid of n_samples times from
-    0 to t_final, both ends included (all at t = 0 when t_final is 0),
-    taken from the continuous extension of the free-running steps.  Raises
-    CollisionDetected when some |sinh(x_i - x_j)| crosses ``_COLLISION_TOL``
-    at an accepted step (located on the interpolant) or _GP_TOL at a trial
-    stage, StepSizeUnderflow when the integrator stalls or the field is not
-    finite at the start, and ValueError when tol_ode is below MIN_TOL_ODE.
+    Returns the Trajectory of n_samples states on the uniform grid of
+    times from 0 to t_final, both ends included (all at t = 0 when
+    t_final is 0), taken from the continuous extension of the
+    free-running steps and checked for general position as a stack, in
+    blocks of PAIR_ENTRIES pair entries.  Raises CollisionDetected when
+    some |sinh(x_i - x_j)| crosses ``_COLLISION_TOL`` at an accepted step
+    (located on the interpolant), _GP_TOL at a trial stage or _EXIST_TOL
+    at a sample, StepSizeUnderflow when the integrator stalls or the
+    field is not finite at the start, and ValueError when tol_ode is
+    below MIN_TOL_ODE.
     """
     if not tol_ode >= MIN_TOL_ODE:
         raise ValueError(f"tol_ode must be at least {MIN_TOL_ODE:.3g}, got {tol_ode!r}")
@@ -469,8 +529,9 @@ def evolve(
     eta = state.eta
     t_final = float(t_final)
     ode = {"nfev": 0, "steps": 0, "rejected": 0}
-    samples = Trajectory(ode)
     grid = np.linspace(0.0, t_final, n_samples)
+    # The states (as real views of (x, p)) at grid[:len(samples)].
+    samples = []
 
     # The integrator works on the real view of the complex (x, p), so that
     # its error norm weighs real and imaginary parts alike.
@@ -485,8 +546,7 @@ def evolve(
     def sample_through(t_end, at):
         # Records the grid times not beyond t_end; at(t) is the state there.
         while len(samples) < n_samples and abs(grid[len(samples)]) <= abs(t_end):
-            z = at(grid[len(samples)]).view(complex)
-            samples.append((float(grid[len(samples)]), RSState(eta=eta, x=z[:n], p=z[n:])))
+            samples.append(at(grid[len(samples)]))
 
     y0 = np.concatenate([state.x, state.p]).view(float)
     if gap(y0) <= _COLLISION_TOL:
@@ -514,8 +574,8 @@ def evolve(
                     t_new, lambda s: y_new if s == t_new else dense((s - t) / (t_new - t))
                 )
         except StepSizeUnderflow as exc:
-            t_last, last = samples[-1]
-            g, i, j, _ = smallest_sinh_gap(last.x, None, UNSHIFTED)
+            t_last = grid[len(samples) - 1]
+            g, i, j, _ = smallest_sinh_gap(samples[-1].view(complex)[:n], None, UNSHIFTED)
             raise StepSizeUnderflow(
                 f"{exc} (last sample t = {t_last:.6g}, "
                 f"smallest |sinh(x_{i + 1} - x_{j + 1})| = {g:.3e} there)"
@@ -525,4 +585,10 @@ def evolve(
             raise CollisionDetected(
                 f"particles collide in the step from t = {t_new:.6g} (a trial stage has {exc})"
             ) from None
-    return samples
+    z = np.array(samples).view(complex)
+    x, p = z[:, :n], z[:, n:]
+    rows = max(1, PAIR_ENTRIES // n**2)
+    for start in range(0, n_samples, rows):
+        block = x[start : start + rows]
+        require_sinh_gap(block, None, UNSHIFTED, _EXIST_TOL, CollisionDetected, ("x", "x"))
+    return Trajectory(grid, x, p, ode)

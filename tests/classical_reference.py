@@ -3,7 +3,8 @@ differences along the flow, the power traces of the Newton identities,
 the subset-sum invariants as a plain loop over subsets, the companion
 matrix and second-order equations of motion as plain loops over
 particle pairs, the sector charges as an out-of-place product kernel,
-and the duality and momentum checks one eigenstate at a time."""
+the duality and momentum checks one eigenstate at a time, and the
+rs-evolve check of a trajectory one sample at a time."""
 
 from itertools import combinations
 
@@ -12,7 +13,14 @@ import numpy as np
 from vertexdual import RSState, duality
 from vertexdual.errors import MatchFailed, ZeroGValue
 from vertexdual.linalg import coth, match_multisets, sinh_pair_product
-from vertexdual.ruijsenaars import cauchy_factor, hamilton_rhs
+from vertexdual.ruijsenaars import (
+    cauchy_factor,
+    char_poly_via_en,
+    hamilton_rhs,
+    lax_from_velocities,
+    rs_hamiltonian,
+    velocities,
+)
 from vertexdual.spin_chain import _charge_site_blocks, _twist, joint_diagonalize, sector_bases
 
 
@@ -192,3 +200,27 @@ def momentum_residual_per_state(chain, spectrum) -> float:
             resid = np.max(np.abs(-H - rhs) / np.maximum(np.abs(H), 1e-12))
             worst = max(worst, float(resid))
     return worst
+
+
+def rs_evolve_checks_per_sample(trajectory, eta) -> tuple[list[complex], float, float]:
+    """rs-evolve's pass over an evolve trajectory one sample at a time: a
+    phase-space point, its velocities, Lax matrix, eigenvalues, subset
+    invariants and energy per sample, sample 0 the reference of the
+    drifts.  Returns the energies, the Lax eigenvalue drift and the
+    invariant drift."""
+    energies = []
+    lax_drift = invariant_drift = 0.0
+    for x, p in zip(trajectory.x, trajectory.p):
+        state = RSState(eta=eta, x=x, p=p)
+        xdot = velocities(state.x, state.p, eta)
+        eig = np.linalg.eigvals(lax_from_velocities(state.x, xdot, eta))
+        en = char_poly_via_en(state.x, xdot, eta)
+        if not energies:
+            eig0, en0 = eig, en
+        _, errors = match_multisets(eig, eig0)
+        lax_drift = max(lax_drift, float(errors.max()))
+        invariant_drift = max(
+            invariant_drift, float(np.max(np.abs(en - en0)) / max(np.max(np.abs(en0)), 1.0))
+        )
+        energies.append(rs_hamiltonian(state))
+    return energies, lax_drift, invariant_drift

@@ -209,7 +209,7 @@ def test_criterion_07_classical_structure():
     worst_lax4 = worst_lax5 = worst_char = worst_newton = worst_xle = worst_cauchy = 0.0
     for trial in range(5):
         state = draw_rs_state(rng, 4, eta=0.45)
-        xd = velocities(state)
+        xd = velocities(state.x, state.p, state.eta)
         lax = lax_from_velocities(state.x, xd, state.eta)
         n = 4
         cauchy_matrix = np.empty((n, n), dtype=complex)
@@ -252,16 +252,17 @@ def test_criterion_08_classical_dynamics():
         state = draw_rs_state(rng, L, eta=0.3)
         traj = evolve(state, 2.0, 1e-10, n_samples=17)
         ref = np.linalg.eigvals(lax_from_momenta(state))
-        for _, s in traj:
+        samples = [RSState(state.eta, x, p) for x, p in zip(traj.x, traj.p)]
+        for s in samples:
             eigs = np.linalg.eigvals(lax_from_momenta(s))
             _, errors = match_multisets(eigs, ref)
             worst_drift = max(worst_drift, float(errors.max()))
         delta = 1e-4
-        for _, s in traj[:: len(traj) // 4]:
+        for s in samples[:: len(samples) // 4]:
             plus = flow_step(s, delta)
             minus = flow_step(s, -delta)
             xdd = (plus.x - 2 * s.x + minus.x) / delta ** 2
-            target = acceleration(s.x, velocities(s), s.eta)
+            target = acceleration(s.x, velocities(s.x, s.p, s.eta), s.eta)
             worst_eom = max(
                 worst_eom,
                 float(np.max(np.abs(xdd - target)) / max(1.0, np.max(np.abs(target)))),
@@ -273,11 +274,12 @@ def test_criterion_08_classical_dynamics():
         state = RSState(eta=1j * np.pi / 2, x=x0, p=p0)
         traj = evolve(state, 1.0, 1e-10, n_samples=6)
         delta = 1e-4
-        for _, s in traj:
+        for x, p in zip(traj.x, traj.p):
+            s = RSState(state.eta, x, p)
             plus = flow_step(s, delta)
             minus = flow_step(s, -delta)
             xdd = (plus.x - 2 * s.x + minus.x) / delta ** 2
-            xd = velocities(s)
+            xd = velocities(s.x, s.p, s.eta)
             target = np.array(
                 [
                     4.0

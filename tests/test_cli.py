@@ -14,9 +14,13 @@ import pytest
 import vertexdual
 from vertexdual import cli
 from vertexdual.cli import main
+from vertexdual.errors import GeneralPositionViolated
 from vertexdual.identities import q_factorized, q_matrix, q_tilde_factorized, q_tilde_matrix
 from vertexdual.linalg import rel_diff
+from vertexdual.ruijsenaars import RSState, evolve
 from vertexdual.sampling import draw_identity_params, rng_from_seed
+
+from classical_reference import rs_evolve_checks_per_sample
 
 TOP_LEVEL_KEYS = {"schema_version", "command", "config", "results", "summary", "timestamp"}
 
@@ -278,6 +282,73 @@ class TestRsEvolve:
         rep_a.pop("timestamp")
         rep_b.pop("timestamp")
         assert json.dumps(rep_a, sort_keys=True) == json.dumps(rep_b, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {},
+            {"eta": 0.3, "x0": [0.1, 0.9, 1.8, 2.5], "p0": [0.2, 0, -0.1, 0.3], "n_samples": 9},
+            # The warm-up point of the classical-flow benchmark, n = 6.
+            {
+                "eta": 0.33,
+                "x0": [0.1, 0.9, 1.7, 2.5, 3.3, 4.1],
+                "p0": [0.1, -0.2, 0.15, 0.0, 0.05, -0.1],
+                "t_final": 8.0,
+            },
+            # n = 9: the invariants run in blocks of 2 samples.
+            {
+                "eta": 0.4,
+                "x0": [0.8 * k for k in range(9)],
+                "p0": [0.05 * (-1) ** k for k in range(9)],
+                "t_final": 3.0,
+            },
+            {
+                "eta": [0.3, 0.2],
+                "x0": [[0.1, 0.05], 1.0, [2.1, -0.1]],
+                "p0": [0.2, [0.0, 0.1], -0.1],
+                "t_final": -3.0,
+                "n_samples": 50,
+            },
+        ],
+        ids=["default", "n4", "n6", "n9", "complex-backward"],
+    )
+    def test_stacked_checks_match_per_sample_loop(self, tmp_path, config):
+        # The command checks the whole trajectory in one array pass; the
+        # per-sample loop it replaced is the reference.
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code, report = _run(tmp_path, ["rs-evolve", "--config", str(tmp_path / "c.json")])
+        assert code == 0
+        resolved = report["config"]
+        eta = cli._as_complex(resolved["eta"])
+        state = RSState(
+            eta=eta,
+            x=[cli._as_complex(z) for z in resolved["x0"]],
+            p=[cli._as_complex(z) for z in resolved["p0"]],
+        )
+        trajectory = evolve(state, resolved["t_final"], resolved["tol_ode"], resolved["n_samples"])
+        energies, lax_drift, invariant_drift = rs_evolve_checks_per_sample(trajectory, eta)
+        samples = report["results"]["trajectory"]
+        assert [s["t"] for s in samples] == trajectory.t.tolist()
+        for sample, energy in zip(samples, energies):
+            assert abs(complex(*sample["energy"]) - energy) <= 1e-14 * abs(energy)
+        summary = report["summary"]
+        assert abs(summary["lax_eigenvalue_drift"] - lax_drift) <= 1e-14 * lax_drift
+        assert abs(summary["invariant_drift"] - invariant_drift) <= 1e-14 * invariant_drift
+
+    def test_sample_on_an_eta_gap_is_a_config_error(self, tmp_path, capsys):
+        # x_1 - x_2 + eta = 0 at t = 0: the flow is regular there, the Lax
+        # matrix is not.  The stacked pass names the pair as the per-sample
+        # loop does.
+        config = {"eta": 0.35, "x0": [0.1, 0.45], "p0": [0, 0]}
+        message = "|sinh(x_1 - x_2 + eta)| = 0.000e+00 <= 1e-09"
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code, report = _run(tmp_path, ["rs-evolve", "--config", str(tmp_path / "c.json")])
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        trajectory = evolve(RSState(eta=0.35, x=[0.1, 0.45], p=[0, 0]), 2.0)
+        with pytest.raises(GeneralPositionViolated) as info:
+            rs_evolve_checks_per_sample(trajectory, 0.35)
+        assert str(info.value) == message
 
     def test_mismatched_lengths_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"

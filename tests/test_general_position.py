@@ -9,6 +9,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexdual import (
     BetheRootSet,
@@ -31,7 +33,7 @@ from vertexdual import (
     velocities,
 )
 from vertexdual.bethe import _equations
-from vertexdual.linalg import coth, eta_shifts, sinh_pair_product, smallest_sinh_gap
+from vertexdual.linalg import coth, eta_shifts, sinh_pair_product, sinh_pairs, smallest_sinh_gap
 from vertexdual.ruijsenaars import hamilton_rhs
 from vertexdual import ruijsenaars, sampling
 from vertexdual.sampling import draw_chain_params, draw_identity_params, rng_from_seed
@@ -60,6 +62,31 @@ def _loop_gap(x, eta):
         for s in (0.0, eta, -eta)
     ]
     return min(gaps, default=np.inf)
+
+
+def _gap_list_form(a, b, shifts):
+    """smallest_sinh_gap as a list of one sinh_pairs matrix per shift and
+    one argmin over all of them: its form before it took stacks."""
+    with np.errstate(over="ignore"):
+        gaps = np.abs([sinh_pairs(a, b, s) for s in shifts.values()])
+    if b is None:
+        gaps[:, np.eye(gaps.shape[1], dtype=bool)] = np.inf
+    if gaps.size == 0:
+        return np.inf, -1, -1, ""
+    k, i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
+    return float(gaps[k, i, j]), int(i), int(j), list(shifts)[k]
+
+
+# Coordinates with exact ties (small integers) and gaps whose sinh overflows.
+_COORD = st.one_of(
+    st.integers(-3, 3).map(complex),
+    st.complex_numbers(max_magnitude=720, allow_nan=False, allow_infinity=False),
+)
+_SHIFTS = st.lists(
+    st.one_of(st.integers(-2, 2).map(complex), st.complex_numbers(max_magnitude=3)),
+    min_size=1,
+    max_size=3,
+).map(lambda values: {f" + s{k}": v for k, v in enumerate(values)})
 
 
 def _loop_hamilton_rhs(state):
@@ -178,10 +205,38 @@ class TestKernel:
             eta = complex(rng.uniform(0.2, 1.0), rng.uniform(-0.3, 0.3))
             assert smallest_sinh_gap(x, None, eta_shifts(eta))[0] == _loop_gap(x, eta)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.lists(_COORD, min_size=1, max_size=6),
+        b=st.one_of(st.none(), st.lists(_COORD, max_size=5)),
+        shifts=_SHIFTS,
+    )
+    def test_gap_matches_list_form(self, a, b, shifts):
+        got = smallest_sinh_gap(a, b, shifts)
+        assert got == _gap_list_form(a, b, shifts)
+        assert [type(v) for v in got] == [float, int, int, str]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.lists(_COORD, min_size=n, max_size=n), min_size=1, max_size=4)
+        ),
+        b=st.one_of(st.none(), st.lists(_COORD, max_size=4)),
+        shifts=_SHIFTS,
+    )
+    def test_stacked_gap_matches_row_loop(self, rows, b, shifts):
+        gap, i, j, label = smallest_sinh_gap(np.array(rows, dtype=complex), b, shifts)
+        loop = [smallest_sinh_gap(row, b, shifts) for row in rows]
+        assert gap.tolist() == [g for g, _, _, _ in loop]
+        assert i.tolist() == [r for _, r, _, _ in loop]
+        assert j.tolist() == [c for _, _, c, _ in loop]
+        assert label.tolist() == [name for _, _, _, name in loop]
+
     def test_gap_names_pair_and_shift(self):
         gap, i, j, label = smallest_sinh_gap([0.0, 0.3, 1.0], [0.05, 1.4], {"": 0.0, " + eta": 0.4})
         assert (i, j, label) == (2, 1, " + eta") and gap < 1e-15
         assert smallest_sinh_gap([0.5], None, {"": 0.0})[0] == np.inf
+        assert smallest_sinh_gap(np.zeros((0, 3)), None, {"": 0.0})[0].shape == (0,)
 
 
 class TestHamiltonRhs:
@@ -224,7 +279,7 @@ class TestCheckSites:
             (lambda: ChainParams(L=2, eta=0.5, h=0.1, inhom=(0.3, 0.3)), GPV, "x_1 - x_2)"),
             (lambda: ChainParams(L=3, eta=0.5, h=0.1, inhom=(1, 0, 0.5)), GPV, "x_2 - x_3 + eta"),
             (lambda: RSState(eta=0.4, x=[0.1, 0.9, 0.9], p=[0, 0, 0]), GPV, "x_2 - x_3)"),
-            (lambda: velocities(RSState(eta=0.4, x=[0, 5e-10], p=[0, 0])), GPV, "x_1 - x_2)"),
+            (lambda: velocities([0, 5e-10], [0, 0], 0.4), GPV, "x_1 - x_2)"),
             (lambda: lax_from_velocities([0.2, 0.65], [1, 1], 0.45), GPV, "x_1 - x_2 + eta"),
             (lambda: factorized_lax(RSState(0.45, [0.2, 0.65], [0, 0])), GPV, "x_1 - x_2 + eta"),
             (lambda: IdentityParams(2, 0, (0.4, 0.4), (), 1.0, 0.3), GPV, "x_1 - x_2)"),

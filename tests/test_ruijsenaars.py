@@ -72,7 +72,7 @@ class TestHamiltonian:
         rng = np.random.default_rng(2)
         st = _random_state(rng, 4)
         eps = 1e-5
-        vel = velocities(st)
+        vel = velocities(st.x, st.p, st.eta)
         for i in range(4):
             step = np.zeros(4)
             step[i] = eps
@@ -114,7 +114,7 @@ class TestHamiltonian:
         xdot, pdot = hamilton_rhs(st.x, st.p, st.eta)
         for value, expected in (
             (xdot, eta * limit),
-            (velocities(st), eta * limit),
+            (velocities(st.x, st.p, st.eta), eta * limit),
             (rs_hamiltonian(st), limit.sum()),
         ):
             assert np.all(np.isfinite(value))
@@ -140,7 +140,7 @@ class TestLaxBuilds:
         assert abs(lax[0, 0] + 0.4 * np.exp(0.4 * 0.5)) < 1e-14
 
     def test_diagonal_is_minus_velocity(self):
-        vel = velocities(STATE3)
+        vel = velocities(STATE3.x, STATE3.p, STATE3.eta)
         lax = lax_from_momenta(STATE3)
         assert np.max(np.abs(np.diag(lax) + vel)) < 1e-14
         assert abs(np.trace(lax) + np.sum(vel)) < 1e-13
@@ -148,7 +148,7 @@ class TestLaxBuilds:
     def test_velocity_build_is_weighted_cauchy(self):
         rng = np.random.default_rng(7)
         st = _random_state(rng, 5)
-        xd = velocities(st)
+        xd = velocities(st.x, st.p, st.eta)
         lax = lax_from_velocities(st.x, xd, st.eta)
         n = 5
         cauchy = np.empty((n, n), dtype=complex)
@@ -160,7 +160,7 @@ class TestLaxBuilds:
         rng = np.random.default_rng(8)
         st = _random_state(rng, 4)
         a = lax_from_momenta(st)
-        b = lax_from_velocities(st.x, velocities(st), st.eta)
+        b = lax_from_velocities(st.x, velocities(st.x, st.p, st.eta), st.eta)
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
     def test_factorized_build(self):
@@ -201,12 +201,12 @@ class TestLaxBuilds:
 
 class TestCompanionMatrix:
     def test_single_particle_entry(self):
-        xd = velocities(RSState(eta=0.4, x=np.array([0.2]), p=np.array([0.5])))
+        xd = velocities([0.2], [0.5], 0.4)
         a = a_matrix(np.array([0.2]), xd, 0.4)
         assert abs(a[0, 0] + xd[0] * coth(0.4)) < 1e-14
 
     def test_off_diagonal_carries_row_velocity(self):
-        xd = velocities(STATE3)
+        xd = velocities(STATE3.x, STATE3.p, STATE3.eta)
         a = a_matrix(STATE3.x, xd, STATE3.eta)
         for j in range(3):
             for k in range(3):
@@ -239,7 +239,7 @@ class TestCompanionMatrix:
                 2 * delta
             )
             lax = lax_from_momenta(state)
-            a = a_matrix(state.x, velocities(state), state.eta)
+            a = a_matrix(state.x, velocities(state.x, state.p, state.eta), state.eta)
             resid = np.linalg.norm(d_lax - (a @ lax - lax @ a)) / np.linalg.norm(lax)
             assert resid < 1e-6
 
@@ -304,7 +304,7 @@ class TestSpectralInvariants:
     def test_first_and_last_invariants(self):
         rng = np.random.default_rng(14)
         st = _random_state(rng, 4)
-        xd = velocities(st)
+        xd = velocities(st.x, st.p, st.eta)
         coeffs = char_poly_via_en(st.x, xd, st.eta)
         lax = lax_from_velocities(st.x, xd, st.eta)
         # lambda^{L-1} coefficient is -tr(L); constant term is (-1)^L det(L).
@@ -315,7 +315,7 @@ class TestSpectralInvariants:
     def test_matches_direct_characteristic_polynomial(self):
         rng = np.random.default_rng(15)
         st = _random_state(rng, 5, spread=0.75)
-        xd = velocities(st)
+        xd = velocities(st.x, st.p, st.eta)
         coeffs = char_poly_via_en(st.x, xd, st.eta)
         direct = np.poly(np.linalg.eigvals(lax_from_velocities(st.x, xd, st.eta)))
         assert np.max(np.abs(coeffs - direct)) < 1e-9 * np.max(np.abs(direct))
@@ -324,7 +324,7 @@ class TestSpectralInvariants:
         rng = np.random.default_rng(16)
         for n in (2, 4, 6):
             st = _random_state(rng, n, spread=0.7)
-            xd = velocities(st)
+            xd = velocities(st.x, st.p, st.eta)
             lax = lax_from_velocities(st.x, xd, st.eta)
             en = np.concatenate([[1.0], (-1.0) ** np.arange(1, n + 1) * 0])
             coeffs = char_poly_via_en(st.x, xd, st.eta)
@@ -341,7 +341,7 @@ class TestSpectralInvariants:
     def test_translation_covariance(self):
         rng = np.random.default_rng(17)
         st = _random_state(rng, 4)
-        xd = velocities(st)
+        xd = velocities(st.x, st.p, st.eta)
         coeffs = char_poly_via_en(st.x, xd, st.eta)
         shifted = char_poly_via_en(st.x + (0.37 - 0.21j), xd, st.eta)
         assert np.max(np.abs(coeffs - shifted)) < 1e-10 * np.max(np.abs(coeffs))
@@ -394,16 +394,16 @@ class TestEvolution:
         st = RSState(eta=0.4, x=np.array([0.2]), p=np.array([0.5]))
         traj = evolve(st, 2.0, 1e-12, n_samples=9)
         speed = 0.4 * np.exp(0.4 * 0.5)
-        for t, state in traj:
-            assert abs(state.x[0] - (0.2 + speed * t)) < 1e-10
-            assert abs(state.p[0] - 0.5) < 1e-12
+        assert traj.x.shape == traj.p.shape == (9, 1)
+        assert np.max(np.abs(traj.x[:, 0] - (0.2 + speed * traj.t))) < 1e-10
+        assert np.max(np.abs(traj.p[:, 0] - 0.5)) < 1e-12
 
     def test_two_particles_conserved_invariants(self):
         st = RSState(eta=0.3, x=np.array([0.2, 1.3]), p=np.array([0.25, -0.2]))
         traj = evolve(st, 2.0, 1e-10, n_samples=21)
-        ref = char_poly_via_en(st.x, velocities(st), st.eta)
-        for _, state in traj:
-            coeffs = char_poly_via_en(state.x, velocities(state), state.eta)
+        ref = char_poly_via_en(st.x, velocities(st.x, st.p, st.eta), st.eta)
+        for x, xd in zip(traj.x, velocities(traj.x, traj.p, st.eta)):
+            coeffs = char_poly_via_en(x, xd, st.eta)
             assert np.max(np.abs(coeffs - ref)) < 1e-7 * max(1.0, np.max(np.abs(ref)))
 
     def test_isospectral_drift(self):
@@ -411,8 +411,8 @@ class TestEvolution:
         st = _random_state(rng, 3)
         traj = evolve(st, 2.0, 1e-10, n_samples=17)
         ref = np.linalg.eigvals(lax_from_momenta(st))
-        for _, state in traj:
-            eigs = np.linalg.eigvals(lax_from_momenta(state))
+        for x, p in zip(traj.x, traj.p):
+            eigs = np.linalg.eigvals(lax_from_momenta(RSState(st.eta, x, p)))
             _, errors = match_multisets(eigs, ref)
             assert errors.max() < 1e-6
 
@@ -421,11 +421,12 @@ class TestEvolution:
         st = _random_state(rng, 3)
         traj = evolve(st, 1.0, 1e-10, n_samples=5)
         delta = 1e-3
-        for _, state in traj:
+        for x, p in zip(traj.x, traj.p):
+            state = RSState(st.eta, x, p)
             plus = flow_step(state, delta)
             minus = flow_step(state, -delta)
             xdd_fd = (plus.x - 2 * state.x + minus.x) / delta ** 2
-            target = acceleration(state.x, velocities(state), state.eta)
+            target = acceleration(state.x, velocities(state.x, state.p, state.eta), state.eta)
             scale = max(1.0, np.max(np.abs(target)))
             assert np.max(np.abs(xdd_fd - target)) < 1e-5 * scale
 
@@ -439,11 +440,12 @@ class TestEvolution:
         )
         traj = evolve(st, 0.6, 1e-10, n_samples=4)
         delta = 1e-4
-        for _, state in traj:
+        for x, p in zip(traj.x, traj.p):
+            state = RSState(st.eta, x, p)
             plus = flow_step(state, delta)
             minus = flow_step(state, -delta)
             xdd_fd = (plus.x - 2 * state.x + minus.x) / delta ** 2
-            xd = velocities(state)
+            xd = velocities(state.x, state.p, state.eta)
             target = np.array(
                 [
                     4.0
@@ -483,10 +485,9 @@ class TestEvolution:
             t_final = rng.uniform(7.5, 8.5)
             traj = evolve(st, t_final, 1e-10, n_samples=17)
             ref = _dop853(st, t_final, t_eval=np.linspace(0.0, t_final, 17))
-            assert [t for t, _ in traj] == list(ref.t)
-            for (_, state), y in zip(traj, ref.y.T):
-                z = np.ascontiguousarray(y).view(complex)
-                assert np.max(np.abs(np.concatenate([state.x, state.p]) - z)) <= 1e-7
+            assert traj.t.tolist() == list(ref.t)
+            z = np.ascontiguousarray(ref.y.T).view(complex)
+            assert np.max(np.abs(np.concatenate([traj.x, traj.p], axis=1) - z)) <= 1e-7
 
     def test_collision_detection(self):
         st = RSState(
@@ -541,7 +542,7 @@ class TestEvolution:
         # run does not return; at the floor it does.
         with pytest.raises(ValueError, match="tol_ode"):
             evolve(STATE3, 1.0, tol_ode=0.99 * MIN_TOL_ODE)
-        assert len(evolve(STATE3, 0.1, tol_ode=MIN_TOL_ODE, n_samples=3)) == 3
+        assert evolve(STATE3, 0.1, tol_ode=MIN_TOL_ODE, n_samples=3).x.shape == (3, 3)
 
 
 def test_invariants_multilinearity():
