@@ -138,7 +138,7 @@ def _starts(params: ChainParams, subsets: list[tuple[int, ...]], limit: int):
     xs = np.asarray(params.inhom)
     eta, L = params.eta, params.L
     k = np.array(subsets)
-    scatter = np.array([sinh_pair_product(xs[row], None, eta, -eta) for row in k])
+    scatter = sinh_pair_product(xs[k], None, eta, -eta)
     if limit < 0:
         coeff = np.sinh(eta) * sinh_pair_product(xs, None, eta, 0.0)[k] / scatter
         centre = xs[k]
@@ -216,25 +216,22 @@ def solve_bae(params: ChainParams, M2: int) -> list[BetheRootSet]:
     solutions: list[BetheRootSet] = []
     subsets = list(combinations(range(params.L), M2))
     unsolved = list(range(len(subsets)))
-    for retracks, (limit, beta) in enumerate(_SCHEDULE):
+    # The closing pass re-runs the h -> +inf paths of every subset: every
+    # path of a subset can end on solutions other subsets claimed (or on
+    # coincident roots) while the missing solution lies at the end of a
+    # solved subset's path from the other limit.
+    for retracks, (limit, beta) in enumerate(_SCHEDULE + (_SCHEDULE[1],)):
+        if not unsolved:
+            break
         h0, starts = _starts(params, subsets, limit)
-        for i in list(unsolved):
+        for i in list(unsolved) if retracks < len(_SCHEDULE) else range(len(subsets)):
+            if not unsolved:
+                break
             found = _root_set(_track(params, h0, starts[i], beta), params, solutions, retracks)
             if found is not None:
                 solutions.append(found)
-                unsolved.remove(i)
-    if unsolved:
-        # Every path of a subset can end on solutions other subsets claimed
-        # (or on coincident roots) while the missing solution lies at the
-        # end of a solved subset's path from the other limit.
-        (limit, beta), retracks = _SCHEDULE[1], len(_SCHEDULE)
-        h0, starts = _starts(params, subsets, limit)
-        for u in starts:
-            if len(solutions) == len(subsets):
-                break
-            found = _root_set(_track(params, h0, u, beta), params, solutions, retracks)
-            if found is not None:
-                solutions.append(found)
+                # A new solution settles one missing one, subset i's if missing.
+                unsolved.remove(i if i in unsolved else unsolved[0])
     solutions.sort(key=lambda s: complex_sort_key(s.roots))
     return solutions
 

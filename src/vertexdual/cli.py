@@ -29,6 +29,7 @@ import math
 import sys
 from collections.abc import Callable
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -434,7 +435,10 @@ _RUNNERS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared, so
+    callers only parse with it."""
     parser = argparse.ArgumentParser(
         prog="vertexdual",
         description="Verification experiments for the 6-vertex / Ruijsenaars-Schneider "

@@ -7,7 +7,9 @@ highest power first, leading coefficient 1 for monic polynomials.
 from __future__ import annotations
 
 import math
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 
@@ -178,6 +180,14 @@ def ipi_distance(u, v) -> float:
     return float(np.max(dist[np.arange(u.size), _assignment(dist)]))
 
 
+@lru_cache(maxsize=16)
+def diagonal_mask(n: int) -> np.ndarray:
+    """The read-only n x n boolean mask of the diagonal, built once per n."""
+    diag = np.eye(n, dtype=bool)
+    diag.flags.writeable = False
+    return diag
+
+
 def sinh_pairs(a, b, shift) -> np.ndarray:
     """The pair matrix sinh(a_i - b_j + shift).
 
@@ -189,61 +199,59 @@ def sinh_pairs(a, b, shift) -> np.ndarray:
     other = a if b is None else np.asarray(b, dtype=complex)
     out = np.sinh(a[..., :, None] - other[..., None, :] + shift)
     if b is None:
-        out[..., np.eye(a.shape[-1], dtype=bool)] = 1.0
+        out[..., diagonal_mask(a.shape[-1])] = 1.0
     return out
 
 
 # A pair is far apart where a shifted gap has |Re| > FAR_RE.  Its sinh
-# overflows from |Re| ~ 710, and complex division of two finite ones
-# overflows inside (giving 0, say) a little before that; far pairs are
+# overflows from |Re| ~ 710, and products and quotients of finite ones
+# overflow (giving inf or 0, say) from about half that; far pairs are
 # taken in a cancelled form, which is as accurate at any gap.
 FAR_RE = 350.0
 
 
-def _far_pair_quotient(d, top, bottom) -> np.ndarray:
-    """sinh(d + top)/sinh(d + bottom) as
-    e^{s(top - bottom)} expm1(-2s(d + top))/expm1(-2s(d + bottom)) with
-    s = +-1 the sign of Re d: the factors e^{|Re d|} cancel, so it stays
-    finite however far apart the pair is."""
+def _far_pair_quotient(d, tops, bottoms):
+    """prod_t sinh(d + t)/prod_b sinh(d + b), as many tops as bottoms, as
+    e^{s(sum t - sum b)} prod_t expm1(-2s(d + t))/prod_b expm1(-2s(d + b))
+    with s = +-1 the sign of Re d, from sinh(z) = -s e^{sz} expm1(-2sz)/2:
+    the factors -s e^{sd}/2 cancel, so it stays finite however far apart
+    the pair is."""
     s = np.where(np.real(d) < 0, -1.0, 1.0)
-    quotient = np.expm1(-2 * s * (d + top)) / np.expm1(-2 * s * (d + bottom))
-    return np.exp(s * (top - bottom)) * quotient
+    num = reduce(mul, (np.expm1(-2 * s * (d + t)) for t in tops))
+    den = reduce(mul, (np.expm1(-2 * s * (d + b)) for b in bottoms))
+    return np.exp(s * (sum(tops) - sum(bottoms))) * (num / den)
 
 
-def gap_quotient(d, top, bottom, den) -> np.ndarray:
-    """sinh(d + top)/den entrywise on the pair differences ``d``, where
-    den = sinh(d + bottom) was formed by the caller; far pairs are taken
-    from _far_pair_quotient.  Where den is 0 the entry is not finite, so
-    a caller pairing a family with itself sets its diagonal."""
-    out = d + top
+def gap_quotient(d, tops: tuple, bottoms: tuple, den=None) -> np.ndarray:
+    """prod_t sinh(d + t)/prod_b sinh(d + b) entrywise on the pair
+    differences ``d`` (an array), as many shifts on top as below; ``den``
+    is the denominator where the caller has formed it.  The one evaluator
+    of balanced sinh pair quotients: far pairs, where some |Re(d + shift)|
+    > FAR_RE, are taken from _far_pair_quotient.  Where the denominator is
+    0 the entry is not finite, so a caller pairing a family with itself
+    sets its diagonal.  Real d and shifts stay in real arithmetic."""
+    shifts = tops + bottoms
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        np.sinh(out, out=out)
-        out /= den
-    reach = max(abs(np.real(top)), abs(np.real(bottom)))
-    if max(d.real.max(initial=0.0), -d.real.min(initial=0.0)) + reach > FAR_RE:
-        far = np.maximum(np.abs(np.real(d + top)), np.abs(np.real(d + bottom))) > FAR_RE
-        out[far] = _far_pair_quotient(d[far], top, bottom)
-    return out
-
-
-def sinh_pair_quotient(a, b, top, bottom) -> np.ndarray:
-    """The pair matrix sinh(a_i - b_j + top)/sinh(a_i - b_j + bottom), 1
-    on the diagonal when ``b`` is None (see gap_quotient); stacked like
-    sinh_pairs."""
-    a = np.asarray(a, dtype=complex)
-    other = a if b is None else np.asarray(b, dtype=complex)
-    d = a[..., :, None] - other[..., None, :]
-    with np.errstate(over="ignore"):
-        out = gap_quotient(d, top, bottom, np.sinh(d + bottom))
-    if b is None:
-        out[..., np.eye(a.shape[-1], dtype=bool)] = 1.0
+        if den is None:
+            den = reduce(mul, (np.sinh(d + b) for b in bottoms))
+        out = reduce(mul, (np.sinh(d + t) for t in tops)) / den
+        if np.abs(d.real).max(initial=0.0) + max(abs(s.real) for s in shifts) > FAR_RE:
+            far = np.max([np.abs(np.real(d + s)) for s in shifts], axis=0) > FAR_RE
+            out = np.asarray(out)
+            out[far] = _far_pair_quotient(d[far], tops, bottoms)
     return out
 
 
 def sinh_pair_product(a, b, top, bottom) -> np.ndarray:
     """prod_j sinh(a_i - b_j + top)/sinh(a_i - b_j + bottom) for each i
-    (j != i when ``b`` is None); stacked like sinh_pairs."""
-    return np.prod(sinh_pair_quotient(a, b, top, bottom), axis=-1)
+    (j != i when ``b`` is None), far pairs as in gap_quotient; stacked
+    like sinh_pairs."""
+    a = np.asarray(a, dtype=complex)
+    other = a if b is None else np.asarray(b, dtype=complex)
+    quotient = gap_quotient(a[..., :, None] - other[..., None, :], (top,), (bottom,))
+    if b is None:
+        quotient[..., diagonal_mask(a.shape[-1])] = 1.0
+    return np.prod(quotient, axis=-1)
 
 
 # Shifts for the plain gaps sinh(a_i - b_j).
@@ -276,7 +284,7 @@ def smallest_sinh_gap(a, b, shifts: dict):
             np.add(d, s, out=shifted)
             np.abs(np.sinh(shifted, out=shifted), out=gaps[..., k, :, :])
     if b is None:
-        gaps[..., np.eye(a.shape[-1], dtype=bool)] = np.inf
+        gaps[..., diagonal_mask(a.shape[-1])] = np.inf
     flat = gaps.reshape(stack + (math.prod(gaps.shape[-3:]),))
     labels = np.array(list(shifts) + [""])
     if flat.shape[-1] == 0:
@@ -329,7 +337,7 @@ def lagrange_vandermonde_inverse(t: np.ndarray) -> np.ndarray:
     every numerator but the j-th by (z - t_j).
     """
     t = np.asarray(t, dtype=complex)
-    others = ~np.eye(t.size, dtype=bool)
+    others = ~diagonal_mask(t.size)
     num = np.zeros((t.size, t.size), dtype=complex)
     num[:, :1] = 1.0
     for j, rows in enumerate(others):

@@ -18,7 +18,6 @@ one sample at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .linalg import (
     UNSHIFTED,
+    diagonal_mask,
     eta_shifts,
     gap_quotient,
     lagrange_vandermonde_inverse,
@@ -77,28 +77,19 @@ class RSState:
         return self.x.size
 
 
-@lru_cache(maxsize=16)
-def _diagonal(n: int) -> np.ndarray:
-    """The read-only n x n boolean mask of the diagonal; the field, called
-    once per integrator stage, would otherwise build it three times."""
-    diag = np.eye(n, dtype=bool)
-    diag.flags.writeable = False
-    return diag
-
-
 def _pair_weights(x, eta) -> tuple[np.ndarray, np.ndarray]:
     """(d, ratio): the pair differences d = x_i - x_j and the pair weights
     sinh(d + eta)/sinh(d), 1 on the diagonal, for coordinates of shape
     (..., n).  One pass over d also checks general position; only a
     failure goes to require_sinh_gap, which words it."""
     d = x[..., :, None] - x[..., None, :]
-    diag = _diagonal(x.shape[-1])
+    diag = diagonal_mask(x.shape[-1])
     with np.errstate(over="ignore"):
         den = np.sinh(d)
     den[..., diag] = 1.0
     if not np.abs(den).min(initial=np.inf) > _GP_TOL:
         require_sinh_gap(x, None, UNSHIFTED, _GP_TOL, GeneralPositionViolated, ("x", "x"))
-    ratio = gap_quotient(d, eta, 0.0, den)
+    ratio = gap_quotient(d, (eta,), (0.0,), den)
     ratio[..., diag] = 1.0
     return d, ratio
 
@@ -127,7 +118,7 @@ def _csch_pairs(d) -> np.ndarray:
     diagonal, each entry as -2 s e^{-s d} / expm1(-2 s d) with s = +-1 the
     sign of Re d: no exponent has a positive real part, so nothing
     overflows or cancels at any gap."""
-    diag = _diagonal(d.shape[-1])
+    diag = diagonal_mask(d.shape[-1])
     d = np.where(diag, 1.0, d)
     flip = d.real < 0
     # -s d, and -2 s for the numerator.
@@ -156,7 +147,7 @@ def hamilton_rhs(x, p, eta) -> tuple[np.ndarray, np.ndarray]:
     d, ratio = _pair_weights(x, eta)
     boost = np.exp(eta * p)
     # omit[i, k] = prod over l not in {i, k} of ratio[i, l].
-    omit = np.multiply.reduce(np.where(_diagonal(x.size), 1.0, ratio[:, None, :]), axis=2)
+    omit = np.multiply.reduce(np.where(diagonal_mask(x.size), 1.0, ratio[:, None, :]), axis=2)
     # flux[i, k] enters dp_i/dt with a minus sign and dp_k/dt with a plus sign.
     flux = -np.sinh(eta) * boost[:, None] * omit * _csch_pairs(d) ** 2
     xdot = eta * boost * np.multiply.reduce(ratio, axis=1)
@@ -169,7 +160,7 @@ def acceleration(x, xdot, eta) -> np.ndarray:
     xdot = np.asarray(xdot, dtype=complex)
     d = x[:, None] - x[None, :]
     # The diagonal takes coth(1), which meets the 0 diagonal of _csch_pairs.
-    coth = 1 / np.tanh(d + np.eye(x.size))
+    coth = 1 / np.tanh(np.where(diagonal_mask(x.size), 1.0, d))
     pair = coth * _csch_pairs(d + eta) * _csch_pairs(d - eta)
     return -2.0 * np.sinh(eta) ** 2 * xdot * np.sum(pair * xdot, axis=1)
 
@@ -220,27 +211,17 @@ def a_matrix(x, xdot, eta) -> np.ndarray:
     return a
 
 
-def _cauchy_factor_cancelled(d, eta):
-    """cauchy_factor at the d with Re d >= 0 as expm1(-2d)^2 /
-    (expm1(-2(d + eta)) expm1(-2(d - eta))): the factors e^{2d} cancel,
-    so it stays finite, tending to 1, however far apart the pair is."""
-    d = np.where(np.real(d) < 0, -d, d)
-    return np.expm1(-2 * d) ** 2 / (np.expm1(-2 * (d + eta)) * np.expm1(-2 * (d - eta)))
-
-
 def cauchy_factor(d, eta):
     """sinh^2(d) / (sinh(d + eta) sinh(d - eta)); symmetric in d -> -d.
 
-    Where this quotient is not finite, as from |Re d| ~ 355 on, where
-    sinh^2(d) overflows, the cancelled form is taken.  Elsewhere the two
+    A balanced pair quotient (see linalg.gap_quotient): far pairs, from
+    |Re d| + |Re eta| > FAR_RE on, take the cancelled form, which tends to
+    1 and stays finite however far apart the pair is.  Elsewhere the two
     agree to about 1e-15 relative, but the sinh form is kept: an
     ill-conditioned inverse solve (Jacobian condition ~1e9) turns that
     last-bit difference into a 1e-7 move of its solution.
     """
-    d = np.asarray(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = np.sinh(d) ** 2 / (np.sinh(d + eta) * np.sinh(d - eta))
-    return np.where(np.isfinite(direct), direct, _cauchy_factor_cancelled(d, eta))
+    return gap_quotient(np.asarray(d), (0, 0), (eta, -eta))
 
 
 def cauchy_det(x, eta, subset=None) -> complex:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report schema, config validation,
 and byte-level determinism of the payload."""
 
+import argparse
 import json
 import os
 import re
@@ -530,3 +531,23 @@ def test_readme_config_table_lists_every_schema_key():
     for row in table.splitlines()[2:]:
         documented.update(re.findall(r"`(\w+)`", row.split("|")[1]))
     assert documented == set().union(*cli._SCHEMAS.values())
+
+
+def test_two_calls_build_one_parser(tmp_path, monkeypatch):
+    # The parser is built once per process, not once per main call.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "vertexdual":
+            built.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        for name in ("a.json", "b.json"):
+            assert main(["verify-duality", "--out", str(tmp_path / name)]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1

@@ -27,10 +27,9 @@ from vertexdual import (
     xle_relation_check,
 )
 from vertexdual import ruijsenaars
-from vertexdual.linalg import coth, match_multisets
+from vertexdual.linalg import FAR_RE, _far_pair_quotient, coth, match_multisets
 from vertexdual.ruijsenaars import (
     MIN_TOL_ODE,
-    _cauchy_factor_cancelled,
     cauchy_factor,
     hamilton_rhs,
     symmetric_invariants,
@@ -289,7 +288,7 @@ class TestCauchyFactor:
         for d in points:
             sinh_form = np.sinh(d) ** 2 / (np.sinh(d + eta) * np.sinh(d - eta))
             assert cauchy_factor(d, eta) == sinh_form, d
-            cancelled = _cauchy_factor_cancelled(d, eta)
+            cancelled = _far_pair_quotient(d, (0, 0), (eta, -eta))
             assert abs(cancelled - sinh_form) <= 1e-15 * abs(sinh_form), d
 
     @pytest.mark.parametrize("eta", [0.35, 0.5 + 0.2j])
@@ -298,6 +297,39 @@ class TestCauchyFactor:
         assert np.array_equal(cauchy_factor(np.array([400, -400, 800, -800]), eta), np.ones(4))
         off_axis = cauchy_factor(np.array([400 + 1j, -800 - 2j]), eta)
         assert np.max(np.abs(off_axis - 1)) <= 1e-15
+
+    @pytest.mark.parametrize("eta", [0.35, 0.5 + 0.2j])
+    def test_far_band_takes_the_cancelled_form(self, eta):
+        # From |Re d| = FAR_RE to ~355 the sinh form is still finite; the far
+        # rule takes the cancelled form there, and the two agree.
+        d = np.array([350.5, -351.0, 353.0 + 0.5j, -354.9 - 1j])
+        assert np.all(np.abs(d.real) > FAR_RE)
+        sinh_form = np.sinh(d) ** 2 / (np.sinh(d + eta) * np.sinh(d - eta))
+        assert np.all(np.isfinite(sinh_form))
+        far = cauchy_factor(d, eta)
+        assert np.array_equal(far, _far_pair_quotient(d, (0, 0), (eta, -eta)))
+        assert np.max(np.abs(far - sinh_form) / np.abs(sinh_form)) <= 1e-15
+
+    @pytest.mark.parametrize("d", [0.7, -400.0, 2 - 1j])
+    def test_zero_dimensional_input(self, d):
+        eta = 0.35
+        out = cauchy_factor(np.asarray(d), eta)
+        assert np.shape(out) == ()
+        # numpy's scalar and array complex products may differ in the last bit.
+        assert abs(out - cauchy_factor(np.array([d]), eta)[0]) <= 1e-15 * abs(out)
+
+    def test_int_array_with_complex_eta(self):
+        eta = 0.5 + 0.2j
+        d = np.array([1, -2, 3, 400, -800])
+        out = cauchy_factor(d, eta)
+        assert out.dtype == complex
+        assert np.array_equal(out, cauchy_factor(d.astype(float), eta))
+
+    def test_real_input_stays_real(self):
+        out = cauchy_factor(1e-8, 0.35)
+        assert np.isrealobj(out)
+        assert out == np.sinh(1e-8) ** 2 / (np.sinh(1e-8 + 0.35) * np.sinh(1e-8 - 0.35))
+        assert np.isrealobj(cauchy_factor(np.array([0.5, 400.0]), 0.35))
 
 
 class TestSpectralInvariants:
