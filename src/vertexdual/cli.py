@@ -278,13 +278,11 @@ def _cmd_verify_duality(config: dict):
                 "momentum_residual": report.momentum_residual,
                 "n_states": report.n_states,
                 "states": [
-                    {
-                        "sector_M2": M2,
-                        "match_error": err,
-                        "lax_eigenvalues": _vector_out(eigs),
-                    }
+                    {"sector_M2": M2, "match_error": err, "lax_eigenvalues": eigs}
                     for M2, rec in enumerate(report.records)
-                    for eigs, err in zip(rec.lax_eigenvalues, rec.match_errors.tolist())
+                    for eigs, err in zip(
+                        _vector_out(rec.lax_eigenvalues), rec.match_errors.tolist()
+                    )
                 ],
             }
         )

@@ -13,8 +13,9 @@ Conventions
   within one magnetization sector at a time it applies each charge to a
   block of sector vectors as a product of two-site weights and one
   diagonal.  G_k H_k and r(x) r(-x) are scalars, so G_k is H_k's
-  product reversed with the gaps negated (see _SectorCharges).  The
-  operator norms it needs come in closed form from the site blocks.
+  product reversed with the gaps negated (see _SectorCharges).  Its
+  weights and the operator norms it needs come from the gaps alone:
+  ||A_k||_F = ||(e^{Lh}, e^{-Lh})|| prod_{j != k} (1 + |a_kj|^2 + |c_kj|^2)^{1/2}.
 """
 
 from __future__ import annotations
@@ -26,7 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum, GeneralPositionViolated, SingularSpectralPoint
-from .linalg import complex_sort_key, eta_shifts, require_sinh_gap, sinh_pair_product
+from .linalg import (
+    complex_sort_key,
+    diagonal_mask,
+    eta_shifts,
+    require_sinh_gap,
+    sinh_pair_product,
+)
 
 _SINGULAR_TOL = 1e-12
 # Smallest |sinh| that ChainParams accepts for eta and for the gaps
@@ -275,24 +282,6 @@ class SectorStates:
         return full
 
 
-def _frobenius_norm(site_blocks, twist) -> float:
-    """Frobenius norm of _traced_monodromy(site_blocks, twist), in O(L).
-
-    The trace of a tensor product factors over the sites, so with the 4x4
-    Gram matrix E_j[(a,c),(b,d)] = <R_j^{cd}, R_j^{ab}>_F of site j's
-    auxiliary blocks, ||T||_F^2 = sum_{a,c} g_a conj(g_c)
-    (E_1 ... E_L)[(a,c),(a,c)].
-    """
-    prod = np.eye(4)
-    for blocks in site_blocks:
-        r = np.reshape(blocks, (4, 4))
-        # gram[c, d, a, b] = <R^{cd}, R^{ab}>_F
-        gram = (r.conj() @ r.T).reshape(2, 2, 2, 2)
-        prod = prod @ gram.transpose(2, 0, 3, 1).reshape(4, 4)
-    g = np.asarray(twist)
-    return float(np.sqrt((np.outer(g, g.conj()).ravel() @ np.diagonal(prod)).real))
-
-
 # Entries (16 bytes each) of the largest stack of charge actions formed at
 # once: every charge of a sector together up to L = 7, a few at a time at
 # L = 8, one at a time in the large sectors at L = 9 and 10.  Larger stacks
@@ -333,19 +322,30 @@ class _SectorCharges:
     def __init__(self, params: ChainParams):
         L = self.L = params.L
         self.params, self.bases = params, sector_bases(L)
-        site_blocks, (g_up, g_down) = _charge_site_blocks(params), _twist(params)
-        self.norms = np.array([_frobenius_norm(blocks, (g_up, g_down)) for blocks in site_blocks])
+        (g_up, g_down), eta, off = _twist(params), params.eta, ~diagonal_mask(L)
+        # H_k's gaps x_k - x_j and G_k's (x_k - x_j) - eta, j != k, and
+        # their weights a = sinh(d + eta)/sinh(d), c = sinh(eta)/sinh(d).
+        d = np.subtract.outer(params.inhom, params.inhom)
+        d = np.stack([d, d - eta])[:, off]
+        sh = np.sinh(d)
+        a, c = np.sinh(d + eta) / sh, np.sinh(eta) / sh
+        # H_k's own factor, the permutation, has a = c = 1.
+        w = np.ones((2, L, L), dtype=complex)
+        w[:, off] = a[0], c[0]
+        # ||A_k||_F as in the module docstring: the cross terms of the
+        # auxiliary trace vanish at site k, the permutation in H_k and
+        # a(-eta) = 0 in G_k.
+        site_sq = (1 + np.abs(a) ** 2 + np.abs(c) ** 2).reshape(2 * L, L - 1)
+        self.norms = np.hypot(abs(g_up), abs(g_down)) * np.sqrt(site_sq.prod(axis=1))
         q, i = np.indices((2 * L, L))
         k, i = q % L, np.where(q < L, i, L - 1 - i)
         # The site that factor i of charge q acts on together with site k.
         self.sites = np.where(i < k, k - 1 - i, np.where(i == k, k, L + k - i))
         # The diagonal factor is H_k's factor k and G_k's factor L-1-k.
         self.diag_factor = np.concatenate([np.arange(L), np.arange(L)[::-1]])
-        # The diagonal and exchange weights a, c of every factor of every
-        # charge; G_k's factor on sites (k, j) is H_j's on (j, k).
-        w = np.array([[(b00[0, 0], b01[1, 0]) for b00, b01, _, _ in blocks]
-                      for blocks in site_blocks[:L]])
-        self.a, self.c = np.moveaxis(np.concatenate([w, w.transpose(1, 0, 2)])[q, self.sites], -1, 0)
+        # The weights a, c of every factor of every charge, from H's gaps:
+        # G_k's factor on sites (k, j) is H_j's on (j, k).
+        self.a, self.c = np.concatenate([w, w.transpose(0, 2, 1)], axis=1)[:, q, self.sites]
         # D_k, and s_k D_k^{-1} for G_k, on site k up and down.
         s = sinh_pair_product(params.inhom, None, 0.0, -params.eta)
         self.diag = np.concatenate([np.tile((g_up, g_down), (L, 1)), np.outer(s, (g_down, g_up))])
@@ -401,12 +401,12 @@ def joint_diagonalize(params: ChainParams, seed: int = 0) -> list[SectorStates]:
     values are the two-sided Rayleigh quotients diag(V^{-1} A V), taken
     by solving with V.  The residual gate uses the one-sided quotient of
     the same A V: min over lambda of ||A v - lambda v|| relative to the
-    Frobenius norm of A (in closed form, see _frobenius_norm).  If any
-    residual exceeds _RESIDUAL_TOL the combination is redrawn, up to
-    _MAX_RETRIES times.  The draws of sector M2 come from the stream
-    (seed, M2), so a sector's states depend neither on the other sectors
-    nor on their order.  The largest sector is solved first, so that the
-    smaller ones reuse the memory it freed.
+    Frobenius norm of A (in closed form).  If any residual exceeds
+    _RESIDUAL_TOL the combination is redrawn, up to _MAX_RETRIES times.
+    The draws of sector M2 come from the stream (seed, M2), so a
+    sector's states depend neither on the other sectors nor on their
+    order.  The largest sector is solved first, so that the smaller ones
+    reuse the memory it freed.
     """
     charges, L = _SectorCharges(params), params.L
     sectors = [None] * (L + 1)
@@ -444,9 +444,10 @@ def _sector_states(charges, M2, seed=0) -> SectorStates:
             av = charges.apply(factors, ks, vecs)
             rayleigh = np.einsum("ij,kij->kj", vecs.conj(), av)
             values[ks] = np.diagonal(np.linalg.solve(vecs, av), axis1=1, axis2=2)
-            # A V - V diag(rayleigh), formed in place of A V.
-            resid[ks] = np.linalg.norm(np.subtract(av, vecs * rayleigh[:, None], out=av), axis=1)
-            resid[ks] /= charges.norms[ks, None]
+            # A V - V diag(rayleigh), formed in place of A V and scaled by
+            # 1/||A||_F before its norm is taken, so that no square overflows.
+            np.subtract(av, vecs * rayleigh[:, None], out=av)
+            resid[ks] = np.linalg.norm(np.divide(av, charges.norms[ks, None, None], out=av), axis=1)
             del av
         worst = resid.max(axis=0)
         above = np.flatnonzero(worst > _RESIDUAL_TOL)

@@ -75,6 +75,17 @@ class TestVerifyDuality:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("numerical failure: DrawFailed: no general-position draw of L = 3")
 
+    def test_large_twist_fails_in_one_line(self, tmp_path):
+        # L h = 360: e^{2Lh} overflows, yet the Rayleigh gate's norms and
+        # residuals stay finite, so only the verdict reaches stderr.
+        config = {"L": 8, "h": 45, "eta": 0.5, "inhom": None, "seed": 0}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        argv = ["-m", "vertexdual.cli", "verify-duality", "--config", "c.json", "--out", "o.json"]
+        proc = _python(tmp_path, argv)
+        assert proc.returncode == 1
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("verification failure: L=8 sector M2=1 state 0: assignment error ")
+
     def test_coincident_sites_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"L": 2, "inhom": [0.4, 0.4]}))

@@ -40,7 +40,6 @@ from vertexdual import spin_chain
 from vertexdual.spin_chain import (
     _asym_site_blocks,
     _charge_site_blocks,
-    _frobenius_norm,
     _perm_site_blocks,
     _traced_monodromy,
     _twist,
@@ -560,11 +559,38 @@ class TestSectorAssembly:
         for chain in (real, _complex_chain(L)):
             for h in (0.0, 0.5, -0.5, 0.5 + 0.3j):
                 params = replace(chain, h=h)
-                twist = _twist(params)
+                norms = spin_chain._SectorCharges(params).norms
                 dense = hamiltonians_h(params) + hamiltonians_g(params)
-                for blocks, op in zip(_charge_site_blocks(params), dense):
+                for norm, op in zip(norms, dense, strict=True):
                     ref = np.linalg.norm(op.entries)
-                    assert abs(_frobenius_norm(blocks, twist) - ref) <= 1e-13 * ref
+                    assert abs(norm - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_kernel_weights_equal_site_blocks(self, L):
+        # The kernel takes a and c from the gaps; the dense site blocks
+        # stay the reference.  Factor i of charge q acts on sites (k, j),
+        # j = sites[q, i]; G_k's factor there is H_j's on (j, k).
+        rng = np.random.default_rng(500 + L)
+        real = ChainParams(L=L, eta=0.47, h=0.31, inhom=tuple(np.sort(rng.uniform(0.0, 2.5, L))))
+        for params in (real, _complex_chain(L)):
+            charges = spin_chain._SectorCharges(params)
+            h_blocks = _charge_site_blocks(params)[:L]
+            for q in range(2 * L):
+                k = q % L
+                for i, j in enumerate(charges.sites[q]):
+                    b00, b01, _, _ = h_blocks[k][j] if q < L else h_blocks[j][k]
+                    assert charges.a[q, i] == b00[0, 0] and charges.c[q, i] == b01[1, 0]
+
+    @pytest.mark.parametrize("L", [4, 8])
+    def test_large_twist_norms_stay_finite(self, L):
+        # At L |Re h| = 360, e^{2Lh} overflows; the norms scale with
+        # ||(e^{Lh}, e^{-Lh})|| alone, which stays finite.
+        params = replace(_complex_chain(L), h=360.0 / L + 0.2j)
+        base = spin_chain._SectorCharges(replace(params, h=0.0)).norms
+        norms = spin_chain._SectorCharges(params).norms
+        twist = np.hypot(*np.abs(_twist(params)))
+        assert np.all(np.isfinite(norms))
+        assert np.max(np.abs(norms / (base * twist / np.sqrt(2)) - 1)) <= 1e-15
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps > 1e-18,
