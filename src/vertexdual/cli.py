@@ -248,7 +248,7 @@ def _chain_from_config(config: dict, rng) -> ChainParams:
             raise ConfigError("eta and h are required when inhom is given")
         try:
             return ChainParams(L=L, eta=eta, h=h, inhom=tuple(inhom))
-        except (GeneralPositionViolated, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return draw_chain_params(rng, L, eta=eta, h=h)
 
@@ -345,7 +345,7 @@ def _cmd_rs_evolve(config: dict):
     p0 = np.array([_as_complex(z) for z in config["p0"]])
     try:
         state0 = RSState(eta=eta, x=x0, p=p0)
-    except (GeneralPositionViolated, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     with np.errstate():
         np.setbufsize(_BUFSIZE)

@@ -211,30 +211,37 @@ FAR_RE = 350.0
 
 
 def _far_pair_quotient(d, tops, bottoms):
-    """prod_t sinh(d + t)/prod_b sinh(d + b), as many tops as bottoms, as
-    e^{s(sum t - sum b)} prod_t expm1(-2s(d + t))/prod_b expm1(-2s(d + b))
-    with s = +-1 the sign of Re d, from sinh(z) = -s e^{sz} expm1(-2sz)/2:
-    the factors -s e^{sd}/2 cancel, so it stays finite however far apart
-    the pair is."""
+    """prod_t sinh(d + t)/prod_b sinh(d + b), at least as many shifts below
+    as on top, from sinh(z) = -s e^{sz} expm1(-2sz)/2 with s = +-1 the
+    sign of Re d: as e^{s(sum t - sum b)} prod_t expm1(-2s(d + t))/prod_b
+    expm1(-2s(d + b)), the factors -s e^{sd}/2 of a top and a bottom
+    cancelling, times -2s e^{-sd} for each bottom without a top.  No
+    exponent grows with |d|, so it stays finite (or tends to 0) however
+    far apart the pair is."""
     s = np.where(np.real(d) < 0, -1.0, 1.0)
-    num = reduce(mul, (np.expm1(-2 * s * (d + t)) for t in tops))
+    num = reduce(mul, (np.expm1(-2 * s * (d + t)) for t in tops)) if tops else 1.0
     den = reduce(mul, (np.expm1(-2 * s * (d + b)) for b in bottoms))
-    return np.exp(s * (sum(tops) - sum(bottoms))) * (num / den)
+    out = np.exp(s * (sum(tops) - sum(bottoms))) * (num / den)
+    for _ in range(len(bottoms) - len(tops)):
+        out = out * (-2 * s * np.exp(-s * d))
+    return out
 
 
 def gap_quotient(d, tops: tuple, bottoms: tuple, den=None) -> np.ndarray:
     """prod_t sinh(d + t)/prod_b sinh(d + b) entrywise on the pair
-    differences ``d`` (an array), as many shifts on top as below; ``den``
-    is the denominator where the caller has formed it.  The one evaluator
-    of balanced sinh pair quotients: far pairs, where some |Re(d + shift)|
-    > FAR_RE, are taken from _far_pair_quotient.  Where the denominator is
-    0 the entry is not finite, so a caller pairing a family with itself
-    sets its diagonal.  Real d and shifts stay in real arithmetic."""
+    differences ``d`` (an array), at least as many shifts below as on top;
+    ``den`` is the denominator where the caller has formed it.  The one
+    evaluator of sinh pair quotients, balanced or not: near pairs take
+    the plain sinh form (1/den with no top), and far pairs, where some
+    |Re(d + shift)| > FAR_RE, the cancelled form of _far_pair_quotient.
+    Where the denominator is 0 the entry is not finite, so a caller
+    pairing a family with itself sets its diagonal.  Real d and shifts
+    stay in real arithmetic."""
     shifts = tops + bottoms
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if den is None:
             den = reduce(mul, (np.sinh(d + b) for b in bottoms))
-        out = reduce(mul, (np.sinh(d + t) for t in tops)) / den
+        out = (reduce(mul, (np.sinh(d + t) for t in tops)) if tops else 1.0) / den
         if np.abs(d.real).max(initial=0.0) + max(abs(s.real) for s in shifts) > FAR_RE:
             far = np.max([np.abs(np.real(d + s)) for s in shifts], axis=0) > FAR_RE
             out = np.asarray(out)

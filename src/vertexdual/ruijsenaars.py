@@ -77,11 +77,12 @@ class RSState:
         return self.x.size
 
 
-def _pair_weights(x, eta) -> tuple[np.ndarray, np.ndarray]:
-    """(d, ratio): the pair differences d = x_i - x_j and the pair weights
-    sinh(d + eta)/sinh(d), 1 on the diagonal, for coordinates of shape
-    (..., n).  One pass over d also checks general position; only a
-    failure goes to require_sinh_gap, which words it."""
+def _pair_weights(x, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, den, ratio): the pair differences d = x_i - x_j, their sinh(d)
+    and the pair weights sinh(d + eta)/sinh(d), den and ratio 1 on the
+    diagonal, for coordinates of shape (..., n).  One pass over d also
+    checks general position; only a failure goes to require_sinh_gap,
+    which words it."""
     d = x[..., :, None] - x[..., None, :]
     diag = diagonal_mask(x.shape[-1])
     with np.errstate(over="ignore"):
@@ -91,12 +92,12 @@ def _pair_weights(x, eta) -> tuple[np.ndarray, np.ndarray]:
         require_sinh_gap(x, None, UNSHIFTED, _GP_TOL, GeneralPositionViolated, ("x", "x"))
     ratio = gap_quotient(d, (eta,), (0.0,), den)
     ratio[..., diag] = 1.0
-    return d, ratio
+    return d, den, ratio
 
 
 def rs_hamiltonian(state: RSState) -> complex:
     """sum_i e^{eta p_i} prod_{k != i} sinh(x_i - x_k + eta)/sinh(x_i - x_k)."""
-    weights = np.prod(_pair_weights(state.x, state.eta)[1], axis=-1)
+    weights = np.prod(_pair_weights(state.x, state.eta)[2], axis=-1)
     return complex(np.sum(np.exp(state.eta * state.p) * weights))
 
 
@@ -110,23 +111,7 @@ def velocities(x, p, eta) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     p = np.asarray(p, dtype=complex)
     eta = complex(eta)
-    return eta * np.exp(eta * p) * np.prod(_pair_weights(x, eta)[1], axis=-1)
-
-
-def _csch_pairs(d) -> np.ndarray:
-    """csch of the pair differences d = x_i - x_j + shift, 0 on the
-    diagonal, each entry as -2 s e^{-s d} / expm1(-2 s d) with s = +-1 the
-    sign of Re d: no exponent has a positive real part, so nothing
-    overflows or cancels at any gap."""
-    diag = diagonal_mask(d.shape[-1])
-    d = np.where(diag, 1.0, d)
-    flip = d.real < 0
-    # -s d, and -2 s for the numerator.
-    e = np.where(flip, d, -d)
-    out = np.where(flip, 2.0, -2.0) * np.exp(e)
-    out /= np.expm1(2 * e)
-    out[..., diag] = 0.0
-    return out
+    return eta * np.exp(eta * p) * np.prod(_pair_weights(x, eta)[2], axis=-1)
 
 
 def hamilton_rhs(x, p, eta) -> tuple[np.ndarray, np.ndarray]:
@@ -144,12 +129,15 @@ def hamilton_rhs(x, p, eta) -> tuple[np.ndarray, np.ndarray]:
     eta = complex(eta)
     # The general-position check, the weights and csch read one pass
     # over the pair differences.
-    d, ratio = _pair_weights(x, eta)
+    d, den, ratio = _pair_weights(x, eta)
+    diag = diagonal_mask(x.size)
+    csch = gap_quotient(d, (), (0.0,), den)
+    csch[diag] = 0.0
     boost = np.exp(eta * p)
     # omit[i, k] = prod over l not in {i, k} of ratio[i, l].
-    omit = np.multiply.reduce(np.where(diagonal_mask(x.size), 1.0, ratio[:, None, :]), axis=2)
+    omit = np.multiply.reduce(np.where(diag, 1.0, ratio[:, None, :]), axis=2)
     # flux[i, k] enters dp_i/dt with a minus sign and dp_k/dt with a plus sign.
-    flux = -np.sinh(eta) * boost[:, None] * omit * _csch_pairs(d) ** 2
+    flux = -np.sinh(eta) * boost[:, None] * omit * csch**2
     xdot = eta * boost * np.multiply.reduce(ratio, axis=1)
     return xdot, np.add.reduce(flux, axis=0) - np.add.reduce(flux, axis=1)
 
@@ -159,9 +147,10 @@ def acceleration(x, xdot, eta) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     xdot = np.asarray(xdot, dtype=complex)
     d = x[:, None] - x[None, :]
-    # The diagonal takes coth(1), which meets the 0 diagonal of _csch_pairs.
-    coth = 1 / np.tanh(np.where(diagonal_mask(x.size), 1.0, d))
-    pair = coth * _csch_pairs(d + eta) * _csch_pairs(d - eta)
+    diag = diagonal_mask(x.size)
+    # coth(d) csch(d + eta) csch(d - eta), 0 on the diagonal.
+    pair = gap_quotient(d, (), (eta, -eta)) / np.tanh(np.where(diag, 1.0, d))
+    pair[diag] = 0.0
     return -2.0 * np.sinh(eta) ** 2 * xdot * np.sum(pair * xdot, axis=1)
 
 
@@ -170,20 +159,15 @@ def lax_from_velocities(x, xdot, eta) -> np.ndarray:
 
     Velocities of shape (..., n), at one x of shape (n,) or at a stack
     of shape (..., n), give a stack of Lax matrices of shape (..., n, n),
-    checked for general position once over the stack.  An
-    entry whose sinh overflows is set to 0: it is below about
-    1e-308 |sinh(eta) xdot_i|, negligible against the diagonal -xdot_i,
-    and complex division by an infinite sinh would make it nan.
+    checked for general position once over the stack.  Far pairs take
+    1/sinh(x_i - x_j - eta) from linalg.gap_quotient.
     """
     x = np.asarray(x, dtype=complex)
     xdot = np.asarray(xdot, dtype=complex)
     eta = complex(eta)
     require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = sinh_pairs(x, x, -eta)
-        lax = np.sinh(eta) * xdot[..., :, None] / den
-    lax[..., ~np.isfinite(den)] = 0.0
-    return lax
+    d = x[..., :, None] - x[..., None, :]
+    return np.sinh(eta) * xdot[..., :, None] * gap_quotient(d, (), (-eta,))
 
 
 def lax_from_momenta(state: RSState) -> np.ndarray:
@@ -203,10 +187,11 @@ def a_matrix(x, xdot, eta) -> np.ndarray:
     eta = complex(eta)
     require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
     d = x[:, None] - x[None, :]
-    csch0 = _csch_pairs(d)
+    csch0 = gap_quotient(d, (), (0.0,))
+    csch0[diagonal_mask(x.size)] = 0.0
     a = xdot[:, None] * csch0
     # coth(d) - coth(d + eta) = sinh(eta) csch(d) csch(d + eta); l = j gives -coth(eta).
-    coupling = np.sinh(eta) * np.sum(csch0 * _csch_pairs(d + eta) * xdot, axis=1)
+    coupling = np.sinh(eta) * np.sum(csch0 * gap_quotient(d, (), (eta,)) * xdot, axis=1)
     np.fill_diagonal(a, coupling - xdot / np.tanh(eta))
     return a
 

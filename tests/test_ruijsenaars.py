@@ -27,7 +27,7 @@ from vertexdual import (
     xle_relation_check,
 )
 from vertexdual import ruijsenaars
-from vertexdual.linalg import FAR_RE, _far_pair_quotient, coth, match_multisets
+from vertexdual.linalg import FAR_RE, _far_pair_quotient, coth, gap_quotient, match_multisets
 from vertexdual.ruijsenaars import (
     MIN_TOL_ODE,
     cauchy_factor,
@@ -98,13 +98,14 @@ class TestHamiltonian:
         [(g, e) for g in (800, 800 + 1j, -800 - 1j) for e in (0.35, 0.5 + 0.2j)]
         # Gaps where sinh(d) overflows but sinh(d + eta) does not, or where
         # both are finite but their complex quotient overflows inside.
-        + [(-710.6, 0.35), (710.3, -0.35), (-710.6 - 1j, 0.35), (709.9 + 1j, 0.35)],
+        + [(-710.6, 0.35), (710.3, -0.35), (-710.6 - 1j, 0.35), (709.9 + 1j, 0.35)]
+        # Gaps between FAR_RE and 710, where every sinh is still finite.
+        + [(g, e) for g in (352 + 0.5j, 400, -500 - 1j) for e in (0.35, 0.5 + 0.2j)],
     )
     def test_far_apart_pair_takes_its_limit(self, gap, eta):
-        # sinh of the gap overflows from |Re d| ~ 710 on.  The pair weights
-        # sinh(d + eta)/sinh(d) tend to e^{+-eta}, the forces, the
-        # accelerations and the Lax and companion entries between the two
-        # particles to 0 (below 1e-300), and the companion diagonal to
+        # The pair weights sinh(d + eta)/sinh(d) tend to e^{+-eta}, the
+        # forces, the accelerations and the Lax and companion entries
+        # between the two particles to 0, and the companion diagonal to
         # -coth(eta) xdot_i, without a RuntimeWarning on the way.
         p = np.array([0.2, -0.4])
         st = RSState(eta=eta, x=np.array([0.0, gap]), p=p)
@@ -118,18 +119,34 @@ class TestHamiltonian:
         ):
             assert np.all(np.isfinite(value))
             assert np.max(np.abs(value - expected)) <= 1e-15 * np.max(np.abs(expected))
-        assert np.all(pdot == 0)
         lax = lax_from_velocities(st.x, xdot, eta)
-        assert max(abs(lax[0, 1]), abs(lax[1, 0])) <= 1e-300
         assert np.max(np.abs(np.diag(lax) + xdot)) <= 1e-15 * np.max(np.abs(xdot))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             acc = acceleration(st.x, xdot, eta)
             a = a_matrix(st.x, xdot, eta)
-        assert np.all(np.isfinite(acc)) and np.max(np.abs(acc)) <= 1e-300
-        assert max(abs(a[0, 1]), abs(a[1, 0])) <= 1e-300
+        assert np.all(np.isfinite(acc))
         diagonal = -coth(eta) * xdot
         assert np.max(np.abs(np.diag(a) - diagonal)) <= 1e-15 * np.max(np.abs(diagonal))
+        off = ~np.eye(2, dtype=bool)
+        if abs(np.real(gap)) > 700:
+            assert np.all(pdot == 0) and np.max(np.abs(acc)) <= 1e-300
+            assert np.max(np.abs(lax[off])) <= 1e-300 and np.max(np.abs(a[off])) <= 1e-300
+        # Where the sinh forms are still finite, every entry between the
+        # pair is its cancelled form.
+        d = st.x[:, None] - st.x[None, :]
+        with np.errstate(over="ignore"):
+            if not all(np.all(np.isfinite(np.sinh(d + b))) for b in (0.0, eta, -eta)):
+                return
+        csch = np.zeros((2, 2), dtype=complex)
+        csch[off] = _far_pair_quotient(d[off], (), (0.0,))
+        flux = -np.sinh(eta) * np.exp(eta * st.p)[:, None] * csch**2
+        assert np.array_equal(pdot, flux.sum(axis=0) - flux.sum(axis=1))
+        assert np.array_equal(a[off], xdot * csch[off])
+        q = _far_pair_quotient(d[off], (), (-eta,))
+        assert np.array_equal(lax[off], np.sinh(eta) * xdot * q)
+        pair = _far_pair_quotient(d[off], (), (eta, -eta)) / np.tanh(d[off])
+        assert np.array_equal(acc, -2.0 * np.sinh(eta) ** 2 * xdot * (pair * xdot[::-1]))
 
 
 class TestLaxBuilds:
@@ -330,6 +347,45 @@ class TestCauchyFactor:
         assert np.isrealobj(out)
         assert out == np.sinh(1e-8) ** 2 / (np.sinh(1e-8 + 0.35) * np.sinh(1e-8 - 0.35))
         assert np.isrealobj(cauchy_factor(np.array([0.5, 400.0]), 0.35))
+
+
+class TestUnbalancedGapQuotient:
+    # csch(d) and csch(d + eta) csch(d - eta): more shifts below than on top.
+    @staticmethod
+    def _quotients(d, eta):
+        return gap_quotient(d, (), (0.0,)), gap_quotient(d, (), (eta, -eta))
+
+    @pytest.mark.parametrize("eta", [0.35, 0.5 + 0.2j])
+    def test_near_pairs_take_the_sinh_form(self, eta):
+        d = np.array([1e-8, 0.1, -2.5, 20.0, 340.0, -349.0])
+        for gaps in (d, d + 1j * np.array([0.2, 2.0, -3.0, 1.0, 0.5, -1.0])):
+            csch, csch2 = self._quotients(gaps, eta)
+            assert np.array_equal(csch, 1 / np.sinh(gaps))
+            assert np.array_equal(csch2, 1 / (np.sinh(gaps + eta) * np.sinh(gaps - eta)))
+
+    @pytest.mark.parametrize("eta", [0.35, 0.5 + 0.2j])
+    def test_far_band_takes_the_cancelled_form(self, eta):
+        # Between FAR_RE and 710 (355 for the two-bottom product) the sinh
+        # form is finite; the far rule takes the cancelled form there.
+        for gaps, bottoms in (
+            (np.array([350.5, -400.0, 500 + 1j, -600 - 1j, 705.0]), (0.0,)),
+            (np.array([350.5, -351.0 - 1j, 352.0 + 0.5j, -353.0]), (eta, -eta)),
+        ):
+            assert np.all(np.abs(gaps.real) > FAR_RE)
+            far = gap_quotient(gaps, (), bottoms)
+            assert np.array_equal(far, _far_pair_quotient(gaps, (), bottoms))
+            plain = 1 / np.prod([np.sinh(gaps + b) for b in bottoms], axis=0)
+            assert np.all(np.isfinite(plain)) and np.all(plain != 0)
+            assert np.max(np.abs(far - plain) / np.abs(plain)) <= 1e-15
+
+    @pytest.mark.parametrize("eta", [0.35, 0.5 + 0.2j])
+    def test_beyond_overflow_stays_finite(self, eta):
+        # From |Re d| ~ 710 the sinh overflows; the quotients stay finite or 0.
+        d = np.array([710.5, -800.0, 1e4, 720 + 1j, -900 - 2j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for out in self._quotients(d, eta):
+                assert np.all(np.isfinite(out)) and np.max(np.abs(out)) <= 1e-300
 
 
 class TestSpectralInvariants:
