@@ -6,9 +6,7 @@ from .bethe import (
     BetheRootSet,
     all_eigenvalues_g,
     all_eigenvalues_h,
-    bae_defect,
     canonicalize_roots,
-    eigenvalue_t,
     solve_bae,
 )
 from .duality import (
@@ -29,27 +27,21 @@ from .errors import (
     DegenerateSpectrum,
     DrawFailed,
     GeneralPositionViolated,
-    InvalidBetheRoots,
     MatchFailed,
     SingularConfiguration,
     SingularSpectralPoint,
-    SingularVandermonde,
     StepSizeUnderflow,
     VertexDualError,
     ZeroGValue,
 )
 from .identities import (
     IdentityParams,
-    normalized_identity_sides,
     q_matrix,
     q_tilde_matrix,
-    vandermonde_inverse,
     verify_determinant_splitting,
-    verify_solved_chain_splitting,
 )
 from .ruijsenaars import (
     RSState,
-    a_matrix,
     acceleration,
     cauchy_det,
     char_poly_via_en,
@@ -57,8 +49,6 @@ from .ruijsenaars import (
     factorized_lax,
     lax_from_momenta,
     lax_from_velocities,
-    rs_hamiltonian,
-    s_matrix,
     velocities,
     xle_relation_check,
 )
@@ -69,11 +59,7 @@ from .spin_chain import (
     hamiltonians_g,
     hamiltonians_h,
     joint_diagonalize,
-    r_matrix,
-    r_matrix_asymmetric,
     sector_bases,
-    similarity_u,
-    sz_m1_m2_operators,
     transfer_matrix_asym,
     transfer_matrix_twisted,
 )

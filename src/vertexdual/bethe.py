@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import SingularConfiguration, SingularSpectralPoint
+from .errors import SingularConfiguration
 from .linalg import (
     complex_sort_key,
     ipi_distance,
@@ -32,7 +32,6 @@ from .linalg import (
     UNSHIFTED,
     require_sinh_gap,
     sinh_pair_product,
-    sinh_pairs,
     smallest_sinh_gap,
 )
 from .spin_chain import ChainParams
@@ -72,12 +71,6 @@ def canonicalize_roots(roots) -> np.ndarray:
     return u[order]
 
 
-def _check_configuration(u: np.ndarray, params: ChainParams):
-    require_sinh_gap(u, params.inhom, UNSHIFTED, _GUARD, SingularConfiguration, ("u", "x"))
-    shifts = {"": 0.0, " - eta": -params.eta}
-    require_sinh_gap(u, None, shifts, _GUARD, SingularConfiguration, ("u", "u"))
-
-
 def _equations(u: np.ndarray, params: ChainParams, h) -> tuple[np.ndarray, np.ndarray]:
     """Principal-log defect vector at twist h and its Jacobian d(defect)/du,
     from one set of sinh pair matrices; no singularity guards (solver
@@ -96,15 +89,6 @@ def _equations(u: np.ndarray, params: ChainParams, h) -> tuple[np.ndarray, np.nd
     pairs = np.sinh(-2 * eta) / (up * down)
     np.fill_diagonal(pairs, 0.0)
     return defect, np.diag(sites.sum(axis=1) - pairs.sum(axis=1)) + pairs
-
-
-def bae_defect(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
-    """Log-form equation defects for each root; empty for the vacuum sector."""
-    u = np.atleast_1d(np.asarray(roots.roots, dtype=complex))
-    if u.size == 0:
-        return np.zeros(0, dtype=complex)
-    _check_configuration(u, params)
-    return _equations(u, params, params.h)[0]
 
 
 def _newton(u: np.ndarray, params: ChainParams, h, iters: int) -> tuple[np.ndarray, float]:
@@ -234,21 +218,6 @@ def solve_bae(params: ChainParams, M2: int) -> list[BetheRootSet]:
                 unsolved.remove(i if i in unsolved else unsolved[0])
     solutions.sort(key=lambda s: complex_sort_key(s.roots))
     return solutions
-
-
-def eigenvalue_t(roots: BetheRootSet, params: ChainParams, x) -> complex:
-    """Transfer-matrix eigenvalue at spectral parameter x for this root set."""
-    x = np.array([complex(x)])
-    L, eta, h = params.L, params.eta, params.h
-    u = np.atleast_1d(np.asarray(roots.roots, dtype=complex))
-    if np.any(np.abs(sinh_pairs(x, params.inhom, 0.0)) <= _GUARD):
-        raise SingularSpectralPoint("x collides with an inhomogeneity")
-    if np.any(np.abs(sinh_pairs(x, u, 0.0)) <= _GUARD):
-        raise SingularSpectralPoint("x collides with a root")
-    site = sinh_pair_product(x, params.inhom, eta, 0.0)[0]
-    down = sinh_pair_product(x, u, -eta, 0.0)[0]
-    up = sinh_pair_product(x, u, eta, 0.0)[0]
-    return complex(np.exp(L * h) * site * down + np.exp(-L * h) * up)
 
 
 def all_eigenvalues_h(roots: BetheRootSet, params: ChainParams) -> np.ndarray:

@@ -21,10 +21,6 @@ class SingularConfiguration(VertexDualError):
     """Bethe roots collide with inhomogeneities or with each other."""
 
 
-class SingularVandermonde(VertexDualError):
-    """Vandermonde nodes coincide; the factorized build is unavailable."""
-
-
 class CollisionDetected(VertexDualError):
     """Two particles approached closer than the collision threshold."""
 
@@ -35,10 +31,6 @@ class StepSizeUnderflow(VertexDualError):
 
 class ZeroGValue(VertexDualError):
     """A G eigenvalue vanished; momenta cannot be extracted."""
-
-
-class InvalidBetheRoots(VertexDualError):
-    """A root set does not solve the Bethe equations for the given chain."""
 
 
 class MatchFailed(VertexDualError):

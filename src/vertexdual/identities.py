@@ -1,7 +1,7 @@
 """Determinant identities behind the spectral correspondence: the paired
-N x N / M x M matrices, their ladder factorizations, the explicit
-Vandermonde inverse, and the characteristic-polynomial identity that a
-solved chain must satisfy.
+N x N / M x M matrices, their ladder factorizations, and the ladder
+characteristic polynomials that the identity and each chain sector
+predict.
 """
 
 from __future__ import annotations
@@ -11,12 +11,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bethe import BetheRootSet, all_eigenvalues_h, bae_defect
-from .errors import CrossCheckFailed, GeneralPositionViolated, InvalidBetheRoots
+from .errors import CrossCheckFailed, GeneralPositionViolated
 from .linalg import (
     charpoly_minors,
     eta_shifts,
-    lagrange_vandermonde_inverse,
     poly_rel_residual,
     rel_diff,
     require_sinh_gap,
@@ -24,13 +22,11 @@ from .linalg import (
 )
 from .ruijsenaars import (
     _ladder_factorized,
-    _require_distinct_nodes,
     _sandwiched_ladder,
     eta_shift_diagonal,
     ladder,
     lax_from_velocities,
 )
-from .spin_chain import ChainParams
 
 _GP_TOL = 1e-6
 
@@ -62,8 +58,6 @@ class IdentityParams:
             require_sinh_gap(pts, None, shifts, _GP_TOL, GeneralPositionViolated, (name, name))
         cross = {"": 0.0, " - eta": -self.eta}
         require_sinh_gap(self.x, self.y, cross, _GP_TOL, GeneralPositionViolated, ("x", "y"))
-        _require_distinct_nodes(self.x, "e^(2x)")
-        _require_distinct_nodes(self.y, "e^(2y)")
 
 
 def _q_lax(points, others, g, eta, shift) -> np.ndarray:
@@ -111,17 +105,6 @@ def q_tilde_matrix(params: IdentityParams) -> np.ndarray:
     if params.M < 1:
         return np.zeros((0, 0), dtype=complex)
     return _q_lax(params.y, params.x, params.g, params.eta, -params.eta)
-
-
-def vandermonde_inverse(x) -> np.ndarray:
-    """Explicit inverse-transpose of the Vandermonde in t_i = e^{2 x_i}.
-
-    Row k holds the ascending coefficients of the Lagrange polynomial
-    through the t nodes, so the product with V^t is the identity.
-    """
-    x = np.asarray(x, dtype=complex)
-    _require_distinct_nodes(x, "e^(2x)")
-    return lagrange_vandermonde_inverse(np.exp(2 * x))
 
 
 def ladder_char_poly(K: int, g, eta) -> np.ndarray:
@@ -172,46 +155,3 @@ def verify_determinant_splitting(params: IdentityParams) -> SplittingResiduals:
             raise CrossCheckFailed(f"ladder factorization of {name} disagrees: rel err {err:.3e}")
     residual = poly_rel_residual(charpoly_minors(q), splitting_rhs(params, q_tilde))
     return SplittingResiduals(residual, fact_q, fact_qt)
-
-
-def normalized_identity_sides(params: IdentityParams) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the identity in the W-normalized form
-    det(lambda W^{-1} - Q_0) = det(lambda I - g S_{N-M}) det(lambda W~^{-1} - Q~_0),
-    as coefficient vectors in lambda.
-
-    The individual matrix entries develop poles as two x points
-    coalesce, but these coefficient vectors stay bounded; they are also
-    the natural objects for the large-y stabilization checks.
-    """
-    w = w_matrix(params)
-    q0 = _q_lax(params.x, (), params.g, params.eta, params.eta)
-    lhs = charpoly_minors(np.diag(w) @ q0) / np.prod(w)
-    rhs = ladder_char_poly(params.N - params.M, params.g, params.eta)
-    if params.M:
-        wt = w_tilde_matrix(params)
-        qt0 = _q_lax(params.y, (), params.g, params.eta, -params.eta)
-        rhs = np.polymul(rhs, charpoly_minors(np.diag(wt) @ qt0) / np.prod(wt))
-    return lhs, rhs
-
-
-def verify_solved_chain_splitting(chain: ChainParams, roots: BetheRootSet) -> float:
-    """Characteristic-polynomial residual of the spectral correspondence
-    for one solved sector.
-
-    Builds the Lax matrix from the closed-form charge values of the
-    root set and compares its characteristic polynomial against the
-    product of the two ladder polynomials centred at e^{+-Lh}.
-    """
-    defect = bae_defect(roots, chain)
-    if defect.size and np.max(np.abs(defect)) > 1e-10:
-        raise InvalidBetheRoots(
-            f"equation defect {np.max(np.abs(defect)):.3e} exceeds 1e-10"
-        )
-    x, eta = np.asarray(chain.inhom), chain.eta
-    lax = lax_from_velocities(x, -all_eigenvalues_h(roots, chain), eta)
-    # Same matrix, assembled through the x - eta / root family weights.
-    q = _q_lax(x - eta, roots.roots, np.exp(chain.L * chain.h), eta, eta)
-    if rel_diff(lax, q) > 1e-9:
-        raise CrossCheckFailed("Lax build and weight-family build disagree")
-    rhs = sector_char_poly(chain.L, roots.roots.size, chain.h, chain.eta)
-    return poly_rel_residual(charpoly_minors(lax), rhs)

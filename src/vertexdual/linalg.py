@@ -14,10 +14,6 @@ from operator import mul
 import numpy as np
 
 
-def coth(z):
-    return np.cosh(z) / np.sinh(z)
-
-
 def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Max entrywise difference relative to the larger matrix scale."""
     a = np.asarray(a)

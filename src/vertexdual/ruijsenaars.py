@@ -1,4 +1,4 @@
-"""Classical trigonometric Ruijsenaars-Schneider system: Hamiltonian,
+"""Classical trigonometric Ruijsenaars-Schneider system: the canonical
 flow, Lax matrix in its several equivalent builds, spectral invariants,
 and adaptive time evolution with isospectrality monitoring.
 
@@ -26,8 +26,8 @@ from .errors import (
     CollisionDetected,
     CrossCheckFailed,
     GeneralPositionViolated,
-    SingularVandermonde,
     StepSizeUnderflow,
+    VertexDualError,
 )
 from .linalg import (
     UNSHIFTED,
@@ -93,12 +93,6 @@ def _pair_weights(x, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ratio = gap_quotient(d, (eta,), (0.0,), den)
     ratio[..., diag] = 1.0
     return d, den, ratio
-
-
-def rs_hamiltonian(state: RSState) -> complex:
-    """sum_i e^{eta p_i} prod_{k != i} sinh(x_i - x_k + eta)/sinh(x_i - x_k)."""
-    weights = np.prod(_pair_weights(state.x, state.eta)[2], axis=-1)
-    return complex(np.sum(np.exp(state.eta * state.p) * weights))
 
 
 def velocities(x, p, eta) -> np.ndarray:
@@ -173,27 +167,6 @@ def lax_from_velocities(x, xdot, eta) -> np.ndarray:
 def lax_from_momenta(state: RSState) -> np.ndarray:
     """Lax matrix written directly in momenta; equals the velocity build."""
     return lax_from_velocities(state.x, velocities(state.x, state.p, state.eta), state.eta)
-
-
-def a_matrix(x, xdot, eta) -> np.ndarray:
-    """Companion matrix of the Lax representation dL/dt = [A, L].
-
-    Off-diagonal entries carry the velocity of the row particle,
-    xdot_j / sinh(x_j - x_k); without that factor the representation
-    fails (checked against finite-difference dL/dt).
-    """
-    x = np.asarray(x, dtype=complex)
-    xdot = np.asarray(xdot, dtype=complex)
-    eta = complex(eta)
-    require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
-    d = x[:, None] - x[None, :]
-    csch0 = gap_quotient(d, (), (0.0,))
-    csch0[diagonal_mask(x.size)] = 0.0
-    a = xdot[:, None] * csch0
-    # coth(d) - coth(d + eta) = sinh(eta) csch(d) csch(d + eta); l = j gives -coth(eta).
-    coupling = np.sinh(eta) * np.sum(csch0 * gap_quotient(d, (), (eta,)) * xdot, axis=1)
-    np.fill_diagonal(a, coupling - xdot / np.tanh(eta))
-    return a
 
 
 def cauchy_factor(d, eta):
@@ -279,29 +252,14 @@ def ladder(K: int, eta) -> np.ndarray:
     return np.exp(-(2 * np.arange(1, K + 1) - K - 1) * complex(eta))
 
 
-def s_matrix(K: int, eta) -> np.ndarray:
-    """Diagonal ladder diag(e^{-(2i - K - 1) eta}), i = 1..K; empty for K=0."""
-    return np.diag(ladder(K, eta))
-
-
 def eta_shift_diagonal(q, xi) -> np.ndarray:
     """Diagonal of prod_{k != i} sinh(q_i - q_k + xi)."""
     return np.prod(sinh_pairs(q, None, xi), axis=1)
 
 
-def _require_distinct_nodes(q, label):
-    """Raise SingularVandermonde when two nodes e^{2 q_i} coincide."""
-    t = np.exp(2 * np.asarray(q, dtype=complex))
-    dist = np.abs(t[:, None] - t[None, :])
-    np.fill_diagonal(dist, np.inf)
-    if t.size > 1 and dist.min() <= 1e-12 * max(np.max(np.abs(t)), 1.0):
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        raise SingularVandermonde(f"{label} nodes {i + 1} and {j + 1} coincide")
-
-
 def _sandwiched_ladder(q, eta) -> np.ndarray:
     """(V^t)^{-1} S^{-1} V^t on nodes q, via the explicit Lagrange inverse,
-    with V_ij = e^{(2j - K - 1) q_i} and S = s_matrix(K, eta).
+    with V_ij = e^{(2j - K - 1) q_i} and S = diag(ladder(K, eta)).
 
     V factors as diag(e^{(1-K)q_i}) times the plain Vandermonde in
     t_i = e^{2 q_i}, so the explicit inverse of the latter gives a
@@ -309,7 +267,6 @@ def _sandwiched_ladder(q, eta) -> np.ndarray:
     """
     q = np.asarray(q, dtype=complex)
     k = q.size
-    _require_distinct_nodes(q, "e^(2x)")
     t = np.exp(2 * q)
     b = lagrange_vandermonde_inverse(t)
     vt_plain = np.vander(t, k, increasing=True).T
@@ -328,10 +285,22 @@ def _ladder_factorized(q, weights, eta) -> np.ndarray:
 
 def factorized_lax(state: RSState) -> np.ndarray:
     """Lax matrix through the ladder factorization
-    -eta e^{eta P} D_eta (V^t)^{-1} S^{-1} V^t D_eta^{-1}."""
+    -eta e^{eta P} D_eta (V^t)^{-1} S^{-1} V^t D_eta^{-1}.
+
+    The nodes are centred, x - mean(Re x): a common shift of x leaves
+    (V^t)^{-1} S^{-1} V^t and D_eta unchanged.  Raises VertexDualError,
+    naming the spread of Re x, where the build still overflows.  An
+    overflow reaches the diagonal (inf/inf or inf * 0) wherever it starts:
+    the entries are finite only if no step overflowed."""
     x, p, eta = state.x, state.p, state.eta
     require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
-    return _ladder_factorized(x, -eta * np.exp(eta * p), eta)
+    with np.errstate(all="ignore"):
+        lax = _ladder_factorized(x - x.real.mean(), -eta * np.exp(eta * p), eta)
+    if not np.isfinite(lax).all():
+        raise VertexDualError(
+            f"the ladder factorization overflows: Re x spreads over {np.ptp(x.real):.6g}"
+        )
+    return lax
 
 
 def xle_relation_check(state: RSState) -> float:

@@ -12,7 +12,6 @@ import numpy as np
 from .errors import DrawFailed
 from .identities import IdentityParams
 from .linalg import eta_shifts, smallest_sinh_gap
-from .ruijsenaars import RSState
 from .spin_chain import ChainParams
 
 GENERATOR_NAME = "numpy.random.PCG64"
@@ -30,9 +29,6 @@ _X_HIGH, _X_PER_SITE, _WIDE_FROM_L = 2.0, 0.3, 8
 _MIN_GAP = 0.05
 # Attempts of a rejection draw before it raises DrawFailed.
 _MAX_ATTEMPTS = 500
-# draw_rs_state: mean coordinate spacing and the momentum range.
-_BASE_GAP = 0.8
-_P_RANGE = (-0.3, 0.3)
 
 
 def draw_chain_params(rng: np.random.Generator, L: int, eta=None, h=None) -> ChainParams:
@@ -73,15 +69,3 @@ def draw_identity_params(rng: np.random.Generator, N: int, M: int) -> IdentityPa
     raise DrawFailed(
         f"no general-position draw of N = {N}, M = {M} found in {_MAX_ATTEMPTS} attempts"
     )
-
-
-def draw_rs_state(rng: np.random.Generator, L: int, eta=0.3) -> RSState:
-    """Real phase point with comfortably separated coordinates.
-
-    Coordinates are laid out with spacing around 0.8 plus jitter,
-    keeping |x_i - x_j| away from |eta| so the Lax matrix stays regular
-    along short flows.
-    """
-    x = np.cumsum(rng.uniform(0.9 * _BASE_GAP, 1.1 * _BASE_GAP, L)) + rng.uniform(-0.1, 0.1)
-    p = rng.uniform(_P_RANGE[0], _P_RANGE[1], L)
-    return RSState(eta=complex(eta), x=x.astype(complex), p=p.astype(complex))

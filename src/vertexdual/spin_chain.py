@@ -107,8 +107,12 @@ def sector_bases(L: int) -> list[np.ndarray]:
 
 
 def _asym_site_blocks(x, eta, h, v):
-    """Auxiliary-space 2x2 blocks (b00, b01, b10, b11) of
-    r_matrix_asymmetric(x, eta, h, v), each acting on the site space."""
+    """Auxiliary-space 2x2 blocks (b00, b01, b10, b11), each acting on the
+    site space, of the field-dressed weight matrix at spectral parameter x.
+    In the basis (uu, ud, du, dd) its diagonal is e^{h+v} a, e^{h-v},
+    e^{-h+v}, e^{-h-v} a with a = sinh(x + eta)/sinh(x), and its two
+    spin-exchange entries are c = sinh(eta)/sinh(x); h = v = 0 gives the
+    weight matrix r(x)."""
     sx = np.sinh(x)
     if abs(sx) <= _SINGULAR_TOL:
         raise SingularSpectralPoint(f"|sinh({x})| = {abs(sx):.3e}")
@@ -122,25 +126,8 @@ def _asym_site_blocks(x, eta, h, v):
     )
 
 
-def r_matrix_asymmetric(x, eta, h, v) -> np.ndarray:
-    """Field-dressed weight matrix in the basis (uu, ud, du, dd): r_matrix
-    sandwiched between exp(h/2 sigma^z) on the first space and
-    exp(v/2 sigma^z) on the second."""
-    b00, b01, b10, b11 = _asym_site_blocks(complex(x), complex(eta), complex(h), complex(v))
-    return np.block([[b00, b01], [b10, b11]])
-
-
-def r_matrix(x, eta) -> np.ndarray:
-    """4x4 weight matrix in the basis (uu, ud, du, dd).
-
-    Diagonal sinh(x+eta)/sinh(x), 1, 1, sinh(x+eta)/sinh(x); the two
-    spin-exchange entries are sinh(eta)/sinh(x).
-    """
-    return r_matrix_asymmetric(x, eta, 0.0, 0.0)
-
-
 def _perm_site_blocks():
-    """Blocks of the two-space permutation (the residue of r_matrix at 0)."""
+    """Blocks of the two-space permutation (the residue of r(x) at 0)."""
     return (
         np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
         _SIGMA_MINUS.copy(),
@@ -218,28 +205,6 @@ def transfer_matrix_twisted(params: ChainParams, x) -> QuantumOperator:
     return QuantumOperator(_traced_monodromy(blocks, twist=_twist(params)))
 
 
-def similarity_u(params: ChainParams) -> QuantumOperator:
-    """Diagonal gauge exp(sum_j (j-1) h sigma^z_j) mapping the dressed model
-    to the twisted one."""
-    L, h = params.L, params.h
-    n = np.arange(2 ** L)
-    expo = np.zeros(2 ** L, dtype=complex)
-    for j in range(1, L + 1):
-        expo += (j - 1) * h * (1.0 - 2.0 * ((n >> (L - j)) & 1))
-    return QuantumOperator(np.diag(np.exp(expo)))
-
-
-def sz_m1_m2_operators(L: int) -> tuple[QuantumOperator, QuantumOperator, QuantumOperator]:
-    """Total spin S^z and the up/down counters M1, M2 (diagonal, exact)."""
-    m2 = _down_counts(L).astype(float)
-    m1 = L - m2
-    return (
-        QuantumOperator(np.diag((m1 - m2).astype(complex))),
-        QuantumOperator(np.diag(m1.astype(complex))),
-        QuantumOperator(np.diag(m2.astype(complex))),
-    )
-
-
 def hamiltonians_h(params: ChainParams) -> list[QuantumOperator]:
     """Residue charges at the inhomogeneities.
 
@@ -302,11 +267,11 @@ class _SectorCharges:
     of magnetization-sector vectors without forming any operator.
 
     H_k = R_{k,k+1} ... R_{k,L} D_k R_{k,1} ... R_{k,k-1}: the weight at
-    site k is the permutation, R_{kj} = r_matrix(x_k - x_j, eta) acts on
+    site k is the permutation, R_{kj} = r(x_k - x_j) acts on
     sites (k, j) and D_k = diag(e^{Lh}, e^{-Lh}) on site k.  As G_k H_k =
     w_k (gh_product_scalar) and r(x) r(-x) = 1 - sinh^2(eta)/sinh^2(x),
     G_k = s_k R'_{k,k-1} ... R'_{k,1} D_k^{-1} R'_{k,L} ... R'_{k,k+1}:
-    H_k's factors reversed, with R'_{kj} = r_matrix(x_j - x_k, eta) and
+    H_k's factors reversed, with R'_{kj} = r(x_j - x_k) and
     s_k = prod_{j != k} sinh(x_k - x_j)/sinh(x_k - x_j - eta).  On a
     sector basis R_{kj} multiplies a row whose bits k and j agree by a,
     and otherwise adds c times the row with the two bits swapped: one

@@ -1,27 +1,240 @@
-"""Reference routines of the tests: a fixed-step RK4 advance for finite
-differences along the flow, the power traces of the Newton identities,
-the subset-sum invariants as a plain loop over subsets, the companion
-matrix and second-order equations of motion as plain loops over
-particle pairs, the sector charges as an out-of-place product kernel,
-the duality and momentum checks one eigenstate at a time, and the
-rs-evolve check of a trajectory one sample at a time."""
+"""Reference routines of the tests, none of which a command runs.
+
+Statements the package computes another way: the weight matrices, the
+gauge and the magnetization counters as dense operators, the Bethe
+equation defect and the transfer-matrix eigenvalue T(x) of a root set,
+the classical Hamiltonian and companion matrix, the W-normalized
+determinant identity and its solved-chain form, and the seeded draw of
+a classical phase point.  Slower builds of what it computes: a
+fixed-step RK4 advance for finite differences along the flow, the power
+traces of the Newton identities, the subset-sum invariants as a plain
+loop over subsets, the companion matrix and second-order equations of
+motion as plain loops over particle pairs, the sector charges as an
+out-of-place product kernel, the duality and momentum checks one
+eigenstate at a time, and the rs-evolve check of a trajectory one
+sample at a time."""
 
 from itertools import combinations
 
 import numpy as np
 
 from vertexdual import RSState, duality
-from vertexdual.errors import MatchFailed, ZeroGValue
-from vertexdual.linalg import coth, match_multisets, sinh_pair_product
+from vertexdual.bethe import _GUARD, BetheRootSet, _equations, all_eigenvalues_h
+from vertexdual.errors import (
+    CrossCheckFailed,
+    GeneralPositionViolated,
+    MatchFailed,
+    SingularConfiguration,
+    SingularSpectralPoint,
+    VertexDualError,
+    ZeroGValue,
+)
+from vertexdual.identities import (
+    IdentityParams,
+    _q_lax,
+    ladder_char_poly,
+    sector_char_poly,
+    w_matrix,
+    w_tilde_matrix,
+)
+from vertexdual.linalg import (
+    UNSHIFTED,
+    charpoly_minors,
+    diagonal_mask,
+    eta_shifts,
+    gap_quotient,
+    match_multisets,
+    poly_rel_residual,
+    rel_diff,
+    require_sinh_gap,
+    sinh_pair_product,
+    sinh_pairs,
+)
 from vertexdual.ruijsenaars import (
+    _GP_TOL,
+    _pair_weights,
     cauchy_factor,
     char_poly_via_en,
     hamilton_rhs,
     lax_from_velocities,
-    rs_hamiltonian,
     velocities,
 )
-from vertexdual.spin_chain import _charge_site_blocks, _twist, joint_diagonalize, sector_bases
+from vertexdual.spin_chain import (
+    ChainParams,
+    QuantumOperator,
+    _asym_site_blocks,
+    _charge_site_blocks,
+    _down_counts,
+    _twist,
+    joint_diagonalize,
+    sector_bases,
+)
+
+
+def coth(z):
+    return np.cosh(z) / np.sinh(z)
+
+
+def r_matrix_asymmetric(x, eta, h, v) -> np.ndarray:
+    """Field-dressed weight matrix in the basis (uu, ud, du, dd): r_matrix
+    sandwiched between exp(h/2 sigma^z) on the first space and
+    exp(v/2 sigma^z) on the second, from the site blocks the dense
+    builders multiply."""
+    b00, b01, b10, b11 = _asym_site_blocks(complex(x), complex(eta), complex(h), complex(v))
+    return np.block([[b00, b01], [b10, b11]])
+
+
+def r_matrix(x, eta) -> np.ndarray:
+    """4x4 weight matrix in the basis (uu, ud, du, dd).
+
+    Diagonal sinh(x+eta)/sinh(x), 1, 1, sinh(x+eta)/sinh(x); the two
+    spin-exchange entries are sinh(eta)/sinh(x).
+    """
+    return r_matrix_asymmetric(x, eta, 0.0, 0.0)
+
+
+def similarity_u(params: ChainParams) -> QuantumOperator:
+    """Diagonal gauge exp(sum_j (j-1) h sigma^z_j) mapping the dressed model
+    to the twisted one."""
+    L, h = params.L, params.h
+    n = np.arange(2 ** L)
+    expo = np.zeros(2 ** L, dtype=complex)
+    for j in range(1, L + 1):
+        expo += (j - 1) * h * (1.0 - 2.0 * ((n >> (L - j)) & 1))
+    return QuantumOperator(np.diag(np.exp(expo)))
+
+
+def sz_m1_m2_operators(L: int) -> tuple[QuantumOperator, QuantumOperator, QuantumOperator]:
+    """Total spin S^z and the up/down counters M1, M2 (diagonal, exact)."""
+    m2 = _down_counts(L).astype(float)
+    m1 = L - m2
+    return (
+        QuantumOperator(np.diag((m1 - m2).astype(complex))),
+        QuantumOperator(np.diag(m1.astype(complex))),
+        QuantumOperator(np.diag(m2.astype(complex))),
+    )
+
+
+class InvalidBetheRoots(VertexDualError):
+    """A root set does not solve the Bethe equations for the given chain."""
+
+
+def _check_configuration(u: np.ndarray, params: ChainParams):
+    require_sinh_gap(u, params.inhom, UNSHIFTED, _GUARD, SingularConfiguration, ("u", "x"))
+    shifts = {"": 0.0, " - eta": -params.eta}
+    require_sinh_gap(u, None, shifts, _GUARD, SingularConfiguration, ("u", "u"))
+
+
+def bae_defect(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
+    """Log-form equation defects for each root; empty for the vacuum sector."""
+    u = np.atleast_1d(np.asarray(roots.roots, dtype=complex))
+    if u.size == 0:
+        return np.zeros(0, dtype=complex)
+    _check_configuration(u, params)
+    return _equations(u, params, params.h)[0]
+
+
+def eigenvalue_t(roots: BetheRootSet, params: ChainParams, x) -> complex:
+    """Transfer-matrix eigenvalue at spectral parameter x for this root set."""
+    x = np.array([complex(x)])
+    L, eta, h = params.L, params.eta, params.h
+    u = np.atleast_1d(np.asarray(roots.roots, dtype=complex))
+    if np.any(np.abs(sinh_pairs(x, params.inhom, 0.0)) <= _GUARD):
+        raise SingularSpectralPoint("x collides with an inhomogeneity")
+    if np.any(np.abs(sinh_pairs(x, u, 0.0)) <= _GUARD):
+        raise SingularSpectralPoint("x collides with a root")
+    site = sinh_pair_product(x, params.inhom, eta, 0.0)[0]
+    down = sinh_pair_product(x, u, -eta, 0.0)[0]
+    up = sinh_pair_product(x, u, eta, 0.0)[0]
+    return complex(np.exp(L * h) * site * down + np.exp(-L * h) * up)
+
+
+def verify_solved_chain_splitting(chain: ChainParams, roots: BetheRootSet) -> float:
+    """Characteristic-polynomial residual of the spectral correspondence
+    for one solved sector.
+
+    Builds the Lax matrix from the closed-form charge values of the
+    root set and compares its characteristic polynomial against the
+    product of the two ladder polynomials centred at e^{+-Lh}.  Raises
+    InvalidBetheRoots when the roots do not solve the equations.
+    """
+    defect = bae_defect(roots, chain)
+    if defect.size and np.max(np.abs(defect)) > 1e-10:
+        raise InvalidBetheRoots(
+            f"equation defect {np.max(np.abs(defect)):.3e} exceeds 1e-10"
+        )
+    x, eta = np.asarray(chain.inhom), chain.eta
+    lax = lax_from_velocities(x, -all_eigenvalues_h(roots, chain), eta)
+    # Same matrix, assembled through the x - eta / root family weights.
+    q = _q_lax(x - eta, roots.roots, np.exp(chain.L * chain.h), eta, eta)
+    if rel_diff(lax, q) > 1e-9:
+        raise CrossCheckFailed("Lax build and weight-family build disagree")
+    rhs = sector_char_poly(chain.L, roots.roots.size, chain.h, chain.eta)
+    return poly_rel_residual(charpoly_minors(lax), rhs)
+
+
+def normalized_identity_sides(params: IdentityParams) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the identity in the W-normalized form
+    det(lambda W^{-1} - Q_0) = det(lambda I - g S_{N-M}) det(lambda W~^{-1} - Q~_0),
+    as coefficient vectors in lambda.
+
+    The individual matrix entries develop poles as two x points
+    coalesce, but these coefficient vectors stay bounded; they are also
+    the natural objects for the large-y stabilization checks.
+    """
+    w = w_matrix(params)
+    q0 = _q_lax(params.x, (), params.g, params.eta, params.eta)
+    lhs = charpoly_minors(np.diag(w) @ q0) / np.prod(w)
+    rhs = ladder_char_poly(params.N - params.M, params.g, params.eta)
+    if params.M:
+        wt = w_tilde_matrix(params)
+        qt0 = _q_lax(params.y, (), params.g, params.eta, -params.eta)
+        rhs = np.polymul(rhs, charpoly_minors(np.diag(wt) @ qt0) / np.prod(wt))
+    return lhs, rhs
+
+
+def rs_hamiltonian(state: RSState) -> complex:
+    """sum_i e^{eta p_i} prod_{k != i} sinh(x_i - x_k + eta)/sinh(x_i - x_k)."""
+    weights = np.prod(_pair_weights(state.x, state.eta)[2], axis=-1)
+    return complex(np.sum(np.exp(state.eta * state.p) * weights))
+
+
+def a_matrix(x, xdot, eta) -> np.ndarray:
+    """Companion matrix of the Lax representation dL/dt = [A, L].
+
+    Off-diagonal entries carry the velocity of the row particle,
+    xdot_j / sinh(x_j - x_k); without that factor the representation
+    fails (checked against finite-difference dL/dt).
+    """
+    x = np.asarray(x, dtype=complex)
+    xdot = np.asarray(xdot, dtype=complex)
+    eta = complex(eta)
+    require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
+    d = x[:, None] - x[None, :]
+    csch0 = gap_quotient(d, (), (0.0,))
+    csch0[diagonal_mask(x.size)] = 0.0
+    a = xdot[:, None] * csch0
+    # coth(d) - coth(d + eta) = sinh(eta) csch(d) csch(d + eta); l = j gives -coth(eta).
+    coupling = np.sinh(eta) * np.sum(csch0 * gap_quotient(d, (), (eta,)) * xdot, axis=1)
+    np.fill_diagonal(a, coupling - xdot / np.tanh(eta))
+    return a
+
+
+# draw_rs_state: mean coordinate spacing and the momentum range.
+_BASE_GAP = 0.8
+_P_RANGE = (-0.3, 0.3)
+
+
+def draw_rs_state(rng: np.random.Generator, L: int, eta=0.3) -> RSState:
+    """Real phase point with comfortably separated coordinates.
+
+    Coordinates are laid out with spacing around 0.8 plus jitter,
+    keeping |x_i - x_j| away from |eta| so the Lax matrix stays regular
+    along short flows.
+    """
+    x = np.cumsum(rng.uniform(0.9 * _BASE_GAP, 1.1 * _BASE_GAP, L)) + rng.uniform(-0.1, 0.1)
+    p = rng.uniform(_P_RANGE[0], _P_RANGE[1], L)
+    return RSState(eta=complex(eta), x=x.astype(complex), p=p.astype(complex))
 
 
 def flow_step(state: RSState, dt: float, n_sub: int = 8) -> RSState:

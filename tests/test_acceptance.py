@@ -27,9 +27,7 @@ from vertexdual import (
     predicted_integrals,
     q_matrix,
     q_tilde_matrix,
-    s_matrix,
     solve_bae,
-    sz_m1_m2_operators,
     transfer_matrix_twisted,
     velocities,
     verify_duality,
@@ -40,10 +38,11 @@ from vertexdual.bethe import _equations
 from vertexdual.cli import main
 from vertexdual.identities import q_factorized, q_tilde_factorized
 from vertexdual.linalg import match_multisets, poly_rel_residual, rel_diff
-from vertexdual.sampling import draw_chain_params, draw_identity_params, draw_rs_state, rng_from_seed
+from vertexdual.ruijsenaars import ladder
+from vertexdual.sampling import draw_chain_params, draw_identity_params, rng_from_seed
 from vertexdual.spin_chain import gh_product_scalar, hamiltonians_g, hamiltonians_h
 
-from classical_reference import flow_step, power_traces
+from classical_reference import draw_rs_state, flow_step, power_traces, sz_m1_m2_operators
 
 
 def _report(num, name, worst, tol, extra=""):
@@ -154,8 +153,7 @@ def test_criterion_04_determinant_identity_trials():
             )
         else:
             eigs = np.linalg.eigvals(q_matrix(params))
-            ladder = params.g * np.diag(s_matrix(n, params.eta))
-            _, errors = match_multisets(eigs, ladder)
+            _, errors = match_multisets(eigs, params.g * ladder(n, params.eta))
             worst_ladder = max(worst_ladder, float(errors.max()))
     _report(4, "determinant identity over 100 draws", worst_identity, 1e-8)
     _report(4, "ladder factorizations", worst_fact, 1e-9)

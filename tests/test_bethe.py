@@ -13,9 +13,7 @@ from vertexdual import (
     SingularConfiguration,
     all_eigenvalues_g,
     all_eigenvalues_h,
-    bae_defect,
     canonicalize_roots,
-    eigenvalue_t,
     joint_diagonalize,
     solve_bae,
     transfer_matrix_twisted,
@@ -24,6 +22,8 @@ from vertexdual.bethe import _SCHEDULE, _equations, _starts, _track
 from vertexdual.linalg import ipi_distance
 from vertexdual.sampling import draw_chain_params, rng_from_seed
 from vertexdual.spin_chain import gh_product_scalar
+
+from classical_reference import bae_defect, eigenvalue_t
 
 CHAIN = ChainParams(L=3, eta=0.41, h=0.23, inhom=(0.1, 0.9, 1.75))
 DRAWN = {

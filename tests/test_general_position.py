@@ -5,6 +5,7 @@ at each general-position check, and seeded draws pinned to recorded
 digests."""
 
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -21,22 +22,20 @@ from vertexdual import (
     IdentityParams,
     RSState,
     SingularConfiguration,
-    SingularVandermonde,
     all_eigenvalues_g,
     all_eigenvalues_h,
-    bae_defect,
     cauchy_det,
-    eigenvalue_t,
     factorized_lax,
     lax_from_velocities,
-    rs_hamiltonian,
     velocities,
 )
 from vertexdual.bethe import _equations
-from vertexdual.linalg import coth, eta_shifts, sinh_pair_product, sinh_pairs, smallest_sinh_gap
+from vertexdual.linalg import eta_shifts, sinh_pair_product, sinh_pairs, smallest_sinh_gap
 from vertexdual.ruijsenaars import hamilton_rhs
 from vertexdual import ruijsenaars, sampling
 from vertexdual.sampling import draw_chain_params, draw_identity_params, rng_from_seed
+
+from classical_reference import bae_defect, coth, eigenvalue_t, rs_hamiltonian
 
 
 GPV = GeneralPositionViolated
@@ -297,10 +296,10 @@ class TestCheckSites:
         assert needle in str(info.value)
 
     def test_coincident_vandermonde_nodes(self):
-        from vertexdual.ruijsenaars import _sandwiched_ladder
-
-        with pytest.raises(SingularVandermonde, match="nodes 1 and 3"):
-            _sandwiched_ladder([0.1, 0.7, 0.1 + 1j * np.pi], 0.3)
+        # e^(2x) nodes 1 and 3 coincide; the general-position check of the
+        # public caller names them before any Vandermonde build.
+        with pytest.raises(GPV, match=re.escape("x_1 - x_3)")):
+            IdentityParams(3, 0, (0.1, 0.7, 0.1 + 1j * np.pi), (), 1.0, 0.3)
 
     def test_failed_draw_is_domain_error(self, monkeypatch):
         monkeypatch.setattr(sampling, "_MIN_GAP", 10.0)

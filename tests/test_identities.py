@@ -1,7 +1,7 @@
 """Determinant-identity layer: matrix builds vs factorizations, the
-explicit Vandermonde inverse, the paired characteristic-polynomial
-identity across random draws, pole-cancellation and large-y behaviour,
-and the solved-chain spectral identity."""
+paired characteristic-polynomial identity across random draws,
+pole-cancellation and large-y behaviour, and the solved-chain spectral
+identity."""
 
 from dataclasses import replace
 
@@ -11,17 +11,11 @@ import pytest
 from vertexdual import (
     ChainParams,
     GeneralPositionViolated,
-    InvalidBetheRoots,
     IdentityParams,
-    SingularVandermonde,
-    normalized_identity_sides,
     q_matrix,
     q_tilde_matrix,
-    s_matrix,
     solve_bae,
-    vandermonde_inverse,
     verify_determinant_splitting,
-    verify_solved_chain_splitting,
 )
 from vertexdual.bethe import BetheRootSet
 from vertexdual.identities import (
@@ -33,15 +27,21 @@ from vertexdual.identities import (
     w_tilde_matrix,
 )
 from vertexdual.linalg import charpoly_minors, match_multisets, poly_rel_residual, rel_diff
+from vertexdual.ruijsenaars import ladder
 from vertexdual.sampling import draw_identity_params, rng_from_seed
+
+from classical_reference import (
+    InvalidBetheRoots,
+    normalized_identity_sides,
+    verify_solved_chain_splitting,
+)
 
 
 class TestLadderMatrix:
     def test_small_sizes(self):
-        assert s_matrix(0, 0.4).shape == (0, 0)
-        assert np.allclose(s_matrix(1, 0.4), [[1.0]])
-        s2 = s_matrix(2, 0.4)
-        assert np.allclose(np.diag(s2), [np.exp(0.4), np.exp(-0.4)])
+        assert ladder(0, 0.4).shape == (0,)
+        assert np.allclose(ladder(1, 0.4), [1.0])
+        assert np.allclose(ladder(2, 0.4), [np.exp(0.4), np.exp(-0.4)])
 
     def test_char_poly_structure_k3(self):
         g, eta = 1.3 - 0.2j, 0.35 + 0.1j
@@ -59,8 +59,7 @@ class TestQMatrices:
         rng = rng_from_seed(1)
         params = draw_identity_params(rng, 4, 0)
         eigs = np.linalg.eigvals(q_matrix(params))
-        ladder = params.g * np.diag(s_matrix(4, params.eta))
-        _, errors = match_multisets(eigs, ladder)
+        _, errors = match_multisets(eigs, params.g * ladder(4, params.eta))
         assert errors.max() < 1e-10
 
     def test_q_factorization(self):
@@ -117,29 +116,6 @@ class TestQMatrices:
             dw = np.prod(w_matrix(params))
             dwt = np.prod(w_tilde_matrix(params))
             assert abs(dw - dwt) < 1e-12 * abs(dw)
-
-
-class TestVandermondeInverse:
-    def test_single_node(self):
-        assert np.allclose(vandermonde_inverse(np.array([0.3])), [[1.0]])
-
-    def test_two_nodes_vs_direct_solve(self):
-        x = np.array([0.3, 1.1])
-        t = np.exp(2 * x)
-        vt = np.vander(t, 2, increasing=True).T
-        direct = np.linalg.inv(vt)
-        assert rel_diff(vandermonde_inverse(x), direct) < 1e-12
-
-    def test_five_nodes_product_is_identity(self):
-        rng = rng_from_seed(5)
-        x = rng.uniform(0.0, 2.0, 5) + 1j * rng.uniform(-0.4, 0.4, 5)
-        b = vandermonde_inverse(x)
-        vt = np.vander(np.exp(2 * x), 5, increasing=True).T
-        assert np.max(np.abs(b @ vt - np.eye(5))) < 1e-10
-
-    def test_coincident_nodes_raise(self):
-        with pytest.raises(SingularVandermonde):
-            vandermonde_inverse(np.array([0.4, 0.4 + 1j * np.pi]))
 
 
 class TestIdentity:

@@ -1,7 +1,7 @@
 """Exact assignment in linalg: _assignment, match_multisets and
 ipi_distance against scipy's linear_sum_assignment as the reference;
 the order of complex sequences under complex_sort_key; the Lagrange
-inverse against a per-row build."""
+inverse against a per-row build and against LU."""
 
 import numpy as np
 import pytest
@@ -157,3 +157,12 @@ def test_lagrange_inverse_matches_per_row_reference():
         diff = rel_diff(lagrange_vandermonde_inverse(t), _lagrange_rows(t))
         assert diff <= 20 * np.finfo(float).eps
     assert lagrange_vandermonde_inverse(np.zeros(0)).shape == (0, 0)
+    # Nodes t = e^{2x} as the ladder factorizations take them: the result
+    # inverts V^T, the Vandermonde in t transposed, against LU as well.
+    five = np.random.default_rng(5)
+    for x in ([0.3], [0.3, 1.1], five.uniform(0, 2, 5) + 1j * five.uniform(-0.4, 0.4, 5)):
+        t = np.exp(2 * np.asarray(x, dtype=complex))
+        b, vt = lagrange_vandermonde_inverse(t), np.vander(t, t.size, increasing=True).T
+        assert rel_diff(b, _lagrange_rows(t)) <= 20 * np.finfo(float).eps
+        assert rel_diff(b, np.linalg.inv(vt)) < 1e-12
+        assert np.max(np.abs(b @ vt - np.eye(t.size))) < 1e-10

@@ -14,7 +14,7 @@ from vertexdual import (
     GeneralPositionViolated,
     RSState,
     StepSizeUnderflow,
-    a_matrix,
+    VertexDualError,
     acceleration,
     cauchy_det,
     char_poly_via_en,
@@ -22,12 +22,11 @@ from vertexdual import (
     factorized_lax,
     lax_from_momenta,
     lax_from_velocities,
-    rs_hamiltonian,
     velocities,
     xle_relation_check,
 )
 from vertexdual import ruijsenaars
-from vertexdual.linalg import FAR_RE, _far_pair_quotient, coth, gap_quotient, match_multisets
+from vertexdual.linalg import FAR_RE, _far_pair_quotient, gap_quotient, match_multisets, rel_diff
 from vertexdual.ruijsenaars import (
     MIN_TOL_ODE,
     cauchy_factor,
@@ -36,10 +35,13 @@ from vertexdual.ruijsenaars import (
 )
 
 from classical_reference import (
+    a_matrix,
     a_matrix_loops,
     acceleration_loops,
+    coth,
     flow_step,
     power_traces,
+    rs_hamiltonian,
     subset_sums,
 )
 
@@ -189,6 +191,18 @@ class TestLaxBuilds:
         st5 = _random_state(rng, 5, spread=0.7)
         err5 = np.max(np.abs(factorized_lax(st5) - lax_from_momenta(st5)))
         assert err5 < 1e-8 * np.max(np.abs(lax_from_momenta(st5)))
+
+    @pytest.mark.parametrize("x", [[-20, -19], [0, 400]])
+    def test_factorized_build_far_from_the_origin(self, x):
+        # e^{2x} is below 1e-12 at x = -20 and overflows at x = 400; the
+        # build centres its nodes at mean(Re x).
+        st = RSState(eta=0.35, x=x, p=[0.2, -0.4])
+        assert rel_diff(factorized_lax(st), lax_from_momenta(st)) < 1e-14
+
+    def test_factorized_build_overflow_names_the_spread(self):
+        st = RSState(eta=0.35, x=[0, 300, 600], p=[0.2, -0.4, 0.1])
+        with pytest.raises(VertexDualError, match="Re x spreads over 600$"):
+            factorized_lax(st)
 
     def test_general_position_guard(self):
         with pytest.raises(GeneralPositionViolated):

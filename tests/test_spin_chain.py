@@ -26,11 +26,7 @@ from vertexdual import (
     hamiltonians_g,
     hamiltonians_h,
     joint_diagonalize,
-    r_matrix,
-    r_matrix_asymmetric,
     sector_bases,
-    similarity_u,
-    sz_m1_m2_operators,
     transfer_matrix_asym,
     transfer_matrix_twisted,
 )
@@ -46,7 +42,13 @@ from vertexdual.spin_chain import (
     gh_product_scalar,
 )
 
-from classical_reference import sector_charges_out_of_place
+from classical_reference import (
+    r_matrix,
+    r_matrix_asymmetric,
+    sector_charges_out_of_place,
+    similarity_u,
+    sz_m1_m2_operators,
+)
 
 
 def rel_commutator(a: np.ndarray, b: np.ndarray) -> float:
