@@ -64,13 +64,6 @@ _MAX_PARAM = 50.0
 # Bound on |t_final|: the default flow integrates to 1e3 in a fraction of
 # a second but does not return from t_final = 1e18.
 _MAX_TIME = 1e3
-# Subset terms (16 KB) that rs-evolve's invariant pass holds at a time,
-# as its pair matrices hold PAIR_ENTRIES entries.
-_SUBSET_TERMS = 2**10
-# Elements per operand buffer of numpy's broadcast operations in rs-evolve
-# (numpy's default is 8192): buffers as large as its stacked pair matrices
-# stay on the heap after the run and raise the peak memory.
-_BUFSIZE = 256
 
 
 def _real(value):
@@ -140,8 +133,8 @@ def _complex_field(default) -> _Field:
 def _complex_list_field(default) -> _Field:
     return _Field(
         default,
-        lambda v: isinstance(v, list) and len(v) > 0 and all(_is_complex(z) for z in v),
-        f"a non-empty list of {_COMPLEX}",
+        lambda v: isinstance(v, list) and 0 < len(v) <= _MAX_L and all(_is_complex(z) for z in v),
+        f"a list of 1 to {_MAX_L} values, each {_COMPLEX}",
     )
 
 
@@ -319,7 +312,7 @@ def _cmd_solve_bethe(config: dict):
             "residuals": [s.residual for s in sols],
             "roots": [_vector_out(s.roots) for s in sols],
         }
-        if any(s.residual > config["tol"] for s in sols):
+        if len(sols) != expected or any(s.residual > config["tol"] for s in sols):
             passed = False
         if cross:
             # Relative charge errors, indexed (ED state, solution, site).
@@ -328,7 +321,7 @@ def _cmd_solve_bethe(config: dict):
             errors = (np.abs(bethe_h - ed_h) / np.maximum(np.abs(ed_h), 1e-12)).max(axis=2)
             entry["ed_match_errors"] = [float(row.min()) if sols else None for row in errors]
             entry["ed_match_rate"] = float(np.mean(errors.min(axis=1, initial=np.inf) <= 1e-8))
-            if entry["ed_match_rate"] < 1.0 or len(sols) != expected:
+            if entry["ed_match_rate"] < 1.0:
                 passed = False
         results.append(entry)
     summary = {
@@ -347,34 +340,28 @@ def _cmd_rs_evolve(config: dict):
         state0 = RSState(eta=eta, x=x0, p=p0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    with np.errstate():
-        np.setbufsize(_BUFSIZE)
-        trajectory = evolve(
-            state0, config["t_final"], tol_ode=config["tol_ode"], n_samples=config["n_samples"]
-        )
-        # One pass over the stacked samples, in blocks of PAIR_ENTRIES pair
-        # entries (its subset recursion in blocks of _SUBSET_TERMS terms);
-        # sample 0 is the initial state, the reference for the drifts.
-        n = trajectory.x.shape[-1]
-        rows, subsets = max(1, PAIR_ENTRIES // n**2), max(1, _SUBSET_TERMS >> n)
-        energy, lax_drift, invariant_drift = [], 0.0, 0.0
-        for start in range(0, len(trajectory.t), rows):
-            x = trajectory.x[start : start + rows]
-            xdot = velocities(x, trajectory.p[start : start + rows], eta)
-            eig = np.linalg.eigvals(lax_from_velocities(x, xdot, eta))
-            en = np.concatenate(
-                [
-                    char_poly_via_en(x[k : k + subsets], xdot[k : k + subsets], eta)
-                    for k in range(0, len(x), subsets)
-                ]
-            )
-            if start == 0:
-                eig0, en0 = eig[0], en[0]
-                scale = max(np.max(np.abs(en0)), 1.0)
-            lax_drift = max(lax_drift, float(match_multisets(eig, eig0)[1].max()))
-            invariant_drift = max(invariant_drift, float(np.max(np.abs(en - en0)) / scale))
-            # The energy is sum_i xdot_i / eta.
-            energy.append(xdot.sum(axis=-1) / eta)
+    trajectory = evolve(
+        state0, config["t_final"], tol_ode=config["tol_ode"], n_samples=config["n_samples"]
+    )
+    # One pass over the stacked samples, in blocks whose n^2 pair entries
+    # and 2^n subset terms per sample stay within PAIR_ENTRIES (n <= _MAX_L
+    # keeps a block at least one sample); sample 0 is the initial state,
+    # the reference for the drifts.
+    n = trajectory.x.shape[-1]
+    rows = PAIR_ENTRIES // max(n * n, 2**n)
+    energy, lax_drift, invariant_drift = [], 0.0, 0.0
+    for start in range(0, len(trajectory.t), rows):
+        x = trajectory.x[start : start + rows]
+        xdot = velocities(x, trajectory.p[start : start + rows], eta)
+        eig = np.linalg.eigvals(lax_from_velocities(x, xdot, eta))
+        en = char_poly_via_en(x, xdot, eta)
+        if start == 0:
+            eig0, en0 = eig[0], en[0]
+            scale = max(np.max(np.abs(en0)), 1.0)
+        lax_drift = max(lax_drift, float(match_multisets(eig, eig0)[1].max()))
+        invariant_drift = max(invariant_drift, float(np.max(np.abs(en - en0)) / scale))
+        # The energy is sum_i xdot_i / eta.
+        energy.append(xdot.sum(axis=-1) / eta)
     samples = [
         {"t": t, "x": xs, "p": ps, "energy": e}
         for t, xs, ps, e in zip(

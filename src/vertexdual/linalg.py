@@ -316,8 +316,12 @@ def require_sinh_gap(a, b, shifts: dict, tol: float, error: type, names: tuple[s
             return
         gap, i, j, label = (v.ravel()[rows[0]] for v in (gap, i, j, label))
     if gap <= tol:
-        pair = f"{names[0]}_{i + 1} - {names[1]}_{j + 1}{label}"
-        raise error(f"|sinh({pair})| = {gap:.3e} <= {tol:g}")
+        raise error(f"{sinh_gap_words(gap, i, j, label, names)} <= {tol:g}")
+
+
+def sinh_gap_words(gap, i, j, label, names: tuple[str, str]) -> str:
+    """A smallest_sinh_gap result in words: "|sinh(x_1 - x_2 + eta)| = 1.000e-10"."""
+    return f"|sinh({names[0]}_{i + 1} - {names[1]}_{j + 1}{label})| = {gap:.3e}"
 
 
 def complex_sort_key(values) -> tuple[float, ...]:

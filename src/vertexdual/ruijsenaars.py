@@ -36,6 +36,7 @@ from .linalg import (
     gap_quotient,
     lagrange_vandermonde_inverse,
     require_sinh_gap,
+    sinh_gap_words,
     sinh_pairs,
     smallest_sinh_gap,
 )
@@ -306,14 +307,17 @@ def factorized_lax(state: RSState) -> np.ndarray:
 def xle_relation_check(state: RSState) -> float:
     """Residual of the conjugation identity
     e^{-eta} e^X L e^{-X} - e^{eta} e^{-X} L e^X = 2 sinh(eta) Xdot E,
-    relative to ||L||, with E the all-ones matrix."""
+    relative to ||L||, with E the all-ones matrix.  The conjugations take
+    e^{x_i - x_j}, unchanged by a common shift of x; VertexDualError names
+    the spread of Re x where these or a Lax entry leave the double range."""
     x, eta = state.x, state.eta
     xd = velocities(x, state.p, eta)
     lax = lax_from_velocities(x, xd, eta)
-    ex = np.exp(x)
-    lhs = np.exp(-eta) * (ex[:, None] * lax / ex[None, :]) - np.exp(eta) * (
-        lax * ex[None, :] / ex[:, None]
-    )
+    with np.errstate(all="ignore"):
+        conj = np.exp(x[:, None] - x)
+        lhs = (np.exp(-eta) * conj - np.exp(eta) / conj) * lax
+    if not (np.isfinite(lhs).all() and np.abs(lax).min() >= np.finfo(float).tiny):
+        raise VertexDualError(f"out of double range: Re x spreads over {np.ptp(x.real):.6g}")
     rhs = 2 * np.sinh(eta) * np.outer(xd, np.ones(x.size))
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lax))
 
@@ -494,7 +498,7 @@ def evolve(
         if not np.all(np.isfinite(f0)):
             raise StepSizeUnderflow("the vector field is not finite at t = 0")
         sample_through(0.0, lambda _t: y0)
-        t_new = 0.0
+        t_new, y_new = 0.0, y0
         try:
             for t, t_new, y_new, dense in _dormand_prince(rhs, y0, f0, t_final, tol_ode, ode):
                 if gap(y_new) <= _COLLISION_TOL:
@@ -509,12 +513,10 @@ def evolve(
                     t_new, lambda s: y_new if s == t_new else dense((s - t) / (t_new - t))
                 )
         except StepSizeUnderflow as exc:
-            t_last = grid[len(samples) - 1]
-            g, i, j, _ = smallest_sinh_gap(samples[-1].view(complex)[:n], None, UNSHIFTED)
-            raise StepSizeUnderflow(
-                f"{exc} (last sample t = {t_last:.6g}, "
-                f"smallest |sinh(x_{i + 1} - x_{j + 1})| = {g:.3e} there)"
-            ) from None
+            # The stall is at t_new; the gaps include the +-eta shifts, where p leaves its chart.
+            smallest = smallest_sinh_gap(y_new.view(complex)[:n], None, eta_shifts(eta))
+            words = sinh_gap_words(*smallest, ("x", "x"))
+            raise StepSizeUnderflow(f"{exc} (smallest gap there: {words})") from None
         except GeneralPositionViolated as exc:
             # The step being tried starts at t_new, the last accepted time.
             raise CollisionDetected(

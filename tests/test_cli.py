@@ -149,6 +149,20 @@ class TestSolveBethe:
         assert sectors[0]["n_solutions"] == 1
         assert sectors[0]["roots"] == [[]]
 
+    def test_short_sector_fails_past_the_ed_range(self, tmp_path, monkeypatch):
+        # At L = 7 no diagonalization cross-checks the sector; a solution
+        # short of C(L, M2) still fails the run.
+        solve = cli.solve_bae
+        monkeypatch.setattr(cli, "solve_bae", lambda chain, m2: solve(chain, m2)[:-1])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L": 7, "seed": 0, "sectors": [1]}))
+        code, report = _run(tmp_path, ["solve-bethe", "--config", str(cfg)])
+        assert code == 1
+        assert report["summary"]["passed"] is False
+        assert not report["summary"]["cross_validated"]
+        [sector] = report["results"]["sectors"]
+        assert (sector["n_solutions"], sector["paths_failed"]) == (6, 1)
+
     def test_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"L": 4, "seed": 3}))
@@ -197,8 +211,9 @@ class TestRsEvolve:
         assert report is None
 
     def test_stalled_flow_fails_in_one_line(self, tmp_path):
-        # The flow blows up near t = 4.4067: trial steps overflow the field
-        # before the integrator gives up.
+        # x_1 - x_2 + eta reaches 0 near t = 4.4067, where p leaves the
+        # chart: trial steps overflow the field before the integrator
+        # gives up.
         config = {"eta": 1.15, "x0": [0.64, 1.56, 2.52], "p0": [0.38, -0.65, -0.43], "t_final": 5.0}
         (tmp_path / "c.json").write_text(json.dumps(config))
         proc = _python(
@@ -207,7 +222,7 @@ class TestRsEvolve:
         assert proc.returncode == 3
         [line] = proc.stderr.splitlines()
         assert line.startswith("numerical failure: StepSizeUnderflow: ")
-        assert "last sample t = " in line
+        assert line.endswith("(smallest gap there: |sinh(x_1 - x_2 + eta)| = 3.642e-14)")
 
     def test_trial_stage_collision_is_a_numerical_failure(self, tmp_path, capsys):
         # A valid config (gaps 0.14 and 0.41) whose flow brings x_1 and x_2
@@ -314,6 +329,13 @@ class TestRsEvolve:
                 "p0": [0.05 * (-1) ** k for k in range(9)],
                 "t_final": 3.0,
             },
+            # n = 10, the largest the schema accepts: blocks of 1 sample.
+            {
+                "eta": 0.35,
+                "x0": [0.1 + 0.8 * k for k in range(10)],
+                "p0": [0.1, -0.2, 0.15, 0.0, 0.05, -0.1, 0.2, -0.05, 0.1, -0.15],
+                "t_final": 3.0,
+            },
             {
                 "eta": [0.3, 0.2],
                 "x0": [[0.1, 0.05], 1.0, [2.1, -0.1]],
@@ -322,7 +344,7 @@ class TestRsEvolve:
                 "n_samples": 50,
             },
         ],
-        ids=["default", "n4", "n6", "n9", "complex-backward"],
+        ids=["default", "n4", "n6", "n9", "n10", "complex-backward"],
     )
     def test_stacked_checks_match_per_sample_loop(self, tmp_path, config):
         # The command checks the whole trajectory in one array pass; the
@@ -361,6 +383,22 @@ class TestRsEvolve:
         with pytest.raises(GeneralPositionViolated) as info:
             rs_evolve_checks_per_sample(trajectory, 0.35)
         assert str(info.value) == message
+
+    def test_buffer_size_is_left_as_found(self, tmp_path):
+        # The check pass sets no process-wide numpy state.
+        before = np.getbufsize()
+        code, _ = _run(tmp_path, ["rs-evolve"])
+        assert code == 0
+        assert np.getbufsize() == before
+
+    def test_more_than_ten_particles_is_a_config_error(self, tmp_path, capsys):
+        # 2^n subset terms per sample: the schema caps n at the desk-scale L.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"x0": [0.8 * k for k in range(11)], "p0": [0] * 11}))
+        code, report = _run(tmp_path, ["rs-evolve", "--config", str(cfg)])
+        assert code == 2 and report is None
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: x0: expected a list of 1 to 10 values")
 
     def test_mismatched_lengths_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -463,6 +501,7 @@ HOSTILE_CONFIGS = [
     ("rs-evolve", {"x0": 3}, 2),
     ("rs-evolve", {"eta": 0}, 2),
     ("rs-evolve", {"tol_ode": 1e-300}, 2),
+    ("rs-evolve", {"x0": [0.1 * k for k in range(11)], "p0": [0] * 11}, 2),
     ("verify-duality", {"L": True}, 2),
     ("solve-bethe", {"sectors": 1}, 2),
     ("verify-duality", {"trials": True}, 2),

@@ -465,6 +465,23 @@ class TestConjugationIdentity:
         shifted = RSState(eta=st.eta, x=st.x + 0.83, p=st.p)
         assert abs(xle_relation_check(st) - xle_relation_check(shifted)) < 1e-11
 
+    def test_far_from_the_origin(self):
+        # e^{800} overflows; the conjugation takes e^{x_i - x_j} = e^{+-400}.
+        st = RSState(eta=0.35, x=[400, 800], p=[0.2, -0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert xle_relation_check(st) <= 1e-12
+
+    @pytest.mark.parametrize("x", [[0, 800], [-700, 100]])
+    def test_spread_out_of_double_range_names_it(self, x):
+        # A spread of 800 overflows e^{x_i - x_j} and underflows the far
+        # Lax entry to 0.
+        st = RSState(eta=0.35, x=x, p=[0.2, -0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VertexDualError, match="Re x spreads over 800$"):
+                xle_relation_check(st)
+
 
 def _dop853(state, t_final, t_eval=None, collision=False):
     """scipy's DOP853 at tol 1e-13 on the same field, as the reference for
@@ -609,22 +626,47 @@ class TestEvolution:
             evolve(st, 1.0, 1e-10)
 
     def test_stall_message_locates_the_failure(self):
-        # The flow itself blows up near t = 4.4067 with every pair well
-        # apart: this integrator and scipy's DOP853 both stop there.
+        # The flow blows up near t = 4.4067, where x_1 - x_2 + eta reaches
+        # 0 with every pair well apart: this integrator and scipy's DOP853
+        # both stop there.
         st = RSState(eta=1.15, x=np.array([0.64, 1.56, 2.52]), p=np.array([0.38, -0.65, -0.43]))
         with pytest.raises(StepSizeUnderflow) as info:
             evolve(st, 5.0)
         message = str(info.value)
         assert "\n" not in message
         pattern = (
-            r"at t = (\S+) \(last sample t = (\S+), "
-            r"smallest \|sinh\(x_\d - x_\d\)\| = (\S+) there\)"
+            r"at t = (\S+) \(smallest gap there: "
+            r"\|sinh\(x_1 - x_2 \+ eta\)\| = (\S+)\)$"
         )
         found = re.search(pattern, message)
         assert found, message
         assert 4.4066 < float(found[1]) < 4.4068
-        assert 0.0 < float(found[2]) < float(found[1])
-        assert float(found[3]) > 1e-6
+        assert float(found[2]) <= 1e-9
+
+    def test_stall_names_the_eta_shifted_gap(self):
+        # An n = 10 op of the classical-flow benchmark (seed 2, stream 2):
+        # at the last accepted step x_8 - x_9 crosses -eta while every
+        # pair stays well apart.
+        st = RSState(
+            eta=0.4368283514492354,
+            x=[
+                0.8455468309750085, 1.7207385238905915, 2.5103596156273014,
+                3.348182700474891, 4.212899594316879, 5.080235708240319,
+                5.885187439960317, 6.682790931806556, 7.413356974683912,
+                8.144466541188393,
+            ],
+            p=[
+                0.2731176372604773, 0.2345699137408646, -0.07974148595437935,
+                -0.020672105010053676, -0.164539059630487, -0.08213609656703069,
+                -0.17440373761168992, 0.24338391641833584, -0.26160943236168616,
+                -0.26518671411084804,
+            ],
+        )
+        with pytest.raises(StepSizeUnderflow) as info:
+            evolve(st, 7.997592239228337)
+        found = re.search(r"\|sinh\(x_8 - x_9 \+ eta\)\| = (\S+)\)$", str(info.value))
+        assert found, str(info.value)
+        assert float(found[1]) <= 1e-9
 
     def test_every_field_evaluation_goes_through_hamilton_rhs(self, monkeypatch):
         # The benchmark's tracer counts evolve's field evaluations by
