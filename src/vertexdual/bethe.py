@@ -26,17 +26,17 @@ import numpy as np
 
 from .errors import SingularConfiguration
 from .linalg import (
+    SINGULAR_TOL,
+    UNSHIFTED,
     complex_sort_key,
     ipi_distance,
     reduce_mod_ipi,
-    UNSHIFTED,
     require_sinh_gap,
     sinh_pair_product,
     smallest_sinh_gap,
 )
 from .spin_chain import ChainParams
 
-_GUARD = 1e-12
 _DISTINCT_TOL = 1e-8
 _DEDUP_TOL = 1e-7
 _RESIDUAL_TOL = 1e-10
@@ -171,7 +171,7 @@ def _root_set(u, params: ChainParams, found: list[BetheRootSet], retracks: int):
     permutation or i*pi shift of one in ``found``; else None."""
     if u is None or smallest_sinh_gap(u, None, UNSHIFTED)[0] <= _DISTINCT_TOL:
         return None
-    if smallest_sinh_gap(u, params.inhom, UNSHIFTED)[0] <= _GUARD:
+    if smallest_sinh_gap(u, params.inhom, UNSHIFTED)[0] <= SINGULAR_TOL:
         return None
     u = canonicalize_roots(u)
     residual = float(np.max(np.abs(_equations(u, params, params.h)[0])))
@@ -223,7 +223,7 @@ def solve_bae(params: ChainParams, M2: int) -> list[BetheRootSet]:
 def all_eigenvalues_h(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
     """H_1 .. H_L for this root set, stacked over the sites."""
     u, xs, eta = np.atleast_1d(np.asarray(roots.roots, dtype=complex)), params.inhom, params.eta
-    require_sinh_gap(u, xs, UNSHIFTED, _GUARD, SingularConfiguration, ("u", "x"))
+    require_sinh_gap(u, xs, UNSHIFTED, SINGULAR_TOL, SingularConfiguration, ("u", "x"))
     pref = sinh_pair_product(xs, None, eta, 0.0) * sinh_pair_product(xs, u, -eta, 0.0)
     return np.exp(params.L * params.h) * pref
 
@@ -231,5 +231,5 @@ def all_eigenvalues_h(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
 def all_eigenvalues_g(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
     """G_1 .. G_L for this root set, stacked over the sites."""
     u, xs, eta = np.atleast_1d(np.asarray(roots.roots, dtype=complex)), params.inhom, params.eta
-    require_sinh_gap(u, xs, {" + eta": eta}, _GUARD, SingularConfiguration, ("u", "x"))
+    require_sinh_gap(u, xs, {" + eta": eta}, SINGULAR_TOL, SingularConfiguration, ("u", "x"))
     return np.exp(-params.L * params.h) * sinh_pair_product(xs, u, 0.0, -eta)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CrossCheckFailed, GeneralPositionViolated
+from .errors import CrossCheckFailed
 from .linalg import (
     charpoly_minors,
     eta_shifts,
@@ -55,9 +55,9 @@ class IdentityParams:
             raise ValueError("g must be nonzero")
         shifts = eta_shifts(self.eta)
         for pts, name in ((self.x, "x"), (self.y, "y")):
-            require_sinh_gap(pts, None, shifts, _GP_TOL, GeneralPositionViolated, (name, name))
+            require_sinh_gap(pts, None, shifts, _GP_TOL, names=(name, name))
         cross = {"": 0.0, " - eta": -self.eta}
-        require_sinh_gap(self.x, self.y, cross, _GP_TOL, GeneralPositionViolated, ("x", "y"))
+        require_sinh_gap(self.x, self.y, cross, _GP_TOL, names=("x", "y"))
 
 
 def _q_lax(points, others, g, eta, shift) -> np.ndarray:

@@ -13,6 +13,14 @@ from operator import mul
 
 import numpy as np
 
+from .errors import GeneralPositionViolated
+
+# General position: chains, Lax matrices and the flow keep |sinh(eta)| and
+# the |sinh| of each gap (with its +-eta shifts) above GENERAL_POSITION_TOL.
+# A sinh at or below SINGULAR_TOL counts as zero.
+GENERAL_POSITION_TOL = 1e-9
+SINGULAR_TOL = 1e-12
+
 
 def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Max entrywise difference relative to the larger matrix scale."""
@@ -274,7 +282,8 @@ def smallest_sinh_gap(a, b, shifts: dict):
 
     The differences a_i - b_j are formed once and each shift is added to
     them in one scratch matrix.  Coordinates of shape (..., n) give one
-    result per row: gap, i, j and label are then arrays of shape (...).
+    result per row: gap, i, j and label are arrays of shape (...), numpy
+    scalars for a single family.
     """
     a = np.asarray(a, dtype=complex)
     other = a if b is None else np.asarray(b, dtype=complex)
@@ -289,34 +298,34 @@ def smallest_sinh_gap(a, b, shifts: dict):
     if b is None:
         gaps[..., diagonal_mask(a.shape[-1])] = np.inf
     flat = gaps.reshape(stack + (math.prod(gaps.shape[-3:]),))
-    labels = np.array(list(shifts) + [""])
+    labels = np.array(list(shifts) + [""])  # labels[-1]: no pair
     if flat.shape[-1] == 0:
-        none = np.full(stack, -1)
-        gap, i, j, label = np.full(stack, np.inf), none, none, labels[none]
+        gap, k = np.full(stack, np.inf), np.full(stack, -1)
+        i = j = k
     else:
         # min is the entry argmin finds, a nan where there is one.
         gap = flat.min(axis=-1)
         k, i, j = np.unravel_index(flat.argmin(axis=-1), gaps.shape[-3:])
-        label = labels[k]
-    if stack:
-        return gap, i, j, label
-    return float(gap), int(i), int(j), str(label)
+    return gap[()], i[()], j[()], labels[k]
 
 
-def require_sinh_gap(a, b, shifts: dict, tol: float, error: type, names: tuple[str, str]):
+def require_sinh_gap(a, b, shifts: dict, tol, error=GeneralPositionViolated, names=("x", "x")):
     """Raise ``error`` naming the pair and the shift when some
     |sinh(a_i - b_j + s)| <= tol (see smallest_sinh_gap); ``names`` are
     the symbols of the two families in the message.  On stacked
     coordinates the first row (in C order) that fails names the pair."""
     gap, i, j, label = smallest_sinh_gap(a, b, shifts)
-    if np.ndim(gap):
-        # The rows are searched only where the smallest gap (or a nan) asks.
-        rows = np.flatnonzero(gap.ravel() <= tol) if not gap.min(initial=np.inf) > tol else []
-        if len(rows) == 0:
-            return
-        gap, i, j, label = (v.ravel()[rows[0]] for v in (gap, i, j, label))
-    if gap <= tol:
-        raise error(f"{sinh_gap_words(gap, i, j, label, names)} <= {tol:g}")
+    rows = np.flatnonzero(gap <= tol)
+    if rows.size:
+        first = (np.ravel(v)[rows[0]] for v in (gap, i, j, label))
+        raise error(f"{sinh_gap_words(*first, names)} <= {tol:g}")
+
+
+def require_sinh_eta(eta):
+    """Raise GeneralPositionViolated unless |sinh(eta)| > GENERAL_POSITION_TOL."""
+    size = abs(np.sinh(complex(eta)))
+    if size <= GENERAL_POSITION_TOL:
+        raise GeneralPositionViolated(f"|sinh(eta)| = {size:.3e} <= {GENERAL_POSITION_TOL:g}")
 
 
 def sinh_gap_words(gap, i, j, label, names: tuple[str, str]) -> str:

@@ -30,21 +30,20 @@ from .errors import (
     VertexDualError,
 )
 from .linalg import (
+    GENERAL_POSITION_TOL,
+    SINGULAR_TOL,
     UNSHIFTED,
     diagonal_mask,
     eta_shifts,
     gap_quotient,
     lagrange_vandermonde_inverse,
+    require_sinh_eta,
     require_sinh_gap,
     sinh_gap_words,
     sinh_pairs,
     smallest_sinh_gap,
 )
 
-# The flow is singular only at x_i = x_j mod i*pi; Lax-type builds are
-# also singular on the +-eta shifts.
-_GP_TOL = 1e-9
-_EXIST_TOL = 1e-12
 # evolve stops with CollisionDetected when some |sinh(x_i - x_j)| falls to this.
 _COLLISION_TOL = 1e-6
 # Smallest tol_ode that evolve accepts, the floor scipy's solve_ivp puts on
@@ -59,7 +58,8 @@ PAIR_ENTRIES = 2**10
 
 @dataclass(frozen=True)
 class RSState:
-    """Phase-space point: coupling eta, coordinates x, momenta p."""
+    """Phase-space point: coupling eta, coordinates x, momenta p.  Checks eta
+    as ChainParams does, and the gaps at SINGULAR_TOL: the flow crosses +-eta."""
 
     eta: complex
     x: np.ndarray
@@ -71,7 +71,8 @@ class RSState:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=complex))
         if self.x.shape != self.p.shape:
             raise ValueError("x and p must have the same length")
-        require_sinh_gap(self.x, None, UNSHIFTED, _EXIST_TOL, GeneralPositionViolated, ("x", "x"))
+        require_sinh_eta(self.eta)
+        require_sinh_gap(self.x, None, UNSHIFTED, SINGULAR_TOL)
 
     @property
     def L(self) -> int:
@@ -89,8 +90,8 @@ def _pair_weights(x, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         den = np.sinh(d)
     den[..., diag] = 1.0
-    if not np.abs(den).min(initial=np.inf) > _GP_TOL:
-        require_sinh_gap(x, None, UNSHIFTED, _GP_TOL, GeneralPositionViolated, ("x", "x"))
+    if not np.abs(den).min(initial=np.inf) > GENERAL_POSITION_TOL:
+        require_sinh_gap(x, None, UNSHIFTED, GENERAL_POSITION_TOL)
     ratio = gap_quotient(d, (eta,), (0.0,), den)
     ratio[..., diag] = 1.0
     return d, den, ratio
@@ -160,7 +161,7 @@ def lax_from_velocities(x, xdot, eta) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     xdot = np.asarray(xdot, dtype=complex)
     eta = complex(eta)
-    require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
+    require_sinh_gap(x, None, eta_shifts(eta), GENERAL_POSITION_TOL)
     d = x[..., :, None] - x[..., None, :]
     return np.sinh(eta) * xdot[..., :, None] * gap_quotient(d, (), (-eta,))
 
@@ -294,7 +295,7 @@ def factorized_lax(state: RSState) -> np.ndarray:
     overflow reaches the diagonal (inf/inf or inf * 0) wherever it starts:
     the entries are finite only if no step overflowed."""
     x, p, eta = state.x, state.p, state.eta
-    require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
+    require_sinh_gap(x, None, eta_shifts(eta), GENERAL_POSITION_TOL)
     with np.errstate(all="ignore"):
         lax = _ladder_factorized(x - x.real.mean(), -eta * np.exp(eta * p), eta)
     if not np.isfinite(lax).all():
@@ -457,10 +458,10 @@ def evolve(
     free-running steps and checked for general position as a stack, in
     blocks of PAIR_ENTRIES pair entries.  Raises CollisionDetected when
     some |sinh(x_i - x_j)| crosses ``_COLLISION_TOL`` at an accepted step
-    (located on the interpolant), _GP_TOL at a trial stage or _EXIST_TOL
-    at a sample, StepSizeUnderflow when the integrator stalls or the
-    field is not finite at the start, and ValueError when tol_ode is
-    below MIN_TOL_ODE.
+    (located on the interpolant), GENERAL_POSITION_TOL at a trial stage or
+    SINGULAR_TOL at a sample, StepSizeUnderflow when the integrator stalls
+    or the field is not finite at the start, and ValueError when tol_ode
+    is below MIN_TOL_ODE.
     """
     if not tol_ode >= MIN_TOL_ODE:
         raise ValueError(f"tol_ode must be at least {MIN_TOL_ODE:.3g}, got {tol_ode!r}")
@@ -527,5 +528,5 @@ def evolve(
     rows = max(1, PAIR_ENTRIES // n**2)
     for start in range(0, n_samples, rows):
         block = x[start : start + rows]
-        require_sinh_gap(block, None, UNSHIFTED, _EXIST_TOL, CollisionDetected, ("x", "x"))
+        require_sinh_gap(block, None, UNSHIFTED, SINGULAR_TOL, CollisionDetected)
     return Trajectory(grid, x, p, ode)

@@ -26,19 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, GeneralPositionViolated, SingularSpectralPoint
+from .errors import DegenerateSpectrum, SingularSpectralPoint
 from .linalg import (
+    GENERAL_POSITION_TOL,
+    SINGULAR_TOL,
     complex_sort_key,
     diagonal_mask,
     eta_shifts,
+    require_sinh_eta,
     require_sinh_gap,
     sinh_pair_product,
 )
 
-_SINGULAR_TOL = 1e-12
-# Smallest |sinh| that ChainParams accepts for eta and for the gaps
-# x_i - x_j and x_i - x_j +- eta.
-GENERAL_POSITION_TOL = 1e-9
 # joint_diagonalize redraws its random combination up to _MAX_RETRIES
 # times until every Rayleigh residual is at most _RESIDUAL_TOL.
 _MAX_RETRIES = 5
@@ -52,9 +51,9 @@ _SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 class ChainParams:
     """Shared parameter record: size, anisotropy, field h, inhomogeneities.
 
-    Validates the general-position requirements on construction: all
-    pairwise gaps x_i - x_j and x_i - x_j +- eta must stay away from the
-    lattice of sinh zeros, and eta itself must not sit on it.
+    Validates on construction one inhomogeneity per site and general
+    position: |sinh(eta)| and the |sinh| of every gap x_i - x_j and
+    x_i - x_j +- eta above linalg.GENERAL_POSITION_TOL.
     """
 
     L: int
@@ -70,12 +69,8 @@ class ChainParams:
         object.__setattr__(self, "inhom", tuple(complex(x) for x in self.inhom))
         if len(self.inhom) != self.L:
             raise ValueError(f"expected {self.L} inhomogeneities, got {len(self.inhom)}")
-        tol = GENERAL_POSITION_TOL
-        if abs(np.sinh(self.eta)) <= tol:
-            raise GeneralPositionViolated(f"|sinh(eta)| = {abs(np.sinh(self.eta)):.3e} <= {tol:g}")
-        require_sinh_gap(
-            self.inhom, None, eta_shifts(self.eta), tol, GeneralPositionViolated, ("x", "x")
-        )
+        require_sinh_eta(self.eta)
+        require_sinh_gap(self.inhom, None, eta_shifts(self.eta), GENERAL_POSITION_TOL)
 
     @property
     def params_hash(self) -> str:
@@ -106,23 +101,22 @@ def sector_bases(L: int) -> list[np.ndarray]:
     return [np.flatnonzero(counts == m2) for m2 in range(L + 1)]
 
 
-def _asym_site_blocks(x, eta, h, v):
+def _asym_site_blocks(x, eta, h):
     """Auxiliary-space 2x2 blocks (b00, b01, b10, b11), each acting on the
     site space, of the field-dressed weight matrix at spectral parameter x.
-    In the basis (uu, ud, du, dd) its diagonal is e^{h+v} a, e^{h-v},
-    e^{-h+v}, e^{-h-v} a with a = sinh(x + eta)/sinh(x), and its two
-    spin-exchange entries are c = sinh(eta)/sinh(x); h = v = 0 gives the
-    weight matrix r(x)."""
+    In the basis (uu, ud, du, dd) its diagonal is e^h a, e^h, e^{-h},
+    e^{-h} a with a = sinh(x + eta)/sinh(x), and its two spin-exchange
+    entries are c = sinh(eta)/sinh(x); h = 0 gives the weight matrix r(x)."""
     sx = np.sinh(x)
-    if abs(sx) <= _SINGULAR_TOL:
+    if abs(sx) <= SINGULAR_TOL:
         raise SingularSpectralPoint(f"|sinh({x})| = {abs(sx):.3e}")
     a = np.sinh(x + eta) / sx
     c = np.sinh(eta) / sx
     return (
-        np.array([[np.exp(h + v) * a, 0.0], [0.0, np.exp(h - v)]], dtype=complex),
+        np.array([[np.exp(h) * a, 0.0], [0.0, np.exp(h)]], dtype=complex),
         c * _SIGMA_MINUS,
         c * _SIGMA_PLUS,
-        np.array([[np.exp(-h + v), 0.0], [0.0, np.exp(-h - v) * a]], dtype=complex),
+        np.array([[np.exp(-h), 0.0], [0.0, np.exp(-h) * a]], dtype=complex),
     )
 
 
@@ -180,28 +174,27 @@ def _charge_site_blocks(params: ChainParams) -> list[list[tuple]]:
     """
     xs, eta = params.inhom, params.eta
     h_blocks = [
-        [_perm_site_blocks() if i == k else _asym_site_blocks(xk - xi, eta, 0.0, 0.0)
+        [_perm_site_blocks() if i == k else _asym_site_blocks(xk - xi, eta, 0.0)
          for i, xi in enumerate(xs)]
         for k, xk in enumerate(xs)
     ]
     # Grouped so that G_k's gap at its own site is exactly -eta, and the
     # weight a(-eta) there exactly 0.
-    g_blocks = [[_asym_site_blocks((xk - xi) - eta, eta, 0.0, 0.0) for xi in xs] for xk in xs]
+    g_blocks = [[_asym_site_blocks((xk - xi) - eta, eta, 0.0) for xi in xs] for xk in xs]
     return h_blocks + g_blocks
 
 
-def transfer_matrix_asym(params: ChainParams, x, v=0.0) -> QuantumOperator:
-    """Periodic transfer matrix of the field-dressed model at parameter x and
-    vertical field v, which only rescales sector M2 by e^{v (L - 2 M2)}."""
-    x, v = complex(x), complex(v)
-    blocks = [_asym_site_blocks(x - xi, params.eta, params.h, v) for xi in params.inhom]
+def transfer_matrix_asym(params: ChainParams, x) -> QuantumOperator:
+    """Periodic transfer matrix of the field-dressed model at parameter x."""
+    x = complex(x)
+    blocks = [_asym_site_blocks(x - xi, params.eta, params.h) for xi in params.inhom]
     return QuantumOperator(_traced_monodromy(blocks))
 
 
 def transfer_matrix_twisted(params: ChainParams, x) -> QuantumOperator:
     """Transfer matrix of the symmetric model with twist diag(e^{Lh}, e^{-Lh})."""
     x = complex(x)
-    blocks = [_asym_site_blocks(x - xi, params.eta, 0.0, 0.0) for xi in params.inhom]
+    blocks = [_asym_site_blocks(x - xi, params.eta, 0.0) for xi in params.inhom]
     return QuantumOperator(_traced_monodromy(blocks, twist=_twist(params)))
 
 

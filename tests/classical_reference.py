@@ -19,10 +19,9 @@ from itertools import combinations
 import numpy as np
 
 from vertexdual import RSState, duality
-from vertexdual.bethe import _GUARD, BetheRootSet, _equations, all_eigenvalues_h
+from vertexdual.bethe import BetheRootSet, _equations, all_eigenvalues_h
 from vertexdual.errors import (
     CrossCheckFailed,
-    GeneralPositionViolated,
     MatchFailed,
     SingularConfiguration,
     SingularSpectralPoint,
@@ -38,6 +37,8 @@ from vertexdual.identities import (
     w_tilde_matrix,
 )
 from vertexdual.linalg import (
+    GENERAL_POSITION_TOL,
+    SINGULAR_TOL,
     UNSHIFTED,
     charpoly_minors,
     diagonal_mask,
@@ -51,7 +52,6 @@ from vertexdual.linalg import (
     sinh_pairs,
 )
 from vertexdual.ruijsenaars import (
-    _GP_TOL,
     _pair_weights,
     cauchy_factor,
     char_poly_via_en,
@@ -75,12 +75,11 @@ def coth(z):
     return np.cosh(z) / np.sinh(z)
 
 
-def r_matrix_asymmetric(x, eta, h, v) -> np.ndarray:
+def r_matrix_asymmetric(x, eta, h) -> np.ndarray:
     """Field-dressed weight matrix in the basis (uu, ud, du, dd): r_matrix
-    sandwiched between exp(h/2 sigma^z) on the first space and
-    exp(v/2 sigma^z) on the second, from the site blocks the dense
-    builders multiply."""
-    b00, b01, b10, b11 = _asym_site_blocks(complex(x), complex(eta), complex(h), complex(v))
+    sandwiched between exp(h/2 sigma^z) on the first space, from the site
+    blocks the dense builders multiply."""
+    b00, b01, b10, b11 = _asym_site_blocks(complex(x), complex(eta), complex(h))
     return np.block([[b00, b01], [b10, b11]])
 
 
@@ -90,7 +89,7 @@ def r_matrix(x, eta) -> np.ndarray:
     Diagonal sinh(x+eta)/sinh(x), 1, 1, sinh(x+eta)/sinh(x); the two
     spin-exchange entries are sinh(eta)/sinh(x).
     """
-    return r_matrix_asymmetric(x, eta, 0.0, 0.0)
+    return r_matrix_asymmetric(x, eta, 0.0)
 
 
 def similarity_u(params: ChainParams) -> QuantumOperator:
@@ -120,9 +119,9 @@ class InvalidBetheRoots(VertexDualError):
 
 
 def _check_configuration(u: np.ndarray, params: ChainParams):
-    require_sinh_gap(u, params.inhom, UNSHIFTED, _GUARD, SingularConfiguration, ("u", "x"))
+    require_sinh_gap(u, params.inhom, UNSHIFTED, SINGULAR_TOL, SingularConfiguration, ("u", "x"))
     shifts = {"": 0.0, " - eta": -params.eta}
-    require_sinh_gap(u, None, shifts, _GUARD, SingularConfiguration, ("u", "u"))
+    require_sinh_gap(u, None, shifts, SINGULAR_TOL, SingularConfiguration, ("u", "u"))
 
 
 def bae_defect(roots: BetheRootSet, params: ChainParams) -> np.ndarray:
@@ -139,9 +138,9 @@ def eigenvalue_t(roots: BetheRootSet, params: ChainParams, x) -> complex:
     x = np.array([complex(x)])
     L, eta, h = params.L, params.eta, params.h
     u = np.atleast_1d(np.asarray(roots.roots, dtype=complex))
-    if np.any(np.abs(sinh_pairs(x, params.inhom, 0.0)) <= _GUARD):
+    if np.any(np.abs(sinh_pairs(x, params.inhom, 0.0)) <= SINGULAR_TOL):
         raise SingularSpectralPoint("x collides with an inhomogeneity")
-    if np.any(np.abs(sinh_pairs(x, u, 0.0)) <= _GUARD):
+    if np.any(np.abs(sinh_pairs(x, u, 0.0)) <= SINGULAR_TOL):
         raise SingularSpectralPoint("x collides with a root")
     site = sinh_pair_product(x, params.inhom, eta, 0.0)[0]
     down = sinh_pair_product(x, u, -eta, 0.0)[0]
@@ -209,7 +208,7 @@ def a_matrix(x, xdot, eta) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     xdot = np.asarray(xdot, dtype=complex)
     eta = complex(eta)
-    require_sinh_gap(x, None, eta_shifts(eta), _GP_TOL, GeneralPositionViolated, ("x", "x"))
+    require_sinh_gap(x, None, eta_shifts(eta), GENERAL_POSITION_TOL)
     d = x[:, None] - x[None, :]
     csch0 = gap_quotient(d, (), (0.0,))
     csch0[diagonal_mask(x.size)] = 0.0

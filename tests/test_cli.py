@@ -369,17 +369,25 @@ class TestRsEvolve:
         assert abs(summary["lax_eigenvalue_drift"] - lax_drift) <= 1e-14 * lax_drift
         assert abs(summary["invariant_drift"] - invariant_drift) <= 1e-14 * invariant_drift
 
-    def test_sample_on_an_eta_gap_is_a_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "x0, t_final",
+        [([0.1, 0.45], 2.0), ([0.0, 0.35, 1.2, 2.0, 2.8, 3.6, 4.4, 5.2, 6.0, 6.8], 1000.0)],
+    )
+    def test_sample_on_an_eta_gap_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, x0, t_final
+    ):
         # x_1 - x_2 + eta = 0 at t = 0: the flow is regular there, the Lax
-        # matrix is not.  The stacked pass names the pair as the per-sample
-        # loop does.
-        config = {"eta": 0.35, "x0": [0.1, 0.45], "p0": [0, 0]}
+        # matrix is not.  x0 is checked before the flow runs, and the line
+        # names the pair as the per-sample loop does at sample 0.
+        config = {"eta": 0.35, "x0": x0, "p0": [0] * len(x0), "t_final": t_final}
         message = "|sinh(x_1 - x_2 + eta)| = 0.000e+00 <= 1e-09"
         (tmp_path / "c.json").write_text(json.dumps(config))
+        flows = []
+        monkeypatch.setattr(cli, "evolve", lambda *args, **kwargs: flows.append(args))
         code, report = _run(tmp_path, ["rs-evolve", "--config", str(tmp_path / "c.json")])
-        assert code == 2 and report is None
+        assert code == 2 and report is None and flows == []
         assert capsys.readouterr().err == f"config error: {message}\n"
-        trajectory = evolve(RSState(eta=0.35, x=[0.1, 0.45], p=[0, 0]), 2.0)
+        trajectory = evolve(RSState(eta=0.35, x=x0, p=[0] * len(x0)), min(t_final, 2.0))
         with pytest.raises(GeneralPositionViolated) as info:
             rs_evolve_checks_per_sample(trajectory, 0.35)
         assert str(info.value) == message
@@ -522,6 +530,33 @@ def test_hostile_config_exit_code(tmp_path, capsys, command, config, expected):
     assert code == expected
     assert report is None
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("rs-evolve", {}),
+        ("verify-duality", {"L": 2, "inhom": [0.0, 0.8]}),
+        ("verify-duality", {"L": 3, "inhom": None}),
+        ("solve-bethe", {"L": 2, "inhom": [0.0, 0.8]}),
+    ],
+)
+def test_eta_on_a_sinh_zero_is_one_rule(tmp_path, capsys, command, config):
+    # The parameter records own the rule on eta: every command words it alike.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "eta": [0.0, np.pi]}))
+    code, report = _run(tmp_path, [command, "--config", str(cfg)])
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == "config error: |sinh(eta)| = 1.225e-16 <= 1e-09\n"
+
+
+@pytest.mark.parametrize("command", ["verify-duality", "solve-bethe"])
+def test_inhom_length_is_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 3, "inhom": [0.0, 0.8]}))
+    code, report = _run(tmp_path, [command, "--config", str(cfg)])
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == "config error: expected 3 inhomogeneities, got 2\n"
 
 
 def _python(tmp_path, args):

@@ -211,9 +211,17 @@ class TestKernel:
         shifts=_SHIFTS,
     )
     def test_gap_matches_list_form(self, a, b, shifts):
-        got = smallest_sinh_gap(a, b, shifts)
-        assert got == _gap_list_form(a, b, shifts)
-        assert [type(v) for v in got] == [float, int, int, str]
+        assert smallest_sinh_gap(a, b, shifts) == _gap_list_form(a, b, shifts)
+
+    @pytest.mark.parametrize(
+        "a, b", [([0.0, 0.3, 1.0], None), ([0.2], [0.25, 1.0]), ([0.5], None), ([], None)]
+    )
+    def test_one_family_is_row_zero_of_its_stack(self, a, b):
+        # One return shape: a single family gives, as numpy scalars, the
+        # values row 0 of its one-row stack holds.
+        single = smallest_sinh_gap(a, b, eta_shifts(0.3))
+        stacked = smallest_sinh_gap(np.array([a], dtype=complex), b, eta_shifts(0.3))
+        assert [(type(v), v) for v in single] == [(type(v[0]), v[0]) for v in stacked]
 
     @settings(max_examples=100, deadline=None)
     @given(

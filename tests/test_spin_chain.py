@@ -138,12 +138,12 @@ class TestRMatrix:
 class TestAsymmetricRMatrix:
     def test_zero_field_reduction(self):
         x, eta = 0.9 - 0.3j, 0.45 + 0.2j
-        assert rel_diff(r_matrix_asymmetric(x, eta, 0.0, 0.0), r_matrix(x, eta)) == 0.0
+        assert rel_diff(r_matrix_asymmetric(x, eta, 0.0), r_matrix(x, eta)) == 0.0
 
     def test_top_left_entry(self):
-        x, eta, h, v = 0.7, 0.4, 0.3, 0.2
-        r = r_matrix_asymmetric(x, eta, h, v)
-        assert abs(r[0, 0] - np.exp(h + v) * np.sinh(x + eta) / np.sinh(x)) < 1e-14
+        x, eta, h = 0.7, 0.4, 0.3
+        r = r_matrix_asymmetric(x, eta, h)
+        assert abs(r[0, 0] - np.exp(h) * np.sinh(x + eta) / np.sinh(x)) < 1e-14
 
     def test_matches_field_dressing(self):
         rng = np.random.default_rng(5)
@@ -151,24 +151,20 @@ class TestAsymmetricRMatrix:
             x = complex(rng.uniform(0.2, 1.5), rng.uniform(-0.3, 0.3))
             eta = complex(rng.uniform(0.2, 1.0), rng.uniform(-0.2, 0.2))
             h = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
-            v = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
             d_h = np.diag([np.exp(h / 2), np.exp(-h / 2)])
-            d_v = np.diag([np.exp(v / 2), np.exp(-v / 2)])
-            dress = np.kron(d_h, d_v)
+            dress = np.kron(d_h, np.eye(2))
             expected = dress @ r_matrix(x, eta) @ dress
-            assert rel_diff(r_matrix_asymmetric(x, eta, h, v), expected) < 1e-14
+            assert rel_diff(r_matrix_asymmetric(x, eta, h), expected) < 1e-14
 
     def test_twisted_yang_baxter_random_draws(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             eta = complex(rng.uniform(0.2, 1.0), rng.uniform(-0.3, 0.3))
             h = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
-            v = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
-            vp = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.2, 0.2))
             x, xp = _draw_separated(rng, 2)
-            r12 = embed_two(r_matrix_asymmetric(x - xp, eta, -vp, v), 0, 1, 3)
-            r13 = embed_two(r_matrix_asymmetric(x, eta, h, v), 0, 2, 3)
-            r23 = embed_two(r_matrix_asymmetric(xp, eta, h, vp), 1, 2, 3)
+            r12 = embed_two(r_matrix(x - xp, eta), 0, 1, 3)
+            r13 = embed_two(r_matrix_asymmetric(x, eta, h), 0, 2, 3)
+            r23 = embed_two(r_matrix_asymmetric(xp, eta, h), 1, 2, 3)
             lhs = r12 @ r13 @ r23
             rhs = r23 @ r13 @ r12
             assert np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1.0) < 1e-12
@@ -188,34 +184,24 @@ class TestTransferMatrices:
     def test_asym_from_embedded_product(self):
         # Independent oracle: build the monodromy on aux + 2 sites with
         # explicit 8x8 embeddings and take the partial trace by hand.
-        eta, h, v = 0.4 + 0.1j, 0.25, -0.15
+        eta, h = 0.4 + 0.1j, 0.25
         xs = (0.2, 1.1)
         params = ChainParams(L=2, eta=eta, h=h, inhom=xs)
         x = 0.7 - 0.2j
-        m = embed_two(r_matrix_asymmetric(x - xs[0], eta, h, v), 0, 1, 3) @ embed_two(
-            r_matrix_asymmetric(x - xs[1], eta, h, v), 0, 2, 3
+        m = embed_two(r_matrix_asymmetric(x - xs[0], eta, h), 0, 1, 3) @ embed_two(
+            r_matrix_asymmetric(x - xs[1], eta, h), 0, 2, 3
         )
         m = m.reshape(2, 4, 2, 4)
         traced = m[0, :, 0, :] + m[1, :, 1, :]
-        assert rel_diff(transfer_matrix_asym(params, x, v).entries, traced) < 1e-13
-
-    def test_vertical_field_dependence(self):
-        params, v = _chain(), 0.3 + 0.1j
-        x = 0.55 - 0.1j
-        sz = sz_m1_m2_operators(3)[0].entries
-        lhs = transfer_matrix_asym(params, x, v).entries
-        rhs = np.diag(np.exp(v * np.diag(sz))) @ transfer_matrix_asym(params, x).entries
-        assert rel_diff(lhs, rhs) < 1e-12
+        assert rel_diff(transfer_matrix_asym(params, x).entries, traced) < 1e-13
 
     def test_asym_commuting_family(self):
         rng = np.random.default_rng(23)
         for _ in range(3):
-            v1 = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
-            v2 = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.2, 0.2))
             x1 = complex(rng.uniform(-0.5, 2.3), rng.uniform(-0.4, 0.4))
             x2 = complex(rng.uniform(-0.5, 2.3), rng.uniform(-0.4, 0.4))
-            t1 = transfer_matrix_asym(_chain(), x1, v1).entries
-            t2 = transfer_matrix_asym(_chain(), x2, v2).entries
+            t1 = transfer_matrix_asym(_chain(), x1).entries
+            t2 = transfer_matrix_asym(_chain(), x2).entries
             assert rel_commutator(t1, t2) < 1e-10
 
     def test_twisted_single_site(self):
@@ -266,13 +252,11 @@ class TestSimilarity:
         assert rel_diff(similarity_u(params).entries, direct) < 1e-14
 
     def test_conjugation_identity(self):
-        params, v = _chain(), 0.19 + 0.08j
+        params = _chain()
         x = 0.77 - 0.15j
         u = similarity_u(params).entries
-        sz = sz_m1_m2_operators(3)[0].entries
-        lhs = u @ transfer_matrix_asym(params, x, v).entries @ np.linalg.inv(u)
-        rhs = np.diag(np.exp(v * np.diag(sz))) @ transfer_matrix_twisted(params, x).entries
-        assert rel_diff(lhs, rhs) < 1e-10
+        lhs = u @ transfer_matrix_asym(params, x).entries @ np.linalg.inv(u)
+        assert rel_diff(lhs, transfer_matrix_twisted(params, x).entries) < 1e-10
 
 
 class TestCountingOperators:
@@ -482,10 +466,6 @@ def _complex_chain(L):
     return ChainParams(L=L, eta=0.41 + 0.07j, h=0.23 - 0.05j, inhom=tuple(xs))
 
 
-# Vertical field of the dressed transfer matrix in the bit-identity tests.
-_V = 0.13 + 0.02j
-
-
 def _long_double_charge_blocks(params):
     """_charge_site_blocks and _twist evaluated in long double, with the
     same grouping of the gaps."""
@@ -517,18 +497,18 @@ class TestSectorAssembly:
         params = _complex_chain(L)
         xs, eta, x = params.inhom, params.eta, 0.37 + 0.2j
         twist = (np.exp(L * params.h), np.exp(-L * params.h))
-        asym = [_asym_site_blocks(x - xi, eta, params.h, _V) for xi in xs]
-        sym = [_asym_site_blocks(x - xi, eta, 0.0, 0.0) for xi in xs]
+        asym = [_asym_site_blocks(x - xi, eta, params.h) for xi in xs]
+        sym = [_asym_site_blocks(x - xi, eta, 0.0) for xi in xs]
         h_blocks = [
-            [_perm_site_blocks() if i == k else _asym_site_blocks(xk - xi, eta, 0.0, 0.0)
+            [_perm_site_blocks() if i == k else _asym_site_blocks(xk - xi, eta, 0.0)
              for i, xi in enumerate(xs)]
             for k, xk in enumerate(xs)
         ]
-        g_blocks = [[_asym_site_blocks((xk - xi) - eta, eta, 0.0, 0.0) for xi in xs] for xk in xs]
+        g_blocks = [[_asym_site_blocks((xk - xi) - eta, eta, 0.0) for xi in xs] for xk in xs]
         ref_h = [_kron_monodromy(b, twist) for b in h_blocks]
         ref_g = [_kron_monodromy(b, twist) for b in g_blocks]
         ref_asym, ref_twisted = _kron_monodromy(asym), _kron_monodromy(sym, twist)
-        assert np.array_equal(transfer_matrix_asym(params, x, _V).entries, ref_asym)
+        assert np.array_equal(transfer_matrix_asym(params, x).entries, ref_asym)
         assert np.array_equal(transfer_matrix_twisted(params, x).entries, ref_twisted)
         for op, ref in zip(hamiltonians_h(params) + hamiltonians_g(params), ref_h + ref_g):
             assert np.array_equal(op.entries, ref)
