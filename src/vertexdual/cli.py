@@ -9,9 +9,9 @@ rs-evolve         classical flow with invariant-drift monitoring
 check-identities  randomized determinant-identity trials
 
 Exit codes: 0 pass, 1 verification failure, 2 config error (each key's
-type and range are checked before a command runs), 3 numerical failure
-(degeneracy, collision, no convergence, a draw with no general-position
-sample).
+type and range and the records' rules, checked before any work), 3
+numerical failure (degeneracy, collision, no convergence, a draw with no
+general-position sample, an rs-evolve sample that breaks the Lax rule).
 
 Reports are UTF-8 JSON on one line, keys sorted, with the fixed top level
 {schema_version, command, config, results, summary, timestamp};
@@ -43,7 +43,6 @@ from .identities import verify_determinant_splitting
 from .linalg import GENERAL_POSITION_TOL, eta_shifts, match_multisets, require_sinh_gap
 from .ruijsenaars import (
     MIN_TOL_ODE,
-    PAIR_ENTRIES,
     RSState,
     char_poly_via_en,
     evolve,
@@ -64,6 +63,10 @@ _MAX_PARAM = 50.0
 # Bound on |t_final|: the default flow integrates to 1e3 in a fraction of
 # a second but does not return from t_final = 1e18.
 _MAX_TIME = 1e3
+# Entries (16 KB) per block of rs-evolve's check pass, n^2 pair entries
+# and 2^n subset terms per sample: the heap, and so the peak memory, stays
+# near a per-sample loop's whatever n_samples is.
+PAIR_ENTRIES = 2**10
 
 
 def _real(value):
@@ -347,7 +350,13 @@ def _cmd_rs_evolve(config: dict):
     rows = PAIR_ENTRIES // max(n * n, 2**n)
     energy, lax_drift, invariant_drift = [], 0.0, 0.0
     for start in range(0, len(trajectory.t), rows):
-        x = trajectory.x[start : start + rows]
+        t, x = trajectory.t[start : start + rows], trajectory.x[start : start + rows]
+        # The Lax matrix's rule: a later sample that fails it, where x0 met
+        # it, is a numerical failure of the flow.
+        require_sinh_gap(
+            x, None, eta_shifts(eta), GENERAL_POSITION_TOL, VertexDualError,
+            row=lambda k: f"the sample at t = {t[k]:.6g}",
+        )
         xdot = velocities(x, trajectory.p[start : start + rows], eta)
         eig = np.linalg.eigvals(lax_from_velocities(x, xdot, eta))
         en = char_poly_via_en(x, xdot, eta)

@@ -143,11 +143,6 @@ class InverseSolution:
     condition: float
 
 
-# Largest invariant-equation defect, relative to max(|e_n|, 1), that a
-# polished tuple may keep and still count as a solution.
-_INVERSE_RESIDUAL_TOL = 1e-9
-
-
 def _string_elementary(L: int, M2: int, h, eta) -> np.ndarray:
     poly = sector_char_poly(L, M2, h, eta)
     return (-1.0) ** np.arange(1, L + 1) * poly[1:]
@@ -172,11 +167,15 @@ def _invariant_jacobian(x, H, eta) -> np.ndarray:
 
 
 def _inverse_newton(x, H0, eta, targets, max_iter=60):
+    """Newton from H0 on the invariant equations.  Returns (H, residual),
+    the residual as _inverse_residual measures it, once it is below
+    1e-13, or below 1e-10 after the last iteration; else None."""
     H = H0.astype(complex).copy()
     for _ in range(max_iter):
         f = symmetric_invariants(x, H, eta) - targets
-        if np.max(np.abs(f) / np.maximum(np.abs(targets), 1.0)) < 1e-13:
-            return H
+        residual = float(np.max(np.abs(f) / np.maximum(np.abs(targets), 1.0)))
+        if residual < 1e-13:
+            return H, residual
         try:
             step = np.linalg.solve(_invariant_jacobian(x, H, eta), f)
         except np.linalg.LinAlgError:
@@ -184,7 +183,8 @@ def _inverse_newton(x, H0, eta, targets, max_iter=60):
         if not np.all(np.isfinite(step)):
             return None
         H = H - step
-    return H if _inverse_residual(x, H, eta, targets) < 1e-10 else None
+    residual = _inverse_residual(x, H, eta, targets)
+    return (H, residual) if residual < 1e-10 else None
 
 
 def inverse_spectral_solve(chain_x, eta, h, M2: int) -> list[InverseSolution]:
@@ -199,10 +199,11 @@ def inverse_spectral_solve(chain_x, eta, h, M2: int) -> list[InverseSolution]:
     charge tuples of sector L - M2 at -h, and the continuation reaches
     the roots of the lower sector at every twist, h = 0 included.
     Newton with the analytic (multilinearity) Jacobian polishes each
-    start; a tuple is kept when its residual is at most 1e-9 and it is
-    not a duplicate.  Every kept tuple is matched to the closest charge
-    tuple of the exact diagonalization of sector M2 alone (the states in
-    joint_diagonalize order).
+    start; a tuple is kept when its residual falls below 1e-13, or is
+    below 1e-10 after the last step, and it is not a duplicate.  Every
+    kept tuple is matched to the closest charge tuple of the exact
+    diagonalization of sector M2 alone (the states in joint_diagonalize
+    order).
     """
     x = np.asarray(chain_x, dtype=complex)
     eta, h = complex(eta), complex(h)
@@ -214,12 +215,10 @@ def inverse_spectral_solve(chain_x, eta, h, M2: int) -> list[InverseSolution]:
     ed_h = _sector_states(_SectorCharges(chain), M2).H
     solutions: list[InverseSolution] = []
     for H0 in starts:
-        H = _inverse_newton(x, H0, eta, targets)
-        if H is None:
+        solved = _inverse_newton(x, H0, eta, targets)
+        if solved is None:
             continue
-        residual = _inverse_residual(x, H, eta, targets)
-        if residual > _INVERSE_RESIDUAL_TOL:
-            continue
+        H, residual = solved
         scale = max(np.max(np.abs(H)), 1.0)
         if any(np.max(np.abs(H - s.H)) < 1e-7 * scale for s in solutions):
             continue

@@ -309,16 +309,21 @@ def smallest_sinh_gap(a, b, shifts: dict):
     return gap[()], i[()], j[()], labels[k]
 
 
-def require_sinh_gap(a, b, shifts: dict, tol, error=GeneralPositionViolated, names=("x", "x")):
+def require_sinh_gap(
+    a, b, shifts: dict, tol, error=GeneralPositionViolated, names=("x", "x"), row=None
+):
     """Raise ``error`` naming the pair and the shift when some
     |sinh(a_i - b_j + s)| <= tol (see smallest_sinh_gap); ``names`` are
     the symbols of the two families in the message.  On stacked
-    coordinates the first row (in C order) that fails names the pair."""
+    coordinates the first row (in C order) that fails names the pair,
+    and ``row``, if given, words that row from its flat index to lead
+    the message."""
     gap, i, j, label = smallest_sinh_gap(a, b, shifts)
     rows = np.flatnonzero(gap <= tol)
     if rows.size:
         first = (np.ravel(v)[rows[0]] for v in (gap, i, j, label))
-        raise error(f"{sinh_gap_words(*first, names)} <= {tol:g}")
+        lead = "" if row is None else f"{row(rows[0])} has "
+        raise error(f"{lead}{sinh_gap_words(*first, names)} <= {tol:g}")
 
 
 def require_sinh_eta(eta):

@@ -5,14 +5,14 @@ and adaptive time evolution with isospectrality monitoring.
 The Hamilton equations are integrated in (x, p) by an embedded
 Dormand-Prince 5(4) pair written here, so the package needs no ODE
 library; the second-order form of the equations of motion is only used
-as a residual check.  States
-and all derived matrices are complex; real initial data simply embeds.
+as a residual check.  States and all derived matrices are complex;
+real initial data simply embeds.
 
-evolve returns its samples as arrays (a Trajectory of times, coordinates
-and momenta).  velocities, lax_from_velocities, symmetric_invariants and
-char_poly_via_en take coordinates stacked over samples, of shape
-(..., n), so that a trajectory is checked in array passes rather than
-one sample at a time.
+evolve returns its samples, unchecked, as arrays (a Trajectory of times,
+coordinates and momenta).  velocities, lax_from_velocities,
+symmetric_invariants and char_poly_via_en take coordinates stacked over
+samples, of shape (..., n), so that a trajectory is checked in one
+array pass (rs-evolve's) rather than one sample at a time.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ _COLLISION_TOL = 1e-6
 # rtol.  Below it the step falls to 10 ulp of t near t = 0, where y + h k
 # stops moving, and the run does not return.
 MIN_TOL_ODE = 100 * np.finfo(float).eps
-# Pair-matrix entries (16 KB) that a pass over stacked samples forms at a
-# time: stacks of samples in blocks of this size keep the heap, and so the
-# peak memory, near the per-sample loop's whatever n_samples is.
-PAIR_ENTRIES = 2**10
 
 
 @dataclass(frozen=True)
@@ -455,13 +451,13 @@ def evolve(
     Returns the Trajectory of n_samples states on the uniform grid of
     times from 0 to t_final, both ends included (all at t = 0 when
     t_final is 0), taken from the continuous extension of the
-    free-running steps and checked for general position as a stack, in
-    blocks of PAIR_ENTRIES pair entries.  Raises CollisionDetected when
-    some |sinh(x_i - x_j)| crosses ``_COLLISION_TOL`` at an accepted step
-    (located on the interpolant), GENERAL_POSITION_TOL at a trial stage or
-    SINGULAR_TOL at a sample, StepSizeUnderflow when the integrator stalls
-    or the field is not finite at the start, and ValueError when tol_ode
-    is below MIN_TOL_ODE.
+    free-running steps; each caller checks them against the rule of what
+    it builds from them.  Raises CollisionDetected when some
+    |sinh(x_i - x_j)| crosses ``_COLLISION_TOL`` at an accepted step
+    (located on the interpolant) or GENERAL_POSITION_TOL at a trial
+    stage, StepSizeUnderflow when the integrator stalls or the field is
+    not finite at the start, and ValueError when tol_ode is below
+    MIN_TOL_ODE.
     """
     if not tol_ode >= MIN_TOL_ODE:
         raise ValueError(f"tol_ode must be at least {MIN_TOL_ODE:.3g}, got {tol_ode!r}")
@@ -524,9 +520,4 @@ def evolve(
                 f"particles collide in the step from t = {t_new:.6g} (a trial stage has {exc})"
             ) from None
     z = np.array(samples).view(complex)
-    x, p = z[:, :n], z[:, n:]
-    rows = max(1, PAIR_ENTRIES // n**2)
-    for start in range(0, n_samples, rows):
-        block = x[start : start + rows]
-        require_sinh_gap(block, None, UNSHIFTED, SINGULAR_TOL, CollisionDetected)
-    return Trajectory(grid, x, p, ode)
+    return Trajectory(grid, z[:, :n], z[:, n:], ode)

@@ -130,13 +130,6 @@ def _perm_site_blocks():
     )
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two square matrices: the same products, without the
-    generic shape handling that dominates its cost on small blocks."""
-    n, k = len(a), len(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n * k, n * k)
-
-
 def _traced_monodromy(site_blocks, twist=None) -> np.ndarray:
     """Trace over the auxiliary space of the ordered product of site factors.
 
@@ -149,10 +142,10 @@ def _traced_monodromy(site_blocks, twist=None) -> np.ndarray:
     m00, m01, m10, m11 = site_blocks[0]
     for r00, r01, r10, r11 in site_blocks[1:]:
         m00, m01, m10, m11 = (
-            _kron(m00, r00) + _kron(m01, r10),
-            _kron(m00, r01) + _kron(m01, r11),
-            _kron(m10, r00) + _kron(m11, r10),
-            _kron(m10, r01) + _kron(m11, r11),
+            np.kron(m00, r00) + np.kron(m01, r10),
+            np.kron(m00, r01) + np.kron(m01, r11),
+            np.kron(m10, r00) + np.kron(m11, r10),
+            np.kron(m10, r01) + np.kron(m11, r11),
         )
     if twist is None:
         return m00 + m11

