@@ -65,10 +65,9 @@ class BetheRootSet:
 
 
 def canonicalize_roots(roots) -> np.ndarray:
-    """Reduce each root to the strip Im in (-pi/2, pi/2] and sort by (Re, Im)."""
+    """Reduce each root to the strip Im in (-pi/2, pi/2] and sort by complex_sort_key."""
     u = reduce_mod_ipi(np.atleast_1d(np.asarray(roots, dtype=complex)))
-    order = np.lexsort((u.imag, u.real))
-    return u[order]
+    return np.array(sorted(u, key=lambda z: complex_sort_key((z,))), dtype=complex)
 
 
 def _equations(u: np.ndarray, params: ChainParams, h) -> tuple[np.ndarray, np.ndarray]:

@@ -143,6 +143,14 @@ class InverseSolution:
     condition: float
 
 
+def bethe_ed_distance(bethe_h, ed_h) -> np.ndarray:
+    """[n, s]: the worst relative site difference |b - e| / max(|e|, 1e-12)
+    of charge tuple s of ``bethe_h``, (L,) or (S, L), from ED state n."""
+    ed_h = np.asarray(ed_h)[:, None, :]
+    bethe_h = np.reshape(bethe_h, (-1, ed_h.shape[-1]))
+    return (np.abs(bethe_h - ed_h) / np.maximum(np.abs(ed_h), 1e-12)).max(axis=2)
+
+
 def _string_elementary(L: int, M2: int, h, eta) -> np.ndarray:
     poly = sector_char_poly(L, M2, h, eta)
     return (-1.0) ** np.arange(1, L + 1) * poly[1:]
@@ -222,7 +230,7 @@ def inverse_spectral_solve(chain_x, eta, h, M2: int) -> list[InverseSolution]:
         scale = max(np.max(np.abs(H)), 1.0)
         if any(np.max(np.abs(H - s.H)) < 1e-7 * scale for s in solutions):
             continue
-        errs = np.max(np.abs(H - ed_h) / np.maximum(np.abs(ed_h), 1e-12), axis=1)
+        errs = bethe_ed_distance(H, ed_h)[:, 0]
         matched = int(np.argmin(errs))
         cond = float(np.linalg.cond(_invariant_jacobian(x, H, eta)))
         solutions.append(InverseSolution(H, residual, matched, float(errs[matched]), cond))

@@ -44,7 +44,7 @@ from .linalg import (
     smallest_sinh_gap,
 )
 
-# evolve stops with CollisionDetected when some |sinh(x_i - x_j)| falls to this.
+# evolve refuses a start, and stops a flow, where some |sinh(x_i - x_j)| falls to this.
 _COLLISION_TOL = 1e-6
 # Smallest tol_ode that evolve accepts, the floor scipy's solve_ivp puts on
 # rtol.  Below it the step falls to 10 ulp of t near t = 0, where y + h k
@@ -452,12 +452,12 @@ def evolve(
     times from 0 to t_final, both ends included (all at t = 0 when
     t_final is 0), taken from the continuous extension of the
     free-running steps; each caller checks them against the rule of what
-    it builds from them.  Raises CollisionDetected when some
-    |sinh(x_i - x_j)| crosses ``_COLLISION_TOL`` at an accepted step
-    (located on the interpolant) or GENERAL_POSITION_TOL at a trial
-    stage, StepSizeUnderflow when the integrator stalls or the field is
-    not finite at the start, and ValueError when tol_ode is below
-    MIN_TOL_ODE.
+    it builds from them.  Raises GeneralPositionViolated, naming the pair,
+    when some |sinh(x_i - x_j)| starts at or below ``_COLLISION_TOL``,
+    CollisionDetected when one crosses it at an accepted step (located
+    on the interpolant) or GENERAL_POSITION_TOL at a trial stage,
+    StepSizeUnderflow when the integrator stalls or the field is not
+    finite at the start, and ValueError when tol_ode < MIN_TOL_ODE.
     """
     if not tol_ode >= MIN_TOL_ODE:
         raise ValueError(f"tol_ode must be at least {MIN_TOL_ODE:.3g}, got {tol_ode!r}")
@@ -484,9 +484,8 @@ def evolve(
         while len(samples) < n_samples and abs(grid[len(samples)]) <= abs(t_end):
             samples.append(at(grid[len(samples)]))
 
+    require_sinh_gap(state.x, None, UNSHIFTED, _COLLISION_TOL)
     y0 = np.concatenate([state.x, state.p]).view(float)
-    if gap(y0) <= _COLLISION_TOL:
-        raise CollisionDetected("initial coordinates already within the collision threshold")
     # Trial steps of a stalling run overflow the field; the integrator
     # rejects them and reports the stall, in one line, without numpy's
     # warnings.

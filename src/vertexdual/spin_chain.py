@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, SingularSpectralPoint
+from .errors import DegenerateSpectrum, SingularSpectralPoint, VertexDualError
 from .linalg import (
     GENERAL_POSITION_TOL,
     SINGULAR_TOL,
@@ -286,8 +286,11 @@ class _SectorCharges:
         # ||A_k||_F as in the module docstring: the cross terms of the
         # auxiliary trace vanish at site k, the permutation in H_k and
         # a(-eta) = 0 in G_k.
-        site_sq = (1 + np.abs(a) ** 2 + np.abs(c) ** 2).reshape(2 * L, L - 1)
-        self.norms = np.hypot(abs(g_up), abs(g_down)) * np.sqrt(site_sq.prod(axis=1))
+        with np.errstate(over="ignore"):
+            site_sq = (1 + np.abs(a) ** 2 + np.abs(c) ** 2).reshape(2 * L, L - 1)
+            self.norms = np.hypot(abs(g_up), abs(g_down)) * np.sqrt(site_sq.prod(axis=1))
+        if not np.all(np.isfinite(self.norms)):
+            raise VertexDualError(f"L={L}, eta={eta:g}, h={params.h:g}: charge norms overflow")
         q, i = np.indices((2 * L, L))
         k, i = q % L, np.where(q < L, i, L - 1 - i)
         # The site that factor i of charge q acts on together with site k.

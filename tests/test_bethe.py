@@ -122,6 +122,14 @@ class TestSolve:
         shifted = canonicalize_roots(sol.roots + 1j * np.pi)
         assert ipi_distance(shifted, sol.roots) < 1e-12
 
+    @pytest.mark.parametrize("re_lower", [np.nextafter(0.7, 0.0), np.nextafter(0.7, 1.0)])
+    def test_conjugate_pair_order_ignores_rounding_of_re(self, re_lower):
+        # The real parts of the two roots differ in their last bit only,
+        # either way round: the pair is ordered by its imaginary parts.
+        pair = [complex(0.7, 0.4), complex(re_lower, -0.4)]
+        for roots in (pair, pair[::-1]):
+            assert canonicalize_roots(roots).imag.tolist() == [-0.4, 0.4]
+
     @pytest.mark.parametrize(
         "chain",
         [

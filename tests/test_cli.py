@@ -86,6 +86,19 @@ class TestVerifyDuality:
         [line] = proc.stderr.splitlines()
         assert line.startswith("verification failure: L=8 sector M2=1 state 0: assignment error ")
 
+    @pytest.mark.parametrize("eta, h", [(50, 0), (30, 50)])
+    def test_charges_beyond_double_range_fail_in_one_line(self, tmp_path, capsys, eta, h):
+        # At L = 10 the closed-form charge norms overflow: the kernel stops
+        # before any eigensolve, with no numpy warning (an error here).
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L": 10, "eta": eta, "h": h, "inhom": None}))
+        code, report = _run(tmp_path, ["verify-duality", "--config", str(cfg)])
+        assert code == 3 and report is None
+        assert capsys.readouterr().err == (
+            f"numerical failure: VertexDualError: L=10, eta={eta}+0j, h={h}+0j: "
+            "charge norms overflow\n"
+        )
+
     def test_coincident_sites_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"L": 2, "inhom": [0.4, 0.4]}))
@@ -150,8 +163,8 @@ class TestSolveBethe:
         assert sectors[0]["roots"] == [[]]
 
     def test_short_sector_fails_past_the_ed_range(self, tmp_path, monkeypatch):
-        # At L = 7 no diagonalization cross-checks the sector; a solution
-        # short of C(L, M2) still fails the run.
+        # A sector short of C(L, M2) fails the run, and the ED state left
+        # without a solution shows in the match rate.
         solve = cli.solve_bae
         monkeypatch.setattr(cli, "solve_bae", lambda chain, m2: solve(chain, m2)[:-1])
         cfg = tmp_path / "cfg.json"
@@ -159,9 +172,22 @@ class TestSolveBethe:
         code, report = _run(tmp_path, ["solve-bethe", "--config", str(cfg)])
         assert code == 1
         assert report["summary"]["passed"] is False
-        assert not report["summary"]["cross_validated"]
         [sector] = report["results"]["sectors"]
         assert (sector["n_solutions"], sector["paths_failed"]) == (6, 1)
+        assert sector["ed_match_rate"] == 6 / 7
+
+    def test_every_sector_is_matched_against_ed_at_l7(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L": 7, "seed": 0}))
+        code, report = _run(tmp_path, ["solve-bethe", "--config", str(cfg)])
+        assert code == 0
+        assert "cross_validated" not in report["summary"]
+        sectors = report["results"]["sectors"]
+        assert [s["M2"] for s in sectors] == list(range(8))
+        for sector in sectors:
+            assert sector["ed_match_rate"] == 1.0
+            assert len(sector["ed_match_errors"]) == sector["expected_count"]
+            assert max(sector["ed_match_errors"]) <= 1e-8
 
     def test_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -416,6 +442,15 @@ class TestRsEvolve:
         code, _ = _run(tmp_path, ["rs-evolve"])
         assert code == 0
         assert np.getbufsize() == before
+
+    def test_x0_inside_the_collision_shell_is_a_config_error(self, tmp_path, capsys):
+        # x0 meets the Lax matrix's rule at 1e-9 but starts inside the
+        # flow's 1e-6 collision shell: found before any step.
+        config = {"eta": 0.3, "x0": [0, 1e-7, 1], "p0": [0, 0, 0], "t_final": 1}
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        code, report = _run(tmp_path, ["rs-evolve", "--config", str(tmp_path / "c.json")])
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == "config error: |sinh(x_1 - x_2)| = 1.000e-07 <= 1e-06\n"
 
     def test_more_than_ten_particles_is_a_config_error(self, tmp_path, capsys):
         # 2^n subset terms per sample: the schema caps n at the desk-scale L.

@@ -621,9 +621,12 @@ class TestEvolution:
         assert found[1] == f"{ref:.6g}" == "0.0925497"
 
     def test_initial_state_inside_collision_shell(self):
+        # A bad start, not a collision: the error names the pair, as for
+        # the general-position rules.
         st = RSState(eta=0.4, x=np.array([0.0, 1e-7]), p=np.array([0.1, -0.1]))
-        with pytest.raises(CollisionDetected):
+        with pytest.raises(GeneralPositionViolated) as info:
             evolve(st, 1.0, 1e-10)
+        assert str(info.value) == "|sinh(x_1 - x_2)| = 1.000e-07 <= 1e-06"
 
     def test_stall_message_locates_the_failure(self):
         # The flow blows up near t = 4.4067, where x_1 - x_2 + eta reaches
