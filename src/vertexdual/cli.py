@@ -287,17 +287,17 @@ def _cmd_verify_duality(config: dict):
 
 
 def _cmd_solve_bethe(config: dict):
+    """Solve each requested sector and match it against ED; only those sectors are diagonalized."""
     chain = _chain_from_config(config, rng_from_seed(config["seed"]))
     sectors = range(chain.L + 1) if config["sectors"] is None else config["sectors"]
-    spectrum = joint_diagonalize(chain, seed=config["seed"])
-    results = []
-    passed = True
-    for m2 in sectors:
+    spectrum = joint_diagonalize(chain, config["seed"], sectors)
+    results, passed = [], True
+    for m2, sector in zip(sectors, spectrum, strict=True):
         sols = solve_bae(chain, m2)
         expected = math.comb(chain.L, m2)
         # Each ED state's distance to the closest solution (inf if none).
         bethe_h = [all_eigenvalues_h(s, chain) for s in sols]
-        closest = bethe_ed_distance(bethe_h, spectrum[m2].H).min(axis=1, initial=np.inf)
+        closest = bethe_ed_distance(bethe_h, sector.H).min(axis=1, initial=np.inf)
         entry = {
             "M2": m2,
             "n_solutions": len(sols),

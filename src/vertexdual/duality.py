@@ -17,7 +17,6 @@ from .linalg import complex_sort_key, match_multisets, sinh_pair_product
 from .identities import sector_char_poly
 from .ruijsenaars import ladder, lax_from_velocities, symmetric_invariants
 from .spin_chain import ChainParams, SectorStates, joint_diagonalize
-from .spin_chain import _SectorCharges, _sector_states
 
 _HARD_MATCH_LIMIT = 1e-4
 
@@ -195,10 +194,10 @@ def _inverse_newton(x, H0, eta, targets, max_iter=60):
     return (H, residual) if residual < 1e-10 else None
 
 
-def inverse_spectral_solve(chain_x, eta, h, M2: int) -> list[InverseSolution]:
-    """Solve the inverse problem: the charge tuples H of sector M2 whose
-    Lax invariants e_n(x, H) equal the elementary symmetric functions of
-    the sector's predicted ladder values.
+def inverse_spectral_solve(chain: ChainParams, M2: int) -> list[InverseSolution]:
+    """Solve the inverse problem: the charge tuples H of sector M2 of the
+    chain whose Lax invariants e_n(x, H) equal the elementary symmetric
+    functions of the sector's predicted ladder values.
 
     Deterministic.  Each start is the charge tuple of one Bethe solution,
     all_eigenvalues_h of a root set from solve_bae, so the starts are
@@ -210,17 +209,13 @@ def inverse_spectral_solve(chain_x, eta, h, M2: int) -> list[InverseSolution]:
     start; a tuple is kept when its residual falls below 1e-13, or is
     below 1e-10 after the last step, and it is not a duplicate.  Every
     kept tuple is matched to the closest charge tuple of the exact
-    diagonalization of sector M2 alone (the states in joint_diagonalize
-    order).
+    diagonalization of sector M2 alone, joint_diagonalize(chain, 0, [M2]).
     """
-    x = np.asarray(chain_x, dtype=complex)
-    eta, h = complex(eta), complex(h)
-    L = x.size
+    x, eta, h, L = np.asarray(chain.inhom), chain.eta, chain.h, chain.L
     targets = _string_elementary(L, M2, h, eta)
-    chain = ChainParams(L=L, eta=eta, h=h, inhom=tuple(x))
     bethe_chain, m = (chain, M2) if 2 * M2 <= L else (replace(chain, h=-h), L - M2)
     starts = [all_eigenvalues_h(s, bethe_chain) for s in solve_bae(bethe_chain, m)]
-    ed_h = _sector_states(_SectorCharges(chain), M2).H
+    ed_h = joint_diagonalize(chain, 0, [M2])[0].H
     solutions: list[InverseSolution] = []
     for H0 in starts:
         solved = _inverse_newton(x, H0, eta, targets)

@@ -344,9 +344,10 @@ class _SectorCharges:
         return out
 
 
-def joint_diagonalize(params: ChainParams, seed: int = 0) -> list[SectorStates]:
-    """Diagonalize all residue charges simultaneously, sector by sector;
-    the sectors' states are returned indexed by M2.
+def joint_diagonalize(params: ChainParams, seed: int = 0, sectors=None) -> list[SectorStates]:
+    """Diagonalize all residue charges simultaneously in the requested
+    sectors; the states of each M2 in ``sectors`` are returned in that
+    order (None: every sector, indexed by M2).
 
     No charge is formed: in each magnetization sector the charges act on
     blocks of sector vectors (see _SectorCharges).  A random complex
@@ -359,14 +360,18 @@ def joint_diagonalize(params: ChainParams, seed: int = 0) -> list[SectorStates]:
     _RESIDUAL_TOL the combination is redrawn, up to _MAX_RETRIES times.
     The draws of sector M2 come from the stream (seed, M2), so a
     sector's states depend neither on the other sectors nor on their
-    order.  The largest sector is solved first, so that the smaller ones
-    reuse the memory it freed.
+    order.  Each distinct sector is solved once, the largest first, so
+    that the smaller ones reuse the memory it freed.
     """
-    charges, L = _SectorCharges(params), params.L
-    sectors = [None] * (L + 1)
-    for M2 in sorted(range(L + 1), key=lambda m: abs(2 * m - L)):
-        sectors[M2] = _sector_states(charges, M2, seed)
-    return sectors
+    L = params.L
+    sectors = range(L + 1) if sectors is None else sectors
+    for M2 in sectors:
+        if not 0 <= M2 <= L:
+            raise ValueError(f"M2 must lie in [0, {L}], got {M2}")
+    charges = _SectorCharges(params)
+    largest_first = sorted(set(sectors), key=lambda m: abs(2 * m - L))
+    solved = {M2: _sector_states(charges, M2, seed) for M2 in largest_first}
+    return [solved[M2] for M2 in sectors]
 
 
 def _sector_states(charges, M2, seed=0) -> SectorStates:

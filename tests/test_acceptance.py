@@ -325,7 +325,7 @@ def test_criterion_10_inverse_spectral_solve():
             else draw_chain_params(rng, L)
         )
         for m2 in range(L + 1):
-            sols = inverse_spectral_solve(chain.inhom, chain.eta, chain.h, m2)
+            sols = inverse_spectral_solve(chain, m2)
             assert len(sols) == comb(L, m2)
             assert {s.matched_state for s in sols} == set(range(comb(L, m2)))
             for sol in sols:

@@ -189,6 +189,29 @@ class TestSolveBethe:
             assert len(sector["ed_match_errors"]) == sector["expected_count"]
             assert max(sector["ed_match_errors"]) <= 1e-8
 
+    def test_diagonalizes_only_the_requested_sectors(self, tmp_path, monkeypatch):
+        # One joint_diagonalize call with the config's sectors, repeat
+        # included; each entry equals that sector's entry of the full run.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L": 5, "seed": 0}))
+        code, full = _run(tmp_path, ["solve-bethe", "--config", str(cfg)], name="full.json")
+        assert code == 0
+        requested = []
+        diagonalize = cli.joint_diagonalize
+
+        def record(params, seed=0, sectors=None):
+            requested.append(sectors)
+            return diagonalize(params, seed, sectors)
+
+        monkeypatch.setattr(cli, "joint_diagonalize", record)
+        cfg.write_text(json.dumps({"L": 5, "sectors": [3, 1, 3], "seed": 0}))
+        code, report = _run(tmp_path, ["solve-bethe", "--config", str(cfg)])
+        assert code == 0
+        assert requested == [[3, 1, 3]]
+        by_m2 = {s["M2"]: s for s in full["results"]["sectors"]}
+        assert report["results"]["sectors"] == [by_m2[3], by_m2[1], by_m2[3]]
+        assert report["summary"] == full["summary"]
+
     def test_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"L": 4, "seed": 3}))

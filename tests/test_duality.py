@@ -229,7 +229,7 @@ class TestSpectrumUniversality:
 class TestInverseSpectral:
     @staticmethod
     def _assert_bijection(chain, m2):
-        sols = inverse_spectral_solve(chain.inhom, chain.eta, chain.h, m2)
+        sols = inverse_spectral_solve(chain, m2)
         assert len(sols) == comb(chain.L, m2)
         assert {s.matched_state for s in sols} == set(range(comb(chain.L, m2)))
         for s in sols:
@@ -237,7 +237,7 @@ class TestInverseSpectral:
             assert s.match_error <= 1e-6
 
     def test_single_site_unique(self):
-        sols = inverse_spectral_solve((0.2,), 0.5, 0.3, 0)
+        sols = inverse_spectral_solve(ChainParams(L=1, eta=0.5, h=0.3, inhom=(0.2,)), 0)
         assert len(sols) == 1
         assert abs(sols[0].H[0] - np.exp(0.3)) < 1e-10
 
@@ -266,16 +266,17 @@ class TestInverseSpectral:
         # equations to rounding yet lies 4.5e-7 from its ED tuple: the
         # inverse map is ill-conditioned there, and the Jacobian shows it.
         chain = replace(draw_chain_params(rng_from_seed(2), 6), h=0.0)
-        sols = inverse_spectral_solve(chain.inhom, chain.eta, chain.h, 3)
+        sols = inverse_spectral_solve(chain, 3)
         loose = max(sols, key=lambda s: s.match_error)
         assert loose.match_error > 1e-7 and loose.condition >= 1e9
         for s in sols:
             assert s.match_error <= 1e-9 or s.condition >= 1e8
 
     def test_solve_diagonalizes_only_its_sector(self, monkeypatch):
-        # The ED annotation comes from sector M2 alone, and its states are
-        # those of joint_diagonalize in the same order, so each solution's
-        # matched_state is the nearest state of the full diagonalization.
+        # The ED annotation comes from one joint_diagonalize call on sector
+        # M2 alone, and its states are those of the full diagonalization in
+        # the same order, so each solution's matched_state is the nearest
+        # state of the full diagonalization.
         rng = rng_from_seed(2032)
         chains = [
             CHAIN,
@@ -286,16 +287,20 @@ class TestInverseSpectral:
             draw_chain_params(rng, 2),
             draw_chain_params(rng, 3),
         ]
+        requested = []
 
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("inverse_spectral_solve diagonalized every sector")
+        def record(params, seed=0, sectors=None):
+            requested.append(sectors)
+            return joint_diagonalize(params, seed, sectors)
 
         for chain in chains:
             full = joint_diagonalize(chain)
             for m2 in range(chain.L + 1):
+                requested.clear()
                 with monkeypatch.context() as patch:
-                    patch.setattr(duality, "joint_diagonalize", refuse)
-                    sols = inverse_spectral_solve(chain.inhom, chain.eta, chain.h, m2)
+                    patch.setattr(duality, "joint_diagonalize", record)
+                    sols = inverse_spectral_solve(chain, m2)
+                assert requested == [[m2]]
                 ed = full[m2].H
                 assert {s.matched_state for s in sols} == set(range(comb(chain.L, m2)))
                 for sol in sols:

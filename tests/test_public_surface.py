@@ -155,3 +155,14 @@ def test_every_criterion_name_is_used_by_the_acceptance_gate():
 def test_identities_imports_neither_the_bethe_solver_nor_the_chain(modules):
     sources = {module for module, _ in modules["identities"].imports.values()}
     assert not sources & {"bethe", "spin_chain"}
+
+
+def test_no_module_imports_a_private_spin_chain_name(modules):
+    # Sector states come through spin_chain.joint_diagonalize alone.
+    private = sorted(
+        f"{module} imports {name}"
+        for module, mod in modules.items()
+        for source, name in mod.imports.values()
+        if source == "spin_chain" and name.startswith("_")
+    )
+    assert not private

@@ -656,14 +656,23 @@ class TestSectorAssembly:
     @pytest.mark.parametrize("L", [1, 4, 7])
     def test_sectors_independent_of_order(self, L):
         # Sectors are solved largest first, each from its own stream
-        # (seed, M2): sector M2 is the one solved alone, bit for bit.
+        # (seed, M2): sector M2 requested alone, or among others in any
+        # order and with repeats, is sector M2 of the full call, bit for bit.
         params = _complex_chain(L)
         spec = joint_diagonalize(params, seed=4)
-        for m2, sector in enumerate(spec):
-            alone = spin_chain._sector_states(spin_chain._SectorCharges(params), m2, 4)
-            assert np.array_equal(sector.indices, alone.indices)
-            for field in ("coefficients", "H", "G", "residual_H", "residual_G"):
-                assert getattr(sector, field).tobytes() == getattr(alone, field).tobytes(), field
+        requests = [[m2] for m2 in range(L + 1)] + [[L, 0, L], list(range(L, -1, -1))]
+        for sectors in requests:
+            for m2, sector in zip(sectors, joint_diagonalize(params, 4, sectors), strict=True):
+                full = spec[m2]
+                assert np.array_equal(sector.indices, full.indices)
+                for field in ("coefficients", "H", "G", "residual_H", "residual_G"):
+                    assert getattr(sector, field).tobytes() == getattr(full, field).tobytes()
+
+    @pytest.mark.parametrize("m2", [-1, 4])
+    def test_sector_outside_the_chain_is_refused(self, m2):
+        # Without the range check, M2 = -1 would index sector L.
+        with pytest.raises(ValueError, match=rf"M2 must lie in \[0, 3\], got {m2}"):
+            joint_diagonalize(_complex_chain(3), 0, [1, m2])
 
     def test_states_keep_sector_coefficients(self):
         params = _complex_chain(5)
