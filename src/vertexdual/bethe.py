@@ -11,10 +11,11 @@ converges quadratically near a root.
 The solutions of sector M2 are labelled by the M2-subsets S of the
 sites (Hao, Nepomechie and Sommese, PRE 88 (2013) 052113): as
 Re h -> -inf the equations pin root a to the inhomogeneity x_{S_a}, and
-as Re h -> +inf to x_{S_a} - eta.  The solver starts each subset's roots
-at one limit and follows them to the target twist.  The log defect moves
-with h at the constant rate dF/dh = 2L, so the path obeys
-du/dh = -2L J^{-1} (1, ..., 1).
+as Re h -> +inf to x_{S_a} - eta.  The solver starts every subset's
+roots at the h -> -inf end and follows them to the target twist; in a
+sector left short it tracks every subset again from the h -> +inf end.
+The log defect moves with h at the constant rate dF/dh = 2L, so the
+path obeys du/dh = -2L J^{-1} (1, ..., 1).
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ _RESIDUAL_TOL = 1e-10
 # Largest |root - limit point| over the start roots: the leading-order
 # start is off by O(offset^2), well inside its solution's Newton basin.
 _START_OFFSET = 1e-3
-# Paths tried per subset, in order, as (limit, beta): the start end
-# h -> limit * inf and the height of the detour i beta sin(pi s), which
-# keeps the path off the twists where two solutions meet.
-_SCHEDULE = ((-1, 0.2), (1, 0.2), (-1, -0.2), (1, -0.2), (-1, 0.35), (1, 0.35))
+# Height of every path's detour i _DETOUR sin(pi s), which keeps the
+# path off the twists where two solutions meet.
+_DETOUR = 0.2
 # Step control in the path parameter s in [0, 1].
 _FIRST_STEP, _MAX_STEP, _MIN_STEP, _GROWTH = 0.05, 0.25, 1e-5, 1.5
 _CORRECTOR_ITERS, _POLISH_ITERS, _STEP_TOL = 4, 8, 1e-8
@@ -55,9 +55,8 @@ _CORRECTOR_ITERS, _POLISH_ITERS, _STEP_TOL = 4, 8, 1e-8
 
 @dataclass(frozen=True)
 class BetheRootSet:
-    """A solved sector: M2 roots, the worst equation defect, and how many
-    times the solver re-tracked their subset's path before accepting them
-    (len(_SCHEDULE) when the closing pass over every subset found them)."""
+    """A solved sector: M2 roots, the worst equation defect, and the pass
+    that found them (retracks 1: the h -> +inf pass of a short sector)."""
 
     roots: np.ndarray
     residual: float
@@ -133,9 +132,9 @@ def _starts(params: ChainParams, subsets: list[tuple[int, ...]], limit: int):
     return h0, centre + coeff * np.exp(-2 * limit * L * h0)
 
 
-def _track(params: ChainParams, h0: complex, u: np.ndarray, beta: float):
+def _track(params: ChainParams, h0: complex, u: np.ndarray):
     """Follow roots ``u`` from twist h0 to the target along
-    h(s) = h0 + s (h - h0) + i beta sin(pi s): an Euler predictor on
+    h(s) = h0 + s (h - h0) + i _DETOUR sin(pi s): an Euler predictor on
     du/ds = -2L h'(s) J^{-1} (1, ..., 1) and a Newton corrector, with the
     step halved when the corrector fails.  Returns the roots polished at
     the target, or None when the path fails."""
@@ -145,14 +144,14 @@ def _track(params: ChainParams, h0: complex, u: np.ndarray, beta: float):
     s, ds = 0.0, _FIRST_STEP
     while s < 1.0:
         t = min(s + ds, 1.0)
-        slope = 2 * params.L * (params.h - h0 + 1j * np.pi * beta * np.cos(np.pi * s))
+        slope = 2 * params.L * (params.h - h0 + 1j * np.pi * _DETOUR * np.cos(np.pi * s))
         with np.errstate(all="ignore"):
             try:
                 # The Jacobian does not depend on the twist.
                 du = np.linalg.solve(_equations(u, params, params.h)[1], np.full(u.size, -slope))
             except np.linalg.LinAlgError:
                 return None
-        ht = h0 + t * (params.h - h0) + 1j * beta * np.sin(np.pi * t)
+        ht = h0 + t * (params.h - h0) + 1j * _DETOUR * np.sin(np.pi * t)
         u_new, err = _newton(u + (t - s) * du, params, ht, _CORRECTOR_ITERS)
         if err <= _STEP_TOL:
             s, u, ds = t, u_new, min(_GROWTH * ds, _MAX_STEP)
@@ -183,12 +182,11 @@ def solve_bae(params: ChainParams, M2: int) -> list[BetheRootSet]:
     """Solve the sector-M2 equations by twist continuation, one path per
     M2-subset of the sites.
 
-    Every subset is first tracked from the h -> -inf end.  A subset whose
-    path fails or ends on an accepted solution is re-tracked through the
-    rest of the schedule (the other end, the mirrored detour, a wider
-    detour) until a path gives a new solution.  If the sector is still
-    short after that, the h -> +inf pass is re-run over every subset,
-    solved ones included, and keeps each new solution it reaches.
+    Every subset is tracked from the h -> -inf end.  If the sector is
+    still short, every subset is tracked again from the h -> +inf end,
+    until C(L, M2) solutions are accepted: a path can end on a solution
+    another subset claimed (or on coincident roots) while the missing
+    solution lies at the end of some subset's path from the other limit.
     Deterministic: at most C(L, M2) solutions with defect <= 1e-10 and
     distinct roots, sorted by canonical root tuple.
     """
@@ -198,23 +196,16 @@ def solve_bae(params: ChainParams, M2: int) -> list[BetheRootSet]:
         return [BetheRootSet(np.zeros(0, dtype=complex), 0.0)]
     solutions: list[BetheRootSet] = []
     subsets = list(combinations(range(params.L), M2))
-    unsolved = list(range(len(subsets)))
-    # The closing pass re-runs the h -> +inf paths of every subset: every
-    # path of a subset can end on solutions other subsets claimed (or on
-    # coincident roots) while the missing solution lies at the end of a
-    # solved subset's path from the other limit.
-    for retracks, (limit, beta) in enumerate(_SCHEDULE + (_SCHEDULE[1],)):
-        if not unsolved:
+    for retracks, limit in enumerate((-1, 1)):
+        if len(solutions) == len(subsets):
             break
         h0, starts = _starts(params, subsets, limit)
-        for i in list(unsolved) if retracks < len(_SCHEDULE) else range(len(subsets)):
-            if not unsolved:
-                break
-            found = _root_set(_track(params, h0, starts[i], beta), params, solutions, retracks)
+        for u in starts:
+            found = _root_set(_track(params, h0, u), params, solutions, retracks)
             if found is not None:
                 solutions.append(found)
-                # A new solution settles one missing one, subset i's if missing.
-                unsolved.remove(i if i in unsolved else unsolved[0])
+                if len(solutions) == len(subsets):
+                    break
     solutions.sort(key=lambda s: complex_sort_key(s.roots))
     return solutions
 

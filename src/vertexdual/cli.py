@@ -302,8 +302,9 @@ def _cmd_solve_bethe(config: dict):
             "M2": m2,
             "n_solutions": len(sols),
             "expected_count": expected,
-            # One path per site subset: a subset without a solution failed
-            # every path of the schedule, so it was re-tracked as well.
+            # One h -> -inf path per site subset: each solution of the
+            # h -> +inf pass, and each subset left without one, stands for
+            # a path that failed or ended on a solution already found.
             "paths_retracked": sum(s.retracks > 0 for s in sols) + expected - len(sols),
             "paths_failed": expected - len(sols),
             "residuals": [s.residual for s in sols],

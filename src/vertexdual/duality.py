@@ -13,9 +13,9 @@ import numpy as np
 
 from .bethe import all_eigenvalues_h, solve_bae
 from .errors import MatchFailed, ZeroGValue
-from .linalg import complex_sort_key, match_multisets, sinh_pair_product
+from .linalg import complex_sort_key, match_multisets
 from .identities import sector_char_poly
-from .ruijsenaars import ladder, lax_from_velocities, symmetric_invariants
+from .ruijsenaars import ladder, lax_from_velocities, symmetric_invariants, velocities
 from .spin_chain import ChainParams, SectorStates, joint_diagonalize
 
 _HARD_MATCH_LIMIT = 1e-4
@@ -113,13 +113,12 @@ def verify_momentum_identification(chain: ChainParams, spectrum: list[SectorStat
     over all states at once.
     """
     eta = chain.eta
-    weights = sinh_pair_product(chain.inhom, None, eta, 0.0)
     H = np.concatenate([s.H for s in spectrum])
     G = np.concatenate([s.G for s in spectrum])
     if np.any(np.abs(G) < 1e-100):
         raise ZeroGValue("a companion-charge value vanished")
     p = -np.log(-eta * G) / eta
-    rhs = eta * np.exp(eta * p) * weights
+    rhs = velocities(chain.inhom, p, eta)
     resid = np.max(np.abs(-H - rhs) / np.maximum(np.abs(H), 1e-12), axis=-1)
     # Python's max: a NaN residual never replaces the running worst.
     return max([0.0, *resid.tolist()])

@@ -3,6 +3,7 @@ solve, and the closed-form eigenvalues cross-validated against exact
 diagonalization."""
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from vertexdual import (
     solve_bae,
     transfer_matrix_twisted,
 )
-from vertexdual.bethe import _SCHEDULE, _equations, _starts, _track
+from vertexdual import bethe
+from vertexdual.bethe import _equations, _starts, _track
 from vertexdual.linalg import ipi_distance
 from vertexdual.sampling import draw_chain_params, rng_from_seed
 from vertexdual.spin_chain import gh_product_scalar
@@ -100,8 +102,6 @@ class TestDefect:
 
 class TestSolve:
     def test_sector_counts_l3(self):
-        from math import comb
-
         for m2 in range(4):
             sols = solve_bae(CHAIN, m2)
             assert len(sols) == comb(3, m2)
@@ -145,13 +145,13 @@ class TestSolve:
             _assert_matches_ed(chain, spec, m2, solve_bae(chain, m2))
 
     def test_closing_pass_completes_l7_sector(self):
-        # Every schedule path of one subset ends on coincident roots or on
-        # a solution already found; only the closing h -> +inf pass over
-        # all subsets reaches the 21st state.
+        # The h -> -inf pass finds 20 states: its other path ends on
+        # coincident roots or on a solution already found.  Only the
+        # h -> +inf pass over all subsets reaches the 21st.
         chain = draw_chain_params(rng_from_seed(1), 7)
         sols = solve_bae(chain, 2)
         assert len(sols) == 21
-        assert any(s.retracks == len(_SCHEDULE) for s in sols)
+        assert any(s.retracks == 1 for s in sols)
         _assert_matches_ed(chain, joint_diagonalize(chain, seed=0), 2, sols)
 
     def test_deterministic(self):
@@ -161,15 +161,15 @@ class TestSolve:
             assert [s.roots.tobytes() for s in first] == [s.roots.tobytes() for s in second]
             assert [s.retracks for s in first] == [s.retracks for s in second]
 
-    @pytest.mark.parametrize("limit, beta", _SCHEDULE)
-    def test_every_schedule_entry_solves_the_largest_sectors(self, limit, beta):
-        # Each re-track path must be a complete solver on its own in the
-        # sectors M2 >= L - 1, where the roots interact most.
+    @pytest.mark.parametrize("limit", [-1, 1])
+    def test_each_end_solves_the_largest_sectors(self, limit):
+        # The paths from each end must be a complete solver on their own
+        # in the sectors M2 >= L - 1, where the roots interact most.
         for chain in (DRAWN["drawn-L4-seed0"], DRAWN["drawn-L4-seed2"]):
             for m2 in (chain.L - 1, chain.L):
                 subsets = list(combinations(range(chain.L), m2))
                 h0, starts = _starts(chain, subsets, limit)
-                ends = [_track(chain, h0, u, beta) for u in starts]
+                ends = [_track(chain, h0, u) for u in starts]
                 assert all(u is not None for u in ends)
                 sols = solve_bae(chain, m2)
                 assert len(sols) == len(subsets)
@@ -177,6 +177,56 @@ class TestSolve:
                     assert min(ipi_distance(u, s.roots) for s in sols) < 1e-8
                 for a, b in combinations(ends, 2):
                     assert ipi_distance(a, b) > 1e-6
+
+    def test_tracks_at_most_two_paths_per_subset(self, tracked):
+        # At h = 0 sectors 3 and 4 of this chain stay empty: one pass from
+        # each end over the C(4, M2) subsets, and no path beyond those.
+        chain = draw_chain_params(rng_from_seed(0), 4, eta=0.5, h=0.0)
+        for m2 in range(chain.L + 1):
+            tracked.clear()
+            sols = solve_bae(chain, m2)
+            assert len(tracked) <= 2 * comb(chain.L, m2)
+            if m2 >= 3:
+                assert (len(sols), len(tracked)) == (0, 2 * comb(chain.L, m2))
+
+    def test_complete_first_pass_tracks_one_path_per_subset(self, tracked):
+        # Every sector of these chains is complete after the h -> -inf
+        # pass, so no h -> +inf path is tracked.
+        for chain in (DRAWN["drawn-L4-seed0"], DRAWN["drawn-L4-seed2"]):
+            for m2 in range(1, chain.L + 1):
+                tracked.clear()
+                sols = solve_bae(chain, m2)
+                assert len(sols) == len(tracked) == comb(chain.L, m2)
+                assert all(h0.real < 0 for h0, _ in tracked)
+                assert all(s.retracks == 0 for s in sols)
+
+    def test_second_pass_stops_at_a_full_sector(self, tracked):
+        # The L = 7 sector of test_closing_pass_completes_l7_sector: the
+        # h -> +inf pass ends on the path that gives the 21st state.
+        chain = draw_chain_params(rng_from_seed(1), 7)
+        sols = solve_bae(chain, 2)
+        assert len(sols) == 21
+        starts = [h0.real for h0, _ in tracked]
+        assert all(h < 0 for h in starts[:21])
+        assert all(h > 0 for h in starts[21:])
+        assert 21 < len(tracked) < 42
+        (late,) = [s for s in sols if s.retracks == 1]
+        assert ipi_distance(tracked[-1][1], late.roots) < 1e-12
+
+
+@pytest.fixture
+def tracked(monkeypatch):
+    """The (start twist, end roots) of every bethe._track call."""
+    calls = []
+    track = bethe._track
+
+    def record(params, h0, u):
+        end = track(params, h0, u)
+        calls.append((h0, end))
+        return end
+
+    monkeypatch.setattr(bethe, "_track", record)
+    return calls
 
 
 class TestEigenvalues:

@@ -212,6 +212,23 @@ class TestSolveBethe:
         assert report["results"]["sectors"] == [by_m2[3], by_m2[1], by_m2[3]]
         assert report["summary"] == full["summary"]
 
+    def test_zero_twist_leaves_the_upper_sectors_unsolved(self, tmp_path):
+        # At h = 0 the paths of the sectors M2 > L/2 all fail: the run
+        # exits 1 with every subset of sectors 3 and 4 counted as failed,
+        # while sectors 0-2 still match ED state for state.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L": 4, "h": 0, "seed": 0}))
+        code, report = _run(tmp_path, ["solve-bethe", "--config", str(cfg)])
+        assert code == 1
+        assert report["summary"]["passed"] is False
+        sectors = report["results"]["sectors"]
+        assert [s["M2"] for s in sectors] == list(range(5))
+        for sector in sectors[:3]:
+            assert sector["ed_match_rate"] == 1.0
+        for sector, failed in zip(sectors[3:], (4, 1), strict=True):
+            assert (sector["n_solutions"], sector["paths_failed"]) == (0, failed)
+            assert sector["ed_match_rate"] == 0.0
+
     def test_determinism(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"L": 4, "seed": 3}))
