@@ -36,6 +36,7 @@ from .errors import (
 )
 from .identities import (
     IdentityParams,
+    factorized_lax,
     q_matrix,
     q_tilde_matrix,
     verify_determinant_splitting,
@@ -46,7 +47,6 @@ from .ruijsenaars import (
     cauchy_det,
     char_poly_via_en,
     evolve,
-    factorized_lax,
     lax_from_momenta,
     lax_from_velocities,
     velocities,

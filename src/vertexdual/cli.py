@@ -135,11 +135,12 @@ def _complex_field(default) -> _Field:
     return _Field(default, _is_complex, _COMPLEX)
 
 
-def _complex_list_field(default) -> _Field:
+def _list_field(default, item: _Field, most: int = _MAX_L) -> _Field:
+    """A list of 1 to ``most`` values, each one that ``item`` accepts."""
     return _Field(
         default,
-        lambda v: isinstance(v, list) and 0 < len(v) <= _MAX_L and all(_is_complex(z) for z in v),
-        f"a list of 1 to {_MAX_L} values, each {_COMPLEX}",
+        lambda v: isinstance(v, list) and 0 < len(v) <= most and all(item.accepts(z) for z in v),
+        f"a list of 1 to {most} values, each {item.expected}",
     )
 
 
@@ -151,7 +152,6 @@ def _or_null(field: _Field) -> _Field:
 
 
 _VERSION = _Field(SCHEMA_VERSION, lambda v: str(v) == SCHEMA_VERSION, repr(SCHEMA_VERSION))
-_SECTOR = _int_field(0, 0, _MAX_L)
 
 # Per-command schema: key -> field.  Unknown keys are rejected.
 _SCHEMAS: dict[str, dict[str, _Field]] = {
@@ -160,7 +160,7 @@ _SCHEMAS: dict[str, dict[str, _Field]] = {
         "L": _int_field(1, 1, _MAX_L),
         "eta": _or_null(_complex_field(0.5)),
         "h": _or_null(_complex_field(0.3)),
-        "inhom": _or_null(_complex_list_field([0.0])),
+        "inhom": _or_null(_list_field([0.0], _complex_field(None))),
         "trials": _int_field(1, 1, _MAX_COUNT),
         "seed": _int_field(0, 0, _MAX_SEED),
         "tol": _tol_field(1e-8),
@@ -170,22 +170,17 @@ _SCHEMAS: dict[str, dict[str, _Field]] = {
         "L": _int_field(3, 1, _MAX_L),
         "eta": _or_null(_complex_field(0.5)),
         "h": _or_null(_complex_field(0.3)),
-        "inhom": _or_null(_complex_list_field(None)),
-        "sectors": _or_null(
-            _Field(
-                None,
-                lambda v: isinstance(v, list) and all(_SECTOR.accepts(m) for m in v),
-                f"a list of integers in [0, {_MAX_L}]",
-            )
-        ),
+        "inhom": _or_null(_list_field(None, _complex_field(None))),
+        # Every sector 0..L once at L = _MAX_L; a repeated one is solved once.
+        "sectors": _or_null(_list_field(None, _int_field(0, 0, _MAX_L), _MAX_L + 1)),
         "seed": _int_field(0, 0, _MAX_SEED),
         "tol": _tol_field(1e-10),
     },
     "rs-evolve": {
         "schema_version": _VERSION,
         "eta": _complex_field(0.35),
-        "x0": _complex_list_field([0.1, 1.0, 1.9]),
-        "p0": _complex_list_field([0.1, -0.2, 0.15]),
+        "x0": _list_field([0.1, 1.0, 1.9], _complex_field(None)),
+        "p0": _list_field([0.1, -0.2, 0.15], _complex_field(None)),
         "t_final": _real_field(
             2.0, lambda t: abs(t) <= _MAX_TIME, f"a real number in [-{_MAX_TIME:g}, {_MAX_TIME:g}]"
         ),
@@ -287,12 +282,13 @@ def _cmd_verify_duality(config: dict):
 
 
 def _cmd_solve_bethe(config: dict):
-    """Solve each requested sector and match it against ED; only those sectors are diagonalized."""
+    """Solve each requested sector once and match it against ED; only
+    those sectors are diagonalized, and a repeated one repeats its entry."""
     chain = _chain_from_config(config, rng_from_seed(config["seed"]))
     sectors = range(chain.L + 1) if config["sectors"] is None else config["sectors"]
-    spectrum = joint_diagonalize(chain, config["seed"], sectors)
-    results, passed = [], True
-    for m2, sector in zip(sectors, spectrum, strict=True):
+    spectrum = dict(zip(sectors, joint_diagonalize(chain, config["seed"], sectors), strict=True))
+    entries, passed = {}, True
+    for m2, sector in spectrum.items():
         sols = solve_bae(chain, m2)
         expected = math.comb(chain.L, m2)
         # Each ED state's distance to the closest solution (inf if none).
@@ -314,9 +310,9 @@ def _cmd_solve_bethe(config: dict):
         }
         solved = len(sols) == expected and all(s.residual <= config["tol"] for s in sols)
         passed &= solved and entry["ed_match_rate"] == 1.0
-        results.append(entry)
+        entries[m2] = entry
     summary = {"chain": _chain_config_out(chain), "passed": passed}
-    return {"sectors": results}, summary, (0 if passed else 1)
+    return {"sectors": [entries[m2] for m2 in sectors]}, summary, (0 if passed else 1)
 
 
 def _cmd_rs_evolve(config: dict):

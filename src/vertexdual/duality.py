@@ -14,8 +14,8 @@ import numpy as np
 from .bethe import all_eigenvalues_h, solve_bae
 from .errors import MatchFailed, ZeroGValue
 from .linalg import complex_sort_key, match_multisets
-from .identities import sector_char_poly
-from .ruijsenaars import ladder, lax_from_velocities, symmetric_invariants, velocities
+from .identities import ladder, sector_char_poly
+from .ruijsenaars import lax_from_velocities, symmetric_invariants, velocities
 from .spin_chain import ChainParams, SectorStates, joint_diagonalize
 
 _HARD_MATCH_LIMIT = 1e-4

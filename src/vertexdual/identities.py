@@ -1,7 +1,8 @@
-"""Determinant identities behind the spectral correspondence: the paired
-N x N / M x M matrices, their ladder factorizations, and the ladder
-characteristic polynomials that the identity and each chain sector
-predict.
+"""The geometric ladder and everything that factors through it: the
+ladder-factorized Lax matrix of the classical system, the paired
+N x N / M x M matrices of the determinant identity with their ladder
+factorizations, and the ladder characteristic polynomials that the
+identity and each chain sector predict.
 """
 
 from __future__ import annotations
@@ -11,24 +12,79 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CrossCheckFailed
+from .errors import CrossCheckFailed, VertexDualError
 from .linalg import (
+    GENERAL_POSITION_TOL,
     charpoly_minors,
     eta_shifts,
+    lagrange_vandermonde_inverse,
     poly_rel_residual,
     rel_diff,
     require_sinh_gap,
     sinh_pair_product,
+    sinh_pairs,
 )
-from .ruijsenaars import (
-    _ladder_factorized,
-    _sandwiched_ladder,
-    eta_shift_diagonal,
-    ladder,
-    lax_from_velocities,
-)
+from .ruijsenaars import RSState, lax_from_velocities
 
 _GP_TOL = 1e-6
+
+
+def ladder(K: int, eta) -> np.ndarray:
+    """The geometric ladder e^{-(2i - K - 1) eta}, i = 1..K; empty for K=0."""
+    if K < 0:
+        raise ValueError("K must be non-negative")
+    return np.exp(-(2 * np.arange(1, K + 1) - K - 1) * complex(eta))
+
+
+def eta_shift_diagonal(q, xi) -> np.ndarray:
+    """Diagonal of prod_{k != i} sinh(q_i - q_k + xi)."""
+    return np.prod(sinh_pairs(q, None, xi), axis=1)
+
+
+def _sandwiched_ladder(q, eta) -> np.ndarray:
+    """(V^t)^{-1} S^{-1} V^t on nodes q, via the explicit Lagrange inverse,
+    with V_ij = e^{(2j - K - 1) q_i} and S = diag(ladder(K, eta)).
+
+    V factors as diag(e^{(1-K)q_i}) times the plain Vandermonde in
+    t_i = e^{2 q_i}, so the explicit inverse of the latter gives a
+    well-conditioned (V^t)^{-1}.
+    """
+    q = np.asarray(q, dtype=complex)
+    k = q.size
+    t = np.exp(2 * q)
+    b = lagrange_vandermonde_inverse(t)
+    vt_plain = np.vander(t, k, increasing=True).T
+    core = (b * ladder(k, -eta)[None, :]) @ vt_plain
+    tfac = np.exp((1 - k) * q)
+    return core * (tfac[None, :] / tfac[:, None])
+
+
+def _ladder_factorized(q, weights, eta) -> np.ndarray:
+    """diag(weights) D_eta (V^t)^{-1} S^{-1} V^t D_eta^{-1} on nodes q,
+    with D_eta = diag(eta_shift_diagonal(q, eta))."""
+    core = _sandwiched_ladder(q, eta)
+    d = eta_shift_diagonal(q, eta)
+    return weights[:, None] * d[:, None] * core / d[None, :]
+
+
+def factorized_lax(state: RSState) -> np.ndarray:
+    """Lax matrix through the ladder factorization
+    -eta e^{eta P} D_eta (V^t)^{-1} S^{-1} V^t D_eta^{-1}.
+
+    The nodes are centred, x - mean(Re x): a common shift of x leaves
+    (V^t)^{-1} S^{-1} V^t and D_eta unchanged.  Raises VertexDualError,
+    naming the spread of Re x, where the build still overflows.  An
+    overflow reaches the diagonal (inf/inf or inf * 0) wherever it starts:
+    the entries are finite only if no step overflowed."""
+    x, p, eta = state.x, state.p, state.eta
+    require_sinh_gap(x, None, eta_shifts(eta), GENERAL_POSITION_TOL)
+    with np.errstate(all="ignore"):
+        lax = _ladder_factorized(x - x.real.mean(), -eta * np.exp(eta * p), eta)
+    if not np.isfinite(lax).all():
+        raise VertexDualError(
+            f"the ladder factorization overflows: Re x spreads over {np.ptp(x.real):.6g}"
+        )
+    return lax
 
 
 @dataclass(frozen=True)
@@ -60,13 +116,12 @@ class IdentityParams:
         require_sinh_gap(self.x, self.y, cross, _GP_TOL, names=("x", "y"))
 
 
-def _q_lax(points, others, g, eta, shift) -> np.ndarray:
+def _q_lax(points, coupling, g, eta, shift) -> np.ndarray:
     """The Lax matrix at coordinates ``points`` with velocities -g w_i,
     w_i = prod_{j != i} sinh(p_i - p_j + shift)/sinh(p_i - p_j) times
-    prod_b sinh(p_i - o_b)/sinh(p_i - o_b + shift): Q takes the x family
-    and shift +eta, Q~ the y family and shift -eta."""
-    weight = sinh_pair_product(points, None, shift, 0.0)
-    weight = weight * sinh_pair_product(points, others, 0.0, shift)
+    coupling_i: Q takes the x family, shift +eta and the diagonal of W,
+    Q~ the y family, shift -eta and the diagonal of W~."""
+    weight = sinh_pair_product(points, None, shift, 0.0) * coupling
     return lax_from_velocities(points, -g * weight, eta)
 
 
@@ -97,14 +152,12 @@ def q_tilde_factorized(params: IdentityParams) -> np.ndarray:
 
 def q_matrix(params: IdentityParams) -> np.ndarray:
     """The N x N matrix of the identity."""
-    return _q_lax(params.x, params.y, params.g, params.eta, params.eta)
+    return _q_lax(params.x, w_matrix(params), params.g, params.eta, params.eta)
 
 
 def q_tilde_matrix(params: IdentityParams) -> np.ndarray:
     """The M x M partner matrix."""
-    if params.M < 1:
-        return np.zeros((0, 0), dtype=complex)
-    return _q_lax(params.y, params.x, params.g, params.eta, -params.eta)
+    return _q_lax(params.y, w_tilde_matrix(params), params.g, params.eta, -params.eta)
 
 
 def ladder_char_poly(K: int, g, eta) -> np.ndarray:
@@ -135,10 +188,9 @@ class SplittingResiduals(NamedTuple):
 
 def splitting_rhs(params: IdentityParams, q_tilde: np.ndarray) -> np.ndarray:
     """Coefficients of det(lambda I - g S_{N-M}) det(lambda I - Q~)."""
-    rhs = ladder_char_poly(params.N - params.M, params.g, params.eta)
-    if params.M:
-        rhs = np.polymul(rhs, charpoly_minors(q_tilde))
-    return rhs
+    return np.polymul(
+        ladder_char_poly(params.N - params.M, params.g, params.eta), charpoly_minors(q_tilde)
+    )
 
 
 def verify_determinant_splitting(params: IdentityParams) -> SplittingResiduals:
@@ -149,7 +201,7 @@ def verify_determinant_splitting(params: IdentityParams) -> SplittingResiduals:
     q = q_matrix(params)
     q_tilde = q_tilde_matrix(params)
     fact_q = rel_diff(q, q_factorized(params))
-    fact_qt = rel_diff(q_tilde, q_tilde_factorized(params)) if params.M else 0.0
+    fact_qt = rel_diff(q_tilde, q_tilde_factorized(params))
     for name, err in (("Q", fact_q), ("Q~", fact_qt)):
         if err > 1e-9:
             raise CrossCheckFailed(f"ladder factorization of {name} disagrees: rel err {err:.3e}")

@@ -1,6 +1,8 @@
 """Classical trigonometric Ruijsenaars-Schneider system: the canonical
-flow, Lax matrix in its several equivalent builds, spectral invariants,
-and adaptive time evolution with isospectrality monitoring.
+flow, the Lax matrix from velocities or momenta, spectral invariants,
+and adaptive time evolution with isospectrality monitoring.  The
+ladder-factorized build of the Lax matrix lives in identities, with the
+ladder itself.
 
 The Hamilton equations are integrated in (x, p) by an embedded
 Dormand-Prince 5(4) pair written here, so the package needs no ODE
@@ -36,11 +38,9 @@ from .linalg import (
     diagonal_mask,
     eta_shifts,
     gap_quotient,
-    lagrange_vandermonde_inverse,
     require_sinh_eta,
     require_sinh_gap,
     sinh_gap_words,
-    sinh_pairs,
     smallest_sinh_gap,
 )
 
@@ -241,64 +241,6 @@ def char_poly_via_en(x, xdot, eta) -> np.ndarray:
     en = symmetric_invariants(x, -np.asarray(xdot, dtype=complex), eta)
     signs = (-1.0) ** np.arange(1, en.shape[-1] + 1)
     return np.concatenate([np.ones(en.shape[:-1] + (1,)), signs * en], axis=-1)
-
-
-def ladder(K: int, eta) -> np.ndarray:
-    """The geometric ladder e^{-(2i - K - 1) eta}, i = 1..K; empty for K=0."""
-    if K < 0:
-        raise ValueError("K must be non-negative")
-    return np.exp(-(2 * np.arange(1, K + 1) - K - 1) * complex(eta))
-
-
-def eta_shift_diagonal(q, xi) -> np.ndarray:
-    """Diagonal of prod_{k != i} sinh(q_i - q_k + xi)."""
-    return np.prod(sinh_pairs(q, None, xi), axis=1)
-
-
-def _sandwiched_ladder(q, eta) -> np.ndarray:
-    """(V^t)^{-1} S^{-1} V^t on nodes q, via the explicit Lagrange inverse,
-    with V_ij = e^{(2j - K - 1) q_i} and S = diag(ladder(K, eta)).
-
-    V factors as diag(e^{(1-K)q_i}) times the plain Vandermonde in
-    t_i = e^{2 q_i}, so the explicit inverse of the latter gives a
-    well-conditioned (V^t)^{-1}.
-    """
-    q = np.asarray(q, dtype=complex)
-    k = q.size
-    t = np.exp(2 * q)
-    b = lagrange_vandermonde_inverse(t)
-    vt_plain = np.vander(t, k, increasing=True).T
-    core = (b * ladder(k, -eta)[None, :]) @ vt_plain
-    tfac = np.exp((1 - k) * q)
-    return core * (tfac[None, :] / tfac[:, None])
-
-
-def _ladder_factorized(q, weights, eta) -> np.ndarray:
-    """diag(weights) D_eta (V^t)^{-1} S^{-1} V^t D_eta^{-1} on nodes q,
-    with D_eta = diag(eta_shift_diagonal(q, eta))."""
-    core = _sandwiched_ladder(q, eta)
-    d = eta_shift_diagonal(q, eta)
-    return weights[:, None] * d[:, None] * core / d[None, :]
-
-
-def factorized_lax(state: RSState) -> np.ndarray:
-    """Lax matrix through the ladder factorization
-    -eta e^{eta P} D_eta (V^t)^{-1} S^{-1} V^t D_eta^{-1}.
-
-    The nodes are centred, x - mean(Re x): a common shift of x leaves
-    (V^t)^{-1} S^{-1} V^t and D_eta unchanged.  Raises VertexDualError,
-    naming the spread of Re x, where the build still overflows.  An
-    overflow reaches the diagonal (inf/inf or inf * 0) wherever it starts:
-    the entries are finite only if no step overflowed."""
-    x, p, eta = state.x, state.p, state.eta
-    require_sinh_gap(x, None, eta_shifts(eta), GENERAL_POSITION_TOL)
-    with np.errstate(all="ignore"):
-        lax = _ladder_factorized(x - x.real.mean(), -eta * np.exp(eta * p), eta)
-    if not np.isfinite(lax).all():
-        raise VertexDualError(
-            f"the ladder factorization overflows: Re x spreads over {np.ptp(x.real):.6g}"
-        )
-    return lax
 
 
 def xle_relation_check(state: RSState) -> float:

@@ -165,7 +165,8 @@ def verify_solved_chain_splitting(chain: ChainParams, roots: BetheRootSet) -> fl
     x, eta = np.asarray(chain.inhom), chain.eta
     lax = lax_from_velocities(x, -all_eigenvalues_h(roots, chain), eta)
     # Same matrix, assembled through the x - eta / root family weights.
-    q = _q_lax(x - eta, roots.roots, np.exp(chain.L * chain.h), eta, eta)
+    coupling = sinh_pair_product(x - eta, roots.roots, 0.0, eta)
+    q = _q_lax(x - eta, coupling, np.exp(chain.L * chain.h), eta, eta)
     if rel_diff(lax, q) > 1e-9:
         raise CrossCheckFailed("Lax build and weight-family build disagree")
     rhs = sector_char_poly(chain.L, roots.roots.size, chain.h, chain.eta)
@@ -182,12 +183,12 @@ def normalized_identity_sides(params: IdentityParams) -> tuple[np.ndarray, np.nd
     the natural objects for the large-y stabilization checks.
     """
     w = w_matrix(params)
-    q0 = _q_lax(params.x, (), params.g, params.eta, params.eta)
+    q0 = _q_lax(params.x, 1.0, params.g, params.eta, params.eta)
     lhs = charpoly_minors(np.diag(w) @ q0) / np.prod(w)
     rhs = ladder_char_poly(params.N - params.M, params.g, params.eta)
     if params.M:
         wt = w_tilde_matrix(params)
-        qt0 = _q_lax(params.y, (), params.g, params.eta, -params.eta)
+        qt0 = _q_lax(params.y, 1.0, params.g, params.eta, -params.eta)
         rhs = np.polymul(rhs, charpoly_minors(np.diag(wt) @ qt0) / np.prod(wt))
     return lhs, rhs
 

@@ -36,9 +36,8 @@ from vertexdual import (
 )
 from vertexdual.bethe import _equations
 from vertexdual.cli import main
-from vertexdual.identities import q_factorized, q_tilde_factorized
+from vertexdual.identities import ladder, q_factorized, q_tilde_factorized
 from vertexdual.linalg import match_multisets, poly_rel_residual, rel_diff
-from vertexdual.ruijsenaars import ladder
 from vertexdual.sampling import draw_chain_params, draw_identity_params, rng_from_seed
 from vertexdual.spin_chain import gh_product_scalar, hamiltonians_g, hamiltonians_h
 

@@ -191,23 +191,30 @@ class TestSolveBethe:
 
     def test_diagonalizes_only_the_requested_sectors(self, tmp_path, monkeypatch):
         # One joint_diagonalize call with the config's sectors, repeat
-        # included; each entry equals that sector's entry of the full run.
+        # included, and one solve_bae call per distinct sector; each entry
+        # equals that sector's entry of the full run.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"L": 5, "seed": 0}))
         code, full = _run(tmp_path, ["solve-bethe", "--config", str(cfg)], name="full.json")
         assert code == 0
-        requested = []
-        diagonalize = cli.joint_diagonalize
+        requested, solved = [], []
+        diagonalize, solve = cli.joint_diagonalize, cli.solve_bae
 
         def record(params, seed=0, sectors=None):
             requested.append(sectors)
             return diagonalize(params, seed, sectors)
 
+        def record_solve(chain, m2):
+            solved.append(m2)
+            return solve(chain, m2)
+
         monkeypatch.setattr(cli, "joint_diagonalize", record)
+        monkeypatch.setattr(cli, "solve_bae", record_solve)
         cfg.write_text(json.dumps({"L": 5, "sectors": [3, 1, 3], "seed": 0}))
         code, report = _run(tmp_path, ["solve-bethe", "--config", str(cfg)])
         assert code == 0
         assert requested == [[3, 1, 3]]
+        assert solved == [3, 1]
         by_m2 = {s["M2"]: s for s in full["results"]["sectors"]}
         assert report["results"]["sectors"] == [by_m2[3], by_m2[1], by_m2[3]]
         assert report["summary"] == full["summary"]
@@ -605,6 +612,8 @@ HOSTILE_CONFIGS = [
     ("rs-evolve", {"x0": [0.1 * k for k in range(11)], "p0": [0] * 11}, 2),
     ("verify-duality", {"L": True}, 2),
     ("solve-bethe", {"sectors": 1}, 2),
+    ("solve-bethe", {"sectors": []}, 2),
+    ("solve-bethe", {"sectors": [1] * 12}, 2),
     ("verify-duality", {"trials": True}, 2),
     ("solve-bethe", {"n_starts": -1}, 2),
     ("solve-bethe", {"cross_validate": True}, 2),

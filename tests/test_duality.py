@@ -22,7 +22,7 @@ from vertexdual import (
 from vertexdual import duality
 from vertexdual.duality import _inverse_residual, _string_elementary
 from vertexdual.errors import MatchFailed
-from vertexdual.ruijsenaars import ladder
+from vertexdual.identities import ladder
 from vertexdual.sampling import draw_chain_params, rng_from_seed
 
 from classical_reference import verify_duality_per_state

@@ -19,6 +19,7 @@ from vertexdual import (
 )
 from vertexdual.bethe import BetheRootSet
 from vertexdual.identities import (
+    ladder,
     ladder_char_poly,
     q_factorized,
     q_tilde_factorized,
@@ -27,7 +28,6 @@ from vertexdual.identities import (
     w_tilde_matrix,
 )
 from vertexdual.linalg import charpoly_minors, match_multisets, poly_rel_residual, rel_diff
-from vertexdual.ruijsenaars import ladder
 from vertexdual.sampling import draw_identity_params, rng_from_seed
 
 from classical_reference import (

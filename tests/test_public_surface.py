@@ -157,12 +157,15 @@ def test_identities_imports_neither_the_bethe_solver_nor_the_chain(modules):
     assert not sources & {"bethe", "spin_chain"}
 
 
-def test_no_module_imports_a_private_spin_chain_name(modules):
-    # Sector states come through spin_chain.joint_diagonalize alone.
+def test_no_module_imports_another_modules_private_name(modules):
+    # A _-prefixed name stays inside its module: sector states, for one,
+    # come through spin_chain.joint_diagonalize alone, and the ladder
+    # factorizations through identities' public builds.  Dunders such as
+    # __version__ are public.
     private = sorted(
-        f"{module} imports {name}"
+        f"{module} imports {source}.{name}"
         for module, mod in modules.items()
         for source, name in mod.imports.values()
-        if source == "spin_chain" and name.startswith("_")
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
     )
     assert not private
