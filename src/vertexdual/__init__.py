@@ -14,7 +14,6 @@ from .duality import (
     DualityReport,
     InverseSolution,
     inverse_spectral_solve,
-    lax_from_chain_state,
     predicted_integrals,
     predicted_strings,
     verify_duality,

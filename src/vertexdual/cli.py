@@ -8,12 +8,12 @@ solve-bethe       sector-by-sector equation solving with ED cross-checks
 rs-evolve         classical flow with invariant-drift monitoring
 check-identities  randomized determinant-identity trials
 
-Exit codes: 0 pass, 1 verification failure, 2 config error (each key's
-type and range, the records' rules and rs-evolve's x0 against the
-collision shell, checked before any work), 3 numerical failure
-(degeneracy, collision, no convergence, charges beyond double range, a
-draw with no general-position sample, an rs-evolve sample that breaks
-the Lax rule).
+Exit codes: 0 pass, 1 verification failure, 2 config error (a config
+file that cannot be read or decoded, each key's type and range, the
+records' rules and rs-evolve's x0 against the collision shell, checked
+before any work), 3 numerical failure (degeneracy, collision, no
+convergence, charges or Lax entries beyond double range, a draw with no
+general-position sample, an rs-evolve sample that breaks the Lax rule).
 
 Reports are UTF-8 JSON on one line, keys sorted, with the fixed top level
 {schema_version, command, config, results, summary, timestamp};
@@ -209,7 +209,9 @@ def _resolve_config(command: str, path: str | None) -> dict:
     if path is not None:
         try:
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: bad JSON, bytes that are not UTF-8, an integer past
+        # Python's int-string limit.  RecursionError: nesting too deep.
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config must be a JSON object")
@@ -272,13 +274,12 @@ def _cmd_verify_duality(config: dict):
                 ],
             }
         )
-    passed = worst <= config["tol"]
     summary = {
         "worst_error": worst,
         "n_trials": config["trials"],
-        "passed": passed,
+        "passed": worst <= config["tol"],
     }
-    return {"trials": trials}, summary, (0 if passed else 1)
+    return {"trials": trials}, summary
 
 
 def _cmd_solve_bethe(config: dict):
@@ -312,7 +313,7 @@ def _cmd_solve_bethe(config: dict):
         passed &= solved and entry["ed_match_rate"] == 1.0
         entries[m2] = entry
     summary = {"chain": _chain_config_out(chain), "passed": passed}
-    return {"sectors": [entries[m2] for m2 in sectors]}, summary, (0 if passed else 1)
+    return {"sectors": [entries[m2] for m2 in sectors]}, summary
 
 
 def _cmd_rs_evolve(config: dict):
@@ -363,14 +364,13 @@ def _cmd_rs_evolve(config: dict):
             _vector_out(np.concatenate(energy)),
         )
     ]
-    passed = lax_drift <= config["tol"]
     summary = {
         "lax_eigenvalue_drift": lax_drift,
         "invariant_drift": invariant_drift,
         "ode": trajectory.ode,
-        "passed": passed,
+        "passed": lax_drift <= config["tol"],
     }
-    return {"trajectory": samples}, summary, (0 if passed else 1)
+    return {"trajectory": samples}, summary
 
 
 def _cmd_check_identities(config: dict):
@@ -395,13 +395,12 @@ def _cmd_check_identities(config: dict):
                 "pass": bool(residual <= config["tol"]),
             }
         )
-    passed = all(row["pass"] for row in rows)
     summary = {
         "n_trials": config["trials"],
         "worst_residual": worst,
-        "passed": passed,
+        "passed": all(row["pass"] for row in rows),
     }
-    return {"trials": rows}, summary, (0 if passed else 1)
+    return {"trials": rows}, summary
 
 
 _RUNNERS = {
@@ -443,7 +442,7 @@ def main(argv=None) -> int:
     command = args.command
     try:
         config = _resolve_config(command, args.config)
-        results, summary, code = _RUNNERS[command](config)
+        results, summary = _RUNNERS[command](config)
     except (ConfigError, GeneralPositionViolated) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -453,6 +452,7 @@ def main(argv=None) -> int:
     except (VertexDualError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    code = 0 if summary["passed"] else 1
     summary = {**summary, "rng": GENERATOR_NAME, "tool_version": __version__}
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -464,8 +464,7 @@ def main(argv=None) -> int:
     }
     out_path = Path(args.out) if args.out else Path(f"{command.replace('-', '_')}_report.json")
     write_report(out_path, report)
-    status = "PASS" if code == 0 else "FAIL"
-    print(f"{command}: {status} (report: {out_path})")
+    print(f"{command}: {('PASS', 'FAIL')[code]} (report: {out_path})")
     return code
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bethe import all_eigenvalues_h, solve_bae
-from .errors import MatchFailed, ZeroGValue
+from .errors import MatchFailed, VertexDualError, ZeroGValue
 from .linalg import complex_sort_key, match_multisets
 from .identities import ladder, sector_char_poly
 from .ruijsenaars import lax_from_velocities, symmetric_invariants, velocities
@@ -66,27 +66,29 @@ def predicted_integrals(L: int, M2: int, h, eta, n: int) -> complex:
     )
 
 
-def lax_from_chain_state(chain: ChainParams, H) -> np.ndarray:
-    """Lax matrix at coordinates x_i with velocities -H_i; diagonal is H.
-    Charge tuples of shape (..., L) give a stack of Lax matrices."""
-    return lax_from_velocities(np.asarray(chain.inhom), -np.asarray(H, dtype=complex), chain.eta)
-
-
 def verify_duality(chain: ChainParams, seed: int = 0) -> DualityReport:
     """Check every joint eigenstate against its predicted ladder spectrum.
 
-    One array pass per sector: the sector's Lax matrices are built as
-    one stack from the measured charge values, their eigenvalues are
-    matched onto the sector's ladders by minimal-cost assignment, and
-    each state's worst relative error is recorded.  MatchFailed names
-    the first state above _HARD_MATCH_LIMIT.  The momentum residual is
-    then taken over the same spectrum.
+    One array pass per sector: the sector's Lax matrices (coordinates
+    x_i, velocities -H_i) are built as one stack from the measured
+    charge values, their eigenvalues are matched onto the sector's
+    ladders by minimal-cost assignment, and each state's worst relative
+    error is recorded.  MatchFailed names the first state above
+    _HARD_MATCH_LIMIT, VertexDualError a sector whose Lax entries
+    overflow.  The momentum residual is then taken over the same spectrum.
     """
     spectrum = joint_diagonalize(chain, seed=seed)
+    x = np.asarray(chain.inhom)
     records = []
     worst = 0.0
     for M2, sector in enumerate(spectrum):
-        eigs = np.linalg.eigvals(lax_from_chain_state(chain, sector.H))
+        # sinh(eta) H_i can overflow at large eta and twist; the dual side,
+        # velocities -G w~, may judge such a sector once it is checked too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lax = lax_from_velocities(x, -sector.H, chain.eta)
+        if not np.all(np.isfinite(lax)):
+            raise VertexDualError(f"L={chain.L} sector M2={M2}: Lax entries overflow")
+        eigs = np.linalg.eigvals(lax)
         target = predicted_strings(chain.L, M2, chain.h, chain.eta)
         _, errors = match_multisets(eigs, target)
         errs = errors.max(axis=-1)
@@ -154,9 +156,11 @@ def _string_elementary(L: int, M2: int, h, eta) -> np.ndarray:
     return (-1.0) ** np.arange(1, L + 1) * poly[1:]
 
 
-def _inverse_residual(x, H, eta, targets) -> float:
-    vals = symmetric_invariants(x, H, eta)
-    return float(np.max(np.abs(vals - targets) / np.maximum(np.abs(targets), 1.0)))
+def _inverse_residual(x, H, eta, targets) -> tuple[np.ndarray, float]:
+    """The defect e_n(x, H) - targets of the invariant equations and its
+    worst entry relative to max(|target|, 1)."""
+    defect = symmetric_invariants(x, H, eta) - targets
+    return defect, float(np.max(np.abs(defect) / np.maximum(np.abs(targets), 1.0)))
 
 
 def _invariant_jacobian(x, H, eta) -> np.ndarray:
@@ -172,24 +176,22 @@ def _invariant_jacobian(x, H, eta) -> np.ndarray:
     return (vals[:n] - vals[n:]).T
 
 
-def _inverse_newton(x, H0, eta, targets, max_iter=60):
-    """Newton from H0 on the invariant equations.  Returns (H, residual),
-    the residual as _inverse_residual measures it, once it is below
-    1e-13, or below 1e-10 after the last iteration; else None."""
+def _inverse_newton(x, H0, eta, targets):
+    """Newton from H0 on the invariant equations, at most 60 steps.
+    Returns (H, residual), the worst relative defect of _inverse_residual,
+    once it is below 1e-13, or below 1e-10 after the last step; else None."""
     H = H0.astype(complex).copy()
-    for _ in range(max_iter):
-        f = symmetric_invariants(x, H, eta) - targets
-        residual = float(np.max(np.abs(f) / np.maximum(np.abs(targets), 1.0)))
-        if residual < 1e-13:
-            return H, residual
+    for n in range(61):
+        defect, residual = _inverse_residual(x, H, eta, targets)
+        if residual < 1e-13 or n == 60:
+            break
         try:
-            step = np.linalg.solve(_invariant_jacobian(x, H, eta), f)
+            step = np.linalg.solve(_invariant_jacobian(x, H, eta), defect)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(step)):
             return None
         H = H - step
-    residual = _inverse_residual(x, H, eta, targets)
     return (H, residual) if residual < 1e-10 else None
 
 

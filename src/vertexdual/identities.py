@@ -161,9 +161,7 @@ def q_tilde_matrix(params: IdentityParams) -> np.ndarray:
 
 
 def ladder_char_poly(K: int, g, eta) -> np.ndarray:
-    """Coefficients of det(lambda I - g S_K); exact product of linear factors."""
-    if K == 0:
-        return np.array([1.0 + 0.0j])
+    """Coefficients of det(lambda I - g S_K), 1 at K = 0; exact product of linear factors."""
     return np.poly(complex(g) * ladder(K, eta))
 
 

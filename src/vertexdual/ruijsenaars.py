@@ -180,16 +180,14 @@ def cauchy_factor(d, eta):
     return gap_quotient(np.asarray(d), (0, 0), (eta, -eta))
 
 
-def cauchy_det(x, eta, subset=None) -> complex:
-    """Determinant of [sinh(eta)/sinh(x_i - x_j - eta)] on a coordinate subset.
+def cauchy_det(x, eta) -> complex:
+    """Determinant of [sinh(eta)/sinh(x_i - x_j - eta)].
 
     Computes both the LU determinant and the closed product form
     (-1)^n prod_{i<j} cauchy_factor(x_i - x_j), raises CrossCheckFailed
     unless they agree to 1e-10 relative, and returns the closed form.
     """
     x = np.asarray(x, dtype=complex)
-    if subset is not None:
-        x = x[np.asarray(subset, dtype=int)]
     n = x.size
     direct = complex(np.linalg.det(lax_from_velocities(x, np.ones(n), eta)))
     i, j = np.triu_indices(n, 1)

@@ -208,11 +208,6 @@ def hamiltonians_g(params: ChainParams) -> list[QuantumOperator]:
     return [QuantumOperator(_traced_monodromy(blocks, twist)) for blocks in charges]
 
 
-def gh_product_scalar(params: ChainParams, i: int) -> complex:
-    """prod_{k != i} sinh(x_i - x_k + eta)/sinh(x_i - x_k)."""
-    return complex(sinh_pair_product(params.inhom, None, params.eta, 0.0)[i])
-
-
 @dataclass(frozen=True)
 class SectorStates:
     """The joint eigenstates of one sector, row i of each array being
@@ -255,7 +250,8 @@ class _SectorCharges:
     H_k = R_{k,k+1} ... R_{k,L} D_k R_{k,1} ... R_{k,k-1}: the weight at
     site k is the permutation, R_{kj} = r(x_k - x_j) acts on
     sites (k, j) and D_k = diag(e^{Lh}, e^{-Lh}) on site k.  As G_k H_k =
-    w_k (gh_product_scalar) and r(x) r(-x) = 1 - sinh^2(eta)/sinh^2(x),
+    w_k = prod_{j != k} sinh(x_k - x_j + eta)/sinh(x_k - x_j), the
+    coupling weight, and r(x) r(-x) = 1 - sinh^2(eta)/sinh^2(x),
     G_k = s_k R'_{k,k-1} ... R'_{k,1} D_k^{-1} R'_{k,L} ... R'_{k,k+1}:
     H_k's factors reversed, with R'_{kj} = r(x_j - x_k) and
     s_k = prod_{j != k} sinh(x_k - x_j)/sinh(x_k - x_j - eta).  On a

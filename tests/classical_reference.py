@@ -375,13 +375,14 @@ def verify_duality_per_state(chain, seed=0) -> duality.DualityReport:
     eigenstate; MatchFailed names the first state over the module's
     _HARD_MATCH_LIMIT by its position in its sector."""
     spectrum = joint_diagonalize(chain, seed=seed)
+    x = np.asarray(chain.inhom)
     records = []
     worst = 0.0
     for M2, sector in enumerate(spectrum):
         target = duality.predicted_strings(chain.L, M2, chain.h, chain.eta)
         sorted_eigs, errs = [], []
         for n, H in enumerate(sector.H):
-            eigs = np.linalg.eigvals(duality.lax_from_chain_state(chain, H))
+            eigs = np.linalg.eigvals(lax_from_velocities(x, -H, chain.eta))
             _, errors = match_multisets(eigs, target)
             err = float(errors.max())
             if err > duality._HARD_MATCH_LIMIT:

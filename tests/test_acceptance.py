@@ -37,9 +37,9 @@ from vertexdual import (
 from vertexdual.bethe import _equations
 from vertexdual.cli import main
 from vertexdual.identities import ladder, q_factorized, q_tilde_factorized
-from vertexdual.linalg import match_multisets, poly_rel_residual, rel_diff
+from vertexdual.linalg import match_multisets, poly_rel_residual, rel_diff, sinh_pair_product
 from vertexdual.sampling import draw_chain_params, draw_identity_params, rng_from_seed
-from vertexdual.spin_chain import gh_product_scalar, hamiltonians_g, hamiltonians_h
+from vertexdual.spin_chain import hamiltonians_g, hamiltonians_h
 
 from classical_reference import draw_rs_state, flow_step, power_traces, sz_m1_m2_operators
 
@@ -111,8 +111,10 @@ def test_criterion_03_gh_identity():
         hs = hamiltonians_h(chain)
         gs = hamiltonians_g(chain)
         eye = np.eye(2 ** L)
+        # G_i H_i = w_i = prod_{k != i} sinh(x_i - x_k + eta)/sinh(x_i - x_k).
+        weights = sinh_pair_product(chain.inhom, None, chain.eta, 0.0)
         for i in range(L):
-            scalar = gh_product_scalar(chain, i)
+            scalar = weights[i]
             prod = gs[i].entries @ hs[i].entries
             worst_op = max(
                 worst_op,
@@ -121,7 +123,7 @@ def test_criterion_03_gh_identity():
         spec = joint_diagonalize(chain, seed=1)
         for sector in spec:
             for i in range(L):
-                scalar = gh_product_scalar(chain, i)
+                scalar = weights[i]
                 worst_eig = max(
                     worst_eig,
                     float(np.max(np.abs(sector.G[:, i] * sector.H[:, i] - scalar))) / abs(scalar),

@@ -15,7 +15,7 @@ import pytest
 import vertexdual
 from vertexdual import cli
 from vertexdual.cli import main
-from vertexdual.errors import GeneralPositionViolated
+from vertexdual.errors import GeneralPositionViolated, MatchFailed
 from vertexdual.identities import q_factorized, q_matrix, q_tilde_factorized, q_tilde_matrix
 from vertexdual.linalg import rel_diff
 from vertexdual.ruijsenaars import RSState, Trajectory, evolve
@@ -621,6 +621,15 @@ HOSTILE_CONFIGS = [
     ("check-identities", {"corrupt_g": True}, 2),
     # In range, but e^{eta p} overflows: the field is not finite at t = 0.
     ("rs-evolve", {"eta": 50, "p0": [50, 50, 50]}, 3),
+    ("solve-bethe", {"L": 3, "sectors": [5]}, 2),
+    # An integer beyond float range: float() raises OverflowError.
+    ("verify-duality", {"tol": 10**400}, 2),
+    # In range, but sinh(eta) H overflows in the Lax matrix of sector 0.
+    (
+        "verify-duality",
+        {"L": 8, "eta": 40, "h": 50, "inhom": [0.0, 0.18, 0.36, 0.39, 0.57, 0.75, 0.78, 0.96]},
+        3,
+    ),
 ]
 
 
@@ -632,6 +641,39 @@ def test_hostile_config_exit_code(tmp_path, capsys, command, config, expected):
     assert code == expected
     assert report is None
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        b'{"L": 3,',
+        b"[1, 2]",
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"tol": ' + b"1" * 5000 + b"}",
+    ],
+    ids=["missing", "truncated", "not-an-object", "not-utf8", "too-deep", "long-integer"],
+)
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_bytes(content)
+    code, report = _run(tmp_path, ["verify-duality", "--config", str(cfg)])
+    assert code == 2 and report is None
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error:")
+
+
+def test_match_failure_is_a_verification_failure(tmp_path, monkeypatch, capsys):
+    def fail(chain, seed):
+        raise MatchFailed("L=1 sector M2=0 state 0: assignment error 1 exceeds 0.0001")
+
+    monkeypatch.setattr(cli, "verify_duality", fail)
+    code, report = _run(tmp_path, ["verify-duality"])
+    assert code == 1 and report is None
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("verification failure:")
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from vertexdual import (
     ChainParams,
     inverse_spectral_solve,
     joint_diagonalize,
-    lax_from_chain_state,
     lax_from_velocities,
     predicted_integrals,
     predicted_strings,
@@ -67,24 +66,27 @@ class TestPredictedSpectra:
 
 
 class TestLaxFromChain:
+    # The Lax matrix of a charge tuple H: coordinates x_i and velocities
+    # -H_i, so the diagonal is H.
     def test_single_site(self):
-        chain = ChainParams(L=1, eta=0.5, h=0.3, inhom=(0.2,))
-        lax = lax_from_chain_state(chain, [np.exp(0.3)])
+        lax = lax_from_velocities(np.array([0.2]), [-np.exp(0.3)], 0.5)
         assert abs(lax[0, 0] - np.exp(0.3)) < 1e-15
 
     def test_off_diagonal_entry(self):
         h_vals = np.array([1.3 - 0.2j, 0.7 + 0.1j, 2.0])
-        lax = lax_from_chain_state(CHAIN, h_vals)
-        x = CHAIN.inhom
+        x = np.asarray(CHAIN.inhom)
+        lax = lax_from_velocities(x, -h_vals, CHAIN.eta)
         expected = np.sinh(CHAIN.eta) * h_vals[0] / np.sinh(x[1] - x[0] + CHAIN.eta)
         assert abs(lax[0, 1] - expected) < 1e-14 * abs(expected)
         assert np.max(np.abs(np.diag(lax) - h_vals)) < 1e-14
 
     def test_agrees_with_velocity_build(self):
-        h_vals = np.array([1.1, 0.4 - 0.3j, 1.9 + 0.2j])
-        a = lax_from_chain_state(CHAIN, h_vals)
-        b = lax_from_velocities(np.array(CHAIN.inhom), -h_vals, CHAIN.eta)
-        assert np.max(np.abs(a - b)) == 0.0
+        # A stack of charge tuples, as one sector gives, builds the same
+        # matrices as the tuples one at a time.
+        h_vals = np.array([[1.1, 0.4 - 0.3j, 1.9 + 0.2j], [0.2j, -0.7, 1.3 - 0.1j]])
+        x = np.asarray(CHAIN.inhom)
+        stack = lax_from_velocities(x, -h_vals, CHAIN.eta)
+        assert np.array_equal(stack, [lax_from_velocities(x, -h, CHAIN.eta) for h in h_vals])
 
 
 class TestVerifyDuality:
@@ -328,10 +330,10 @@ class TestChargeAccuracy:
         worst, control = 0.0, np.inf
         for sector, target in zip(joint_diagonalize(chain), targets, strict=True):
             for H in sector.H:
-                worst = max(worst, _inverse_residual(x, H, chain.eta, target))
+                worst = max(worst, _inverse_residual(x, H, chain.eta, target)[1])
                 # Negative control: the largest charge value off by 1e-6 relative.
                 off = H.copy()
                 off[np.argmax(np.abs(off))] *= 1 + 1e-6
-                control = min(control, _inverse_residual(x, off, chain.eta, target))
+                control = min(control, _inverse_residual(x, off, chain.eta, target)[1])
         assert worst <= 1e-8
         assert control >= 1e-7

@@ -25,7 +25,6 @@ CRITERIA = {
     "hamiltonians_h": "02 charge-sum rule, 03 G_i H_i product identity",
     "hamiltonians_g": "03 G_i H_i product identity",
     "transfer_matrix_twisted": "02 constant-term rule",
-    "gh_product_scalar": "03 G_i H_i product identity",
     "q_matrix": "04 determinant identity",
     "q_tilde_matrix": "04 determinant identity",
     "all_eigenvalues_g": "05 Bethe cross-validation",
