@@ -86,14 +86,9 @@ def _as_complex(value) -> complex:
     return complex(*value) if isinstance(value, list) else complex(value)
 
 
-def _complex_out(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _vector_out(values) -> list:
     """[re, im] pairs along the last axis; a stack of vectors gives a list
-    of their lists."""
+    of their lists, and a scalar its one pair."""
     z = np.asarray(values, dtype=complex)
     return np.stack((z.real, z.imag), axis=-1).tolist()
 
@@ -244,8 +239,8 @@ def _chain_from_config(config: dict, rng) -> ChainParams:
 def _chain_config_out(chain: ChainParams) -> dict:
     return {
         "L": chain.L,
-        "eta": _complex_out(chain.eta),
-        "h": _complex_out(chain.h),
+        "eta": _vector_out(chain.eta),
+        "h": _vector_out(chain.h),
         "inhom": _vector_out(chain.inhom),
         "params_hash": chain.params_hash,
     }

@@ -50,7 +50,7 @@ def predicted_strings(L: int, M2: int, h, eta) -> np.ndarray:
     values = np.concatenate(
         [np.exp(L * h) * ladder(L - M2, eta), np.exp(-L * h) * ladder(M2, eta)]
     )
-    return values[np.lexsort((values.imag, values.real))]
+    return np.sort(values, kind="stable")
 
 
 def predicted_integrals(L: int, M2: int, h, eta, n: int) -> complex:
@@ -99,8 +99,7 @@ def verify_duality(chain: ChainParams, seed: int = 0) -> DualityReport:
                 f"L={chain.L} sector M2={M2} state {n}: assignment error "
                 f"{errs[n]:.3e} exceeds {_HARD_MATCH_LIMIT:g}"
             )
-        order = np.lexsort((eigs.imag, eigs.real), axis=-1)
-        records.append(DualityRecord(np.take_along_axis(eigs, order, axis=-1), errs))
+        records.append(DualityRecord(np.sort(eigs, axis=-1, kind="stable"), errs))
         worst = max(worst, float(errs.max()))
     n_states = sum(len(s.H) for s in spectrum)
     return DualityReport(records, worst, n_states, verify_momentum_identification(chain, spectrum))

@@ -18,7 +18,6 @@ from .linalg import (
     charpoly_minors,
     eta_shifts,
     lagrange_vandermonde_inverse,
-    poly_rel_residual,
     rel_diff,
     require_sinh_gap,
     sinh_pair_product,
@@ -203,5 +202,5 @@ def verify_determinant_splitting(params: IdentityParams) -> SplittingResiduals:
     for name, err in (("Q", fact_q), ("Q~", fact_qt)):
         if err > 1e-9:
             raise CrossCheckFailed(f"ladder factorization of {name} disagrees: rel err {err:.3e}")
-    residual = poly_rel_residual(charpoly_minors(q), splitting_rhs(params, q_tilde))
+    residual = rel_diff(charpoly_minors(q), splitting_rhs(params, q_tilde))
     return SplittingResiduals(residual, fact_q, fact_qt)

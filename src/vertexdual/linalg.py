@@ -23,7 +23,8 @@ SINGULAR_TOL = 1e-12
 
 
 def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Max entrywise difference relative to the larger matrix scale."""
+    """Max entrywise difference relative to the larger scale of the two
+    matrices, equal-length coefficient arrays or scalars."""
     a = np.asarray(a)
     b = np.asarray(b)
     scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0), 1e-300)
@@ -48,17 +49,6 @@ def charpoly_minors(a: np.ndarray) -> np.ndarray:
             s += block[0, 0] if k == 1 else np.linalg.det(block)
         coeffs[k] = (-1.0) ** k * s
     return coeffs
-
-
-def poly_rel_residual(p: np.ndarray, q: np.ndarray) -> float:
-    """Max coefficient difference relative to the largest coefficient."""
-    p = np.atleast_1d(np.asarray(p, dtype=complex))
-    q = np.atleast_1d(np.asarray(q, dtype=complex))
-    n = max(p.size, q.size)
-    pp = np.concatenate([np.zeros(n - p.size, dtype=complex), p])
-    qq = np.concatenate([np.zeros(n - q.size, dtype=complex), q])
-    scale = max(np.max(np.abs(pp)), np.max(np.abs(qq)), 1e-300)
-    return float(np.max(np.abs(pp - qq)) / scale)
 
 
 def _assignment(cost: np.ndarray) -> np.ndarray:
@@ -168,9 +158,10 @@ def reduce_mod_ipi(z):
 def ipi_distance(u, v) -> float:
     """Max distance between root tuples up to i*pi shifts and permutation.
 
-    The permutation is the exact minimum-sum assignment of the
-    i*pi-reduced distances (see _assignment; ties go to the lowest index
-    of ``v``), and the value is the largest distance it pairs.
+    Each difference u_i - v_j is reduced with reduce_mod_ipi.  The
+    permutation is the exact minimum-sum assignment of the reduced
+    distances (see _assignment; ties go to the lowest index of ``v``),
+    and the value is the largest distance it pairs.
     """
     u = np.atleast_1d(np.asarray(u, dtype=complex))
     v = np.atleast_1d(np.asarray(v, dtype=complex))
@@ -178,9 +169,7 @@ def ipi_distance(u, v) -> float:
         return np.inf
     if u.size == 0:
         return 0.0
-    diff = u[:, None] - v[None, :]
-    diff = diff - 1j * np.pi * np.round(diff.imag / np.pi)
-    dist = np.abs(diff)
+    dist = np.abs(reduce_mod_ipi(u[:, None] - v[None, :]))
     return float(np.max(dist[np.arange(u.size), _assignment(dist)]))
 
 

@@ -38,6 +38,7 @@ from .linalg import (
     diagonal_mask,
     eta_shifts,
     gap_quotient,
+    rel_diff,
     require_sinh_eta,
     require_sinh_gap,
     sinh_gap_words,
@@ -192,7 +193,7 @@ def cauchy_det(x, eta) -> complex:
     direct = complex(np.linalg.det(lax_from_velocities(x, np.ones(n), eta)))
     i, j = np.triu_indices(n, 1)
     closed = complex((-1.0) ** n * np.prod(cauchy_factor(x[i] - x[j], eta)))
-    if abs(direct - closed) > 1e-10 * max(abs(direct), abs(closed), 1e-300):
+    if rel_diff(direct, closed) > 1e-10:
         raise CrossCheckFailed(f"closed-form determinant disagrees with LU: {closed} vs {direct}")
     return closed
 

@@ -45,7 +45,6 @@ from vertexdual.linalg import (
     eta_shifts,
     gap_quotient,
     match_multisets,
-    poly_rel_residual,
     rel_diff,
     require_sinh_gap,
     sinh_pair_product,
@@ -170,7 +169,7 @@ def verify_solved_chain_splitting(chain: ChainParams, roots: BetheRootSet) -> fl
     if rel_diff(lax, q) > 1e-9:
         raise CrossCheckFailed("Lax build and weight-family build disagree")
     rhs = sector_char_poly(chain.L, roots.roots.size, chain.h, chain.eta)
-    return poly_rel_residual(charpoly_minors(lax), rhs)
+    return rel_diff(charpoly_minors(lax), rhs)
 
 
 def normalized_identity_sides(params: IdentityParams) -> tuple[np.ndarray, np.ndarray]:

@@ -110,6 +110,12 @@ class TestSolve:
                     for b in range(a + 1, m2):
                         assert abs(np.sinh(s.roots[a] - s.roots[b])) > 1e-8
 
+    @pytest.mark.parametrize("m2", [-1, 4])
+    def test_sector_outside_chain_refused(self, m2):
+        with pytest.raises(ValueError) as raised:
+            solve_bae(CHAIN, m2)
+        assert str(raised.value) == f"M2 must lie in [0, 3], got {m2}"
+
     def test_roots_canonical_strip(self):
         for m2 in range(4):
             for s in solve_bae(CHAIN, m2):

@@ -20,7 +20,7 @@ from vertexdual import (
 )
 from vertexdual import duality
 from vertexdual.duality import _inverse_residual, _string_elementary
-from vertexdual.errors import MatchFailed
+from vertexdual.errors import MatchFailed, ZeroGValue
 from vertexdual.identities import ladder
 from vertexdual.sampling import draw_chain_params, rng_from_seed
 
@@ -58,6 +58,16 @@ class TestPredictedSpectra:
                 direct = np.sum(spec ** n)
                 closed = predicted_integrals(L, m2, 0.17, 0.44, n)
                 assert abs(direct - closed) < 1e-12 * max(1.0, abs(closed))
+
+    def test_sector_outside_chain_refused(self):
+        with pytest.raises(ValueError) as raised:
+            predicted_strings(3, 4, 0.2, 0.4)
+        assert str(raised.value) == "M2 must lie in [0, 3], got 4"
+
+    def test_power_index_below_one_refused(self):
+        with pytest.raises(ValueError) as raised:
+            predicted_integrals(3, 1, 0.2, 0.4, n=0)
+        assert str(raised.value) == "power index must be >= 1"
 
     def test_balanced_sector_at_zero_field(self):
         value = predicted_integrals(4, 2, 0.0, 0.37, 3)
@@ -122,6 +132,15 @@ class TestMomentumIdentification:
     def test_all_states_l3(self):
         spec = joint_diagonalize(CHAIN, seed=0)
         assert verify_momentum_identification(CHAIN, spec) < 1e-9
+
+    def test_vanishing_companion_charge_refused(self):
+        spec = joint_diagonalize(CHAIN, seed=0)
+        G = spec[1].G.copy()
+        G[0] = 0.0
+        spec[1] = replace(spec[1], G=G)
+        with pytest.raises(ZeroGValue) as raised:
+            verify_momentum_identification(CHAIN, spec)
+        assert str(raised.value) == "a companion-charge value vanished"
 
     def test_momentum_branch_consistency(self):
         spec = joint_diagonalize(CHAIN, seed=0)

@@ -27,7 +27,7 @@ from vertexdual.identities import (
     w_matrix,
     w_tilde_matrix,
 )
-from vertexdual.linalg import charpoly_minors, match_multisets, poly_rel_residual, rel_diff
+from vertexdual.linalg import charpoly_minors, match_multisets, rel_diff
 from vertexdual.sampling import draw_identity_params, rng_from_seed
 
 from classical_reference import (
@@ -43,11 +43,16 @@ class TestLadderMatrix:
         assert np.allclose(ladder(1, 0.4), [1.0])
         assert np.allclose(ladder(2, 0.4), [np.exp(0.4), np.exp(-0.4)])
 
+    def test_negative_size_refused(self):
+        with pytest.raises(ValueError) as raised:
+            ladder(-1, 0.4)
+        assert str(raised.value) == "K must be non-negative"
+
     def test_char_poly_structure_k3(self):
         g, eta = 1.3 - 0.2j, 0.35 + 0.1j
         coeffs = ladder_char_poly(3, g, eta)
         roots = [g * np.exp(-(2 * i - 4) * eta) for i in (1, 2, 3)]
-        assert poly_rel_residual(coeffs, np.poly(roots)) < 1e-14
+        assert rel_diff(coeffs, np.poly(roots)) < 1e-14
 
 
 class TestQMatrices:
@@ -130,7 +135,7 @@ class TestIdentity:
         params = draw_identity_params(rng, 2, 1)
         assert verify_determinant_splitting(params).identity < 1e-10
         q = q_matrix(params)
-        assert poly_rel_residual(charpoly_minors(q), np.poly(np.linalg.eigvals(q))) < 1e-9
+        assert rel_diff(charpoly_minors(q), np.poly(np.linalg.eigvals(q))) < 1e-9
 
     def test_n6_m3(self):
         rng = rng_from_seed(7)
@@ -155,7 +160,7 @@ class TestIdentity:
             params = draw_identity_params(rng, n, m)
             bad = replace(params, g=-params.g)
             rhs = splitting_rhs(bad, q_tilde_matrix(bad))
-            assert poly_rel_residual(charpoly_minors(q_matrix(params)), rhs) > 1e-2
+            assert rel_diff(charpoly_minors(q_matrix(params)), rhs) > 1e-2
 
     def test_normalized_sides_agree(self):
         # The W-normalized statement carries no extra constant term.
@@ -165,7 +170,7 @@ class TestIdentity:
             m = int(rng.integers(1, n + 1))
             params = draw_identity_params(rng, n, m)
             lhs, rhs = normalized_identity_sides(params)
-            assert poly_rel_residual(lhs, rhs) < 1e-8
+            assert rel_diff(lhs, rhs) < 1e-8
 
     def test_no_pole_as_points_coalesce(self):
         # Entries of the normalized left side blow up as x_1 -> x_2, but
@@ -194,7 +199,7 @@ class TestIdentity:
         base, _ = normalized_identity_sides(params0)
         powers = np.arange(3, -1, -1)
         limit = base * np.exp(-eta) ** powers
-        assert poly_rel_residual(lhs, limit) < 1e-4
+        assert rel_diff(lhs, limit) < 1e-4
 
 
 class TestSolvedChainIdentity:
@@ -226,6 +231,16 @@ class TestParameterValidation:
     def test_m_exceeds_n(self):
         with pytest.raises(ValueError):
             IdentityParams(N=2, M=3, x=(0.1, 0.9), y=(0.2, 0.5, 1.4), g=1.0, eta=0.4)
+
+    def test_family_length_differs_from_size(self):
+        with pytest.raises(ValueError) as raised:
+            IdentityParams(N=3, M=1, x=(0.1, 0.9), y=(0.5,), g=1.0, eta=0.4)
+        assert str(raised.value) == "x, y lengths must match N, M"
+
+    def test_zero_scale_refused(self):
+        with pytest.raises(ValueError) as raised:
+            IdentityParams(N=2, M=1, x=(0.1, 0.9), y=(0.5,), g=0.0, eta=0.4)
+        assert str(raised.value) == "g must be nonzero"
 
     def test_coincident_points(self):
         with pytest.raises(GeneralPositionViolated):
