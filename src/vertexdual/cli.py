@@ -148,24 +148,24 @@ def _or_null(field: _Field) -> _Field:
 
 _VERSION = _Field(SCHEMA_VERSION, lambda v: str(v) == SCHEMA_VERSION, repr(SCHEMA_VERSION))
 
-# Per-command schema: key -> field.  Unknown keys are rejected.
+# Per-command schema: key -> field.  Unknown keys are rejected.  The two
+# chain commands share the chain keys; a null inhom draws the chain.
+_CHAIN_SCHEMA: dict[str, _Field] = {
+    "schema_version": _VERSION,
+    "L": _int_field(3, 1, _MAX_L),
+    "eta": _or_null(_complex_field(0.5)),
+    "h": _or_null(_complex_field(0.3)),
+    "inhom": _or_null(_list_field(None, _complex_field(None))),
+}
 _SCHEMAS: dict[str, dict[str, _Field]] = {
     "verify-duality": {
-        "schema_version": _VERSION,
-        "L": _int_field(1, 1, _MAX_L),
-        "eta": _or_null(_complex_field(0.5)),
-        "h": _or_null(_complex_field(0.3)),
-        "inhom": _or_null(_list_field([0.0], _complex_field(None))),
+        **_CHAIN_SCHEMA,
         "trials": _int_field(1, 1, _MAX_COUNT),
         "seed": _int_field(0, 0, _MAX_SEED),
         "tol": _tol_field(1e-8),
     },
     "solve-bethe": {
-        "schema_version": _VERSION,
-        "L": _int_field(3, 1, _MAX_L),
-        "eta": _or_null(_complex_field(0.5)),
-        "h": _or_null(_complex_field(0.3)),
-        "inhom": _or_null(_list_field(None, _complex_field(None))),
+        **_CHAIN_SCHEMA,
         # Every sector 0..L once at L = _MAX_L; a repeated one is solved once.
         "sectors": _or_null(_list_field(None, _int_field(0, 0, _MAX_L), _MAX_L + 1)),
         "seed": _int_field(0, 0, _MAX_SEED),
@@ -223,8 +223,7 @@ def _resolve_config(command: str, path: str | None) -> dict:
 
 
 def _chain_from_config(config: dict, rng) -> ChainParams:
-    eta = _as_complex(config["eta"]) if config["eta"] is not None else None
-    h = _as_complex(config["h"]) if config["h"] is not None else None
+    eta, h = (None if config[k] is None else _as_complex(config[k]) for k in ("eta", "h"))
     if config["inhom"] is None:
         return draw_chain_params(rng, config["L"], eta=eta, h=h)
     if eta is None or h is None:

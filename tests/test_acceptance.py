@@ -100,6 +100,20 @@ def test_criterion_02_sum_rules():
         )
         worst = max(worst, np.linalg.norm(c_num - c_target) / np.linalg.norm(c_target))
     _report(2, "constant-term and charge-sum rules", worst, 1e-10)
+    # The production kernel: every joint_diagonalize state of a CLI draw
+    # (eta, h and inhom null) against the charge-sum rule of its sector.
+    worst_ed = 0.0
+    for seed in range(3):
+        for L in range(2, 9):
+            chain = draw_chain_params(rng_from_seed(seed), L)
+            eta, h = chain.eta, chain.h
+            for M2, sector in enumerate(joint_diagonalize(chain, seed)):
+                target = (
+                    np.exp(L * h) * np.sinh((L - M2) * eta) + np.exp(-L * h) * np.sinh(M2 * eta)
+                ) / np.sinh(eta)
+                defect = np.max(np.abs(sector.H.sum(axis=1) - target)) / abs(target)
+                worst_ed = max(worst_ed, float(defect))
+    _report(2, "charge-sum rule on joint_diagonalize", worst_ed, 1e-10)
 
 
 def test_criterion_03_gh_identity():

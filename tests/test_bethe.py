@@ -219,6 +219,35 @@ class TestSolve:
         assert ipi_distance(tracked[-1][1], late.roots) < 1e-12
 
 
+def _singular(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+class TestPathGuards:
+    """The guards that end a path or drop its end point.  The two
+    singular-Jacobian guards are reached through a patched solve, the
+    predictor's with a patched Newton too: a polished start's Jacobian is
+    the predictor's, which does not depend on the twist."""
+
+    def test_newton_stops_on_a_singular_jacobian(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "solve", _singular)
+        u = np.array([0.5 + 0j])
+        roots, step = bethe._newton(u, CHAIN, CHAIN.h, 5)
+        assert roots is u and step == np.inf
+
+    def test_predictor_fails_the_path_on_a_singular_jacobian(self, monkeypatch):
+        monkeypatch.setattr(bethe, "_newton", lambda u, params, h, iters: (u, 0.0))
+        monkeypatch.setattr(np.linalg, "solve", _singular)
+        assert _track(CHAIN, CHAIN.h, np.array([0.5 + 0j])) is None
+
+    def test_start_on_a_site_fails_its_polish(self):
+        # The defect is not finite on a site, so the first step is nan.
+        assert _track(CHAIN, CHAIN.h, np.array([CHAIN.inhom[0] + 0j])) is None
+
+    def test_root_on_a_site_is_rejected(self):
+        assert bethe._root_set(np.array([CHAIN.inhom[1] + 0j]), CHAIN, [], 0) is None
+
+
 @pytest.fixture
 def tracked(monkeypatch):
     """The (start twist, end roots) of every bethe._track call."""

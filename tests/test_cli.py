@@ -34,7 +34,7 @@ def _run(tmp_path, argv, name="report.json"):
 
 
 class TestVerifyDuality:
-    def test_default_single_site(self, tmp_path):
+    def test_default_l3_chain(self, tmp_path):
         code, report = _run(tmp_path, ["verify-duality"])
         assert code == 0
         assert set(report) == TOP_LEVEL_KEYS
@@ -701,6 +701,37 @@ def test_inhom_length_is_a_config_error(tmp_path, capsys, command):
     code, report = _run(tmp_path, [command, "--config", str(cfg)])
     assert code == 2 and report is None
     assert capsys.readouterr().err == "config error: expected 3 inhomogeneities, got 2\n"
+
+
+@pytest.mark.parametrize("command", ["verify-duality", "solve-bethe"])
+@pytest.mark.parametrize("key", ["eta", "h"])
+def test_given_inhom_needs_eta_and_h(tmp_path, capsys, command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 2, "inhom": [0.0, 0.8], key: None}))
+    code, report = _run(tmp_path, [command, "--config", str(cfg)])
+    assert code == 2 and report is None
+    assert capsys.readouterr().err == "config error: eta and h are required when inhom is given\n"
+
+
+@pytest.mark.parametrize(
+    "config, params_hash",
+    [(None, "a778147bf721c091"), ({"L": 4, "seed": 0}, None), ({"L": 4, "seed": 3}, None)],
+)
+def test_chain_commands_check_one_chain(tmp_path, config, params_hash):
+    # verify-duality and solve-bethe share the chain keys and their
+    # defaults (inhom null draws the chain), so a config names one chain
+    # in both commands.
+    argv = []
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "cfg.json")]
+    code, duality = _run(tmp_path, ["verify-duality", *argv], "duality.json")
+    assert code == 0
+    code, bethe = _run(tmp_path, ["solve-bethe", *argv], "bethe.json")
+    assert code == 0
+    chain = duality["results"]["trials"][0]["chain"]
+    assert chain == bethe["summary"]["chain"]
+    assert params_hash in (None, chain["params_hash"])
 
 
 def _python(tmp_path, args):

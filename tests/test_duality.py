@@ -15,6 +15,7 @@ from vertexdual import (
     lax_from_velocities,
     predicted_integrals,
     predicted_strings,
+    solve_bae,
     verify_duality,
     verify_momentum_identification,
 )
@@ -327,6 +328,42 @@ class TestInverseSpectral:
                 for sol in sols:
                     errs = [np.max(np.abs(sol.H - h) / np.maximum(np.abs(h), 1e-12)) for h in ed]
                     assert sol.matched_state == int(np.argmin(errs))
+
+
+class TestInverseGuards:
+    """The inverse solve's failure and duplicate guards, each pinned."""
+
+    X = np.asarray(CHAIN.inhom)
+    TARGETS = _string_elementary(CHAIN.L, 1, CHAIN.h, CHAIN.eta)
+
+    def test_singular_jacobian_gives_up(self):
+        # At H = 0 only e_1 moves to first order: the rows of e_2 and e_3
+        # vanish and the solve raises.
+        assert duality._inverse_newton(self.X, np.zeros(3), CHAIN.eta, self.TARGETS) is None
+
+    def test_non_finite_step_gives_up(self):
+        with np.errstate(all="ignore"):
+            start = np.full(3, np.nan)
+            assert duality._inverse_newton(self.X, start, CHAIN.eta, self.TARGETS) is None
+
+    def test_failed_start_is_skipped(self, monkeypatch):
+        full = inverse_spectral_solve(CHAIN, 1)
+        newton, calls = duality._inverse_newton, []
+
+        def first_fails(x, H0, eta, targets):
+            calls.append(H0)
+            return None if len(calls) == 1 else newton(x, H0, eta, targets)
+
+        monkeypatch.setattr(duality, "_inverse_newton", first_fails)
+        kept = inverse_spectral_solve(CHAIN, 1)
+        assert len(calls) == len(full) == 3 and len(kept) == 2
+        assert all(any(np.array_equal(k.H, f.H) for f in full) for k in kept)
+
+    def test_duplicate_start_is_skipped(self, monkeypatch):
+        full = inverse_spectral_solve(CHAIN, 1)
+        monkeypatch.setattr(duality, "solve_bae", lambda chain, m: solve_bae(chain, m) * 2)
+        twice = inverse_spectral_solve(CHAIN, 1)
+        assert [s.H.tobytes() for s in twice] == [s.H.tobytes() for s in full]
 
 
 class TestChargeAccuracy:

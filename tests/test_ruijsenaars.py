@@ -709,6 +709,24 @@ class TestEvolution:
         traj = evolve(STATE3, 1.0, 1e-10, n_samples=5)
         assert len(calls) == traj.ode["nfev"] > 0
 
+    def test_vanishing_field_takes_the_fixed_first_step(self, monkeypatch):
+        # At p = -300 the field is ~1e-46, below Hairer's 1e-15 floor on
+        # both estimates: the first step is max(1e-6, 1e-3 h0) = 1e-6 and
+        # the particles stay put.
+        steps = []
+        initial_step = ruijsenaars._initial_step
+
+        def record(*args):
+            steps.append(initial_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(ruijsenaars, "_initial_step", record)
+        traj = evolve(RSState(0.35, [0, 1, 2], [-300] * 3), 1.0)
+        assert steps == [1e-6]
+        assert traj.x.shape == traj.p.shape == (33, 3)
+        assert np.max(np.abs(traj.x - [0, 1, 2])) < 1e-40
+        assert np.max(np.abs(traj.p + 300)) < 1e-40
+
     def test_tolerance_below_floor_rejected(self):
         # Below the floor the step falls to 10 ulp of t near t = 0 and the
         # run does not return; at the floor it does.
