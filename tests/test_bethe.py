@@ -16,12 +16,13 @@ from vertexdual import (
     all_eigenvalues_h,
     canonicalize_roots,
     joint_diagonalize,
+    sector_bases,
     solve_bae,
     transfer_matrix_twisted,
 )
 from vertexdual import bethe
 from vertexdual.bethe import _equations, _starts, _track
-from vertexdual.linalg import ipi_distance, sinh_pair_product
+from vertexdual.linalg import ipi_distance, match_multisets, sinh_pair_product
 from vertexdual.sampling import draw_chain_params, rng_from_seed
 
 from classical_reference import bae_defect, eigenvalue_t
@@ -274,22 +275,17 @@ class TestEigenvalues:
         assert abs(eigenvalue_t(sols[0], CHAIN, x) - expected) < 1e-13
 
     def test_transfer_eigenvalue_matches_ed(self):
-        spec = joint_diagonalize(CHAIN, seed=0)
+        # The transfer matrix conserves M2, so each sector's block is closed
+        # and its eigenvalues are the Bethe eigenvalues of that sector.
         x = 0.62 - 0.4j
         t_op = transfer_matrix_twisted(CHAIN, x).entries
-        for m2 in range(4):
-            sols = solve_bae(CHAIN, m2)
-            sector = spec[m2]
-            for H, vector in zip(sector.H, sector.vectors(CHAIN.L)):
-                errs = [
-                    np.max(np.abs(all_eigenvalues_h(s, CHAIN) - H))
-                    for s in sols
-                ]
-                sol = sols[int(np.argmin(errs))]
-                rayleigh = vector.conj() @ (t_op @ vector)
-                assert abs(eigenvalue_t(sol, CHAIN, x) - rayleigh) < 1e-8 * max(
-                    1.0, abs(rayleigh)
-                )
+        for m2, idx in enumerate(sector_bases(CHAIN.L)):
+            assert not np.any(np.delete(t_op[:, idx], idx, axis=0))
+            ed = np.linalg.eigvals(t_op[np.ix_(idx, idx)])
+            bethe_t = [eigenvalue_t(s, CHAIN, x) for s in solve_bae(CHAIN, m2)]
+            assert len(bethe_t) == idx.size
+            _, errs = match_multisets(np.array(bethe_t), ed)
+            assert errs.max() < 1e-8
 
     def test_transfer_eigenvalue_large_x(self):
         for m2 in range(4):
