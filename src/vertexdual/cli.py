@@ -228,7 +228,7 @@ def _chain_from_config(config: dict, rng) -> ChainParams:
         return draw_chain_params(rng, config["L"], eta=eta, h=h)
     if eta is None or h is None:
         raise ConfigError("eta and h are required when inhom is given")
-    inhom = tuple(_as_complex(z) for z in config["inhom"])
+    inhom = tuple([_as_complex(z) for z in config["inhom"]])
     try:
         return ChainParams(L=config["L"], eta=eta, h=h, inhom=inhom)
     except ValueError as exc:

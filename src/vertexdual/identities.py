@@ -98,8 +98,8 @@ class IdentityParams:
     eta: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(complex(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(complex(v) for v in self.y))
+        object.__setattr__(self, "x", tuple([complex(v) for v in self.x]))
+        object.__setattr__(self, "y", tuple([complex(v) for v in self.y]))
         object.__setattr__(self, "g", complex(self.g))
         object.__setattr__(self, "eta", complex(self.eta))
         if self.N < 1 or not 0 <= self.M <= self.N:
@@ -168,7 +168,7 @@ def sector_char_poly(L: int, M2: int, h, eta) -> np.ndarray:
     """Coefficients of the characteristic polynomial that sector M2 of
     the chain predicts for the Lax matrix: the product of the two ladder
     polynomials, of L - M2 and M2 values, centred at e^{+-Lh}."""
-    return np.polymul(
+    return np.convolve(
         ladder_char_poly(L - M2, np.exp(L * h), eta), ladder_char_poly(M2, np.exp(-L * h), eta)
     )
 
@@ -185,7 +185,7 @@ class SplittingResiduals(NamedTuple):
 
 def splitting_rhs(params: IdentityParams, q_tilde: np.ndarray) -> np.ndarray:
     """Coefficients of det(lambda I - g S_{N-M}) det(lambda I - Q~)."""
-    return np.polymul(
+    return np.convolve(
         ladder_char_poly(params.N - params.M, params.g, params.eta), charpoly_minors(q_tilde)
     )
 

@@ -334,7 +334,8 @@ def complex_sort_key(values) -> tuple[float, ...]:
     parts agree up to rounding, such as a complex-conjugate pair, are
     ordered by their imaginary parts.
     """
-    return tuple(part for z in values for part in (float(f"{z.real:.9g}"), z.imag))
+    # From a list, not a generator: the key is allocated at its final size (README, Memory).
+    return tuple([part for z in values for part in (float(f"{z.real:.9g}"), z.imag)])
 
 
 def lagrange_vandermonde_inverse(t: np.ndarray) -> np.ndarray:

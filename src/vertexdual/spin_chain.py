@@ -66,7 +66,7 @@ class ChainParams:
             raise ValueError(f"need at least one site, got L={self.L}")
         object.__setattr__(self, "eta", complex(self.eta))
         object.__setattr__(self, "h", complex(self.h))
-        object.__setattr__(self, "inhom", tuple(complex(x) for x in self.inhom))
+        object.__setattr__(self, "inhom", tuple([complex(x) for x in self.inhom]))
         if len(self.inhom) != self.L:
             raise ValueError(f"expected {self.L} inhomogeneities, got {len(self.inhom)}")
         require_sinh_eta(self.eta)
@@ -289,7 +289,7 @@ class _SectorCharges:
         self.a, self.c = np.concatenate([w, w.transpose(0, 2, 1)], axis=1)[:, q, self.sites]
         # D_k, and s_k D_k^{-1} for G_k, on site k up and down.
         s = sinh_pair_product(params.inhom, None, 0.0, -params.eta)
-        self.diag = np.concatenate([np.tile((g_up, g_down), (L, 1)), np.outer(s, (g_down, g_up))])
+        self.diag = np.concatenate([np.array([(g_up, g_down)] * L), np.outer(s, (g_down, g_up))])
 
     def factors(self, M2: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gather indices and differ mask [q, i, row] of the i-th factor to
