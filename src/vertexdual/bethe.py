@@ -89,24 +89,25 @@ def _equations(u: np.ndarray, params: ChainParams, h) -> tuple[np.ndarray, np.nd
     return defect, np.diag(sites.sum(axis=1) - pairs.sum(axis=1)) + pairs
 
 
-def _newton(u: np.ndarray, params: ChainParams, h, iters: int) -> tuple[np.ndarray, float]:
-    """Up to ``iters`` Newton steps at twist h, stopping at one below _STEP_TOL;
-    returns the roots and the size of the last step, their error estimate
-    (inf or nan when a step is singular or leaves the finite domain).
+def _newton(u: np.ndarray, params: ChainParams, h, iters: int):
+    """Up to ``iters`` Newton steps at twist h, stopping at one below _STEP_TOL.
+    Returns the roots, the size of the last step (their error estimate: inf
+    or nan when a step is singular or leaves the finite domain) and the
+    tangent J^{-1} (1, ..., 1), solved with the last step (None if singular).
     The step, not the defect, decides: near a site the defect's slope
     1/(u - x_k) magnifies the rounding of u."""
-    step = np.inf
+    step, tangent, ones = np.inf, None, np.ones(u.size)
     with np.errstate(all="ignore"):
         for _ in range(iters):
             defect, jacobian = _equations(u, params, h)
             try:
-                du = np.linalg.solve(jacobian, defect)
+                du, tangent = np.linalg.solve(jacobian, np.array([defect, ones]).T).T
             except np.linalg.LinAlgError:
-                return u, np.inf
+                return u, np.inf, None
             u, step = u - du, float(np.max(np.abs(du)))
             if step <= _STEP_TOL:
                 break
-    return u, step
+    return u, step, tangent
 
 
 def _starts(params: ChainParams, subsets: list[tuple[int, ...]], limit: int):
@@ -135,31 +136,25 @@ def _starts(params: ChainParams, subsets: list[tuple[int, ...]], limit: int):
 def _track(params: ChainParams, h0: complex, u: np.ndarray):
     """Follow roots ``u`` from twist h0 to the target along
     h(s) = h0 + s (h - h0) + i _DETOUR sin(pi s): an Euler predictor on
-    du/ds = -2L h'(s) J^{-1} (1, ..., 1) and a Newton corrector, with the
-    step halved when the corrector fails.  Returns the roots polished at
-    the target, or None when the path fails."""
-    u, err = _newton(u, params, h0, _POLISH_ITERS)
+    du/ds = -2L h'(s) J^{-1} (1, ..., 1) with the last accepted corrector's
+    tangent (J does not depend on h), and a Newton corrector, with the step
+    halved when it fails.  Returns the roots polished at the target, or None."""
+    u, err, tangent = _newton(u, params, h0, _POLISH_ITERS)
     if not err <= _STEP_TOL:
         return None
     s, ds = 0.0, _FIRST_STEP
     while s < 1.0:
         t = min(s + ds, 1.0)
         slope = 2 * params.L * (params.h - h0 + 1j * np.pi * _DETOUR * np.cos(np.pi * s))
-        with np.errstate(all="ignore"):
-            try:
-                # The Jacobian does not depend on the twist.
-                du = np.linalg.solve(_equations(u, params, params.h)[1], np.full(u.size, -slope))
-            except np.linalg.LinAlgError:
-                return None
         ht = h0 + t * (params.h - h0) + 1j * _DETOUR * np.sin(np.pi * t)
-        u_new, err = _newton(u + (t - s) * du, params, ht, _CORRECTOR_ITERS)
+        u_new, err, t_new = _newton(u - (t - s) * slope * tangent, params, ht, _CORRECTOR_ITERS)
         if err <= _STEP_TOL:
-            s, u, ds = t, u_new, min(_GROWTH * ds, _MAX_STEP)
+            s, u, tangent, ds = t, u_new, t_new, min(_GROWTH * ds, _MAX_STEP)
         elif ds > _MIN_STEP:
             ds /= 2
         else:
             return None
-    u, err = _newton(u, params, params.h, _POLISH_ITERS)
+    u, err, _ = _newton(u, params, params.h, _POLISH_ITERS)
     return u if err <= _STEP_TOL else None
 
 

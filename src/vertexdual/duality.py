@@ -155,43 +155,41 @@ def _string_elementary(L: int, M2: int, h, eta) -> np.ndarray:
     return (-1.0) ** np.arange(1, L + 1) * poly[1:]
 
 
-def _inverse_residual(x, H, eta, targets) -> tuple[np.ndarray, float]:
-    """The defect e_n(x, H) - targets of the invariant equations and its
-    worst entry relative to max(|target|, 1)."""
-    defect = symmetric_invariants(x, H, eta) - targets
-    return defect, float(np.max(np.abs(defect) / np.maximum(np.abs(targets), 1.0)))
-
-
-def _invariant_jacobian(x, H, eta) -> np.ndarray:
-    """d e_n / d H_j of the Lax invariants at H.  They are multilinear in
-    H, so the j-th partial is the difference of the H_j = 1 and H_j = 0
-    evaluations: rows j and n + j of one stacked call."""
+def _invariant_system(x, H, eta, targets):
+    """Defect e_n(x, H) - targets of the invariant equations, its worst
+    entry relative to max(|target|, 1), and the Jacobian d e_n / d H_j, from
+    one invariants call on a stack whose rows j and n + j set H_j = 1 and
+    H_j = 0 and whose last row is H: e_n is multilinear in H, so the j-th
+    partial is the difference of rows j and n + j."""
     n = x.size
     cols = np.arange(n)
-    stack = np.tile(H, (2 * n, 1))
+    # np.repeat, not np.tile, which builds a tuple from a generator (README, Memory).
+    stack = np.repeat(H[None, :], 2 * n + 1, axis=0)
     stack[cols, cols] = 1.0
     stack[n + cols, cols] = 0.0
     vals = symmetric_invariants(x, stack, eta)
-    return (vals[:n] - vals[n:]).T
+    defect = vals[-1] - targets
+    residual = float(np.max(np.abs(defect) / np.maximum(np.abs(targets), 1.0)))
+    return defect, residual, (vals[:n] - vals[n:-1]).T
 
 
 def _inverse_newton(x, H0, eta, targets):
-    """Newton from H0 on the invariant equations, at most 60 steps.
-    Returns (H, residual), the worst relative defect of _inverse_residual,
-    once it is below 1e-13, or below 1e-10 after the last step; else None."""
+    """Newton from H0 on the invariant equations, at most 60 steps.  Returns
+    H with the residual and Jacobian of its _invariant_system call once
+    the residual is below 1e-13, or below 1e-10 after the last step; else None."""
     H = H0.astype(complex).copy()
     for n in range(61):
-        defect, residual = _inverse_residual(x, H, eta, targets)
+        defect, residual, jacobian = _invariant_system(x, H, eta, targets)
         if residual < 1e-13 or n == 60:
             break
         try:
-            step = np.linalg.solve(_invariant_jacobian(x, H, eta), defect)
+            step = np.linalg.solve(jacobian, defect)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(step)):
             return None
         H = H - step
-    return (H, residual) if residual < 1e-10 else None
+    return (H, residual, jacobian) if residual < 1e-10 else None
 
 
 def inverse_spectral_solve(chain: ChainParams, M2: int) -> list[InverseSolution]:
@@ -205,11 +203,12 @@ def inverse_spectral_solve(chain: ChainParams, M2: int) -> list[InverseSolution]
     (2 M2 > L) are solved by spin flip: sector M2 at twist h has the
     charge tuples of sector L - M2 at -h, and the continuation reaches
     the roots of the lower sector at every twist, h = 0 included.
-    Newton with the analytic (multilinearity) Jacobian polishes each
-    start; a tuple is kept when its residual falls below 1e-13, or is
-    below 1e-10 after the last step, and it is not a duplicate.  Every
-    kept tuple is matched to the closest charge tuple of the exact
-    diagonalization of sector M2 alone, joint_diagonalize(chain, 0, [M2]).
+    Newton polishes each start, with defect and Jacobian from one stacked
+    invariants call per iterate; a tuple is kept, with its last Jacobian's
+    condition number, when its residual falls below 1e-13, or is below
+    1e-10 after the last step, and it is not a duplicate.  Every kept tuple
+    is matched to the closest charge tuple of the exact diagonalization of
+    sector M2 alone, joint_diagonalize(chain, 0, [M2]).
     """
     x, eta, h, L = np.asarray(chain.inhom), chain.eta, chain.h, chain.L
     targets = _string_elementary(L, M2, h, eta)
@@ -221,13 +220,13 @@ def inverse_spectral_solve(chain: ChainParams, M2: int) -> list[InverseSolution]
         solved = _inverse_newton(x, H0, eta, targets)
         if solved is None:
             continue
-        H, residual = solved
+        H, residual, jacobian = solved
         scale = max(np.max(np.abs(H)), 1.0)
         if any(np.max(np.abs(H - s.H)) < 1e-7 * scale for s in solutions):
             continue
         errs = bethe_ed_distance(H, ed_h)[:, 0]
         matched = int(np.argmin(errs))
-        cond = float(np.linalg.cond(_invariant_jacobian(x, H, eta)))
+        cond = float(np.linalg.cond(jacobian))
         solutions.append(InverseSolution(H, residual, matched, float(errs[matched]), cond))
     solutions.sort(key=lambda s: complex_sort_key(s.H))
     return solutions

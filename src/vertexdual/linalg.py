@@ -310,7 +310,7 @@ def require_sinh_gap(
     gap, i, j, label = smallest_sinh_gap(a, b, shifts)
     rows = np.flatnonzero(gap <= tol)
     if rows.size:
-        first = (np.ravel(v)[rows[0]] for v in (gap, i, j, label))
+        first = [np.ravel(v)[rows[0]] for v in (gap, i, j, label)]
         lead = "" if row is None else f"{row(rows[0])} has "
         raise error(f"{lead}{sinh_gap_words(*first, names)} <= {tol:g}")
 

@@ -2,6 +2,7 @@
 solve, and the closed-form eigenvalues cross-validated against exact
 diagonalization."""
 
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -225,21 +226,79 @@ def _singular(a, b):
 
 
 class TestPathGuards:
-    """The guards that end a path or drop its end point.  The two
-    singular-Jacobian guards are reached through a patched solve, the
-    predictor's with a patched Newton too: a polished start's Jacobian is
-    the predictor's, which does not depend on the twist."""
+    """The guards that end a path, shorten its step or drop its end point.
+    The singular-Jacobian guards are reached through a patched solve."""
 
     def test_newton_stops_on_a_singular_jacobian(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "solve", _singular)
         u = np.array([0.5 + 0j])
-        roots, step = bethe._newton(u, CHAIN, CHAIN.h, 5)
-        assert roots is u and step == np.inf
+        roots, step, tangent = bethe._newton(u, CHAIN, CHAIN.h, 5)
+        assert roots is u and step == np.inf and tangent is None
 
-    def test_predictor_fails_the_path_on_a_singular_jacobian(self, monkeypatch):
-        monkeypatch.setattr(bethe, "_newton", lambda u, params, h, iters: (u, 0.0))
-        monkeypatch.setattr(np.linalg, "solve", _singular)
-        assert _track(CHAIN, CHAIN.h, np.array([0.5 + 0j])) is None
+    def test_singular_corrector_halves_the_step_and_keeps_the_tangent(self, monkeypatch):
+        h0, (start,) = _starts(CHAIN, [(1,)], -1)
+        clean = _track(CHAIN, h0, start)
+        newton, starts = bethe._newton, []
+
+        def first_corrector_singular(u, params, h, iters):
+            starts.append(u)
+            if len(starts) != 2:
+                return newton(u, params, h, iters)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "solve", _singular)
+                return newton(u, params, h, iters)
+
+        monkeypatch.setattr(bethe, "_newton", first_corrector_singular)
+        end = _track(CHAIN, h0, start)
+        polished = newton(start, CHAIN, h0, bethe._POLISH_ITERS)[0]
+        # Both predictions of the first step leave the polished start along
+        # its tangent, up to the rounding of the roots; the retry goes half
+        # as far.
+        first, retry = starts[1] - polished, starts[2] - polished
+        assert np.max(np.abs(retry - first / 2)) <= 1e-12 * np.max(np.abs(first))
+        assert end is not None and np.max(np.abs(end - clean)) < 1e-10
+
+    def test_one_evaluation_per_newton_iterate(self, monkeypatch):
+        # Every _equations call is a Newton iterate, with the one solve that
+        # gives both its step and its tangent, or the end point check in
+        # _root_set: the predictor reuses the corrector's tangent.
+        chain = draw_chain_params(rng_from_seed(0), 4)
+        equations, solve, newton, root_set = (
+            bethe._equations, np.linalg.solve, bethe._newton, bethe._root_set
+        )
+        where, calls = ["solve_bae"], Counter()
+
+        def inside(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                where.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    where.pop()
+            return wrapped
+
+        def counted_equations(*args):
+            calls["equations", where[-1]] += 1
+            return equations(*args)
+
+        def counted_solve(a, b):
+            calls["solve", where[-1], b.shape[1:]] += 1
+            return solve(a, b)
+
+        monkeypatch.setattr(bethe, "_equations", counted_equations)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(bethe, "_newton", inside("_newton", newton))
+        monkeypatch.setattr(bethe, "_root_set", inside("_root_set", root_set))
+        found = [solve_bae(chain, m2) for m2 in range(1, 5)]
+        assert [len(f) for f in found] == [4, 6, 4, 1]
+        iterates, checks = calls["equations", "_newton"], calls["equations", "_root_set"]
+        assert set(calls) == {
+            "_newton", "_root_set", ("equations", "_newton"), ("equations", "_root_set"),
+            ("solve", "_newton", (2,)),
+        }
+        assert calls["solve", "_newton", (2,)] == iterates > 0
+        assert 0 < checks <= calls["_root_set"]
 
     def test_start_on_a_site_fails_its_polish(self):
         # The defect is not finite on a site, so the first step is nan.

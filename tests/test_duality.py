@@ -2,6 +2,7 @@
 matching, momentum extraction, inhomogeneity independence, and the
 inverse problem seeded by the Bethe solver."""
 
+from collections import Counter
 from dataclasses import replace
 from math import comb
 
@@ -20,9 +21,10 @@ from vertexdual import (
     verify_momentum_identification,
 )
 from vertexdual import duality
-from vertexdual.duality import _inverse_residual, _string_elementary
+from vertexdual.duality import _invariant_system, _string_elementary
 from vertexdual.errors import MatchFailed, ZeroGValue
 from vertexdual.identities import ladder
+from vertexdual.ruijsenaars import symmetric_invariants
 from vertexdual.sampling import draw_chain_params, rng_from_seed
 
 from classical_reference import verify_duality_per_state
@@ -285,14 +287,64 @@ class TestInverseSpectral:
 
     def test_condition_number_flags_the_loose_match(self):
         # At h = 0, L = 6, seed 2, sector 3, one tuple solves the invariant
-        # equations to rounding yet lies 4.5e-7 from its ED tuple: the
-        # inverse map is ill-conditioned there, and the Jacobian shows it.
+        # equations to rounding yet lies 1.8e-7 from its ED tuple (6.5e-7
+        # from a start that differs in its last bits): the inverse map is
+        # ill-conditioned there (condition 2.6e9), and the Jacobian shows it.
         chain = replace(draw_chain_params(rng_from_seed(2), 6), h=0.0)
         sols = inverse_spectral_solve(chain, 3)
         loose = max(sols, key=lambda s: s.match_error)
         assert loose.match_error > 1e-7 and loose.condition >= 1e9
         for s in sols:
             assert s.match_error <= 1e-9 or s.condition >= 1e8
+
+    def test_invariant_system_rows_match_unstacked_calls(self):
+        # Row 2n of the stack is H itself, and the Jacobian is the
+        # difference of the H_j = 1 and H_j = 0 evaluations, each made alone.
+        chain = draw_chain_params(rng_from_seed(0), 5)
+        x, eta = np.asarray(chain.inhom), chain.eta
+        targets = _string_elementary(5, 2, chain.h, eta)
+        H = joint_diagonalize(chain, 0, [2])[0].H[3]
+        defect, residual, jacobian = _invariant_system(x, H, eta, targets)
+        direct = symmetric_invariants(x, H, eta)
+        assert np.all(np.abs(defect - (direct - targets)) <= 1e-15 * np.abs(direct))
+        assert residual == np.max(np.abs(direct - targets) / np.maximum(np.abs(targets), 1.0))
+        for j in range(5):
+            on, off = H.copy(), H.copy()
+            on[j], off[j] = 1.0, 0.0
+            column = symmetric_invariants(x, on, eta) - symmetric_invariants(x, off, eta)
+            assert np.all(np.abs(jacobian[:, j] - column) <= 1e-15 * np.abs(column))
+
+    def test_one_invariants_call_per_newton_iterate(self, monkeypatch):
+        # Every invariants call is a Newton iterate: the solve steps from
+        # it, or the kept tuple's condition number reads its Jacobian.
+        chain = draw_chain_params(rng_from_seed(1), 5)
+        invariants, newton, solve = (
+            duality.symmetric_invariants, duality._inverse_newton, np.linalg.solve
+        )
+        calls, inside = Counter(), [False]
+
+        def counted_invariants(x, weights, eta):
+            calls["invariants", inside[0]] += 1
+            return invariants(x, weights, eta)
+
+        def counted_newton(*args):
+            calls["starts"] += 1
+            inside[0] = True
+            try:
+                return newton(*args)
+            finally:
+                inside[0] = False
+
+        def counted_solve(a, b):
+            calls["solves", inside[0]] += 1
+            return solve(a, b)
+
+        monkeypatch.setattr(duality, "symmetric_invariants", counted_invariants)
+        monkeypatch.setattr(duality, "_inverse_newton", counted_newton)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        assert len(inverse_spectral_solve(chain, 2)) == 10
+        assert calls["invariants", False] == 0
+        assert calls["invariants", True] == calls["solves", True] + calls["starts"]
 
     def test_solve_diagonalizes_only_its_sector(self, monkeypatch):
         # The ED annotation comes from one joint_diagonalize call on sector
@@ -386,10 +438,10 @@ class TestChargeAccuracy:
         worst, control = 0.0, np.inf
         for sector, target in zip(joint_diagonalize(chain), targets, strict=True):
             for H in sector.H:
-                worst = max(worst, _inverse_residual(x, H, chain.eta, target)[1])
+                worst = max(worst, _invariant_system(x, H, chain.eta, target)[1])
                 # Negative control: the largest charge value off by 1e-6 relative.
                 off = H.copy()
                 off[np.argmax(np.abs(off))] *= 1 + 1e-6
-                control = min(control, _inverse_residual(x, off, chain.eta, target)[1])
+                control = min(control, _invariant_system(x, off, chain.eta, target)[1])
         assert worst <= 1e-8
         assert control >= 1e-7

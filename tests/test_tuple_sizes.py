@@ -23,17 +23,43 @@ import vertexdual
 SRC = Path(vertexdual.__file__).resolve().parent
 
 
+def _tuples_from_generators(tree):
+    """The calls ``tuple(<generator>)`` and ``f(*<generator>)`` in a module,
+    the generator written in place or bound to a name: CPython collects
+    star-unpacked arguments into a tuple the same way."""
+    generators = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.GeneratorExp)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def is_generator(expr):
+        return isinstance(expr, ast.GeneratorExp) or (
+            isinstance(expr, ast.Name) and expr.id in generators
+        )
+
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        starred = any(isinstance(a, ast.Starred) and is_generator(a.value) for a in node.args)
+        built = (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "tuple"
+            and len(node.args) == 1
+            and not node.keywords
+            and is_generator(node.args[0])
+        )
+        if starred or built:
+            yield node
+
+
 def test_no_tuple_is_built_from_a_generator():
     found = sorted(
         f"{path.name}:{node.lineno}"
         for path in SRC.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "tuple"
-        and len(node.args) == 1
-        and not node.keywords
-        and isinstance(node.args[0], ast.GeneratorExp)
+        for node in _tuples_from_generators(ast.parse(path.read_text(encoding="utf-8")))
     )
     assert not found
 
